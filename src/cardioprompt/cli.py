@@ -4,13 +4,14 @@ Verbs mirror the pipeline stages: prepare-data, train-models, gen-dk,
 run-grid, report. Configuration comes from an optional JSON file plus flag
 overrides; every verb defaults to offline-safe behavior, and touching the
 real API requires the explicit --live flag. Exit codes: 0 success,
-1 validation or configuration error, 2 transport failure, 3 partial run
-(resumable from cache).
+1 validation or configuration error, 2 transport failure, 3 transport
+failure after this run cached some answers (rerun to resume).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,9 +23,11 @@ from .experiment import (
     ExperimentConfig,
     ReportTable,
     dk_grid_from_models,
+    load_rows,
     prepare_data,
     run_ml_baselines,
     run_prompt_grid,
+    save_rows,
     write_report,
 )
 from .gateway import JsonlCache, OracleMock, RuleMock
@@ -44,39 +47,16 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "live", False):
         overrides["live"] = True
     if overrides:
-        cfg = ExperimentConfig.from_dict({**_config_dict(cfg), **overrides})
+        cfg = ExperimentConfig.from_dict({**dataclasses.asdict(cfg), **overrides})
     return cfg
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "data_path": cfg.data_path,
-        "seed": cfg.seed,
-        "test_fraction": cfg.test_fraction,
-        "impute_k": cfg.impute_k,
-        "weights": {"w_fp": cfg.weights.w_fp, "w_fn": cfg.weights.w_fn},
-        "n_ex_grid": list(cfg.n_ex_grid),
-        "dk_families": list(cfg.dk_families),
-        "search_iters": cfg.search_iters,
-        "search_folds": cfg.search_folds,
-        "cache_path": cfg.cache_path,
-        "output_dir": cfg.output_dir,
-        "paper_faithful": cfg.paper_faithful,
-        "live": cfg.live,
-        "llm": {
-            "base_url": cfg.llm.base_url,
-            "model_name": cfg.llm.model_name,
-            "temperature": cfg.llm.temperature,
-            "max_retries": cfg.llm.max_retries,
-            "backoff_base": cfg.llm.backoff_base,
-            "timeout": cfg.llm.timeout,
-            "max_in_flight": cfg.llm.max_in_flight,
-        },
-    }
-
-
-def _models_dir(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.output_dir) / "models"
+def _artifact(cfg: ExperimentConfig, name: str, verb: str) -> Path:
+    """An upstream stage's output; missing means that stage has not run."""
+    path = Path(cfg.output_dir) / name
+    if not path.exists():
+        raise ValidationError(f"missing {path}; run {verb} first")
+    return path
 
 
 def cmd_prepare_data(cfg: ExperimentConfig) -> int:
@@ -96,10 +76,11 @@ def cmd_prepare_data(cfg: ExperimentConfig) -> int:
 def cmd_train_models(cfg: ExperimentConfig) -> int:
     prepared = prepare_data(cfg)
     rows, models = run_ml_baselines(cfg, prepared)
-    mdir = _models_dir(cfg)
+    mdir = Path(cfg.output_dir) / "models"
     mdir.mkdir(parents=True, exist_ok=True)
     for family, model in models.items():
         save_model(model, mdir / f"{family}.json")
+    save_rows(Path(cfg.output_dir) / "ml_rows.json", rows)
     table = ReportTable(rows=tuple(rows))
     path = write_report(table, cfg.output_dir, fmt="csv")
     print(f"models saved to {mdir}")
@@ -108,13 +89,9 @@ def cmd_train_models(cfg: ExperimentConfig) -> int:
 
 
 def cmd_gen_dk(cfg: ExperimentConfig) -> int:
-    mdir = _models_dir(cfg)
-    models = {}
-    for family in cfg.dk_families:
-        path = mdir / f"{family}.json"
-        if not path.exists():
-            raise ValidationError(f"missing model artifact {path}; run train-models first")
-        models[family] = load_model(path)
+    models = {
+        family: load_model(_artifact(cfg, f"models/{family}.json", "train-models")) for family in cfg.dk_families
+    }
     dks = dk_grid_from_models(models, families=cfg.dk_families)
     out = Path(cfg.output_dir) / "dk.json"
     out.write_text(
@@ -130,10 +107,7 @@ def cmd_gen_dk(cfg: ExperimentConfig) -> int:
 
 
 def _load_dks(cfg: ExperimentConfig):
-    path = Path(cfg.output_dir) / "dk.json"
-    if not path.exists():
-        raise ValidationError(f"missing {path}; run gen-dk first")
-    docs = json.loads(path.read_text())
+    docs = json.loads(_artifact(cfg, "dk.json", "gen-dk").read_text())
     out = []
     for doc in docs:
         variant = DkVariant(doc["variant"]) if doc["variant"] != "NO" else DkVariant.NONE
@@ -145,6 +119,7 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
     prepared = prepare_data(cfg)
     dks = _load_dks(cfg)
     cache = JsonlCache(cfg.cache_path)
+    cached_at_open = len(cache)
     if cfg.live:
         backend = cfg.llm
     elif mock_kind == "oracle":
@@ -153,23 +128,16 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
         backend = RuleMock(rule_feature, rule_threshold)
     else:
         raise ValidationError(f"unknown mock kind {mock_kind!r}")
-    rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend=backend, cache=cache if cfg.live else None)
+    try:
+        rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend=backend, cache=cache if cfg.live else None)
+    except TransportError as exc:
+        print(f"transport failure: {exc}", file=sys.stderr)
+        if len(cache) > cached_at_open:
+            print("partial results are cached; rerun to resume", file=sys.stderr)
+            return 3
+        return 2
     grid_path = Path(cfg.output_dir) / "grid_rows.json"
-    grid_path.parent.mkdir(parents=True, exist_ok=True)
-    grid_path.write_text(
-        json.dumps(
-            [
-                {
-                    "label": r.label,
-                    "dk_type": r.dk_type,
-                    "dk_source": r.dk_source,
-                    "n_ex": r.n_ex,
-                    "metrics": list(r.metrics.as_tuple()),
-                }
-                for r in rows
-            ]
-        )
-    )
+    save_rows(grid_path, rows, unparseable)
     if unparseable:
         total = sum(unparseable.values())
         print(f"warning: {total} unparseable responses counted as positive ({unparseable})")
@@ -178,13 +146,9 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
 
 
 def cmd_report(cfg: ExperimentConfig, fmt: str) -> int:
-    prepared = prepare_data(cfg)
-    rows, models = run_ml_baselines(cfg, prepared)
-    dks = dk_grid_from_models(models, families=cfg.dk_families)
-    backend = None if not cfg.live else cfg.llm
-    cache = JsonlCache(cfg.cache_path) if cfg.live else None
-    grid_rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend=backend, cache=cache)
-    table = ReportTable(rows=tuple(rows + grid_rows), unparseable=unparseable)
+    ml_rows, _ = load_rows(_artifact(cfg, "ml_rows.json", "train-models"))
+    grid_rows, unparseable = load_rows(_artifact(cfg, "grid_rows.json", "run-grid"))
+    table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)
     path = write_report(table, cfg.output_dir, fmt=fmt)
     if unparseable:
         print(f"warning: unparseable responses counted as positive: {unparseable}")
@@ -216,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--mock", choices=("oracle", "rule"), default="oracle")
     grid.add_argument("--rule-feature", default="oldpeak")
     grid.add_argument("--rule-threshold", type=float, default=1.0)
-    rep = sub.add_parser("report", help="full pipeline: classifiers plus prompt grid, one table")
+    rep = sub.add_parser("report", help="assembles the classifier and grid tables from earlier stages")
     rep.add_argument("--format", choices=("csv", "markdown"), default="csv")
     return parser
 
@@ -237,13 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "report":
             return cmd_report(cfg, args.format)
         raise ValidationError(f"unknown verb {args.verb!r}")
-    except TransportError as exc:
-        print(f"transport failure: {exc}", file=sys.stderr)
-        cache_file = Path(cfg.cache_path)
-        if cache_file.exists() and cache_file.stat().st_size > 0:
-            print("partial results are cached; rerun to resume", file=sys.stderr)
-            return 3
-        return 2
     except (ValidationError, CardiopromptError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -78,18 +78,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _check_keys(doc, cls)
         kwargs = dict(doc)
-        if "weights" in kwargs:
-            kwargs["weights"] = CostWeights(**kwargs["weights"])
-        if "llm" in kwargs:
-            kwargs["llm"] = LlmConfig(**kwargs["llm"])
+        for key, nested in (("weights", CostWeights), ("llm", LlmConfig)):
+            if key in kwargs:
+                _check_keys(kwargs[key], nested, prefix=f"{key}.")
+                kwargs[key] = nested(**kwargs[key])
         for key in ("n_ex_grid", "dk_families"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**kwargs)
+
+
+def _check_keys(doc, dataclass_type, prefix: str = ""):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config {prefix.rstrip('.') or 'document'} must be a JSON object")
+    unknown = set(doc) - set(dataclass_type.__dataclass_fields__)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,9 @@ def run_ml_baselines(
     schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> tuple[list[ReportRow], dict[str, TrainedModel]]:
     """Tune the six families, evaluate on the held-out split, and append the
-    three non-informed baselines. Returns rows plus the fitted models (with
-    importance attached) keyed by family."""
+    three non-informed baselines. Returns rows plus the fitted models keyed by
+    family; only the families in cfg.dk_families, whose rankings the
+    domain-knowledge texts read, carry an importance ranking."""
     rows: list[ReportRow] = []
     models: dict[str, TrainedModel] = {}
     truth = prepared.std_test.targets
@@ -157,9 +164,10 @@ def run_ml_baselines(
             folds=cfg.search_folds,
             seed=derive_seed(cfg.seed, f"search:{family}"),
         )
-        model = feature_importance(
-            model, prepared.std_train, schema=schema, seed=derive_seed(cfg.seed, f"importance:{family}")
-        )
+        if family in cfg.dk_families:
+            model = feature_importance(
+                model, prepared.std_train, schema=schema, seed=derive_seed(cfg.seed, f"importance:{family}")
+            )
         models[family] = model
         preds = model.predict(prepared.std_test.matrix)
         cm = confusion(preds, truth)
@@ -240,7 +248,7 @@ def run_prompt_grid(
             n_bad = sum(1 for r in records if r.verdict.unparseable)
             label = f"prompt-{dk_index}"
             if n_bad:
-                unparseable[f"{label}/N_ex={n_ex}"] = n_bad
+                unparseable[_cell_key(label, n_ex)] = n_bad
             cm = confusion(preds, truth)
             source = _TAG_DISPLAY.get(dk.source_name, dk.source_name)
             block.append(
@@ -254,6 +262,53 @@ def run_prompt_grid(
             )
         rows.extend(block)
         rows.append(_mean_row(f"Average (N_ex={n_ex})", block, n_ex=n_ex))
+    return rows, unparseable
+
+
+def _cell_key(label: str, n_ex: int | None) -> str:
+    return f"{label}/N_ex={n_ex}"
+
+
+def save_rows(path: str | Path, rows: list[ReportRow], unparseable: dict[str, int] | None = None):
+    """Write rows as the JSON list that `train-models` (ml_rows.json) and
+    `run-grid` (grid_rows.json) hand to `report`. Metrics keep full float
+    precision, so a table rendered from the loaded rows matches one rendered
+    from the rows in memory byte for byte."""
+    unparseable = unparseable or {}
+    docs = [
+        {
+            "label": r.label,
+            "dk_type": r.dk_type,
+            "dk_source": r.dk_source,
+            "n_ex": r.n_ex,
+            "metrics": list(r.metrics.as_tuple()),
+            "unparseable": unparseable.get(_cell_key(r.label, r.n_ex), 0),
+        }
+        for r in rows
+    ]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(docs))
+
+
+def load_rows(path: str | Path) -> tuple[list[ReportRow], dict[str, int]]:
+    """Inverse of save_rows: the rows and the nonzero unparseable counts."""
+    rows: list[ReportRow] = []
+    unparseable: dict[str, int] = {}
+    try:
+        for doc in json.loads(Path(path).read_text()):
+            row = ReportRow(
+                label=doc["label"],
+                dk_type=doc["dk_type"],
+                dk_source=doc["dk_source"],
+                n_ex=doc["n_ex"],
+                metrics=MetricsRow(*doc["metrics"]),
+            )
+            rows.append(row)
+            if doc["unparseable"]:
+                unparseable[_cell_key(row.label, row.n_ex)] = doc["unparseable"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path} does not hold report rows: {exc!r}") from exc
     return rows, unparseable
 
 

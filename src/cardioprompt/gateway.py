@@ -2,9 +2,11 @@
 
 The wire format is the familiar one: POST {base_url}/v1/chat/completions with
 a single user message, bearer token from OPENAI_API_KEY. Responses are cached
-append-only in a JSONL file keyed by sha256(model_name NUL prompt), and the
-cache is consulted before the network, so a rerun after an abort costs no
-requests. Transient failures (429, 5xx, timeouts) retry with exponential
+append-only in a JSONL file keyed by sha256(model_name NUL temperature NUL
+prompt), and the cache is consulted before the network, so a rerun after an
+abort costs no requests. A crash during an append can leave a torn last line;
+opening the cache drops it with a warning, while a bad line anywhere else is
+an error. Transient failures (429, 5xx, timeouts) retry with exponential
 backoff and equal jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which
 stays inside the exponential envelope and never decreases between attempts.
 Auth failures never retry.
@@ -21,6 +23,7 @@ import json
 import os
 import random
 import re
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +34,7 @@ import numpy as np
 import requests
 
 from .data import Dataset
-from .errors import AuthError, ProtocolError, TransportError, ValidationError
+from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from .prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
 from .schema import FeatureSchema
 
@@ -85,9 +88,11 @@ class PredictionRecord:
     prompt_hash: str
 
 
-def prompt_hash(prompt_text: str, model_name: str) -> str:
+def prompt_hash(prompt_text: str, model_name: str, temperature: float = 0.0) -> str:
     h = hashlib.sha256()
     h.update(model_name.encode("utf-8"))
+    h.update(b"\x00")
+    h.update(repr(float(temperature)).encode("ascii"))
     h.update(b"\x00")
     h.update(prompt_text.encode("utf-8"))
     return h.hexdigest()
@@ -101,9 +106,15 @@ class JsonlCache:
         self._lock = threading.Lock()
         self._by_hash: dict[str, CompletionRecord] = {}
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                if not line.strip():
-                    continue
+            self._load()
+
+    def _load(self):
+        # lines[-1] is what follows the last newline: empty unless an append was cut short
+        lines = self.path.read_text(encoding="utf-8", errors="surrogateescape").split("\n")
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
                 doc = json.loads(line)
                 rec = CompletionRecord(
                     prompt_hash=doc["prompt_hash"],
@@ -112,7 +123,18 @@ class JsonlCache:
                     timestamp=doc["timestamp"],
                     attempt_count=doc["attempt_count"],
                 )
-                self._by_hash[rec.prompt_hash] = rec  # later lines win
+            except (ValueError, KeyError, TypeError) as exc:
+                if number < len(lines):
+                    raise CardiopromptError(f"{self.path}: line {number} is not a cache record ({exc})") from exc
+                # an append cut short: cut the fragment off so the next put starts a fresh line
+                with self.path.open("r+b") as fh:
+                    fh.truncate(self.path.stat().st_size - len(line.encode("utf-8", "surrogateescape")))
+                print(f"warning: {self.path}: dropped a torn last line (line {number})", file=sys.stderr)
+                return
+            self._by_hash[rec.prompt_hash] = rec  # later lines win
+        if lines[-1].strip():  # a whole record missing only its newline
+            with self.path.open("a") as fh:
+                fh.write("\n")
 
     def __len__(self) -> int:
         return len(self._by_hash)
@@ -147,7 +169,7 @@ def complete(
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
     (body not in chat-completions shape)."""
-    key = prompt_hash(prompt_text, cfg.model_name)
+    key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:

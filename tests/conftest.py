@@ -1,7 +1,12 @@
 """Shared fixtures: reference importance orders, the three worked examples and
-final query used in the golden prompt, and small dataset builders."""
+final query used in the golden prompt, small dataset builders, and a scripted
+local chat-completions endpoint."""
 
 from __future__ import annotations
+
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -85,3 +90,56 @@ def xor_dataset(reps: int = 15) -> Dataset:
     X[:, :2] = X2
     y = np.tile(np.array([0, 1, 1, 0]), reps)
     return Dataset(matrix=X, targets=y, schema=DEFAULT_SCHEMA)
+
+
+def ok_body(content: str) -> dict:
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+class StubState:
+    """Scripted HTTP behavior; the last entry repeats once the script drains."""
+
+    def __init__(self):
+        self.script = []
+        self.requests = []
+        self.lock = threading.Lock()
+
+    def next_action(self, request_doc, headers):
+        with self.lock:
+            self.requests.append({"body": request_doc, "headers": dict(headers)})
+            if len(self.script) > 1:
+                return self.script.pop(0)
+            return self.script[0]
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    state: StubState  # assigned per fixture
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        doc = json.loads(self.rfile.read(length) or b"{}")
+        action = self.state.next_action(doc, self.headers)
+        status, payload = action(doc) if callable(action) else action
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub():
+    """A local chat-completions endpoint answering from `stub.script`."""
+    state = StubState()
+    handler = type("Handler", (StubHandler,), {"state": state})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    state.url = f"http://127.0.0.1:{server.server_address[1]}"
+    yield state
+    server.shutdown()
+    server.server_close()

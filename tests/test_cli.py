@@ -13,7 +13,19 @@ import pytest
 
 from cardioprompt.cli import main
 from cardioprompt.data import load_csv
+from cardioprompt.experiment import (
+    ExperimentConfig,
+    ReportTable,
+    dk_grid_from_models,
+    emit_report,
+    prepare_data,
+    run_ml_baselines,
+    run_prompt_grid,
+    save_rows,
+)
+from cardioprompt.gateway import RuleMock
 from cardioprompt.synthetic import synthetic_raw
+from conftest import ok_body
 
 
 def write_raw_csv(path: Path, n: int = 70, seed: int = 3, missing: float = 0.05):
@@ -74,6 +86,12 @@ class TestPrepareData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_nested_config_key_exits_one(self, workdir, capsys):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps({"data_path": str(workdir["data"]), "llm": {"model": "gpt-3.5-turbo"}}))
+        assert main(["--config", str(bad), "prepare-data"]) == 1
+        assert "llm.model" in capsys.readouterr().err
+
 
 class TestStageOrdering:
     def test_gen_dk_requires_artifacts(self, workdir, capsys):
@@ -85,6 +103,14 @@ class TestStageOrdering:
         code = main(["--config", str(workdir["cfg"]), "run-grid"])
         assert code == 1
         assert "gen-dk first" in capsys.readouterr().err
+
+    def test_report_requires_row_artifacts(self, workdir, capsys):
+        cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "report"]) == 1
+        assert "ml_rows.json; run train-models first" in capsys.readouterr().err
+        save_rows(workdir["runs"] / "ml_rows.json", [])
+        assert main(["--config", cfg, "report"]) == 1
+        assert "grid_rows.json; run run-grid first" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -135,6 +161,18 @@ class TestPipeline:
         accs = {row["metrics"][3] for row in grid}
         assert len(accs) == 1  # rule ignores dk and examples: same verdicts per cell
 
+    def test_report_assembles_the_rows_earlier_stages_wrote(self, workdir):
+        cfg_path = str(workdir["cfg"])
+        for argv in (["train-models"], ["gen-dk"], ["run-grid", "--mock", "rule"], ["report", "--format", "markdown"]):
+            assert main(["--config", cfg_path, *argv]) == 0
+        cfg = ExperimentConfig.from_json(cfg_path)
+        prepared = prepare_data(cfg)
+        ml_rows, models = run_ml_baselines(cfg, prepared)
+        dks = dk_grid_from_models(models, families=cfg.dk_families)
+        grid_rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend=RuleMock("oldpeak", 1.0))
+        table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)
+        assert (workdir["runs"] / "report.md").read_text() == emit_report(table, "markdown")
+
     def test_flag_overrides_config(self, workdir):
         other = workdir["tmp"] / "elsewhere"
         code = main(["--config", str(workdir["cfg"]), "--output-dir", str(other), "prepare-data"])
@@ -143,10 +181,10 @@ class TestPipeline:
 
 
 class TestLiveFailures:
-    def _live_cfg(self, workdir, cache_name: str) -> Path:
+    def _live_cfg(self, workdir, cache_name: str, base_url: str = "http://127.0.0.1:9") -> Path:
         doc = json.loads(workdir["cfg"].read_text())
         doc["cache_path"] = str(workdir["tmp"] / cache_name)
-        doc["llm"] = {"base_url": "http://127.0.0.1:9", "max_retries": 0, "timeout": 2.0}
+        doc["llm"] = {"base_url": base_url, "max_retries": 0, "timeout": 2.0, "max_in_flight": 1}
         path = workdir["tmp"] / "live.json"
         path.write_text(json.dumps(doc))
         return path
@@ -164,10 +202,22 @@ class TestLiveFailures:
         assert code == 2
         assert "transport failure" in capsys.readouterr().err
 
-    def test_partial_cache_exits_three(self, workdir, monkeypatch, capsys):
+    def test_partial_cache_exits_three(self, workdir, monkeypatch, capsys, stub):
+        # two answers reach the cache, then the server fails
         monkeypatch.setenv("OPENAI_API_KEY", "k")
         self._prime(workdir)
-        live = self._live_cfg(workdir, "warm-cache.jsonl")
+        stub.script = [(200, ok_body("1")), (200, ok_body("0")), (503, {})]
+        live = self._live_cfg(workdir, "cache.jsonl", base_url=stub.url)
+        code = main(["--config", str(live), "--live", "run-grid"])
+        assert code == 3
+        assert "rerun to resume" in capsys.readouterr().err
+        assert len((workdir["tmp"] / "cache.jsonl").read_text().splitlines()) == 2
+
+    def test_prefilled_cache_without_progress_exits_two(self, workdir, monkeypatch, capsys, stub):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        self._prime(workdir)
+        stub.script = [(503, {})]
+        live = self._live_cfg(workdir, "warm-cache.jsonl", base_url=stub.url)
         (workdir["tmp"] / "warm-cache.jsonl").write_text(
             json.dumps(
                 {"prompt_hash": "h", "model_name": "m", "raw_response": "1", "timestamp": 1.0, "attempt_count": 1}
@@ -175,8 +225,9 @@ class TestLiveFailures:
             + "\n"
         )
         code = main(["--config", str(live), "--live", "run-grid"])
-        assert code == 3
-        assert "rerun to resume" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "transport failure" in err and "rerun to resume" not in err
 
     def test_offline_never_touches_network(self, workdir, monkeypatch):
         # without --live the dead endpoint must not matter

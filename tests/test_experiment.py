@@ -24,8 +24,10 @@ from cardioprompt.experiment import (
     derive_seed,
     dk_grid_from_models,
     emit_report,
+    load_rows,
     run_ml_baselines,
     run_prompt_grid,
+    save_rows,
     write_report,
 )
 from cardioprompt.gateway import OracleMock, RuleMock, ScriptedMock
@@ -102,6 +104,18 @@ class TestExperimentConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict({"seeed": 7})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"llm": {"model": "gpt-3.5-turbo"}}, "llm.model"),
+            ({"weights": {"w_fp": 0.2, "fn": 0.8}}, "weights.fn"),
+            ({"llm": "gpt-3.5-turbo"}, "llm must be"),
+        ],
+    )
+    def test_unknown_nested_key_rejected(self, doc, message):
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_dict(doc)
 
 
 class TestMeanRow:
@@ -300,12 +314,16 @@ class TestMlBaselines:
         assert avg.metrics.as_tuple() == pytest.approx(tuple(stacked.mean(axis=0)), abs=1e-9)
 
     def test_models_carry_importance(self, baseline_run):
+        # only the families whose rankings the domain-knowledge texts read
         _, _, models = baseline_run
         assert set(models) == set(ML_FAMILIES)
+        dk_families = ExperimentConfig().dk_families
         for family, model in models.items():
-            assert model.importance is not None
-            assert len(model.importance.entries) == 13
-            assert model.importance.source == family
+            if family in dk_families:
+                assert len(model.importance.entries) == 13
+                assert model.importance.source == family
+            else:
+                assert model.importance is None
 
     def test_majority_one_has_unit_recall(self, baseline_run):
         _, rows, _ = baseline_run
@@ -335,6 +353,19 @@ class TestDkGrid:
         models = {"RF": train("RF", prepared.std_train, {"n_estimators": 4})}
         with pytest.raises(ValidationError):
             dk_grid_from_models(models)
+
+
+class TestRowArtifacts:
+    def test_roundtrip_keeps_rows_and_unparseable_counts(self, tmp_path):
+        cfg = ExperimentConfig(seed=3, n_ex_grid=(0,))
+        rows, unparseable = run_prompt_grid(cfg, make_prepared(), seven_dks(), backend=ScriptedMock(["maybe"] + ["1"] * 200))
+        save_rows(tmp_path / "rows.json", rows, unparseable)
+        assert load_rows(tmp_path / "rows.json") == (rows, {"prompt-0/N_ex=0": 1})
+
+    def test_malformed_rows_rejected(self, tmp_path):
+        (tmp_path / "rows.json").write_text('[{"label": "RF"}]')
+        with pytest.raises(ValidationError, match="rows.json"):
+            load_rows(tmp_path / "rows.json")
 
 
 class TestReportTable:

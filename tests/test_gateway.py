@@ -5,15 +5,13 @@ from __future__ import annotations
 
 import json
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
 from cardioprompt.data import Dataset
 from cardioprompt.dk import DkVariant, DomainKnowledge
-from cardioprompt.errors import AuthError, ProtocolError, TransportError, ValidationError
+from cardioprompt.errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from cardioprompt.gateway import (
     JsonlCache,
     LlmConfig,
@@ -28,61 +26,9 @@ from cardioprompt.gateway import (
 )
 from cardioprompt.prompts import PromptSpec, assemble_prompt
 from cardioprompt.schema import DEFAULT_SCHEMA
-from conftest import EXAMPLE_1, QUERY, small_dataset
+from conftest import EXAMPLE_1, QUERY, ok_body, small_dataset
 
 NO_DK = DomainKnowledge(DkVariant.NONE, "", "")
-
-
-def _ok_body(content: str) -> dict:
-    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
-
-
-class _StubState:
-    """Scripted HTTP behavior; the last entry repeats once the script drains."""
-
-    def __init__(self):
-        self.script = []
-        self.requests = []
-        self.lock = threading.Lock()
-
-    def next_action(self, request_doc, headers):
-        with self.lock:
-            self.requests.append({"body": request_doc, "headers": dict(headers)})
-            if len(self.script) > 1:
-                return self.script.pop(0)
-            return self.script[0]
-
-
-class _Handler(BaseHTTPRequestHandler):
-    state: _StubState  # assigned per fixture
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        doc = json.loads(self.rfile.read(length) or b"{}")
-        action = self.state.next_action(doc, self.headers)
-        status, payload = action(doc) if callable(action) else action
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub():
-    state = _StubState()
-    handler = type("Handler", (_Handler,), {"state": state})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    state.url = f"http://127.0.0.1:{server.server_address[1]}"
-    yield state
-    server.shutdown()
-    server.server_close()
 
 
 def _cfg(stub, **kw) -> LlmConfig:
@@ -160,6 +106,52 @@ class TestJsonlCache:
     def test_missing_key(self, tmp_path):
         assert JsonlCache(tmp_path / "c.jsonl").get("nope") is None
 
+    @staticmethod
+    def _lines(*hashes: str) -> str:
+        return "".join(
+            json.dumps({"prompt_hash": h, "model_name": "m", "raw_response": "1", "timestamp": 1.0, "attempt_count": 1})
+            + "\n"
+            for h in hashes
+        )
+
+    def test_torn_tail_dropped_and_truncated(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self._lines("h1", "h2") + '{"prompt_hash": "h3", "raw_re')
+        cache = JsonlCache(path)
+        assert len(cache) == 2 and cache.get("h3") is None
+        assert path.read_text() == self._lines("h1", "h2")
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and "line 3" in err
+
+    def test_torn_tail_then_resume_then_reopen(self, tmp_path):
+        from cardioprompt.gateway import CompletionRecord
+
+        path = tmp_path / "c.jsonl"
+        path.write_text(self._lines("h1") + '{"prompt_hash": "h2", "mod')
+        JsonlCache(path).put(CompletionRecord("h2", "m", "0", 2.0, 1))
+        reopened = JsonlCache(path)
+        assert len(reopened) == 2
+        assert reopened.get("h2").raw_response == "0"
+        assert [json.loads(line)["prompt_hash"] for line in path.read_text().splitlines()] == ["h1", "h2"]
+
+    def test_whole_record_missing_its_newline_kept(self, tmp_path):
+        from cardioprompt.gateway import CompletionRecord
+
+        path = tmp_path / "c.jsonl"
+        path.write_text(self._lines("h1").rstrip("\n"))
+        cache = JsonlCache(path)
+        assert cache.get("h1") is not None
+        cache.put(CompletionRecord("h2", "m", "0", 2.0, 1))
+        assert len(JsonlCache(path)) == 2
+
+    def test_bad_line_before_good_lines_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        torn_mid_file = self._lines("h1") + '{"prompt_hash": "h2"\n' + self._lines("h3")
+        path.write_text(torn_mid_file)
+        with pytest.raises(CardiopromptError, match=r"c\.jsonl: line 2 "):
+            JsonlCache(path)
+        assert path.read_text() == torn_mid_file  # nothing truncated
+
 
 def _one_row_prompt(x) -> str:
     return assemble_prompt(DEFAULT_SCHEMA, PromptSpec(n_ex=0, dk=NO_DK), [], x).text
@@ -212,13 +204,13 @@ class TestMocks:
 
 class TestComplete:
     def test_success_records_attempts(self, stub, tmp_path):
-        stub.script = [(200, _ok_body("1"))]
+        stub.script = [(200, ok_body("1"))]
         rec = complete("p", _cfg(stub), api_key="k")
         assert rec.raw_response == "1"
         assert rec.attempt_count == 1
 
     def test_request_shape(self, stub):
-        stub.script = [(200, _ok_body("0"))]
+        stub.script = [(200, ok_body("0"))]
         cfg = _cfg(stub, model_name="test-model", temperature=0.0)
         complete("hello prompt", cfg, api_key="sekret")
         req = stub.requests[0]
@@ -229,7 +221,7 @@ class TestComplete:
         assert msgs == [{"role": "user", "content": "hello prompt"}]
 
     def test_retry_on_429_then_success(self, stub):
-        stub.script = [(429, {}), (200, _ok_body("1"))]
+        stub.script = [(429, {}), (200, ok_body("1"))]
         sleeps = []
         rec = complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
         assert rec.attempt_count == 2
@@ -282,12 +274,12 @@ class TestComplete:
 
     def test_env_var_supplies_token(self, stub, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "from-env")
-        stub.script = [(200, _ok_body("1"))]
+        stub.script = [(200, ok_body("1"))]
         complete("p", _cfg(stub))
         assert stub.requests[0]["headers"]["Authorization"] == "Bearer from-env"
 
     def test_cache_checked_before_network(self, stub, tmp_path):
-        stub.script = [(200, _ok_body("1"))]
+        stub.script = [(200, ok_body("1"))]
         cache = JsonlCache(tmp_path / "c.jsonl")
         cfg = _cfg(stub)
         first = complete("p", cfg, cache=cache, api_key="k")
@@ -295,9 +287,17 @@ class TestComplete:
         assert len(stub.requests) == 1
         assert second == first
 
+    def test_other_temperature_misses_cache(self, stub, tmp_path):
+        stub.script = [(200, ok_body("1"))]
+        cache = JsonlCache(tmp_path / "c.jsonl")
+        complete("p", _cfg(stub, temperature=0.0), cache=cache, api_key="k")
+        complete("p", _cfg(stub, temperature=0.9), cache=cache, api_key="k")
+        assert len(stub.requests) == 2
+        assert len(cache) == 2
+
     def test_warm_cache_needs_no_key_or_network(self, stub, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        stub.script = [(200, _ok_body("0"))]
+        stub.script = [(200, ok_body("0"))]
         path = tmp_path / "c.jsonl"
         cfg = _cfg(stub)
         complete("p", cfg, cache=JsonlCache(path), api_key="k")
@@ -320,7 +320,7 @@ class TestClassifyBatch:
         chol = float(dict(
             part.split(": ") for part in query_line(content).split(", ")
         )["chol"])
-        return 200, _ok_body("1" if chol >= 240 else "0")
+        return 200, ok_body("1" if chol >= 240 else "0")
 
     def test_live_config_order_preserved_any_concurrency(self, stub, tmp_path):
         ds = small_dataset(12, seed=8)
