@@ -13,19 +13,18 @@ from time import monotonic
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cardioprompt.data import binarize_target, knn_impute, split, standardize
 from cardioprompt.experiment import (
     ExperimentConfig,
-    PreparedData,
     ReportTable,
-    derive_seed,
     dk_grid_from_models,
     emit_report,
+    prepare,
     run_ml_baselines,
     run_prompt_grid,
     write_report,
 )
-from cardioprompt.gateway import RuleMock
+from cardioprompt.gateway import OracleMock, RuleMock
+from cardioprompt.schema import DEFAULT_SCHEMA
 from cardioprompt.synthetic import synthetic_raw
 
 
@@ -48,19 +47,18 @@ def main(argv=None) -> int:
     )
 
     t0 = monotonic()
-    raw = synthetic_raw(n_rows=args.rows, missing_fraction=0.05, seed=args.seed)
-    full = knn_impute(binarize_target(raw), k=cfg.impute_k)
-    train, test = split(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split"))
-    std_train, std_test, _ = standardize(train, test)
-    prepared = PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
-    print(f"data: {full.n_rows} rows, {train.n_rows} train / {test.n_rows} test")
+    prepared = prepare(synthetic_raw(n_rows=args.rows, missing_fraction=0.05, seed=args.seed), cfg)
+    print(f"data: {prepared.full.n_rows} rows, {prepared.train.n_rows} train / {prepared.test.n_rows} test")
 
     ml_rows, models = run_ml_baselines(cfg, prepared)
     print(f"classifiers tuned in {monotonic() - t0:.1f}s")
 
     dks = dk_grid_from_models(models)
-    backend = RuleMock("chol", 240.0) if args.mock == "rule" else None
-    grid_rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend=backend)
+    if args.mock == "rule":
+        backend = RuleMock("chol", 240.0)
+    else:
+        backend = OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA, float_style=cfg.paper_faithful)
+    grid_rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend)
 
     table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)
     print()

@@ -30,7 +30,7 @@ from .experiment import (
     save_rows,
     write_report,
 )
-from .gateway import JsonlCache, OracleMock, RuleMock
+from .gateway import HttpBackend, JsonlCache, OracleMock, RuleMock
 from .models import load_model, save_model
 from .schema import DEFAULT_SCHEMA
 
@@ -118,10 +118,9 @@ def _load_dks(cfg: ExperimentConfig):
 def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_threshold: float) -> int:
     prepared = prepare_data(cfg)
     dks = _load_dks(cfg)
-    cache = JsonlCache(cfg.cache_path)
-    cached_at_open = len(cache)
     if cfg.live:
-        backend = cfg.llm
+        backend = HttpBackend(cfg.llm, JsonlCache(cfg.cache_path))
+        cached_at_open = len(backend.cache)
     elif mock_kind == "oracle":
         backend = OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA, float_style=cfg.paper_faithful)
     elif mock_kind == "rule":
@@ -129,10 +128,10 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
     else:
         raise ValidationError(f"unknown mock kind {mock_kind!r}")
     try:
-        rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend=backend, cache=cache if cfg.live else None)
-    except TransportError as exc:
+        rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend)
+    except TransportError as exc:  # only the live backend sends anything
         print(f"transport failure: {exc}", file=sys.stderr)
-        if len(cache) > cached_at_open:
+        if len(backend.cache) > cached_at_open:
             print("partial results are cached; rerun to resume", file=sys.stderr)
             return 3
         return 2

@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize
 from .dk import DEFAULT_DK_FAMILIES, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError
-from .gateway import JsonlCache, LlmConfig, MockPolicy, OracleMock, classify_batch
+from .gateway import Backend, LlmConfig, classify_batch
 from .metrics import CostWeights, MetricsRow, baseline_predict, confusion, metrics_row
 from .models import TrainedModel, feature_importance, randomized_search
 from .prompts import PromptSpec
@@ -109,9 +109,12 @@ class PreparedData:
 
 
 def prepare_data(cfg: ExperimentConfig, schema: FeatureSchema = DEFAULT_SCHEMA) -> PreparedData:
-    raw = load_csv(cfg.data_path, schema=schema)
-    binar = binarize_target(raw)
-    full = knn_impute(binar, k=cfg.impute_k)
+    return prepare(load_csv(cfg.data_path, schema=schema), cfg)
+
+
+def prepare(raw: RawDataset, cfg: ExperimentConfig) -> PreparedData:
+    """Binarize, impute, split and standardize a loaded dataset."""
+    full = knn_impute(binarize_target(raw), k=cfg.impute_k)
     train, test = split(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split"))
     std_train, std_test, _ = standardize(train, test)
     return PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
@@ -210,19 +213,14 @@ def run_prompt_grid(
     cfg: ExperimentConfig,
     prepared: PreparedData,
     dks: list[DomainKnowledge],
-    backend: LlmConfig | MockPolicy | None = None,
+    backend: Backend,
     schema: FeatureSchema = DEFAULT_SCHEMA,
-    cache: JsonlCache | None = None,
 ) -> tuple[list[ReportRow], dict[str, int]]:
-    """Evaluate every (dk, n_ex) cell on the full test split.
+    """Evaluate every (dk, n_ex) cell on the full test split with `backend`.
 
     Rows are grouped by example count: for each n_ex, prompt-0..prompt-6 then
     that block's average. In-context examples are drawn once per n_ex, so two
-    dk variants at the same n_ex see identical examples. The default backend
-    is the oracle mock; live API runs must pass cfg.llm explicitly."""
-    if backend is None:
-        backend = OracleMock.for_dataset(prepared.test, schema, float_style=cfg.paper_faithful)
-
+    dk variants at the same n_ex see identical examples."""
     unparseable: dict[str, int] = {}
     rows: list[ReportRow] = []
     truth = prepared.test.targets
@@ -235,14 +233,7 @@ def run_prompt_grid(
                 seed=derive_seed(cfg.seed, f"examples:{n_ex}"),
                 paper_faithful=cfg.paper_faithful,
             )
-            records = classify_batch(
-                prepared.test,
-                spec,
-                backend,
-                schema,
-                train=prepared.train,
-                cache=cache,
-            )
+            records = classify_batch(prepared.test, spec, backend, schema, train=prepared.train)
             # unparseable verdicts count as positive predictions, flagged
             preds = [r.verdict.label if not r.verdict.unparseable else 1 for r in records]
             n_bad = sum(1 for r in records if r.verdict.unparseable)

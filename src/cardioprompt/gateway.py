@@ -1,19 +1,23 @@
 """Chat-completions client with caching, retries, and deterministic mocks.
 
-The wire format is the familiar one: POST {base_url}/v1/chat/completions with
-a single user message, bearer token from OPENAI_API_KEY. Responses are cached
-append-only in a JSONL file keyed by sha256(model_name NUL temperature NUL
-prompt), and the cache is consulted before the network, so a rerun after an
-abort costs no requests. A crash during an append can leave a torn last line;
-opening the cache drops it with a warning, while a bad line anywhere else is
-an error. Transient failures (429, 5xx, timeouts) retry with exponential
-backoff and equal jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which
-stays inside the exponential envelope and never decreases between attempts.
-Auth failures never retry.
+Every backend answers one prompt with `respond(prompt_text) -> str` and takes
+at most `max_in_flight` prompts at once: 1 for the mocks, which
+`classify_batch` runs inline, more for `HttpBackend`, which it runs in a pool.
 
-Mocks substitute for the endpoint in tests and offline runs: an oracle that
-answers with the query's true label, a scripted response queue, and a
-threshold rule applied to one feature parsed back out of the final question.
+`HttpBackend` POSTs {base_url}/v1/chat/completions with a single user message
+and the bearer token from OPENAI_API_KEY. Only it opens the cache, an
+append-only JSONL file keyed by sha256(model_name NUL temperature NUL prompt)
+and read before the network, so a rerun after an abort costs no requests and
+a mock run never touches it. A torn last line (a crash during an append) is
+dropped with a warning; a bad line anywhere else is an error. Transient
+failures (429, 5xx, timeouts) retry with exponential backoff and equal
+jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
+exponential envelope and never decreases. Auth failures never retry. The
+first permanent failure stops the backend: a new prompt or an interrupted
+backoff wait raises that same failure at once.
+
+The mocks: an oracle answering with the query's true label, a scripted
+response queue, and a threshold rule on one feature of the final question.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Protocol
 
-import numpy as np
 import requests
 
 from .data import Dataset
@@ -85,7 +89,6 @@ class Verdict:
 class PredictionRecord:
     index: int
     verdict: Verdict
-    prompt_hash: str
 
 
 def prompt_hash(prompt_text: str, model_name: str, temperature: float = 0.0) -> str:
@@ -115,15 +118,8 @@ class JsonlCache:
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-                rec = CompletionRecord(
-                    prompt_hash=doc["prompt_hash"],
-                    model_name=doc["model_name"],
-                    raw_response=doc["raw_response"],
-                    timestamp=doc["timestamp"],
-                    attempt_count=doc["attempt_count"],
-                )
-            except (ValueError, KeyError, TypeError) as exc:
+                rec = CompletionRecord(**json.loads(line))
+            except (ValueError, TypeError) as exc:
                 if number < len(lines):
                     raise CardiopromptError(f"{self.path}: line {number} is not a cache record ({exc})") from exc
                 # an append cut short: cut the fragment off so the next put starts a fresh line
@@ -144,17 +140,10 @@ class JsonlCache:
             return self._by_hash.get(key)
 
     def put(self, rec: CompletionRecord):
-        doc = {
-            "prompt_hash": rec.prompt_hash,
-            "model_name": rec.model_name,
-            "raw_response": rec.raw_response,
-            "timestamp": rec.timestamp,
-            "attempt_count": rec.attempt_count,
-        }
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:
-                fh.write(json.dumps(doc) + "\n")
+                fh.write(json.dumps(asdict(rec)) + "\n")
             self._by_hash[rec.prompt_hash] = rec
 
 
@@ -222,6 +211,45 @@ def complete(
     raise TransportError(f"gave up after {cfg.max_retries + 1} attempts; last failure: {last_failure}")
 
 
+class Backend(Protocol):
+    """What classify_batch asks of a backend."""
+
+    max_in_flight: int
+
+    def respond(self, prompt_text: str) -> str: ...
+
+
+class HttpBackend:
+    """The endpoint through `complete`, up to cfg.max_in_flight prompts at
+    once. Its first permanent failure stops it for good."""
+
+    def __init__(self, cfg: LlmConfig, cache: JsonlCache | None = None, api_key: str | None = None):
+        self.cfg = cfg
+        self.cache = cache
+        self.api_key = api_key
+        self.max_in_flight = cfg.max_in_flight
+        self._lock = threading.Lock()
+        self._stopped = threading.Event()
+        self._failure: CardiopromptError | None = None
+
+    def respond(self, prompt_text: str) -> str:
+        try:
+            if self._stopped.is_set():  # a stopped backend starts no prompt
+                raise self._failure
+            return complete(prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key).raw_response
+        except (TransportError, AuthError, ProtocolError) as exc:
+            with self._lock:
+                if self._failure is None:
+                    self._failure = exc
+                    self._stopped.set()
+        raise self._failure  # outside the handler, so no thread rewrites its context
+
+    def _wait(self, seconds: float):
+        """The backoff sleep; a failure in another prompt ends it early."""
+        if self._stopped.wait(seconds):
+            raise self._failure
+
+
 # --- mocks ---------------------------------------------------------------
 
 
@@ -244,15 +272,18 @@ def _query_values(prompt_text: str) -> dict[str, float]:
 class OracleMock:
     """Answers every prompt with the true label of its query instance."""
 
+    max_in_flight = 1
+
     def __init__(self, answers: dict[str, int]):
         self.answers = dict(answers)
 
     @classmethod
     def for_dataset(cls, ds: Dataset, schema: FeatureSchema, float_style: bool = False) -> "OracleMock":
-        answers = {
-            render_instance(ds.matrix[i], schema, float_style=float_style): int(ds.targets[i])
-            for i in range(ds.n_rows)
-        }
+        answers: dict[str, int] = {}
+        for row, target in zip(ds.matrix, ds.targets):
+            line = render_instance(row, schema, float_style=float_style)
+            if answers.setdefault(line, int(target)) != int(target):
+                raise ValidationError(f"oracle: two rows render the query line {line!r} with different labels")
         return cls(answers)
 
     def respond(self, prompt_text: str) -> str:
@@ -264,6 +295,8 @@ class OracleMock:
 
 class ScriptedMock:
     """Returns queued responses in order; draining the queue is an error."""
+
+    max_in_flight = 1
 
     def __init__(self, responses: list[str]):
         self.queue = list(responses)
@@ -279,6 +312,8 @@ class ScriptedMock:
 class RuleMock:
     """'1' iff the named feature in the final question is >= threshold."""
 
+    max_in_flight = 1
+
     def __init__(self, feature: str, threshold: float):
         self.feature = feature
         self.threshold = threshold
@@ -288,13 +323,6 @@ class RuleMock:
         if self.feature not in values:
             raise ValidationError(f"feature {self.feature!r} not in the final question")
         return "1" if values[self.feature] >= self.threshold else "0"
-
-
-MockPolicy = OracleMock | ScriptedMock | RuleMock
-
-
-def mock_complete(prompt_text: str, mock: MockPolicy) -> str:
-    return mock.respond(prompt_text)
 
 
 # --- parsing and batching ------------------------------------------------
@@ -311,18 +339,15 @@ def parse_label(raw: str) -> Verdict:
 def classify_batch(
     test: Dataset,
     spec: PromptSpec,
-    backend: LlmConfig | OracleMock | ScriptedMock | RuleMock,
+    backend: Backend,
     schema: FeatureSchema,
     train: Dataset | None = None,
-    cache: JsonlCache | None = None,
-    sleeper=time.sleep,
-    api_key: str | None = None,
 ) -> list[PredictionRecord]:
     """One verdict per test row, in row order.
 
     Prompts share one draw of in-context examples (from train, per spec.seed)
-    and differ only in the final question. Real configs fan out over a bounded
-    worker pool; mocks run sequentially so scripted queues stay ordered.
+    and differ only in the final question. Up to backend.max_in_flight prompts
+    are answered at once; width 1 runs inline, in row order, without a pool.
     """
     if spec.n_ex > 0 and train is None:
         raise ValidationError("in-context examples requested but no train split given")
@@ -331,18 +356,10 @@ def classify_batch(
         assemble_prompt(schema, spec, examples, test.matrix[i]).text for i in range(test.n_rows)
     ]
 
-    if isinstance(backend, LlmConfig):
+    def run(i: int) -> PredictionRecord:
+        return PredictionRecord(i, parse_label(backend.respond(prompts[i])))
 
-        def run(args: tuple[int, str]) -> PredictionRecord:
-            i, text = args
-            rec = complete(text, backend, cache=cache, sleeper=sleeper, api_key=api_key)
-            return PredictionRecord(i, parse_label(rec.raw_response), rec.prompt_hash)
-
-        with ThreadPoolExecutor(max_workers=backend.max_in_flight) as pool:
-            return list(pool.map(run, enumerate(prompts)))  # map keeps input order
-
-    out = []
-    for i, text in enumerate(prompts):
-        raw = mock_complete(text, backend)
-        out.append(PredictionRecord(i, parse_label(raw), prompt_hash(text, "mock")))
-    return out
+    if backend.max_in_flight == 1:
+        return [run(i) for i in range(len(prompts))]
+    with ThreadPoolExecutor(max_workers=backend.max_in_flight) as pool:
+        return list(pool.map(run, range(len(prompts))))  # map keeps input order; a raise cancels the rest

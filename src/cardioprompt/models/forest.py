@@ -2,12 +2,11 @@
 
 Prediction is the exact majority vote of the trees' hard labels (tie -> 1),
 not an averaged probability. Each tree gets its own RNG stream spawned from
-the forest seed, so training with n_jobs > 1 is bit-identical to sequential.
+the forest seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ class RandomForest:
     min_samples_leaf: int = 1
     bootstrap: bool = True
     seed: int = 0
-    n_jobs: int = 1
 
     trees: list[DecisionTree] = field(default_factory=list, repr=False)
     n_features_: int = 0
@@ -52,11 +50,7 @@ class RandomForest:
             )
             return tree.fit(X[rows], y[rows])
 
-        if self.n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-                self.trees = list(pool.map(build, streams))
-        else:
-            self.trees = [build(rng) for rng in streams]
+        self.trees = [build(rng) for rng in streams]
         return self
 
     def _votes(self, X: np.ndarray) -> np.ndarray:

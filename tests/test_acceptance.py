@@ -32,7 +32,7 @@ from cardioprompt.experiment import (
     run_ml_baselines,
     run_prompt_grid,
 )
-from cardioprompt.gateway import JsonlCache, LlmConfig, ScriptedMock, classify_batch
+from cardioprompt.gateway import HttpBackend, JsonlCache, LlmConfig, OracleMock, ScriptedMock, classify_batch
 from cardioprompt.metrics import (
     ConfusionMatrix,
     CostWeights,
@@ -222,7 +222,8 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
 
         # (a) oracle grid: perfect scores on every row
         cfg_small = ExperimentConfig(seed=7, n_ex_grid=(0, 4))
-        rows, unparseable = run_prompt_grid(cfg_small, prepared, _seven_dks())
+        oracle = OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA)
+        rows, unparseable = run_prompt_grid(cfg_small, prepared, _seven_dks(), oracle)
         assert unparseable == {}
         for r in rows:
             assert r.metrics.f1 == 1.0, f"{r.label}: oracle F1 {r.metrics.f1}"
@@ -249,7 +250,7 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         outputs = []
         for _ in range(2):
             t0 = monotonic()
-            grid_rows, unp = run_prompt_grid(cfg_full, prepared, _seven_dks())
+            grid_rows, unp = run_prompt_grid(cfg_full, prepared, _seven_dks(), oracle)
             elapsed = monotonic() - t0
             assert elapsed < 60.0, f"grid run took {elapsed:.1f}s, budget 60s"
             assert len(grid_rows) == 5 * 8
@@ -261,12 +262,12 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         with _stub_server([(200, {"choices": [{"message": {"content": "1"}}]})]) as (url, state):
             llm = LlmConfig(base_url=url, max_retries=0, timeout=5.0)
             cache_path = tmp_path / "completions.jsonl"
-            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), llm, DEFAULT_SCHEMA,
-                           cache=JsonlCache(cache_path), api_key="k")
+            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"),
+                           DEFAULT_SCHEMA)
             first_count = len(state["requests"])
             assert first_count == small.n_rows
-            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), llm, DEFAULT_SCHEMA,
-                           cache=JsonlCache(cache_path), api_key="k")
+            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"),
+                           DEFAULT_SCHEMA)
             assert len(state["requests"]) == first_count, "warm-cache rerun reached the network"
 
 

@@ -229,6 +229,13 @@ class TestLiveFailures:
         err = capsys.readouterr().err
         assert "transport failure" in err and "rerun to resume" not in err
 
+    def test_mock_run_never_opens_the_cache(self, workdir):
+        self._prime(workdir)
+        cache = workdir["runs"] / "completions.jsonl"
+        cache.write_bytes(b"not a cache record\n")
+        assert main(["--config", str(workdir["cfg"]), "run-grid", "--mock", "rule"]) == 0
+        assert cache.read_bytes() == b"not a cache record\n"
+
     def test_offline_never_touches_network(self, workdir, monkeypatch):
         # without --live the dead endpoint must not matter
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)

@@ -48,6 +48,10 @@ def make_prepared(n: int = 60, seed: int = 3, test_fraction: float = 0.25) -> Pr
     return PreparedData(raw=raw, full=full, train=train_ds, test=test_ds, std_train=std_train, std_test=std_test)
 
 
+def oracle(cfg: ExperimentConfig, prepared: PreparedData) -> OracleMock:
+    return OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA, float_style=cfg.paper_faithful)
+
+
 def seven_dks() -> list[DomainKnowledge]:
     out = [NO_DK]
     for order, family in ((RF_ORDER, "RF"), (LR_ORDER, "LR"), (XGB_ORDER, "GBT")):
@@ -180,7 +184,7 @@ class TestPromptGrid:
     def test_oracle_backend_scores_perfect(self):
         prepared = make_prepared(60, seed=3)
         cfg = ExperimentConfig(seed=5, n_ex_grid=(0, 2))
-        rows, unparseable = run_prompt_grid(cfg, prepared, seven_dks())
+        rows, unparseable = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
         assert unparseable == {}
         assert len(rows) == 2 * 8  # 7 prompts + average, per n_ex
         for r in rows:
@@ -193,7 +197,7 @@ class TestPromptGrid:
     def test_row_labels_and_dk_columns(self):
         prepared = make_prepared(40, seed=1)
         cfg = ExperimentConfig(seed=2, n_ex_grid=(0,))
-        rows, _ = run_prompt_grid(cfg, prepared, seven_dks())
+        rows, _ = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
         labels = [r.label for r in rows]
         assert labels == [f"prompt-{i}" for i in range(7)] + ["Average (N_ex=0)"]
         expected_cols = [
@@ -212,7 +216,7 @@ class TestPromptGrid:
         # float-style query lines must match the oracle's float-style keys
         prepared = make_prepared(40, seed=6)
         cfg = ExperimentConfig(seed=3, n_ex_grid=(0,), paper_faithful=True)
-        rows, unparseable = run_prompt_grid(cfg, prepared, [NO_DK])
+        rows, unparseable = run_prompt_grid(cfg, prepared, [NO_DK], oracle(cfg, prepared))
         assert unparseable == {}
         assert rows[0].metrics.accuracy == 1.0
 
@@ -268,6 +272,8 @@ class TestPromptGrid:
         seen: list[str] = []
 
         class Recorder:
+            max_in_flight = 1
+
             def respond(self, prompt_text):
                 seen.append(prompt_text)
                 return "1"
@@ -287,7 +293,7 @@ class TestPromptGrid:
         cfg = ExperimentConfig(seed=8, n_ex_grid=(0, 2))
         out = []
         for _ in range(2):
-            rows, unp = run_prompt_grid(cfg, prepared, seven_dks())
+            rows, unp = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
             out.append(emit_report(ReportTable(rows=tuple(rows), unparseable=unp), "csv"))
         assert out[0] == out[1]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cardioprompt.data import Dataset
 from cardioprompt.dk import DkVariant, DomainKnowledge
 from cardioprompt.errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from cardioprompt.gateway import (
+    HttpBackend,
     JsonlCache,
     LlmConfig,
     OracleMock,
@@ -173,6 +175,14 @@ class TestMocks:
         assert [p.verdict.label for p in preds] == ds.targets.tolist()
         assert [p.index for p in preds] == list(range(ds.n_rows))
 
+    def test_oracle_duplicate_rows_must_agree(self):
+        twin = np.stack([QUERY, QUERY])
+        agreeing = Dataset(matrix=twin, targets=np.array([1, 1]), schema=DEFAULT_SCHEMA)
+        assert OracleMock.for_dataset(agreeing, DEFAULT_SCHEMA).respond(_one_row_prompt(QUERY)) == "1"
+        clashing = Dataset(matrix=twin, targets=np.array([0, 1]), schema=DEFAULT_SCHEMA)
+        with pytest.raises(ValidationError, match="age: 46, sex: 1"):
+            OracleMock.for_dataset(clashing, DEFAULT_SCHEMA)
+
     def test_oracle_unknown_query_rejected(self):
         oracle = OracleMock({})
         with pytest.raises(ValidationError):
@@ -331,7 +341,7 @@ class TestClassifyBatch:
             cfg = _cfg(stub, max_in_flight=width)
             cache = JsonlCache(tmp_path / f"c{width}.jsonl")
             preds = classify_batch(
-                ds, PromptSpec(n_ex=0, dk=NO_DK), cfg, DEFAULT_SCHEMA, cache=cache, api_key="k"
+                ds, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(cfg, cache, api_key="k"), DEFAULT_SCHEMA
             )
             assert [p.index for p in preds] == list(range(12))
             results[width] = [p.verdict.label for p in preds]
@@ -348,6 +358,8 @@ class TestClassifyBatch:
         seen = []
 
         class Recorder:
+            max_in_flight = 1
+
             def respond(self, prompt_text):
                 seen.append(prompt_text)
                 return "1"
@@ -363,3 +375,25 @@ class TestClassifyBatch:
         )
         assert [p.verdict.label for p in preds] == [1, None, 0]
         assert preds[1].verdict.unparseable
+
+    @pytest.mark.parametrize("width, most", [(1, 3), (4, 4 * 3)])
+    def test_first_permanent_failure_stops_sending(self, stub, width, most):
+        # each prompt makes 1 + max_retries attempts; nothing starts after the first failure
+        stub.script = [(503, {})]
+        backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=0.01, max_in_flight=width), api_key="k")
+        with pytest.raises(TransportError):
+            classify_batch(small_dataset(20, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+        assert 3 <= len(stub.requests) <= most
+
+    def test_failure_wakes_backoff_and_is_the_error_raised(self, stub):
+        # one prompt draws a 503 and waits >= 30 s; the other's 401 must end that wait
+        stub.script = [(503, {}), (401, {})]
+        backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=60.0, max_in_flight=2), api_key="k")
+        start = time.monotonic()
+        with pytest.raises(AuthError):
+            classify_batch(small_dataset(10, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+        assert time.monotonic() - start < 10.0
+        assert len(stub.requests) == 2
+        with pytest.raises(AuthError):
+            backend.respond(_one_row_prompt(QUERY))  # a stopped backend stays stopped
+        assert len(stub.requests) == 2

@@ -167,18 +167,6 @@ class TestRandomForest:
         if split_rows.any():
             assert np.all(f.predict(ds.matrix)[split_rows] == 1)
 
-    def test_thread_parallel_bit_identical(self):
-        ds = small_dataset(100, seed=4)
-        serial = RandomForest(n_estimators=12, max_depth=5, seed=9, n_jobs=1)
-        parallel = RandomForest(n_estimators=12, max_depth=5, seed=9, n_jobs=4)
-        serial.fit(ds.matrix, ds.targets)
-        parallel.fit(ds.matrix, ds.targets)
-        for a, b in zip(serial.trees, parallel.trees):
-            assert a.feature == b.feature
-            assert a.threshold == b.threshold
-            assert a.value == b.value
-        assert np.array_equal(serial.predict(ds.matrix), parallel.predict(ds.matrix))
-
     def test_same_seed_reproduces(self):
         ds = small_dataset(80, seed=6)
         a = RandomForest(n_estimators=10, seed=42)
