@@ -5,7 +5,11 @@ at most `max_in_flight` prompts at once: 1 for the mocks, which
 `classify_batch` runs inline, more for `HttpBackend`, which it runs in a pool.
 
 `HttpBackend` POSTs {base_url}/v1/chat/completions with a single user message
-and the bearer token from OPENAI_API_KEY. Only it opens the cache, an
+and the bearer token from OPENAI_API_KEY, which is the only credential sent:
+`.netrc` is never consulted. It reuses at most `max_in_flight` keep-alive
+connections over its whole life, one pooled `requests.Session` per prompt in
+flight; the proxy and CA-bundle environment is read when a session is built,
+not per request. Only it opens the cache, an
 append-only JSONL file keyed by sha256(model_name NUL temperature NUL prompt)
 and read before the network, so a rerun after an abort costs no requests and
 a mock run never touches it. A torn last line (a crash during an append) is
@@ -25,12 +29,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
 import random
 import re
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Protocol
@@ -147,6 +153,17 @@ class JsonlCache:
             self._by_hash[rec.prompt_hash] = rec
 
 
+def new_session(url: str) -> requests.Session:
+    """A session for requests to `url` that reads the proxy and CA-bundle
+    environment now, once, and never `.netrc`, so the bearer token is the only
+    credential."""
+    session = requests.Session()
+    session.trust_env = False
+    session.proxies = requests.utils.get_environ_proxies(url)  # honours NO_PROXY
+    session.verify = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+    return session
+
+
 def complete(
     prompt_text: str,
     cfg: LlmConfig,
@@ -154,10 +171,12 @@ def complete(
     sleeper=time.sleep,
     jitter_rng: random.Random | None = None,
     api_key: str | None = None,
+    session: requests.Session | None = None,
 ) -> CompletionRecord:
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
-    (body not in chat-completions shape)."""
+    (body not in chat-completions shape). Sends through `session`, or through
+    a one-off `new_session` closed before returning."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
@@ -177,38 +196,39 @@ def complete(
     }
     headers = {"Authorization": f"Bearer {token}"}
 
-    last_failure = "no attempt made"
-    for attempt in range(cfg.max_retries + 1):
-        if attempt > 0:
-            envelope = cfg.backoff_base * 2 ** (attempt - 1)
-            sleeper(envelope * (0.5 + 0.5 * jitter_rng.random()))
-        try:
-            resp = requests.post(url, json=body, headers=headers, timeout=cfg.timeout)
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            last_failure = f"{type(exc).__name__}: {exc}"
-            continue
-        if resp.status_code in (401, 403):
-            raise AuthError(f"HTTP {resp.status_code} from {url}")
-        if resp.status_code in _RETRYABLE_STATUS:
-            last_failure = f"HTTP {resp.status_code}"
-            continue
-        if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code} from {url} (not retryable)")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"response body not in chat-completions shape: {exc}") from exc
-        rec = CompletionRecord(
-            prompt_hash=key,
-            model_name=cfg.model_name,
-            raw_response=str(content),
-            timestamp=time.time(),
-            attempt_count=attempt + 1,
-        )
-        if cache is not None:
-            cache.put(rec)
-        return rec
-    raise TransportError(f"gave up after {cfg.max_retries + 1} attempts; last failure: {last_failure}")
+    with nullcontext(session) if session is not None else new_session(url) as http:
+        last_failure = "no attempt made"
+        for attempt in range(cfg.max_retries + 1):
+            if attempt > 0:
+                envelope = cfg.backoff_base * 2 ** (attempt - 1)
+                sleeper(envelope * (0.5 + 0.5 * jitter_rng.random()))
+            try:
+                resp = http.post(url, json=body, headers=headers, timeout=cfg.timeout)
+            except (requests.Timeout, requests.ConnectionError) as exc:
+                last_failure = f"{type(exc).__name__}: {exc}"
+                continue
+            if resp.status_code in (401, 403):
+                raise AuthError(f"HTTP {resp.status_code} from {url}")
+            if resp.status_code in _RETRYABLE_STATUS:
+                last_failure = f"HTTP {resp.status_code}"
+                continue
+            if resp.status_code != 200:
+                raise TransportError(f"HTTP {resp.status_code} from {url} (not retryable)")
+            try:
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise ProtocolError(f"response body not in chat-completions shape: {exc}") from exc
+            rec = CompletionRecord(
+                prompt_hash=key,
+                model_name=cfg.model_name,
+                raw_response=str(content),
+                timestamp=time.time(),
+                attempt_count=attempt + 1,
+            )
+            if cache is not None:
+                cache.put(rec)
+            return rec
+        raise TransportError(f"gave up after {cfg.max_retries + 1} attempts; last failure: {last_failure}")
 
 
 class Backend(Protocol):
@@ -221,7 +241,9 @@ class Backend(Protocol):
 
 class HttpBackend:
     """The endpoint through `complete`, up to cfg.max_in_flight prompts at
-    once. Its first permanent failure stops it for good."""
+    once, each on a session taken from a free list and put back after, so
+    connections outlive a `classify_batch` call. Its first permanent failure
+    stops it for good."""
 
     def __init__(self, cfg: LlmConfig, cache: JsonlCache | None = None, api_key: str | None = None):
         self.cfg = cfg
@@ -231,12 +253,22 @@ class HttpBackend:
         self._lock = threading.Lock()
         self._stopped = threading.Event()
         self._failure: CardiopromptError | None = None
+        self._sessions: queue.SimpleQueue[requests.Session] = queue.SimpleQueue()  # idle, each with its connection
 
     def respond(self, prompt_text: str) -> str:
         try:
             if self._stopped.is_set():  # a stopped backend starts no prompt
                 raise self._failure
-            return complete(prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key).raw_response
+            try:
+                session = self._sessions.get_nowait()
+            except queue.Empty:  # fewer sessions than prompts in flight: at most max_in_flight are ever built
+                session = new_session(self.cfg.base_url)
+            try:
+                return complete(
+                    prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key, session=session
+                ).raw_response
+            finally:
+                self._sessions.put(session)
         except (TransportError, AuthError, ProtocolError) as exc:
             with self._lock:
                 if self._failure is None:

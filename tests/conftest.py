@@ -5,6 +5,7 @@ local chat-completions endpoint."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -97,16 +98,20 @@ def ok_body(content: str) -> dict:
 
 
 class StubState:
-    """Scripted HTTP behavior; the last entry repeats once the script drains."""
+    """Scripted HTTP behavior; the last entry repeats once the script drains.
+    With `close_after_response` set, each connection is closed after one
+    response, without a `Connection: close` header to warn the client."""
 
     def __init__(self):
         self.script = []
         self.requests = []
+        self.connections = 0  # accepted TCP connections
+        self.close_after_response = False
         self.lock = threading.Lock()
 
-    def next_action(self, request_doc, headers):
+    def next_action(self, request_doc, headers, path):
         with self.lock:
-            self.requests.append({"body": request_doc, "headers": dict(headers)})
+            self.requests.append({"body": request_doc, "headers": dict(headers), "path": path})
             if len(self.script) > 1:
                 return self.script.pop(0)
             return self.script[0]
@@ -114,18 +119,30 @@ class StubState:
 
 class StubHandler(BaseHTTPRequestHandler):
     state: StubState  # assigned per fixture
+    protocol_version = "HTTP/1.1"  # keep-alive: one handler serves every request of a connection
+
+    def setup(self):
+        super().setup()
+        with self.state.lock:
+            self.state.connections += 1
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         doc = json.loads(self.rfile.read(length) or b"{}")
-        action = self.state.next_action(doc, self.headers)
+        action = self.state.next_action(doc, self.headers, self.path)
         status, payload = action(doc) if callable(action) else action
         body = json.dumps(payload).encode()
+        closing = self.state.close_after_response
+        if closing:  # cork (Linux): the response leaves in one segment with the FIN, so no client reads it first
+            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        if closing:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -137,7 +154,7 @@ def stub():
     state = StubState()
     handler = type("Handler", (StubHandler,), {"state": state})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     state.url = f"http://127.0.0.1:{server.server_address[1]}"
     yield state

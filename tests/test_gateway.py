@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 
 import numpy as np
@@ -316,6 +317,23 @@ class TestComplete:
         rec = complete("p", dead, cache=JsonlCache(path))
         assert rec.raw_response == "0"
 
+    def test_netrc_never_replaces_the_bearer_token(self, stub, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login u password p\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        stub.script = [(200, ok_body("1"))]
+        complete("p", _cfg(stub), api_key="k")
+        assert stub.requests[0]["headers"]["Authorization"] == "Bearer k"
+
+    def test_proxy_environment_honoured(self, stub, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", stub.url)
+        for name in ("NO_PROXY", "no_proxy", "http_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        stub.script = [(200, ok_body("1"))]
+        cfg = LlmConfig(base_url="http://cardioprompt.invalid", max_retries=0, timeout=5.0)
+        assert complete("p", cfg, api_key="k").raw_response == "1"
+        assert stub.requests[0]["path"] == "http://cardioprompt.invalid/v1/chat/completions"
+
     def test_connection_errors_retry_then_give_up(self):
         cfg = LlmConfig(base_url="http://127.0.0.1:9", max_retries=2, backoff_base=0.01)
         sleeps = []
@@ -375,6 +393,31 @@ class TestClassifyBatch:
         )
         assert [p.verdict.label for p in preds] == [1, None, 0]
         assert preds[1].verdict.unparseable
+
+    def test_connections_reused_across_batches(self, stub):
+        stub.script = [(200, ok_body("1"))]
+        backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the free list's take and put-back
+        try:
+            for seed in (6, 7):
+                classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(stub.requests) == 120
+        assert stub.connections <= 4
+
+    def test_server_closing_every_connection(self, stub, tmp_path):
+        # each pooled connection is dead when next taken; the client must notice before sending
+        stub.script = [(200, ok_body("1"))]
+        stub.close_after_response = True
+        cache = JsonlCache(tmp_path / "c.jsonl")
+        backend = HttpBackend(_cfg(stub, max_in_flight=4), cache, api_key="k")
+        for seed in (6, 7):
+            preds = classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+            assert [p.verdict.label for p in preds] == [1] * 60
+        assert len(stub.requests) == len(cache) == stub.connections == 120
+        assert {json.loads(line)["attempt_count"] for line in cache.path.read_text().splitlines()} == {1}
 
     @pytest.mark.parametrize("width, most", [(1, 3), (4, 4 * 3)])
     def test_first_permanent_failure_stops_sending(self, stub, width, most):
