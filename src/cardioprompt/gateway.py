@@ -16,9 +16,11 @@ a mock run never touches it. A torn last line (a crash during an append) is
 dropped with a warning; a bad line anywhere else is an error. Transient
 failures (429, 5xx, timeouts) retry with exponential backoff and equal
 jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
-exponential envelope and never decreases. Auth failures never retry. The
-first permanent failure stops the backend: a new prompt or an interrupted
-backoff wait raises that same failure at once.
+exponential envelope and never decreases. A send the server hangs up on
+before any response byte (a kept-alive connection it had closed) is re-sent
+once per prompt on a fresh connection, without a sleep or a counted attempt.
+Auth failures never retry. The first permanent failure stops the backend: a
+new prompt or an interrupted backoff wait raises that same failure at once.
 
 The mocks: an oracle answering with the query's true label, a scripted
 response queue, and a threshold rule on one feature of the final question.
@@ -42,6 +44,7 @@ from pathlib import Path
 from typing import Protocol
 
 import requests
+import urllib3
 
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
@@ -164,6 +167,15 @@ def new_session(url: str) -> requests.Session:
     return session
 
 
+def _hung_up_before_response(exc: requests.ConnectionError) -> bool:
+    """The connection was reset or closed before a byte of the response came:
+    requests wraps urllib3's ProtocolError("Connection aborted.", <OSError>)."""
+    reason = exc.args[0] if exc.args else None
+    return isinstance(reason, urllib3.exceptions.ProtocolError) and isinstance(
+        reason.args[-1], (ConnectionResetError, BrokenPipeError)
+    )
+
+
 def complete(
     prompt_text: str,
     cfg: LlmConfig,
@@ -176,7 +188,10 @@ def complete(
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
     (body not in chat-completions shape). Sends through `session`, or through
-    a one-off `new_session` closed before returning."""
+    a one-off `new_session` closed before returning. A send that the server
+    hangs up on before any response byte, as on a kept-alive connection it
+    closed while idle, is re-sent once per call, at once, on a fresh
+    connection, without counting an attempt or sleeping."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
@@ -197,13 +212,26 @@ def complete(
     headers = {"Authorization": f"Bearer {token}"}
 
     with nullcontext(session) if session is not None else new_session(url) as http:
+        resent = False
+
+        def send() -> requests.Response:
+            nonlocal resent
+            try:
+                return http.post(url, json=body, headers=headers, timeout=cfg.timeout)
+            except requests.ConnectionError as exc:
+                if resent or not _hung_up_before_response(exc):
+                    raise
+            resent = True  # once per call: a kept-alive connection the server had closed
+            http.close()  # so the re-send opens a fresh connection
+            return http.post(url, json=body, headers=headers, timeout=cfg.timeout)
+
         last_failure = "no attempt made"
         for attempt in range(cfg.max_retries + 1):
             if attempt > 0:
                 envelope = cfg.backoff_base * 2 ** (attempt - 1)
                 sleeper(envelope * (0.5 + 0.5 * jitter_rng.random()))
             try:
-                resp = http.post(url, json=body, headers=headers, timeout=cfg.timeout)
+                resp = send()
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue

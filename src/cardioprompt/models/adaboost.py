@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree
+from .tree import DecisionTree, as_xy
 
 
 @dataclass
@@ -27,8 +27,7 @@ class AdaBoostStumps:
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = as_xy(X, y)
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValidationError("labels must be 0/1")
         if self.learning_rate <= 0:
@@ -36,11 +35,13 @@ class AdaBoostStumps:
         n, self.n_features_ = X.shape
         y_pm = 2 * y - 1
 
+        XT = np.ascontiguousarray(X.T)
+        presorted = np.argsort(XT, axis=1, kind="stable")  # every stump's order, sorted once
         w = np.full(n, 1.0 / n)
         self.stumps, self.alphas, self.stump_errors = [], [], []
         for _ in range(self.n_estimators):
-            stump = DecisionTree(max_depth=1, criterion="gini").fit(X, y, sample_weight=w)
-            h = stump.predict(X)
+            stump = DecisionTree(max_depth=1, criterion="gini")
+            h = (stump.grow(XT, y, w, presorted) >= 0.5).astype(int)  # stump.predict(X), tie predicts 1
             h_pm = 2 * h - 1
             err = float(w[h != y].sum() / w.sum())
             if err >= 0.5:

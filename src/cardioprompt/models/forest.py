@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree
+from .tree import DecisionTree, as_xy
 
 
 @dataclass
@@ -28,11 +28,14 @@ class RandomForest:
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = as_xy(X, y)
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise ValidationError("labels must be 0/1")
         if self.n_estimators < 1:
             raise ValidationError("need at least one tree")
         n, self.n_features_ = X.shape
+        XT = np.ascontiguousarray(X.T)
+        ones = np.ones(n)
         max_features = max(1, int(np.sqrt(self.n_features_)))
         streams = [np.random.default_rng(s) for s in np.random.SeedSequence(self.seed).spawn(self.n_estimators)]
 
@@ -48,7 +51,8 @@ class RandomForest:
                 max_features=max_features,
                 rng=rng,
             )
-            return tree.fit(X[rows], y[rows])
+            tree.grow(XT[:, rows], y[rows], ones)
+            return tree
 
         self.trees = [build(rng) for rng in streams]
         return self

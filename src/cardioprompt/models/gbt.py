@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree
+from .tree import DecisionTree, as_xy
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -41,8 +41,7 @@ class GradientBoostedTrees:
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = as_xy(X, y)
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValidationError("labels must be 0/1")
         if not 0 < self.colsample_bytree <= 1:
@@ -60,16 +59,19 @@ class GradientBoostedTrees:
         rng = np.random.default_rng(self.seed)
         n_cols = max(1, int(round(self.colsample_bytree * self.n_features_)))
         F = np.full(n, self.base_score_)
+        XT = np.ascontiguousarray(X.T)
+        presorted = np.argsort(XT, axis=1, kind="stable")  # every tree's root order, sorted once
+        ones = np.ones(n)
         self.trees, self.tree_cols, self.history_ = [], [], []
         for _ in range(self.n_estimators):
             cols = np.sort(rng.choice(self.n_features_, size=n_cols, replace=False))
             p = _sigmoid(F)
             residual = y - p
             tree = DecisionTree(max_depth=self.max_depth, criterion="mse")
-            tree.fit(X[:, cols], residual)
+            fitted = tree.grow(XT[cols], residual, ones, presorted[cols])
             self.trees.append(tree)
             self.tree_cols.append(cols)
-            F = F + self.learning_rate * tree.predict_value(X[:, cols])
+            F = F + self.learning_rate * fitted
             p = _sigmoid(F)
             if self.eval_metric == "logloss":
                 eps = 1e-12

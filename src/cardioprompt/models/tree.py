@@ -1,12 +1,27 @@
 """CART decision tree on numpy arrays, for standalone use and as the base
 learner of the forest and boosting ensembles.
 
-Split search is vectorized across all candidate features of a node: one
-argsort per node plus prefix sums give every (feature, threshold) candidate
-score in a handful of array ops. criterion "gini" grows a classifier on 0/1
-labels; "mse" grows a regression tree on real-valued targets (used for
-boosting residuals). Sample weights are respected in both impurities and leaf
-values; min_samples_* limits count rows, not weight.
+criterion "gini" grows a classifier on 0/1 labels; "mse" grows a regression
+tree on real-valued targets (used for boosting residuals). Sample weights are
+respected in both impurities and leaf values; min_samples_* limits count rows,
+not weight. The ensembles validate once and call `grow`, which also returns
+each training row's leaf value and can take the root's sort order presorted.
+
+Exactness contract, to the bit: the fitted arrays depend on inputs and rng only.
+- Each node computes its weight sum, leaf value and impurity once, with
+  np.average's arithmetic over its rows in row order: the leaf value is
+  np.multiply(y, w).sum() / w.sum(), the mse impurity the same average of the
+  squared deviations, the gini impurity 2p(1-p).
+- Split search sorts the node's rows stably per candidate column (ties in row
+  order) and scores every (position, column) candidate from prefix sums in
+  that order. The lowest score wins, ties going to the earliest position,
+  then the lowest column.
+- Nodes are numbered depth-first, left before right, and the max_features
+  subset of each node is drawn from the rng in that order.
+- The threshold is the midpoint of the two adjacent sorted values it splits,
+  or the lower value where the midpoint rounds onto the upper one, so that
+  lower <= threshold < upper and `X <= threshold` sends exactly the scored
+  rows left.
 """
 
 from __future__ import annotations
@@ -18,6 +33,15 @@ import numpy as np
 from ..errors import ValidationError
 
 _LEAF = -1
+
+
+def as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, checked to be a 2-D X with one row per label."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValidationError("X must be 2-D and aligned with y")
+    return X, y
 
 
 @dataclass
@@ -39,10 +63,7 @@ class DecisionTree:
     importance_raw_: np.ndarray | None = field(default=None, repr=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValidationError("X must be 2-D and aligned with y")
+        X, y = as_xy(X, y)
         if self.criterion not in ("gini", "mse"):
             raise ValidationError(f"unknown criterion {self.criterion!r}")
         if self.criterion == "gini" and not np.isin(y, (0.0, 1.0)).all():
@@ -52,118 +73,97 @@ class DecisionTree:
             raise ValidationError("sample weights must be nonnegative with positive sum")
         if self.max_features is not None and self.rng is None:
             raise ValidationError("max_features needs an rng for the per-node draw")
-
-        self.n_features_ = X.shape[1]
-        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
-        self.importance_raw_ = np.zeros(self.n_features_)
-        self._build(X, y, w, np.arange(len(y)), depth=0)
+        self.grow(np.ascontiguousarray(X.T), y, w)
         return self
 
-    # impurity of a node given weighted label stats; both criteria return a
-    # quantity whose weighted sum the split search minimizes
-    def _leaf_value(self, y, w):
-        return float(np.average(y, weights=w))
-
-    def _node_impurity(self, y, w):
-        mean = np.average(y, weights=w)
-        if self.criterion == "gini":
-            return 2.0 * mean * (1.0 - mean)
-        return float(np.average((y - mean) ** 2, weights=w))
-
-    def _new_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def _build(self, X, y, w, idx: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        yn, wn = y[idx], w[idx]
-        self.value[node] = self._leaf_value(yn, wn)
-        m = len(idx)
-
-        impurity = self._node_impurity(yn, wn)
-        if (
-            m < self.min_samples_split
-            or m < 2 * self.min_samples_leaf
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or impurity <= 1e-12
-        ):
-            return node
-
-        cols = np.arange(self.n_features_)
-        if self.max_features is not None and self.max_features < self.n_features_:
-            cols = np.sort(self.rng.choice(self.n_features_, size=self.max_features, replace=False))
-
-        best = self._best_split(X[np.ix_(idx, cols)], yn, wn)
-        if best is None:
-            return node
-        col_local, thr, gain = best
-        j = int(cols[col_local])
-
-        go_left = X[idx, j] <= thr
-        self.importance_raw_[j] += gain
-        self.feature[node] = j
-        self.threshold[node] = thr
-        self.left[node] = self._build(X, y, w, idx[go_left], depth + 1)
-        self.right[node] = self._build(X, y, w, idx[~go_left], depth + 1)
-        return node
-
-    def _best_split(self, Xn: np.ndarray, yn: np.ndarray, wn: np.ndarray):
-        """Exact search over every (feature, midpoint threshold) candidate.
-
-        Returns (local column, threshold, weighted impurity decrease) or None.
-        """
-        m, d = Xn.shape
+    def grow(self, XT: np.ndarray, y: np.ndarray, w: np.ndarray, presorted: np.ndarray | None = None) -> np.ndarray:
+        """Fit on validated inputs, with XT the (features, rows) transpose of
+        X. `presorted`, if given, is np.argsort(XT, axis=1, kind="stable") and
+        spares the root its sort; it needs max_features None. Returns the leaf
+        value of every training row, which is predict_value(X)."""
+        d, n = XT.shape
+        self.n_features_ = d
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        self.importance_raw_ = np.zeros(d)
+        gini = self.criterion == "gini"
+        max_depth = np.inf if self.max_depth is None else self.max_depth
         msl = self.min_samples_leaf
+        min_rows = max(self.min_samples_split, 2 * msl)
+        draw = self.max_features is not None and self.max_features < d
+        all_cols = np.arange(d)
+        wy = w * y
+        wyy = None if gini else wy * y
+        fitted = np.empty(n)
 
-        order = np.argsort(Xn, axis=0, kind="stable")
-        sv = np.take_along_axis(Xn, order, axis=0)
-        sw = wn[order]
-        swy = (wn * yn)[order]
+        def best_split(idx: np.ndarray, rows: np.ndarray | None, parent: float):
+            """(column, threshold, gain) of the best split, or None."""
+            cols = np.sort(self.rng.choice(d, size=self.max_features, replace=False)) if draw else all_cols
+            if rows is None:  # sort the node's rows per column; ties keep row order
+                rows = idx[XT[cols[:, None], idx].argsort(axis=1, kind="stable")]
+            sv = XT[cols[:, None], rows]
 
-        cw = np.cumsum(sw, axis=0)
-        cwy = np.cumsum(swy, axis=0)
-        tot_w = cw[-1]
-        tot_wy = cwy[-1]
-
-        # split after sorted position i (0-based): left = rows 0..i
-        lw, lwy = cw[:-1], cwy[:-1]
-        rw, rwy = tot_w - lw, tot_wy - lwy
-
-        valid = sv[1:] > sv[:-1]
-        if msl > 1:
-            counts = np.arange(1, m)
-            row_ok = (counts >= msl) & (m - counts >= msl)
-            valid &= row_ok[:, None]
-        if not valid.any():
-            return None
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.criterion == "gini":
+            # split after sorted position i: left = positions 0..i; one row per column
+            cw = w[rows].cumsum(axis=1)
+            cwy = wy[rows].cumsum(axis=1)
+            lw, lwy = cw[:, :-1], cwy[:, :-1]
+            rw, rwy = cw[:, -1:] - lw, cwy[:, -1:] - lwy
+            if gini:
                 pl = np.where(lw > 0, lwy / np.maximum(lw, 1e-300), 0.0)
                 pr = np.where(rw > 0, rwy / np.maximum(rw, 1e-300), 0.0)
                 score = lw * 2 * pl * (1 - pl) + rw * 2 * pr * (1 - pr)
-            else:
-                # weighted SSE via sum(y^2) - (sum y)^2 / w per side
-                cwyy = np.cumsum((wn * yn * yn)[order], axis=0)
-                lyy, ryy = cwyy[:-1], cwyy[-1] - cwyy[:-1]
+            else:  # weighted SSE via sum(y^2) - (sum y)^2 / w per side
+                cwyy = wyy[rows].cumsum(axis=1)
+                lyy, ryy = cwyy[:, :-1], cwyy[:, -1:] - cwyy[:, :-1]
                 score = (lyy - lwy**2 / np.maximum(lw, 1e-300)) + (ryy - rwy**2 / np.maximum(rw, 1e-300))
+            score[~(sv[:, 1:] > sv[:, :-1])] = np.inf  # no threshold between equal values
+            score[:, : msl - 1] = np.inf  # fewer than min_samples_leaf rows on the left
+            score[:, len(idx) - msl :] = np.inf  # or on the right
+            pos, c = divmod(int(score.T.argmin()), len(cols))  # earliest position, then lowest column
+            best = score[c, pos]
+            gain = float(parent - best)
+            if not np.isfinite(best) or gain <= 1e-12:
+                return None
+            lo, hi = float(sv[c, pos]), float(sv[c, pos + 1])
+            thr = (lo + hi) / 2.0
+            if not lo <= thr < hi:  # the midpoint rounded onto a neighbour, or overflowed
+                thr = lo
+            return int(cols[c]), thr, gain
 
-        score = np.where(valid, score, np.inf)
-        flat = int(np.argmin(score))  # row-major: earliest position, then lowest column
-        pos, col = divmod(flat, d)
-        if not np.isfinite(score[pos, col]):
-            return None
-
-        parent = float(wn.sum()) * self._node_impurity(yn, wn)
-        gain = float(parent - score[pos, col])
-        if gain <= 1e-12:
-            return None
-        thr = float((sv[pos, col] + sv[pos + 1, col]) / 2.0)
-        return col, thr, gain
+        todo = [(np.arange(n), 0, presorted, self.left, _LEAF)]  # (rows, depth, order, links, parent); LIFO
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while todo:
+                idx, depth, rows, links, parent = todo.pop()
+                at = len(self.value)
+                if parent != _LEAF:
+                    links[parent] = at
+                self.feature.append(_LEAF)
+                self.threshold.append(0.0)
+                self.left.append(_LEAF)
+                self.right.append(_LEAF)
+                wn = w[idx]
+                w_sum = wn.sum()
+                mean = wy[idx].sum() / w_sum
+                self.value.append(float(mean))
+                fitted[idx] = mean  # the children overwrite it if the node splits
+                if len(idx) < min_rows or depth >= max_depth:
+                    continue
+                if gini:
+                    impurity = 2.0 * mean * (1.0 - mean)
+                else:
+                    impurity = float(np.multiply((y[idx] - mean) ** 2, wn).sum() / w_sum)
+                if impurity <= 1e-12:
+                    continue
+                found = best_split(idx, rows, float(w_sum) * impurity)
+                if found is None:
+                    continue
+                j, thr, gain = found
+                go_left = XT[j, idx] <= thr
+                self.importance_raw_[j] += gain
+                self.feature[at] = j
+                self.threshold[at] = thr
+                todo.append((idx[~go_left], depth + 1, None, self.right, at))
+                todo.append((idx[go_left], depth + 1, None, self.left, at))
+        return fitted
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         """Leaf value per row: class-1 probability (gini) or mean target (mse)."""

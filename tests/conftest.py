@@ -100,13 +100,18 @@ def ok_body(content: str) -> dict:
 class StubState:
     """Scripted HTTP behavior; the last entry repeats once the script drains.
     With `close_after_response` set, each connection is closed after one
-    response, without a `Connection: close` header to warn the client."""
+    response, without a `Connection: close` header to warn the client. With
+    `answers_per_connection` set to k, each connection answers k requests,
+    then reads the next one and closes without answering it (counted in
+    `dropped`, not in `requests`)."""
 
     def __init__(self):
         self.script = []
         self.requests = []
         self.connections = 0  # accepted TCP connections
         self.close_after_response = False
+        self.answers_per_connection = None
+        self.dropped = 0
         self.lock = threading.Lock()
 
     def next_action(self, request_doc, headers, path):
@@ -123,12 +128,19 @@ class StubHandler(BaseHTTPRequestHandler):
 
     def setup(self):
         super().setup()
+        self.answered = 0
         with self.state.lock:
             self.state.connections += 1
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         doc = json.loads(self.rfile.read(length) or b"{}")
+        if self.answered == self.state.answers_per_connection:  # read, then hang up without a byte
+            with self.state.lock:
+                self.state.dropped += 1
+            self.close_connection = True
+            return
+        self.answered += 1
         action = self.state.next_action(doc, self.headers, self.path)
         status, payload = action(doc) if callable(action) else action
         body = json.dumps(payload).encode()

@@ -23,6 +23,7 @@ from cardioprompt.gateway import (
     ScriptedMock,
     classify_batch,
     complete,
+    new_session,
     parse_label,
     prompt_hash,
     query_line,
@@ -333,6 +334,27 @@ class TestComplete:
         cfg = LlmConfig(base_url="http://cardioprompt.invalid", max_retries=0, timeout=5.0)
         assert complete("p", cfg, api_key="k").raw_response == "1"
         assert stub.requests[0]["path"] == "http://cardioprompt.invalid/v1/chat/completions"
+
+    def test_pooled_connection_hung_up_is_resent_once_for_free(self, stub):
+        # the second request on the kept-alive connection is read and left unanswered
+        stub.script = [(200, ok_body("1"))]
+        stub.answers_per_connection = 1
+        sleeps = []
+        with new_session(stub.url) as session:
+            complete("warm", _cfg(stub), api_key="k", session=session)
+            rec = complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", session=session)
+        assert rec.attempt_count == 1
+        assert sleeps == []
+        assert (stub.connections, stub.dropped, len(stub.requests)) == (2, 1, 2)
+
+    def test_only_one_free_resend_per_call(self, stub):
+        stub.script = [(200, ok_body("1"))]
+        stub.answers_per_connection = 0  # every request is read and left unanswered
+        sleeps = []
+        with pytest.raises(TransportError):
+            complete("p", _cfg(stub, max_retries=2), sleeper=sleeps.append, api_key="k")
+        assert len(sleeps) == 2
+        assert stub.dropped == 3 + 1  # three attempts, plus the one free re-send
 
     def test_connection_errors_retry_then_give_up(self):
         cfg = LlmConfig(base_url="http://127.0.0.1:9", max_retries=2, backoff_base=0.01)

@@ -85,6 +85,23 @@ class TestDecisionTree:
         sse_mean = float(((y - y.mean()) ** 2).sum())
         assert sse_tree < 0.1 * sse_mean
 
+    @pytest.mark.parametrize("criterion", ["gini", "mse"])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (np.nextafter(1.0, np.inf), np.nextafter(np.nextafter(1.0, np.inf), np.inf)),  # midpoint rounds up
+            (1e308, 1.7e308),  # midpoint overflows to +inf
+            (-1.7e308, -1e308),  # midpoint overflows to -inf
+        ],
+    )
+    def test_threshold_separates_adjacent_values(self, criterion, lo, hi):
+        X = np.array([[lo], [lo], [hi], [hi], [np.nextafter(hi, np.inf)]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+        for depth in (None, 1):  # unlimited depth recursed without end, depth 1 misrouted the scored rows
+            t = DecisionTree(max_depth=depth, criterion=criterion).fit(X, y)
+            assert lo <= t.threshold[0] < hi
+            assert np.array_equal(t.predict_value(X), y)
+
     def test_shape_validation(self):
         t = DecisionTree()
         with pytest.raises(ValidationError):
