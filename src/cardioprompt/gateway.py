@@ -16,11 +16,12 @@ a mock run never touches it. A torn last line (a crash during an append) is
 dropped with a warning; a bad line anywhere else is an error. Transient
 failures (429, 5xx, timeouts) retry with exponential backoff and equal
 jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
-exponential envelope and never decreases. A send the server hangs up on
-before any response byte (a kept-alive connection it had closed) is re-sent
-once per prompt on a fresh connection, without a sleep or a counted attempt.
-Auth failures never retry. The first permanent failure stops the backend: a
-new prompt or an interrupted backoff wait raises that same failure at once.
+exponential envelope and never decreases. A send on a pooled session that
+the server hangs up on before any response byte (a kept-alive connection it
+had closed) is re-sent once per prompt on a fresh connection, without a sleep
+or a counted attempt. Auth failures never retry. The first permanent failure
+stops the backend: a new prompt or an interrupted backoff wait raises that
+same failure at once.
 
 The mocks: an oracle answering with the query's true label, a scripted
 response queue, and a threshold rule on one feature of the final question.
@@ -188,10 +189,11 @@ def complete(
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
     (body not in chat-completions shape). Sends through `session`, or through
-    a one-off `new_session` closed before returning. A send that the server
-    hangs up on before any response byte, as on a kept-alive connection it
-    closed while idle, is re-sent once per call, at once, on a fresh
-    connection, without counting an attempt or sleeping."""
+    a one-off `new_session` closed before returning. A send through `session`
+    that the server hangs up on before any response byte, as on a kept-alive
+    connection it closed while idle, is re-sent once per call, at once, on a
+    fresh connection, without counting an attempt or sleeping. A one-off
+    session's connection is always new, so its sends are never re-sent free."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
@@ -219,9 +221,9 @@ def complete(
             try:
                 return http.post(url, json=body, headers=headers, timeout=cfg.timeout)
             except requests.ConnectionError as exc:
-                if resent or not _hung_up_before_response(exc):
+                if resent or session is None or not _hung_up_before_response(exc):
                     raise
-            resent = True  # once per call: a kept-alive connection the server had closed
+            resent = True  # once per call: a pooled connection the server had closed
             http.close()  # so the re-send opens a fresh connection
             return http.post(url, json=body, headers=headers, timeout=cfg.timeout)
 

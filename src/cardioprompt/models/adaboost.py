@@ -36,12 +36,11 @@ class AdaBoostStumps:
         y_pm = 2 * y - 1
 
         XT = np.ascontiguousarray(X.T)
-        presorted = np.argsort(XT, axis=1, kind="stable")  # every stump's order, sorted once
         w = np.full(n, 1.0 / n)
         self.stumps, self.alphas, self.stump_errors = [], [], []
         for _ in range(self.n_estimators):
             stump = DecisionTree(max_depth=1, criterion="gini")
-            h = (stump.grow(XT, y, w, presorted) >= 0.5).astype(int)  # stump.predict(X), tie predicts 1
+            h = (stump.grow(XT, y, w) >= 0.5).astype(int)  # stump.predict(X), tie predicts 1
             h_pm = 2 * h - 1
             err = float(w[h != y].sum() / w.sum())
             if err >= 0.5:

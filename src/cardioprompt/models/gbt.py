@@ -60,7 +60,6 @@ class GradientBoostedTrees:
         n_cols = max(1, int(round(self.colsample_bytree * self.n_features_)))
         F = np.full(n, self.base_score_)
         XT = np.ascontiguousarray(X.T)
-        presorted = np.argsort(XT, axis=1, kind="stable")  # every tree's root order, sorted once
         ones = np.ones(n)
         self.trees, self.tree_cols, self.history_ = [], [], []
         for _ in range(self.n_estimators):
@@ -68,7 +67,7 @@ class GradientBoostedTrees:
             p = _sigmoid(F)
             residual = y - p
             tree = DecisionTree(max_depth=self.max_depth, criterion="mse")
-            fitted = tree.grow(XT[cols], residual, ones, presorted[cols])
+            fitted = tree.grow(XT[cols], residual, ones)
             self.trees.append(tree)
             self.tree_cols.append(cols)
             F = F + self.learning_rate * fitted

@@ -4,8 +4,8 @@ learner of the forest and boosting ensembles.
 criterion "gini" grows a classifier on 0/1 labels; "mse" grows a regression
 tree on real-valued targets (used for boosting residuals). Sample weights are
 respected in both impurities and leaf values; min_samples_* limits count rows,
-not weight. The ensembles validate once and call `grow`, which also returns
-each training row's leaf value and can take the root's sort order presorted.
+not weight, and a min_samples_leaf below 1 acts as 1. The ensembles validate
+once and call `grow`, which also returns each training row's leaf value.
 
 Exactness contract, to the bit: the fitted arrays depend on inputs and rng only.
 - Each node computes its weight sum, leaf value and impurity once, with
@@ -76,30 +76,29 @@ class DecisionTree:
         self.grow(np.ascontiguousarray(X.T), y, w)
         return self
 
-    def grow(self, XT: np.ndarray, y: np.ndarray, w: np.ndarray, presorted: np.ndarray | None = None) -> np.ndarray:
+    def grow(self, XT: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Fit on validated inputs, with XT the (features, rows) transpose of
-        X. `presorted`, if given, is np.argsort(XT, axis=1, kind="stable") and
-        spares the root its sort; it needs max_features None. Returns the leaf
-        value of every training row, which is predict_value(X)."""
+        X. Returns the leaf value of every training row, which is
+        predict_value(X)."""
         d, n = XT.shape
         self.n_features_ = d
         self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
         self.importance_raw_ = np.zeros(d)
         gini = self.criterion == "gini"
         max_depth = np.inf if self.max_depth is None else self.max_depth
-        msl = self.min_samples_leaf
-        min_rows = max(self.min_samples_split, 2 * msl)
+        msl = max(self.min_samples_leaf, 1)  # 0 and below act as 1
+        min_rows = max(self.min_samples_split, 2 * msl)  # at least 2: a split needs a row per side
         draw = self.max_features is not None and self.max_features < d
         all_cols = np.arange(d)
         wy = w * y
         wyy = None if gini else wy * y
         fitted = np.empty(n)
 
-        def best_split(idx: np.ndarray, rows: np.ndarray | None, parent: float):
+        def best_split(idx: np.ndarray, parent: float):
             """(column, threshold, gain) of the best split, or None."""
             cols = np.sort(self.rng.choice(d, size=self.max_features, replace=False)) if draw else all_cols
-            if rows is None:  # sort the node's rows per column; ties keep row order
-                rows = idx[XT[cols[:, None], idx].argsort(axis=1, kind="stable")]
+            # the node's rows sorted per column; ties keep row order
+            rows = idx[XT[cols[:, None], idx].argsort(axis=1, kind="stable")]
             sv = XT[cols[:, None], rows]
 
             # split after sorted position i: left = positions 0..i; one row per column
@@ -129,10 +128,10 @@ class DecisionTree:
                 thr = lo
             return int(cols[c]), thr, gain
 
-        todo = [(np.arange(n), 0, presorted, self.left, _LEAF)]  # (rows, depth, order, links, parent); LIFO
+        todo = [(np.arange(n), 0, self.left, _LEAF)]  # (rows, depth, links, parent); LIFO
         with np.errstate(divide="ignore", invalid="ignore"):
             while todo:
-                idx, depth, rows, links, parent = todo.pop()
+                idx, depth, links, parent = todo.pop()
                 at = len(self.value)
                 if parent != _LEAF:
                     links[parent] = at
@@ -153,7 +152,7 @@ class DecisionTree:
                     impurity = float(np.multiply((y[idx] - mean) ** 2, wn).sum() / w_sum)
                 if impurity <= 1e-12:
                     continue
-                found = best_split(idx, rows, float(w_sum) * impurity)
+                found = best_split(idx, float(w_sum) * impurity)
                 if found is None:
                     continue
                 j, thr, gain = found
@@ -161,8 +160,8 @@ class DecisionTree:
                 self.importance_raw_[j] += gain
                 self.feature[at] = j
                 self.threshold[at] = thr
-                todo.append((idx[~go_left], depth + 1, None, self.right, at))
-                todo.append((idx[go_left], depth + 1, None, self.left, at))
+                todo.append((idx[~go_left], depth + 1, self.right, at))
+                todo.append((idx[go_left], depth + 1, self.left, at))
         return fitted
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:

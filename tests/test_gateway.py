@@ -351,10 +351,20 @@ class TestComplete:
         stub.script = [(200, ok_body("1"))]
         stub.answers_per_connection = 0  # every request is read and left unanswered
         sleeps = []
+        with new_session(stub.url) as session, pytest.raises(TransportError):
+            complete("p", _cfg(stub, max_retries=2), sleeper=sleeps.append, api_key="k", session=session)
+        assert len(sleeps) == 2
+        assert stub.dropped == 3 + 1  # three attempts, plus the one free re-send
+
+    def test_one_off_session_gets_no_free_resend(self, stub):
+        # its connection is always new, so a hang-up there is a failed attempt
+        stub.script = [(200, ok_body("1"))]
+        stub.answers_per_connection = 0
+        sleeps = []
         with pytest.raises(TransportError):
             complete("p", _cfg(stub, max_retries=2), sleeper=sleeps.append, api_key="k")
         assert len(sleeps) == 2
-        assert stub.dropped == 3 + 1  # three attempts, plus the one free re-send
+        assert stub.dropped == 3
 
     def test_connection_errors_retry_then_give_up(self):
         cfg = LlmConfig(base_url="http://127.0.0.1:9", max_retries=2, backoff_base=0.01)

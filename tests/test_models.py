@@ -74,6 +74,33 @@ class TestDecisionTree:
             leaf_of[node] += 1
         assert all(c >= 4 for c in leaf_of.values())
 
+    @pytest.mark.parametrize("criterion", ["gini", "mse"])
+    @pytest.mark.parametrize("min_samples_leaf,min_samples_split", [(0, 2), (-1, 2), (0, 1), (0, 0)])
+    def test_min_samples_leaf_below_one_acts_as_one(self, criterion, min_samples_leaf, min_samples_split):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 3))
+        w = rng.uniform(0.1, 3, 40)
+        if criterion == "gini":
+            y = (X[:, 0] + rng.normal(0, 0.5, 40) > 0).astype(float)
+        else:
+            y = rng.normal(size=40) * 1e6 + 3e7
+        ref = DecisionTree(criterion=criterion).fit(X, y, w)
+        t = DecisionTree(criterion=criterion, min_samples_leaf=min_samples_leaf, min_samples_split=min_samples_split)
+        t.fit(X, y, w)
+        assert (t.feature, t.threshold, t.left, t.right, t.value) == (
+            ref.feature,
+            ref.threshold,
+            ref.left,
+            ref.right,
+            ref.value,
+        )
+
+    def test_one_row_node_is_a_leaf_without_split_limits(self):
+        # y * w / w != y here, so the one-row node's mse impurity is above zero
+        y, w = 89729889427.44878, 1.5660389455323225
+        t = DecisionTree(criterion="mse", min_samples_leaf=0, min_samples_split=1).fit([[0.0]], [y], [w])
+        assert t.feature == [-1]
+
     def test_mse_tree_beats_global_mean(self):
         rng = np.random.default_rng(3)
         X = _pad13(rng.uniform(-1, 1, size=(80, 2)))
