@@ -12,11 +12,14 @@ flight; the proxy and CA-bundle environment is read when a session is built,
 not per request. Only it opens the cache, an
 append-only JSONL file keyed by sha256(model_name NUL temperature NUL prompt)
 and read before the network, so a rerun after an abort costs no requests and
-a mock run never touches it. A torn last line (a crash during an append) is
-dropped with a warning; a bad line anywhere else is an error. Transient
-failures (429, 5xx, timeouts) retry with exponential backoff and equal
-jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
-exponential envelope and never decreases. A send on a pooled session that
+a mock run never touches it. `requests` is imported only when a prompt
+misses the cache: the mocks, the offline verbs and a live run the cache
+answers in full never load the HTTP stack. A torn last line (a crash during
+an append) is dropped with a warning; a bad line anywhere else is an error.
+Transient failures (429, 5xx, timeouts, a response body cut short) retry
+with exponential backoff and equal jitter: delay = base * 2^attempt *
+(0.5 + 0.5*U), which stays inside the exponential envelope and never
+decreases. A send on a pooled session that
 the server hangs up on before any response byte (a kept-alive connection it
 had closed) is re-sent once per prompt on a fresh connection, without a sleep
 or a counted attempt. Auth failures never retry. The first permanent failure
@@ -38,19 +41,20 @@ import re
 import sys
 import threading
 import time
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Protocol
-
-import requests
-import urllib3
+from typing import TYPE_CHECKING, Protocol
 
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from .prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
 from .schema import FeatureSchema
+
+if TYPE_CHECKING:  # imported where a request is sent: see the module docstring
+    import requests
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _LABEL_RE = re.compile(r"(?<![0-9])([01])(?![0-9])")
@@ -161,6 +165,8 @@ def new_session(url: str) -> requests.Session:
     """A session for requests to `url` that reads the proxy and CA-bundle
     environment now, once, and never `.netrc`, so the bearer token is the only
     credential."""
+    import requests
+
     session = requests.Session()
     session.trust_env = False
     session.proxies = requests.utils.get_environ_proxies(url)  # honours NO_PROXY
@@ -171,6 +177,8 @@ def new_session(url: str) -> requests.Session:
 def _hung_up_before_response(exc: requests.ConnectionError) -> bool:
     """The connection was reset or closed before a byte of the response came:
     requests wraps urllib3's ProtocolError("Connection aborted.", <OSError>)."""
+    import urllib3
+
     reason = exc.args[0] if exc.args else None
     return isinstance(reason, urllib3.exceptions.ProtocolError) and isinstance(
         reason.args[-1], (ConnectionResetError, BrokenPipeError)
@@ -184,21 +192,25 @@ def complete(
     sleeper=time.sleep,
     jitter_rng: random.Random | None = None,
     api_key: str | None = None,
-    session: requests.Session | None = None,
+    session: requests.Session | Callable[[], AbstractContextManager[requests.Session]] | None = None,
 ) -> CompletionRecord:
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
-    (body not in chat-completions shape). Sends through `session`, or through
-    a one-off `new_session` closed before returning. A send through `session`
-    that the server hangs up on before any response byte, as on a kept-alive
-    connection it closed while idle, is re-sent once per call, at once, on a
-    fresh connection, without counting an attempt or sleeping. A one-off
-    session's connection is always new, so its sends are never re-sent free."""
+    (body not in chat-completions shape). Sends through `session`, which is a
+    session or a function lending one for the call (HttpBackend's free list,
+    called only on a cache miss), or through a one-off `new_session` closed
+    before returning. A body cut short is a failed attempt, never re-sent
+    free: response bytes arrived. A send through `session` that the server
+    hangs up on before any response byte, as on a kept-alive connection it
+    closed while idle, is re-sent once per call, at once, on a fresh
+    connection, without counting an attempt or sleeping. A one-off session's
+    connection is always new, so its sends are never re-sent free."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
+    import requests
 
     token = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")
     if not token:
@@ -213,7 +225,13 @@ def complete(
     }
     headers = {"Authorization": f"Bearer {token}"}
 
-    with nullcontext(session) if session is not None else new_session(url) as http:
+    if session is None:
+        lease = new_session(url)
+    elif callable(session):
+        lease = session()
+    else:
+        lease = nullcontext(session)
+    with lease as http:
         resent = False
 
         def send() -> requests.Response:
@@ -234,7 +252,7 @@ def complete(
                 sleeper(envelope * (0.5 + 0.5 * jitter_rng.random()))
             try:
                 resp = send()
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except (requests.Timeout, requests.ConnectionError, requests.exceptions.ChunkedEncodingError) as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
             if resp.status_code in (401, 403):
@@ -289,22 +307,27 @@ class HttpBackend:
         try:
             if self._stopped.is_set():  # a stopped backend starts no prompt
                 raise self._failure
-            try:
-                session = self._sessions.get_nowait()
-            except queue.Empty:  # fewer sessions than prompts in flight: at most max_in_flight are ever built
-                session = new_session(self.cfg.base_url)
-            try:
-                return complete(
-                    prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key, session=session
-                ).raw_response
-            finally:
-                self._sessions.put(session)
+            return complete(
+                prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key, session=self._lend_session
+            ).raw_response
         except (TransportError, AuthError, ProtocolError) as exc:
             with self._lock:
                 if self._failure is None:
                     self._failure = exc
                     self._stopped.set()
         raise self._failure  # outside the handler, so no thread rewrites its context
+
+    @contextmanager
+    def _lend_session(self) -> Iterator[requests.Session]:
+        """An idle session from the free list, put back after the prompt."""
+        try:
+            session = self._sessions.get_nowait()
+        except queue.Empty:  # fewer sessions than prompts in flight: at most max_in_flight are ever built
+            session = new_session(self.cfg.base_url)
+        try:
+            yield session
+        finally:
+            self._sessions.put(session)
 
     def _wait(self, seconds: float):
         """The backoff sleep; a failure in another prompt ends it early."""

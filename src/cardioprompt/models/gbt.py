@@ -59,12 +59,12 @@ class GradientBoostedTrees:
         rng = np.random.default_rng(self.seed)
         n_cols = max(1, int(round(self.colsample_bytree * self.n_features_)))
         F = np.full(n, self.base_score_)
+        p = _sigmoid(F)  # each round's update recomputes it for the history and the next residual
         XT = np.ascontiguousarray(X.T)
         ones = np.ones(n)
         self.trees, self.tree_cols, self.history_ = [], [], []
         for _ in range(self.n_estimators):
             cols = np.sort(rng.choice(self.n_features_, size=n_cols, replace=False))
-            p = _sigmoid(F)
             residual = y - p
             tree = DecisionTree(max_depth=self.max_depth, criterion="mse")
             fitted = tree.grow(XT[cols], residual, ones)

@@ -8,6 +8,7 @@ byte-deterministic so cached completions stay valid across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,12 +78,23 @@ def render_instance(x, schema: FeatureSchema, float_style: bool = False) -> str:
 
     float_style renders whole numbers with a trailing .0 ("46.0"), matching how
     the final query line is printed in paper_faithful mode.
+
+    A prompt grid renders the same rows again and again (a cell's examples in
+    every prompt, each test row in every cell), so lines are memoized per
+    process in a bounded LRU cache. Its key is the row's float64 bytes, not
+    its values: -0.0 == 0.0, yet float_style prints them as "-0.0" and "0.0".
     """
     x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != len(schema.names):
-        raise ValidationError(f"expected {len(schema.names)} feature values, got {x.shape[0]}")
+    names = tuple(schema.names)
+    if x.shape[0] != len(names):
+        raise ValidationError(f"expected {len(names)} feature values, got {x.shape[0]}")
+    return _render_row(x.tobytes(), names, float_style)
+
+
+@functools.lru_cache(maxsize=4096)
+def _render_row(bits: bytes, names: tuple[str, ...], float_style: bool) -> str:
     render = (lambda v: str(float(v))) if float_style else render_value
-    return ", ".join(f"{name}: {render(v)}" for name, v in zip(schema.names, x))
+    return ", ".join(f"{name}: {render(v)}" for name, v in zip(names, np.frombuffer(bits)))
 
 
 def sample_examples(train: Dataset, n_ex: int, seed: int) -> list[tuple[np.ndarray, int]]:

@@ -172,3 +172,51 @@ def stub():
     yield state
     server.shutdown()
     server.server_close()
+
+
+class ShortBodyServer:
+    """Answers every request with `200` and `Content-Length: 100`, sends 13
+    bytes of the body and closes the connection; counts the requests read."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.01)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.requests = 0
+        self.stopped = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while not self.stopped.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with conn, conn.makefile("rb") as reader:
+                conn.settimeout(5.0)
+                length = None
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    if name.strip().lower() == "content-length":
+                        length = int(value)
+                if length is None:  # the client left before a whole request
+                    continue
+                reader.read(length)  # all of it: closing on unread bytes would reset the connection
+                self.requests += 1
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                    b'{"choices": ['
+                )
+
+    def close(self):
+        self.stopped.set()
+        self.thread.join(timeout=5)
+        self.listener.close()
+
+
+@pytest.fixture
+def short_body_server():
+    server = ShortBodyServer()
+    yield server
+    server.close()

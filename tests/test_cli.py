@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,14 @@ class TestLiveFailures:
         err = capsys.readouterr().err
         assert "transport failure" in err and "rerun to resume" not in err
 
+    def test_body_cut_short_exits_two(self, workdir, monkeypatch, capsys, short_body_server):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        self._prime(workdir)
+        live = self._live_cfg(workdir, "cache.jsonl", base_url=short_body_server.url)
+        assert main(["--config", str(live), "--live", "run-grid"]) == 2
+        assert "ChunkedEncodingError" in capsys.readouterr().err
+        assert short_body_server.requests == 1
+
     def test_mock_run_never_opens_the_cache(self, workdir):
         self._prime(workdir)
         cache = workdir["runs"] / "completions.jsonl"
@@ -242,6 +251,55 @@ class TestLiveFailures:
         self._prime(workdir)
         live = self._live_cfg(workdir, "unused-cache.jsonl")
         assert main(["--config", str(live), "run-grid", "--mock", "oracle"]) == 0
+
+
+# runs each argv through main in one process; prints [exit code, requests loaded] after each
+_VERBS_IN_ONE_PROCESS = """
+import json, sys
+from cardioprompt.cli import main
+print(json.dumps([[main(argv), "requests" in sys.modules] for argv in json.loads(sys.argv[1])]))
+"""
+
+
+class TestHttpStackLoading:
+    """`requests` is imported only when a live prompt misses the cache."""
+
+    def _run(self, argvs: list[list[str]]) -> list[list]:
+        import cardioprompt
+
+        env = {**os.environ, "OPENAI_API_KEY": "k", "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _VERBS_IN_ONE_PROCESS, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_loaded_only_on_a_cache_miss(self, workdir, stub):
+        stub.script = [(200, ok_body("1"))]
+        doc = json.loads(workdir["cfg"].read_text())
+        doc["llm"] = {"base_url": stub.url, "max_retries": 0, "timeout": 5.0}
+        live = workdir["tmp"] / "live.json"
+        live.write_text(json.dumps(doc))
+        doc["llm"]["base_url"] = "http://127.0.0.1:9"  # nothing listens there
+        dead = workdir["tmp"] / "dead.json"
+        dead.write_text(json.dumps(doc))
+        cfg = str(workdir["cfg"])
+        offline = [
+            ["--config", cfg, "prepare-data"],
+            ["--config", cfg, "train-models"],
+            ["--config", cfg, "gen-dk"],
+            ["--config", cfg, "run-grid", "--mock", "rule"],
+            ["--config", cfg, "run-grid", "--mock", "oracle"],
+            ["--config", cfg, "report"],
+        ]
+        # the offline verbs, then a live grid from an empty cache
+        assert self._run([*offline, ["--config", str(live), "--live", "run-grid"]]) == [[0, False]] * 6 + [[0, True]]
+        assert len(stub.requests) > 0
+        # the same grid again, answered in full by the cache it filled
+        assert self._run([["--config", str(dead), "--live", "run-grid"]]) == [[0, False]]
 
 
 class TestConsoleScript:

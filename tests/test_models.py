@@ -275,6 +275,17 @@ class TestGradientBoostedTrees:
         m.fit(ds.matrix, ds.targets)
         assert len(m.history_) == 8
 
+    def test_one_sigmoid_per_round_plus_the_base(self, monkeypatch):
+        # each round's post-update probabilities are the next round's residual input
+        from cardioprompt.models import gbt
+
+        calls = []
+        sigmoid = gbt._sigmoid
+        monkeypatch.setattr(gbt, "_sigmoid", lambda z: calls.append(z) or sigmoid(z))
+        ds = small_dataset(40, seed=2)
+        GradientBoostedTrees(n_estimators=7, max_depth=2).fit(ds.matrix, ds.targets)
+        assert len(calls) == 7 + 1
+
 
 class TestAdaBoost:
     def test_stump_errors_never_exceed_half(self):

@@ -74,6 +74,18 @@ class TestRenderInstance:
         with pytest.raises(ValidationError):
             render_instance(np.zeros(12), DEFAULT_SCHEMA)
 
+    @pytest.mark.parametrize("fill, zeros", [(7.25, (-0.0, 0.0)), (8.25, (0.0, -0.0))])
+    def test_float_style_keeps_the_sign_of_zero_whichever_comes_first(self, fill, zeros):
+        # -0.0 == 0.0, so a memo keyed on values would give the second row the first row's line;
+        # each order has its own fill, so no other render in this process has seen its rows
+        lines = {}
+        for zero in zeros:
+            row = np.full(13, fill)
+            row[0] = zero
+            lines[repr(zero)] = render_instance(row, DEFAULT_SCHEMA, float_style=True)
+        rest = ", ".join(f"{name}: {fill}" for name in DEFAULT_SCHEMA.names[1:])
+        assert lines == {"-0.0": f"age: -0.0, {rest}", "0.0": f"age: 0.0, {rest}"}
+
 
 class TestSampleExamples:
     def test_zero_returns_empty(self):
