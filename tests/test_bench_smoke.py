@@ -46,7 +46,7 @@ def test_traced_grid_resume_answers_every_prompt_from_the_cache(bench, tmp_path)
     result = _tiny_run(bench, tmp_path, "grid-resume", trace=True)
     assert result["correct"], result["errors"]
     m = {name: metric["value"] for name, metric in result["metrics"].items()}
-    checks = sys.modules["checks"]
-    prompts = bench.TINY.resume_reruns * checks.N_DK * len(bench.TINY.n_ex_grid) * checks.n_test_for(bench.TINY.rows)
+    tiny, checks = bench.TINY, bench.checks
+    prompts = tiny.resume_reruns * checks.N_DK * len(tiny.n_ex_grid) * checks.n_test_for(tiny.rows)
     assert m["gateway.requests"] == 0
     assert m["prompts.assembled"] == m["gateway.cache_hits"] == prompts

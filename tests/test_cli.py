@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cardioprompt
 from cardioprompt.cli import main
 from cardioprompt.data import load_csv
 from cardioprompt.experiment import (
@@ -265,8 +266,6 @@ class TestHttpStackLoading:
     """`requests` is imported only when a live prompt misses the cache."""
 
     def _run(self, argvs: list[list[str]]) -> list[list]:
-        import cardioprompt
-
         env = {**os.environ, "OPENAI_API_KEY": "k", "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c", _VERBS_IN_ONE_PROCESS, json.dumps(argvs)],

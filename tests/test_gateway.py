@@ -366,20 +366,13 @@ class TestComplete:
         assert len(sleeps) == 2
         assert stub.dropped == 3
 
-    def test_body_cut_short_retries_then_gives_up(self, short_body_server):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_body_cut_short_retries_then_gives_up(self, short_body_server, pooled):
+        # response bytes arrived, so even a pooled session gets no free re-send
         sleeps = []
         cfg = LlmConfig(base_url=short_body_server.url, max_retries=1, timeout=5.0)
-        with pytest.raises(TransportError, match="ChunkedEncodingError"):
-            complete("p", cfg, sleeper=sleeps.append, api_key="k")
-        assert short_body_server.requests == 2
-        assert len(sleeps) == 1
-
-    def test_body_cut_short_on_a_pooled_session_gets_no_free_resend(self, short_body_server):
-        # response bytes arrived, so this is no hang-up before the response
-        sleeps = []
-        cfg = LlmConfig(base_url=short_body_server.url, max_retries=1, timeout=5.0)
-        with new_session(short_body_server.url) as session, pytest.raises(TransportError):
-            complete("p", cfg, sleeper=sleeps.append, api_key="k", session=session)
+        with new_session(cfg.base_url) as session, pytest.raises(TransportError, match="ChunkedEncodingError"):
+            complete("p", cfg, sleeper=sleeps.append, api_key="k", session=session if pooled else None)
         assert short_body_server.requests == 2
         assert len(sleeps) == 1
 

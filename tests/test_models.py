@@ -23,7 +23,7 @@ from cardioprompt.models import (
     loss_and_grad,
     permutation_importance,
 )
-from cardioprompt.models import FAMILIES, TrainedModel, feature_importance, train
+from cardioprompt.models import FAMILIES, TrainedModel, feature_importance, gbt, train
 from cardioprompt.models.serialize import model_from_json, model_to_json
 from cardioprompt.schema import DEFAULT_SCHEMA
 from conftest import separable_1d, small_dataset, xor_dataset
@@ -277,8 +277,6 @@ class TestGradientBoostedTrees:
 
     def test_one_sigmoid_per_round_plus_the_base(self, monkeypatch):
         # each round's post-update probabilities are the next round's residual input
-        from cardioprompt.models import gbt
-
         calls = []
         sigmoid = gbt._sigmoid
         monkeypatch.setattr(gbt, "_sigmoid", lambda z: calls.append(z) or sigmoid(z))
