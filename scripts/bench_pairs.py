@@ -2,23 +2,26 @@
 """Paired benchmark runs of two revisions; writes BENCH_<pr>.json.
 
     python3 scripts/bench_pairs.py --pr 9 --parent HEAD~1 --change HEAD \\
-        --first-seed 901 --pairs 10 --claim grid-resume:wall_s --traced grid-resume
+        --first-seed 901 --claim grid-resume:wall_s --traced grid-resume
 
 Each revision is exported with `git archive` into a temporary directory, so
 no branch, index or work tree of the repository is touched, and the
-benchmark builds what it runs from that copy. Pair k runs
-`bench/run.py --workload W --seed S --seconds T --trace 0` once per side on
-seed S = first seed + k, for every workload in turn; pairs with even k run
-the parent first, odd k the change first. For each end-to-end metric of
-`BENCHMARK.json` the file holds both sides' runs, medians and quartiles,
-the quartile distances, the median change and the pairs the change won,
+benchmark builds what it runs from that copy. The workloads, the run length
+and the end-to-end metrics come from the change side's `BENCHMARK.json`.
+Pair k runs `bench/run.py --workload W --seed S --seconds T --trace 0` once
+per side on seed S = first seed + k, for every workload in turn; pairs with
+even k run the parent first, odd k the change first. For each end-to-end
+metric the file holds both sides' runs, medians and quartiles, the quartile
+distances, the median change and each pair's outcome (change, parent, tie,
+or missing when a run reported no value; the runs without one are listed),
 with exit codes and failed operations per side and the machine the runs
 took (nproc, Python, numpy and requests versions). `--claim W:METRIC`
 states whether the change beat the parent in at least 9 of 10 pairs (the
-same share of other counts) and by more than the parent's quartile
-distance in the median. `--traced W` adds one `--trace 1` run per side on
-the seed after the last pair, with its per-layer metrics. The file is
-rewritten after every run, so an interrupted set keeps what it measured.
+same share of other counts; ties and missing pairs are not wins) and by
+more than the parent's quartile distance in the median, and why not if it
+did not. `--traced W` adds one `--trace 1` run per side on the seed after
+the last pair, with its per-layer metrics. The file is rewritten after
+every run, so an interrupted set keeps what it measured.
 """
 
 from __future__ import annotations
@@ -75,49 +78,71 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     return result
 
 
-def quartiles(values: list[float]) -> dict[str, float]:
+def quartiles(values: list[float]) -> dict[str, float] | None:
+    if not values:
+        return None
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
+def outcome(parent: float | None, change: float | None, lower: bool) -> str:
+    """Which side a pair favours on one metric."""
+    if parent is None or change is None:
+        return "missing"
+    if parent == change:
+        return "tie"
+    return "change" if (change < parent) == lower else "parent"
+
+
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
-    """Per metric: both sides' runs and quartiles, and the pairs the change won."""
+    """Per metric: both sides' runs and quartiles, and each pair's outcome."""
     out = {}
     pairs = min(len(runs["parent"]), len(runs["change"]))
+    if pairs == 0:
+        return out
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         values = {side: [r["metrics"].get(name) for r in runs[side][:pairs]] for side in SIDES}
-        if pairs == 0 or any(v is None for side in SIDES for v in values[side]):
-            continue
-        q = {side: quartiles(values[side]) for side in SIDES}
-        wins = [(c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])]
-        parent_median = q["parent"]["median"]
-        out[name] = {
-            "unit": m["unit"],
-            "better": m["better"],
-            "bound": m["bound"],
-            **q,
-            "parent_quartile_distance": round(q["parent"]["q3"] - q["parent"]["q1"], 4),
-            "change_quartile_distance": round(q["change"]["q3"] - q["change"]["q1"], 4),
-            "median_change": f"{100 * (q['change']['median'] - parent_median) / parent_median:+.1f}%"
-            if parent_median
-            else "n/a",
-            "change_better_in": f"{sum(wins)} of {pairs} pairs",
-            "wins": ["change" if w else "parent" for w in wins],
-            "parent_runs": values["parent"],
-            "change_runs": values["change"],
-        }
+        present = {side: [v for v in values[side] if v is not None] for side in SIDES}
+        q = {side: quartiles(present[side]) for side in SIDES}
+        outcomes = [outcome(p, c, lower) for p, c in zip(values["parent"], values["change"])]
+        entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], **q}
+        if q["parent"] and q["change"]:
+            parent_median = q["parent"]["median"]
+            entry["parent_quartile_distance"] = round(q["parent"]["q3"] - q["parent"]["q1"], 4)
+            entry["change_quartile_distance"] = round(q["change"]["q3"] - q["change"]["q1"], 4)
+            entry["median_change"] = (
+                f"{100 * (q['change']['median'] - parent_median) / parent_median:+.1f}%" if parent_median else "n/a"
+            )
+        entry["change_better_in"] = f"{outcomes.count('change')} of {pairs} pairs"
+        entry["wins"] = outcomes
+        missing = {side: [i for i, v in enumerate(values[side]) if v is None] for side in SIDES}
+        if any(missing.values()):
+            entry["runs_without_value"] = missing
+        entry["parent_runs"] = values["parent"]
+        entry["change_runs"] = values["change"]
+        out[name] = entry
     return out
 
 
-def claim_met(summary: dict, metric: str) -> bool:
-    s = summary[metric]
-    won = int(s["change_better_in"].split()[0])
+def claim(summary: dict, metric: str) -> dict:
+    """Whether the change met the claim on `metric`, and why not if it did not."""
+    s = summary.get(metric)
+    if s is None:
+        return {"met": None, "reason": f"no completed pair reports {metric}"}
+    if "parent_quartile_distance" not in s:
+        return {"met": False, "reason": f"a side has no run that reports {metric}"}
     pairs = len(s["wins"])
+    won = s["wins"].count("change")
     gain = s["parent"]["median"] - s["change"]["median"]
     if s["better"] == "higher":
         gain = -gain
-    return won >= 0.9 * pairs and gain > s["parent_quartile_distance"]
+    reasons = []
+    if won < 0.9 * pairs:
+        reasons.append(f"the change won {won} of {pairs} pairs")
+    if gain <= s["parent_quartile_distance"]:
+        reasons.append(f"median gain {gain:.4g} is not above the parent's quartile distance")
+    return {"met": not reasons, **({"reason": "; ".join(reasons)} if reasons else {})}
 
 
 def machine() -> dict:
@@ -137,32 +162,31 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="git revision of the change side")
-    ap.add_argument("--workloads", nargs="+", default=["pipeline", "grid-live", "grid-resume"])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--traced", nargs="*", default=[], help="workloads to run once traced per side")
-    ap.add_argument("--out", type=Path, help="output file (default: BENCH_<pr>.json at the repository root)")
     args = ap.parse_args(argv)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    metrics = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))["end_to_end"]
+    bench = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     last_seed = args.first_seed + args.pairs - 1
 
     doc: dict = {
-        "command": "python3 bench/run.py --workload W --seed N --seconds "
-        f"{args.seconds:g} --trace 0, in a git archive of each revision",
+        "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds:g} --trace 0, "
+        "in a git archive of each revision",
         "parent_rev": revs["parent"],
         "change_rev": revs["change"],
         "src_trees": {side: git("rev-parse", f"{revs[side]}:src") for side in SIDES},
         "machine": machine(),
         "workloads": {},
     }
-    runs = {w: {side: [] for side in SIDES} for w in args.workloads}
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
 
     def write():
-        for w in args.workloads:
+        for w in workloads:
             doc["workloads"][w] = {
                 "seeds": f"{args.first_seed}-{last_seed}",
                 "pairs": min(len(runs[w]["parent"]), len(runs[w]["change"])),
@@ -172,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                     side: f"{sum(r['failed'] for r in runs[w][side])} of {sum(r['attempted'] for r in runs[w][side])}"
                     for side in SIDES
                 },
-                "metrics": summarize(runs[w], metrics),
+                "metrics": summarize(runs[w], bench["end_to_end"]),
             }
         if args.claim:
             workload, metric = args.claim.split(":")
@@ -181,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
                 "workload": workload,
                 "metric": metric,
                 "rule": "change better in at least 9 of 10 pairs and the median gain above the parent's quartile distance",
-                "met": claim_met(summary, metric) if metric in summary else None,
+                **claim(summary, metric),
             }
         out.write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -189,9 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: export(revs[side], Path(tmp) / side) for side in SIDES}
         for k in range(args.pairs):
             seed = args.first_seed + k
-            for w in args.workloads:
+            for w in workloads:
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    result = bench_once(checkouts[side], w, seed, args.seconds, trace=False)
+                    result = bench_once(checkouts[side], w, seed, seconds, trace=False)
                     runs[w][side].append(result)
                     print(f"pair {k} seed {seed} {w} {side}: rc {result['rc']} {result['metrics']}", file=sys.stderr)
                     write()
@@ -201,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
             for w in args.traced:
                 doc["traced"][w] = {"seed": seed}
                 for side in SIDES:
-                    result = bench_once(checkouts[side], w, seed, args.seconds, trace=True)
+                    result = bench_once(checkouts[side], w, seed, seconds, trace=True)
                     doc["traced"][w][side] = {"rc": result["rc"], "metrics": result["metrics"]}
                     print(f"traced {w} {side}: rc {result['rc']}", file=sys.stderr)
                     write()

@@ -43,7 +43,7 @@ import threading
 import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
@@ -192,14 +192,14 @@ def complete(
     sleeper=time.sleep,
     jitter_rng: random.Random | None = None,
     api_key: str | None = None,
-    session: requests.Session | Callable[[], AbstractContextManager[requests.Session]] | None = None,
+    session: Callable[[], AbstractContextManager[requests.Session]] | None = None,
 ) -> CompletionRecord:
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
-    (body not in chat-completions shape). Sends through `session`, which is a
-    session or a function lending one for the call (HttpBackend's free list,
-    called only on a cache miss), or through a one-off `new_session` closed
-    before returning. A body cut short is a failed attempt, never re-sent
+    (body not in chat-completions shape). Sends through the session that
+    `session`, a function, lends for the call (HttpBackend's free list, asked
+    only on a cache miss), or through a one-off `new_session` closed before
+    returning. A body cut short is a failed attempt, never re-sent
     free: response bytes arrived. A send through `session` that the server
     hangs up on before any response byte, as on a kept-alive connection it
     closed while idle, is re-sent once per call, at once, on a fresh
@@ -225,13 +225,7 @@ def complete(
     }
     headers = {"Authorization": f"Bearer {token}"}
 
-    if session is None:
-        lease = new_session(url)
-    elif callable(session):
-        lease = session()
-    else:
-        lease = nullcontext(session)
-    with lease as http:
+    with new_session(url) if session is None else session() as http:
         resent = False
 
         def send() -> requests.Response:

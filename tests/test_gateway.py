@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ def _cfg(stub, **kw) -> LlmConfig:
     defaults = dict(base_url=stub.url, max_retries=3, backoff_base=1.0, timeout=5.0)
     defaults.update(kw)
     return LlmConfig(**defaults)
+
+
+def lend(session):
+    """A lender that hands `complete` the same open session every call."""
+    return lambda: nullcontext(session)
 
 
 class TestParseLabel:
@@ -341,8 +347,8 @@ class TestComplete:
         stub.answers_per_connection = 1
         sleeps = []
         with new_session(stub.url) as session:
-            complete("warm", _cfg(stub), api_key="k", session=session)
-            rec = complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", session=session)
+            complete("warm", _cfg(stub), api_key="k", session=lend(session))
+            rec = complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", session=lend(session))
         assert rec.attempt_count == 1
         assert sleeps == []
         assert (stub.connections, stub.dropped, len(stub.requests)) == (2, 1, 2)
@@ -352,7 +358,7 @@ class TestComplete:
         stub.answers_per_connection = 0  # every request is read and left unanswered
         sleeps = []
         with new_session(stub.url) as session, pytest.raises(TransportError):
-            complete("p", _cfg(stub, max_retries=2), sleeper=sleeps.append, api_key="k", session=session)
+            complete("p", _cfg(stub, max_retries=2), sleeper=sleeps.append, api_key="k", session=lend(session))
         assert len(sleeps) == 2
         assert stub.dropped == 3 + 1  # three attempts, plus the one free re-send
 
@@ -372,7 +378,7 @@ class TestComplete:
         sleeps = []
         cfg = LlmConfig(base_url=short_body_server.url, max_retries=1, timeout=5.0)
         with new_session(cfg.base_url) as session, pytest.raises(TransportError, match="ChunkedEncodingError"):
-            complete("p", cfg, sleeper=sleeps.append, api_key="k", session=session if pooled else None)
+            complete("p", cfg, sleeper=sleeps.append, api_key="k", session=lend(session) if pooled else None)
         assert short_body_server.requests == 2
         assert len(sleeps) == 1
 
