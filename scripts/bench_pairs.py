@@ -8,20 +8,20 @@ Each revision is exported with `git archive` into a temporary directory, so
 no branch, index or work tree of the repository is touched, and the
 benchmark builds what it runs from that copy. The workloads, the run length
 and the end-to-end metrics come from the change side's `BENCHMARK.json`.
-Pair k runs `bench/run.py --workload W --seed S --seconds T --trace 0` once
-per side on seed S = first seed + k, for every workload in turn; pairs with
-even k run the parent first, odd k the change first. For each end-to-end
-metric the file holds both sides' runs, medians and quartiles, the quartile
-distances, the median change and each pair's outcome (change, parent, tie,
-or missing when a run reported no value; the runs without one are listed),
-with exit codes and failed operations per side and the machine the runs
-took (nproc, Python, numpy and requests versions). `--claim W:METRIC`
-states whether the change beat the parent in at least 9 of 10 pairs (the
-same share of other counts; ties and missing pairs are not wins) and by
-more than the parent's quartile distance in the median, and why not if it
-did not. `--traced W` adds one `--trace 1` run per side on the seed after
-the last pair, with its per-layer metrics. The file is rewritten after
-every run, so an interrupted set keeps what it measured.
+Each of 10 pairs, k = 0..9, runs `bench/run.py --workload W --seed S
+--seconds T --trace 0` once per side on seed S = first seed + k, for every
+workload in turn; pairs with even k run the parent first, odd k the change
+first. For each end-to-end metric the file holds both sides' runs, medians
+and quartiles, the quartile distances, the median change and each pair's
+outcome (change, parent, tie, or missing when a run reported no value; the
+runs without one are listed), with exit codes and failed operations per side
+and the machine the runs took (nproc, Python, numpy and requests versions).
+`--claim W:METRIC` states whether the change beat the parent in at least 9
+of the 10 pairs (ties and missing pairs are not wins) and by more than the
+parent's quartile distance in the median, and why not if it did not.
+`--traced W` adds one `--trace 1` run per side on the seed after the last
+pair, with its per-layer metrics. The file is rewritten after every run, so
+an interrupted set keeps what it measured.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -132,14 +133,13 @@ def claim(summary: dict, metric: str) -> dict:
         return {"met": None, "reason": f"no completed pair reports {metric}"}
     if "parent_quartile_distance" not in s:
         return {"met": False, "reason": f"a side has no run that reports {metric}"}
-    pairs = len(s["wins"])
     won = s["wins"].count("change")
     gain = s["parent"]["median"] - s["change"]["median"]
     if s["better"] == "higher":
         gain = -gain
     reasons = []
-    if won < 0.9 * pairs:
-        reasons.append(f"the change won {won} of {pairs} pairs")
+    if won < 0.9 * PAIRS:
+        reasons.append(f"the change won {won} of {PAIRS} pairs")
     if gain <= s["parent_quartile_distance"]:
         reasons.append(f"median gain {gain:.4g} is not above the parent's quartile distance")
     return {"met": not reasons, **({"reason": "; ".join(reasons)} if reasons else {})}
@@ -162,7 +162,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="git revision of the change side")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--traced", nargs="*", default=[], help="workloads to run once traced per side")
@@ -172,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    last_seed = args.first_seed + args.pairs - 1
+    last_seed = args.first_seed + PAIRS - 1
 
     doc: dict = {
         "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds:g} --trace 0, "
@@ -211,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {side: export(revs[side], Path(tmp) / side) for side in SIDES}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = args.first_seed + k
             for w in workloads:
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
