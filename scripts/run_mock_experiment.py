@@ -24,7 +24,6 @@ from cardioprompt.experiment import (
     write_report,
 )
 from cardioprompt.gateway import OracleMock, RuleMock
-from cardioprompt.schema import DEFAULT_SCHEMA
 from cardioprompt.synthetic import synthetic_raw
 
 
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
     if args.mock == "rule":
         backend = RuleMock("chol", 240.0)
     else:
-        backend = OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA, float_style=cfg.paper_faithful)
+        backend = OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
     grid_rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend)
 
     table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)

@@ -16,14 +16,16 @@ import json
 import sys
 from pathlib import Path
 
-from .data import stats, write_imputed_csv
+from .data import load_csv, stats, write_imputed_csv
 from .dk import DkVariant, DomainKnowledge
 from .errors import CardiopromptError, TransportError, ValidationError
 from .experiment import (
     ExperimentConfig,
+    PreparedData,
     ReportTable,
     dk_grid_from_models,
     load_rows,
+    prepare,
     prepare_data,
     run_ml_baselines,
     run_prompt_grid,
@@ -32,7 +34,6 @@ from .experiment import (
 )
 from .gateway import HttpBackend, JsonlCache, OracleMock, RuleMock
 from .models import load_model, save_model
-from .schema import DEFAULT_SCHEMA
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -59,6 +60,11 @@ def _artifact(cfg: ExperimentConfig, name: str, verb: str) -> Path:
     return path
 
 
+def _load_prepared(cfg: ExperimentConfig) -> PreparedData:
+    """The split of the imputed data that prepare-data wrote; imputing it again changes no cell."""
+    return prepare(load_csv(_artifact(cfg, "imputed.csv", "prepare-data")), cfg)
+
+
 def cmd_prepare_data(cfg: ExperimentConfig) -> int:
     prepared = prepare_data(cfg)
     st = stats(prepared.raw)
@@ -74,7 +80,7 @@ def cmd_prepare_data(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train_models(cfg: ExperimentConfig) -> int:
-    prepared = prepare_data(cfg)
+    prepared = _load_prepared(cfg)
     rows, models = run_ml_baselines(cfg, prepared)
     mdir = Path(cfg.output_dir) / "models"
     mdir.mkdir(parents=True, exist_ok=True)
@@ -110,23 +116,20 @@ def _load_dks(cfg: ExperimentConfig):
     docs = json.loads(_artifact(cfg, "dk.json", "gen-dk").read_text())
     out = []
     for doc in docs:
-        variant = DkVariant(doc["variant"]) if doc["variant"] != "NO" else DkVariant.NONE
-        out.append(DomainKnowledge(variant=variant, source_name=doc["source"], text=doc["text"]))
+        out.append(DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"]))
     return out
 
 
 def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_threshold: float) -> int:
-    prepared = prepare_data(cfg)
+    prepared = _load_prepared(cfg)
     dks = _load_dks(cfg)
     if cfg.live:
         backend = HttpBackend(cfg.llm, JsonlCache(cfg.cache_path))
         cached_at_open = len(backend.cache)
     elif mock_kind == "oracle":
-        backend = OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA, float_style=cfg.paper_faithful)
-    elif mock_kind == "rule":
-        backend = RuleMock(rule_feature, rule_threshold)
+        backend = OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
     else:
-        raise ValidationError(f"unknown mock kind {mock_kind!r}")
+        backend = RuleMock(rule_feature, rule_threshold)
     try:
         rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend)
     except TransportError as exc:  # only the live backend sends anything
@@ -197,10 +200,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_gen_dk(cfg)
         if args.verb == "run-grid":
             return cmd_run_grid(cfg, args.mock, args.rule_feature, args.rule_threshold)
-        if args.verb == "report":
-            return cmd_report(cfg, args.format)
-        raise ValidationError(f"unknown verb {args.verb!r}")
-    except (ValidationError, CardiopromptError, FileNotFoundError) as exc:
+        return cmd_report(cfg, args.format)  # the required subparser admits no other verb
+    except (CardiopromptError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ImputationError, ParseError, StratificationError, ValidationError
-from .schema import DEFAULT_SCHEMA, TARGET_NAME, FeatureSchema
+from .schema import FEATURE_NAMES, TARGET_NAME
 
 MISSING_TOKENS = {"?", ""}
 
@@ -25,7 +25,6 @@ class RawDataset:
 
     matrix: np.ndarray  # (n, 13) float, NaN = missing
     targets: np.ndarray  # (n,) int
-    schema: FeatureSchema
 
     @property
     def n_rows(self) -> int:
@@ -44,7 +43,6 @@ class Dataset:
 
     matrix: np.ndarray  # (n, 13) float, no NaN
     targets: np.ndarray  # (n,) int in {0, 1}
-    schema: FeatureSchema
 
     def __post_init__(self):
         if np.isnan(self.matrix).any():
@@ -81,7 +79,7 @@ class Scaler:
         return matrix * self.std + self.mean
 
 
-def load_csv(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> RawDataset:
+def load_csv(path: str | Path) -> RawDataset:
     """Parse a 14-column CSV (13 features + target), "?" or empty cell = missing.
 
     An optional header row is accepted when it matches the schema's feature
@@ -89,7 +87,7 @@ def load_csv(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> RawDat
     line for wrong arity, non-numeric cells, or out-of-range targets.
     """
     path = Path(path)
-    expected = schema.names + [TARGET_NAME]
+    expected = FEATURE_NAMES + [TARGET_NAME]
     rows: list[list[float]] = []
     targets: list[int] = []
     with path.open(newline="") as fh:
@@ -107,7 +105,7 @@ def load_csv(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> RawDat
             if len(cells) != 14:
                 raise ParseError(f"line {lineno}: expected 14 columns, got {len(cells)}")
             parsed: list[float] = []
-            for name, cell in zip(schema.names, cells[:13]):
+            for name, cell in zip(FEATURE_NAMES, cells[:13]):
                 if cell in MISSING_TOKENS:
                     parsed.append(np.nan)
                     continue
@@ -125,7 +123,7 @@ def load_csv(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> RawDat
             rows.append(parsed)
             targets.append(int(target_f))
     matrix = np.array(rows, dtype=float).reshape(len(rows), 13)
-    return RawDataset(matrix=matrix, targets=np.array(targets, dtype=int), schema=schema)
+    return RawDataset(matrix=matrix, targets=np.array(targets, dtype=int))
 
 
 def _is_header(cells: list[str]) -> bool:
@@ -172,10 +170,10 @@ def knn_impute(raw: RawDataset, k: int = 5) -> Dataset:
         raise ImputationError(f"row {idx} has no observed cells")
     for j in range(d):
         if n and not present[:, j].any() and np.isnan(matrix[:, j]).any():
-            raise ImputationError(f"column {raw.schema.names[j]} has no observed values to impute from")
+            raise ImputationError(f"column {FEATURE_NAMES[j]} has no observed values to impute from")
 
     if not np.isnan(matrix).any():
-        return Dataset(matrix=matrix.copy(), targets=raw.targets.copy(), schema=raw.schema)
+        return Dataset(matrix=matrix.copy(), targets=raw.targets.copy())
 
     # Min-max scaling used only inside the distance; output keeps raw units.
     col_min = np.nanmin(matrix, axis=0)
@@ -199,12 +197,7 @@ def knn_impute(raw: RawDataset, k: int = 5) -> Dataset:
             order = donors[np.argsort(dist[donors], kind="stable")]  # stable = tie by row index
             chosen = order[:k]
             out[i, j] = float(np.mean(matrix[chosen, j]))
-    return Dataset(matrix=out, targets=raw.targets.copy(), schema=raw.schema)
-
-
-def as_raw(ds: Dataset) -> RawDataset:
-    """View a fully-observed dataset as a RawDataset (e.g. to re-run imputation)."""
-    return RawDataset(matrix=ds.matrix.copy(), targets=ds.targets.copy(), schema=ds.schema)
+    return Dataset(matrix=out, targets=raw.targets.copy())
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -236,8 +229,8 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     test_rows = np.sort(np.concatenate(test_idx))
     train_rows = np.sort(np.concatenate(train_idx))
     return (
-        Dataset(ds.matrix[train_rows], ds.targets[train_rows], ds.schema),
-        Dataset(ds.matrix[test_rows], ds.targets[test_rows], ds.schema),
+        Dataset(ds.matrix[train_rows], ds.targets[train_rows]),
+        Dataset(ds.matrix[test_rows], ds.targets[test_rows]),
     )
 
 
@@ -250,15 +243,15 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler
     std = np.where(std == 0, 1.0, std)
     scaler = Scaler(mean=mean, std=std)
     return (
-        Dataset(scaler.transform(train.matrix), train.targets.copy(), train.schema),
-        Dataset(scaler.transform(test.matrix), test.targets.copy(), test.schema),
+        Dataset(scaler.transform(train.matrix), train.targets.copy()),
+        Dataset(scaler.transform(test.matrix), test.targets.copy()),
         scaler,
     )
 
 
 def stats(raw: RawDataset) -> DatasetStats:
     """Headline counts: size, missingness, sex balance, per-sex disease prevalence."""
-    sex_col = raw.schema.index("sex")
+    sex_col = FEATURE_NAMES.index("sex")
     sex = raw.matrix[:, sex_col]
     diseased = raw.targets > 0
     male = sex == 1
@@ -280,6 +273,6 @@ def write_imputed_csv(ds: Dataset, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ds.schema.names + [TARGET_NAME])
+        writer.writerow(FEATURE_NAMES + [TARGET_NAME])
         for row, label in zip(ds.matrix, ds.targets):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])

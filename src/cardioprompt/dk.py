@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .schema import FeatureSchema
+from .schema import FEATURE_NAMES
 
 # Display tags for DK source models: lowercase class-style names.
 SOURCE_TAGS = {
@@ -24,6 +24,10 @@ SOURCE_TAGS = {
 # Families whose explanations feed prompts by default. Others (ADA, KNN, MLP)
 # produce rankings too but are not wired into the dk grid.
 DEFAULT_DK_FAMILIES = ("RF", "LR", "GBT")
+
+# The top-features text names this many most and least important features.
+N_TOP = 6
+N_BOTTOM = 2
 
 
 class DkVariant(enum.Enum):
@@ -44,48 +48,31 @@ class DomainKnowledge:
 
 
 def _ranked_names(ranking) -> list[str]:
-    """Feature names in descending-importance order from an ImportanceRanking
-    (or any object with .entries of (name, weight) pairs)."""
+    """Feature names of an ImportanceRanking in descending-importance order;
+    each schema feature must appear exactly once."""
     names = [name for name, _ in ranking.entries]
-    if len(names) != 13:
-        raise ValidationError(f"ranking must cover all 13 features, got {len(names)}")
-    if len(set(names)) != len(names):
-        raise ValidationError("ranking names features more than once")
+    if sorted(names) != sorted(FEATURE_NAMES):
+        raise ValidationError(f"ranking must name each schema feature once, got {names}")
     return names
 
 
-def render_dk(
-    ranking,
-    variant: DkVariant,
-    source_tag: str = "",
-    n_top: int = 6,
-    n_bottom: int = 2,
-    schema: FeatureSchema | None = None,
-) -> DomainKnowledge:
+def render_dk(ranking, variant: DkVariant) -> DomainKnowledge:
     """Render one domain-knowledge paragraph from a ranking.
 
-    source_tag defaults to the display tag for ranking.source when it is one of
-    the default DK families.
+    The source tag is the display tag of ranking.source; the top-features text
+    names the N_TOP most and N_BOTTOM least important features.
     """
     if variant is DkVariant.NONE:
         return DomainKnowledge(DkVariant.NONE, "", "")
 
     names = _ranked_names(ranking)
-    if schema is not None:
-        unknown = set(names) - set(schema.names)
-        if unknown:
-            raise ValidationError(f"ranking names features not in schema: {sorted(unknown)}")
-
-    if not source_tag:
-        source_tag = SOURCE_TAGS.get(getattr(ranking, "source", ""), "")
+    source_tag = SOURCE_TAGS.get(ranking.source, "")
 
     if variant is DkVariant.MLFI:
         if not source_tag:
             raise ValidationError("top-features text needs a source tag")
-        if n_top + n_bottom > len(names) or n_top < 2 or n_bottom < 2:
-            raise ValidationError(f"cannot name top {n_top} and bottom {n_bottom} of {len(names)} features")
-        top = names[:n_top]
-        bottom = names[-n_bottom:]
+        top = names[:N_TOP]
+        bottom = names[-N_BOTTOM:]
         text = (
             f"According to a {source_tag} classifier, the most important features "
             f"in assessing heart disease risk include {', '.join(top[:-1])}, and {top[-1]}. "

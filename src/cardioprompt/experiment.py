@@ -25,14 +25,11 @@ from .dk import DEFAULT_DK_FAMILIES, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError
 from .gateway import Backend, LlmConfig, classify_batch
 from .metrics import CostWeights, MetricsRow, baseline_predict, confusion, metrics_row
-from .models import TrainedModel, feature_importance, randomized_search
+from .models import FAMILIES, TrainedModel, feature_importance, randomized_search
 from .prompts import PromptSpec
-from .schema import DEFAULT_SCHEMA, FeatureSchema
 
 # display names: the boosted-trees family stands in for the XGB results
 DISPLAY_NAMES = {"RF": "RF", "LR": "LR", "MLP": "MLP", "KNN": "KNN", "GBT": "XGB", "ADA": "AdaBoost"}
-ML_FAMILIES = ("RF", "LR", "MLP", "KNN", "GBT", "ADA")
-TRIVIAL_BASELINES = ("Random", "Maj0", "Maj1")
 
 REPORT_COLUMNS = (
     "Model",
@@ -108,8 +105,8 @@ class PreparedData:
     std_test: Dataset
 
 
-def prepare_data(cfg: ExperimentConfig, schema: FeatureSchema = DEFAULT_SCHEMA) -> PreparedData:
-    return prepare(load_csv(cfg.data_path, schema=schema), cfg)
+def prepare_data(cfg: ExperimentConfig) -> PreparedData:
+    return prepare(load_csv(cfg.data_path), cfg)
 
 
 def prepare(raw: RawDataset, cfg: ExperimentConfig) -> PreparedData:
@@ -147,11 +144,7 @@ def _mean_row(label: str, members: list[ReportRow], n_ex: int | None = None) -> 
     return ReportRow(label=label, dk_type="-", dk_source="-", n_ex=n_ex, metrics=MetricsRow(*map(float, mean)))
 
 
-def run_ml_baselines(
-    cfg: ExperimentConfig,
-    prepared: PreparedData,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
-) -> tuple[list[ReportRow], dict[str, TrainedModel]]:
+def run_ml_baselines(cfg: ExperimentConfig, prepared: PreparedData) -> tuple[list[ReportRow], dict[str, TrainedModel]]:
     """Tune the six families, evaluate on the held-out split, and append the
     three non-informed baselines. Returns rows plus the fitted models keyed by
     family; only the families in cfg.dk_families, whose rankings the
@@ -159,7 +152,7 @@ def run_ml_baselines(
     rows: list[ReportRow] = []
     models: dict[str, TrainedModel] = {}
     truth = prepared.std_test.targets
-    for family in ML_FAMILIES:
+    for family in FAMILIES:
         model, _report = randomized_search(
             family,
             prepared.std_train,
@@ -168,9 +161,7 @@ def run_ml_baselines(
             seed=derive_seed(cfg.seed, f"search:{family}"),
         )
         if family in cfg.dk_families:
-            model = feature_importance(
-                model, prepared.std_train, schema=schema, seed=derive_seed(cfg.seed, f"importance:{family}")
-            )
+            model = feature_importance(model, prepared.std_train, seed=derive_seed(cfg.seed, f"importance:{family}"))
         models[family] = model
         preds = model.predict(prepared.std_test.matrix)
         cm = confusion(preds, truth)
@@ -184,7 +175,7 @@ def run_ml_baselines(
             )
         )
 
-    rows.append(_mean_row("Average ML", rows[: len(ML_FAMILIES)]))
+    rows.append(_mean_row("Average ML", rows[: len(FAMILIES)]))
 
     n = prepared.std_test.n_rows
     for kind, label in (("random", "Random"), ("maj0", "Maj0"), ("maj1", "Maj1")):
@@ -214,7 +205,6 @@ def run_prompt_grid(
     prepared: PreparedData,
     dks: list[DomainKnowledge],
     backend: Backend,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> tuple[list[ReportRow], dict[str, int]]:
     """Evaluate every (dk, n_ex) cell on the full test split with `backend`.
 
@@ -233,7 +223,7 @@ def run_prompt_grid(
                 seed=derive_seed(cfg.seed, f"examples:{n_ex}"),
                 paper_faithful=cfg.paper_faithful,
             )
-            records = classify_batch(prepared.test, spec, backend, schema, train=prepared.train)
+            records = classify_batch(prepared.test, spec, backend, train=prepared.train)
             # unparseable verdicts count as positive predictions, flagged
             preds = [r.verdict.label if not r.verdict.unparseable else 1 for r in records]
             n_bad = sum(1 for r in records if r.verdict.unparseable)
@@ -245,7 +235,7 @@ def run_prompt_grid(
             block.append(
                 ReportRow(
                     label=label,
-                    dk_type=dk.variant.value if dk.variant is not DkVariant.NONE else "NO",
+                    dk_type=dk.variant.value,
                     dk_source=source if dk.variant is not DkVariant.NONE else "-",
                     n_ex=n_ex,
                     metrics=metrics_row(cm, cfg.weights),

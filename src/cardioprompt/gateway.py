@@ -51,7 +51,6 @@ from typing import TYPE_CHECKING, Protocol
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from .prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
-from .schema import FeatureSchema
 
 if TYPE_CHECKING:  # imported where a request is sent: see the module docstring
     import requests
@@ -357,10 +356,10 @@ class OracleMock:
         self.answers = dict(answers)
 
     @classmethod
-    def for_dataset(cls, ds: Dataset, schema: FeatureSchema, float_style: bool = False) -> "OracleMock":
+    def for_dataset(cls, ds: Dataset, float_style: bool = False) -> "OracleMock":
         answers: dict[str, int] = {}
         for row, target in zip(ds.matrix, ds.targets):
-            line = render_instance(row, schema, float_style=float_style)
+            line = render_instance(row, float_style=float_style)
             if answers.setdefault(line, int(target)) != int(target):
                 raise ValidationError(f"oracle: two rows render the query line {line!r} with different labels")
         return cls(answers)
@@ -419,7 +418,6 @@ def classify_batch(
     test: Dataset,
     spec: PromptSpec,
     backend: Backend,
-    schema: FeatureSchema,
     train: Dataset | None = None,
 ) -> list[PredictionRecord]:
     """One verdict per test row, in row order.
@@ -431,9 +429,7 @@ def classify_batch(
     if spec.n_ex > 0 and train is None:
         raise ValidationError("in-context examples requested but no train split given")
     examples = sample_examples(train, spec.n_ex, spec.seed) if spec.n_ex else []
-    prompts = [
-        assemble_prompt(schema, spec, examples, test.matrix[i]).text for i in range(test.n_rows)
-    ]
+    prompts = [assemble_prompt(spec, examples, test.matrix[i]).text for i in range(test.n_rows)]
 
     def run(i: int) -> PredictionRecord:
         return PredictionRecord(i, parse_label(backend.respond(prompts[i])))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..schema import FeatureSchema
+from ..schema import FEATURE_NAMES
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,16 @@ class ImportanceRanking:
         return tuple(name for name, _ in self.entries)
 
 
-def build_ranking(raw: np.ndarray, schema: FeatureSchema, source: str) -> ImportanceRanking:
+def build_ranking(raw: np.ndarray, source: str) -> ImportanceRanking:
     raw = np.asarray(raw, dtype=float)
-    if raw.shape != (len(schema.names),):
+    if raw.shape != (len(FEATURE_NAMES),):
         raise ValidationError(f"need one raw score per schema feature, got shape {raw.shape}")
     clipped = np.clip(raw, 0.0, None)
     total = clipped.sum()
     degenerate = bool(total <= 0)
     weights = np.full(len(clipped), 1.0 / len(clipped)) if degenerate else clipped / total
     order = np.lexsort((np.arange(len(weights)), -weights))  # weight desc, then canonical index
-    entries = tuple((schema.names[i], float(weights[i])) for i in order)
+    entries = tuple((FEATURE_NAMES[i], float(weights[i])) for i in order)
     # renormalize the tail error so the sum-to-1 invariant holds exactly
     drift = 1.0 - sum(w for _, w in entries)
     if drift:

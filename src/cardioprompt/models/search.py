@@ -77,7 +77,7 @@ def randomized_search(
                 warnings.append(f"trial {trial_no}: fold {fold_no} validation side is single-class, skipped")
                 continue
             tr_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
-            sub = Dataset(matrix=train_ds.matrix[tr_idx], targets=train_ds.targets[tr_idx], schema=train_ds.schema)
+            sub = Dataset(matrix=train_ds.matrix[tr_idx], targets=train_ds.targets[tr_idx])
             model = train(family, sub, hyper, seed=fit_seed)
             preds = model.predict(train_ds.matrix[val_idx])
             scores.append(float((preds == train_ds.targets[val_idx]).mean()))

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..data import Dataset
 from ..errors import ValidationError
-from ..schema import DEFAULT_SCHEMA, FeatureSchema
 from .adaboost import AdaBoostStumps
 from .forest import RandomForest
 from .gbt import GradientBoostedTrees
@@ -77,7 +76,6 @@ def train(family: str, train_ds: Dataset, hyper: dict | None = None, seed: int =
 def feature_importance(
     model: TrainedModel,
     train_ds: Dataset,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
     seed: int = 0,
     n_repeats: int = 10,
 ) -> TrainedModel:
@@ -86,5 +84,5 @@ def feature_importance(
         raw = model.estimator.raw_importance()
     else:
         raw = permutation_importance(model.estimator, train_ds.matrix, train_ds.targets, seed=seed, n_repeats=n_repeats)
-    ranking = build_ranking(raw, schema, source=model.family)
+    ranking = build_ranking(raw, source=model.family)
     return replace(model, importance=ranking)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .dk import DkVariant, DomainKnowledge
 from .errors import SamplingError, ValidationError
-from .schema import FeatureSchema
+from .schema import DEFAULT_SCHEMA, FEATURE_NAMES
 
 TASK_INSTRUCTION = """Given the provided input attributes, evaluate the risk of heart disease for the individual.
 The diagnosis of heart disease (angiographic disease status) is based on the degree of diameter narrowing in the blood vessels:
@@ -73,7 +73,7 @@ def render_value(v: float) -> str:
     return repr(f)
 
 
-def render_instance(x, schema: FeatureSchema, float_style: bool = False) -> str:
+def render_instance(x, float_style: bool = False) -> str:
     """Comma-separated "name: value" pairs in canonical feature order.
 
     float_style renders whole numbers with a trailing .0 ("46.0"), matching how
@@ -85,16 +85,15 @@ def render_instance(x, schema: FeatureSchema, float_style: bool = False) -> str:
     its values: -0.0 == 0.0, yet float_style prints them as "-0.0" and "0.0".
     """
     x = np.asarray(x, dtype=float).ravel()
-    names = tuple(schema.names)
-    if x.shape[0] != len(names):
-        raise ValidationError(f"expected {len(names)} feature values, got {x.shape[0]}")
-    return _render_row(x.tobytes(), names, float_style)
+    if x.shape[0] != len(FEATURE_NAMES):
+        raise ValidationError(f"expected {len(FEATURE_NAMES)} feature values, got {x.shape[0]}")
+    return _render_row(x.tobytes(), float_style)
 
 
 @functools.lru_cache(maxsize=4096)
-def _render_row(bits: bytes, names: tuple[str, ...], float_style: bool) -> str:
+def _render_row(bits: bytes, float_style: bool) -> str:
     render = (lambda v: str(float(v))) if float_style else render_value
-    return ", ".join(f"{name}: {render(v)}" for name, v in zip(names, np.frombuffer(bits)))
+    return ", ".join(f"{name}: {render(v)}" for name, v in zip(FEATURE_NAMES, np.frombuffer(bits)))
 
 
 def sample_examples(train: Dataset, n_ex: int, seed: int) -> list[tuple[np.ndarray, int]]:
@@ -125,12 +124,7 @@ def sample_examples(train: Dataset, n_ex: int, seed: int) -> list[tuple[np.ndarr
     return out
 
 
-def assemble_prompt(
-    schema: FeatureSchema,
-    spec: PromptSpec,
-    examples: list[tuple[np.ndarray, int]],
-    query,
-) -> Prompt:
+def assemble_prompt(spec: PromptSpec, examples: list[tuple[np.ndarray, int]], query) -> Prompt:
     if len(examples) != spec.n_ex:
         raise ValidationError(f"spec wants {spec.n_ex} examples, got {len(examples)}")
 
@@ -138,19 +132,19 @@ def assemble_prompt(
     if spec.paper_faithful:
         part1 = part1 + "\n" + CREDIT_RISK_SENTENCE
 
-    part2 = "\n".join([ATTRIBUTES_HEADER] + [f"- {line}" for line in schema.attribute_lines()])
+    part2 = "\n".join([ATTRIBUTES_HEADER] + [f"- {line}" for line in DEFAULT_SCHEMA.attribute_lines()])
 
     blocks = []
     for i, (x, label) in enumerate(examples, start=1):
         if label not in (0, 1):
             raise ValidationError(f"example {i} label must be 0/1, got {label!r}")
-        blocks.append(f"Example {i}:\n<Inputs {i}>: {render_instance(x, schema)}\n<Answer {i}>: {label}")
+        blocks.append(f"Example {i}:\n<Inputs {i}>: {render_instance(x)}\n<Answer {i}>: {label}")
 
     part4 = ""
     if spec.dk.variant is not DkVariant.NONE:
         part4 = f"Domain Knowledge:\n{spec.dk.text}"
 
-    query_line = render_instance(query, schema, float_style=spec.paper_faithful)
+    query_line = render_instance(query, float_style=spec.paper_faithful)
     tail = " ?" if spec.paper_faithful else ""
     part5 = f"{QUESTION_LEAD}\n<Inputs>: {query_line}\n<Answer>:{tail}"
 

@@ -26,12 +26,6 @@ class FeatureSchema:
     def names(self) -> list[str]:
         return [f.name for f in self.features]
 
-    def index(self, name: str) -> int:
-        for i, f in enumerate(self.features):
-            if f.name == name:
-                return i
-        raise KeyError(name)
-
     def attribute_lines(self) -> list[str]:
         """Human-readable attribute explanations, capitalized names."""
         return [f"{f.name.capitalize()}: {f.description}" for f in self.features]

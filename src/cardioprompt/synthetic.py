@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import RawDataset
-from .schema import DEFAULT_SCHEMA, FeatureSchema
 
 # (low, high) value ranges per feature, in canonical order
 _RANGES = (
@@ -40,7 +39,6 @@ def synthetic_raw(
     n_rows: int = 920,
     missing_fraction: float = 0.05,
     seed: int = 0,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> RawDataset:
     """Generate records with multi-grade targets (0-4) and NaN-marked gaps.
 
@@ -48,8 +46,7 @@ def synthetic_raw(
     entirely missing. Roughly balanced binary prevalence after the >0 collapse.
     """
     rng = np.random.default_rng(seed)
-    n_feat = len(schema.names)
-    X = np.empty((n_rows, n_feat))
+    X = np.empty((n_rows, len(_RANGES)))
     for j, (lo, hi) in enumerate(_RANGES):
         if isinstance(lo, int) and isinstance(hi, int) and j != 9:
             X[:, j] = rng.integers(lo, hi + 1, size=n_rows).astype(float)
@@ -71,4 +68,4 @@ def synthetic_raw(
         gaps[full_rows, 0] = False  # keep at least one cell per row
         X = np.where(gaps, np.nan, X)
 
-    return RawDataset(matrix=X, targets=targets, schema=schema)
+    return RawDataset(matrix=X, targets=targets)

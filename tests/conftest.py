@@ -14,7 +14,6 @@ import pytest
 
 from cardioprompt.data import Dataset, binarize_target, knn_impute, split, standardize
 from cardioprompt.models.importance import ImportanceRanking
-from cardioprompt.schema import DEFAULT_SCHEMA
 from cardioprompt.synthetic import synthetic_raw
 
 # descending-importance feature orders behind the six domain-knowledge texts
@@ -78,7 +77,7 @@ def separable_1d(n_per_class: int = 10) -> Dataset:
     X[n_per_class:, 0] = np.linspace(1.0, 2.0, n_per_class)
     X[:, 1:] = np.random.default_rng(0).normal(0, 0.1, size=(2 * n_per_class, 12))
     y = np.array([0] * n_per_class + [1] * n_per_class)
-    return Dataset(matrix=X, targets=y, schema=DEFAULT_SCHEMA)
+    return Dataset(matrix=X, targets=y)
 
 
 def xor_dataset(reps: int = 15) -> Dataset:
@@ -90,7 +89,7 @@ def xor_dataset(reps: int = 15) -> Dataset:
     X = np.zeros((len(X2), 13))
     X[:, :2] = X2
     y = np.tile(np.array([0, 1, 1, 0]), reps)
-    return Dataset(matrix=X, targets=y, schema=DEFAULT_SCHEMA)
+    return Dataset(matrix=X, targets=y)
 
 
 def ok_body(content: str) -> dict:

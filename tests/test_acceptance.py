@@ -43,7 +43,6 @@ from cardioprompt.metrics import (
 )
 from cardioprompt.models import loss_and_grad
 from cardioprompt.prompts import PromptSpec, assemble_prompt
-from cardioprompt.schema import DEFAULT_SCHEMA
 from cardioprompt.synthetic import synthetic_raw
 from conftest import EXAMPLE_1, EXAMPLE_2, EXAMPLE_3, LR_ORDER, QUERY, RF_ORDER, XGB_ORDER, make_ranking
 from test_dk import GOLDEN_ORD, GOLDEN_TOP
@@ -152,7 +151,7 @@ def test_criterion_5_prompt_golden_file():
     with criterion(5):
         dk1 = render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI)
         spec = PromptSpec(n_ex=3, dk=dk1, paper_faithful=True)
-        prompt = assemble_prompt(DEFAULT_SCHEMA, spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
+        prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
         expected = (GOLDEN_DIR / "prompt_paper_faithful.txt").read_text()
         assert prompt.text == expected, "assembled prompt differs from the golden file"
 
@@ -222,7 +221,7 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
 
         # (a) oracle grid: perfect scores on every row
         cfg_small = ExperimentConfig(seed=7, n_ex_grid=(0, 4))
-        oracle = OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA)
+        oracle = OracleMock.for_dataset(prepared.test)
         rows, unparseable = run_prompt_grid(cfg_small, prepared, _seven_dks(), oracle)
         assert unparseable == {}
         for r in rows:
@@ -232,7 +231,7 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         # (b) scripted responses against hand-computed confusion counts
         sub = prepared.test
         flip = [("0" if t == 1 else "1") if i < 10 else str(t) for i, t in enumerate(sub.targets)]
-        records = classify_batch(sub, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(flip), DEFAULT_SCHEMA)
+        records = classify_batch(sub, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(flip))
         preds = [r.verdict.label for r in records]
         cm = confusion(preds, sub.targets)
         first = sub.targets[:10]
@@ -262,12 +261,10 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         with _stub_server([(200, {"choices": [{"message": {"content": "1"}}]})]) as (url, state):
             llm = LlmConfig(base_url=url, max_retries=0, timeout=5.0)
             cache_path = tmp_path / "completions.jsonl"
-            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"),
-                           DEFAULT_SCHEMA)
+            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"))
             first_count = len(state["requests"])
             assert first_count == small.n_rows
-            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"),
-                           DEFAULT_SCHEMA)
+            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"))
             assert len(state["requests"]) == first_count, "warm-cache rerun reached the network"
 
 

@@ -1,6 +1,7 @@
 """Smoke test of the benchmark harness, `bench/run.py`, at its tiny input size.
 
-One untraced `pipeline` round and one traced `grid-resume` round. The traced
+One untraced `pipeline` round, one untraced `grid-live` round against the
+harness's stub server, and one traced `grid-resume` round. The traced
 run wraps the program's public names (`cli.JsonlCache`, `gateway.complete`,
 `gateway.assemble_prompt`, ...) from outside, so a change that moves one of
 them, or breaks a verb the harness drives, fails here.
@@ -42,6 +43,12 @@ def test_untraced_pipeline_round(bench, tmp_path):
     assert result["failed"] == 0
 
 
+def test_untraced_grid_live_round(bench, tmp_path):
+    result = _tiny_run(bench, tmp_path, "grid-live", trace=False)
+    assert result["correct"], result["errors"]
+    assert result["failed"] == 0
+
+
 def test_traced_grid_resume_answers_every_prompt_from_the_cache(bench, tmp_path):
     result = _tiny_run(bench, tmp_path, "grid-resume", trace=True)
     assert result["correct"], result["errors"]
@@ -49,4 +56,5 @@ def test_traced_grid_resume_answers_every_prompt_from_the_cache(bench, tmp_path)
     tiny, checks = bench.TINY, bench.checks
     prompts = tiny.resume_reruns * checks.N_DK * len(tiny.n_ex_grid) * checks.n_test_for(tiny.rows)
     assert m["gateway.requests"] == 0
+    assert m["data.prepare_calls"] == 0  # run-grid reads the split from imputed.csv
     assert m["prompts.assembled"] == m["gateway.cache_hits"] == prompts

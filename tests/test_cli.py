@@ -26,6 +26,7 @@ from cardioprompt.experiment import (
     save_rows,
 )
 from cardioprompt.gateway import RuleMock
+from cardioprompt.models import feature_importance, save_model, train
 from cardioprompt.synthetic import synthetic_raw
 from conftest import ok_body
 
@@ -101,10 +102,31 @@ class TestStageOrdering:
         assert code == 1
         assert "train-models first" in capsys.readouterr().err
 
+    def test_train_models_and_run_grid_require_imputed_data(self, workdir, capsys):
+        for verb in ("train-models", "run-grid"):
+            assert main(["--config", str(workdir["cfg"]), verb]) == 1
+            assert "imputed.csv; run prepare-data first" in capsys.readouterr().err
+
     def test_run_grid_requires_dk(self, workdir, capsys):
+        assert main(["--config", str(workdir["cfg"]), "prepare-data"]) == 0
         code = main(["--config", str(workdir["cfg"]), "run-grid"])
         assert code == 1
         assert "gen-dk first" in capsys.readouterr().err
+
+    def test_gen_dk_rejects_a_ranking_outside_the_schema(self, workdir, capsys):
+        # model artifacts are files; one naming a feature the schema lacks must not reach dk text
+        cfg = ExperimentConfig.from_json(workdir["cfg"])
+        std_train = prepare_data(cfg).std_train
+        models_dir = workdir["runs"] / "models"
+        models_dir.mkdir(parents=True)
+        for family, hyper in (("RF", {"n_estimators": 2, "max_depth": 2}), ("LR", {}), ("GBT", {"n_estimators": 2})):
+            save_model(feature_importance(train(family, std_train, hyper), std_train), models_dir / f"{family}.json")
+        doc = json.loads((models_dir / "RF.json").read_text())
+        doc["importance"]["entries"][0][0] = "shoe_size"
+        (models_dir / "RF.json").write_text(json.dumps(doc))
+        assert main(["--config", str(workdir["cfg"]), "gen-dk"]) == 1
+        assert "shoe_size" in capsys.readouterr().err
+        assert not (workdir["runs"] / "dk.json").exists()
 
     def test_report_requires_row_artifacts(self, workdir, capsys):
         cfg = str(workdir["cfg"])
@@ -120,6 +142,7 @@ class TestPipeline:
         cfg = str(workdir["cfg"])
         runs = workdir["runs"]
 
+        assert main(["--config", cfg, "prepare-data"]) == 0
         assert main(["--config", cfg, "train-models"]) == 0
         models_dir = runs / "models"
         assert sorted(p.name for p in models_dir.glob("*.json")) == [
@@ -155,6 +178,7 @@ class TestPipeline:
 
     def test_rule_mock_grid(self, workdir):
         cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "prepare-data"]) == 0
         assert main(["--config", cfg, "train-models"]) == 0
         assert main(["--config", cfg, "gen-dk"]) == 0
         code = main(["--config", cfg, "run-grid", "--mock", "rule", "--rule-feature", "oldpeak", "--rule-threshold", "1.0"])
@@ -165,7 +189,13 @@ class TestPipeline:
 
     def test_report_assembles_the_rows_earlier_stages_wrote(self, workdir):
         cfg_path = str(workdir["cfg"])
-        for argv in (["train-models"], ["gen-dk"], ["run-grid", "--mock", "rule"], ["report", "--format", "markdown"]):
+        for argv in (
+            ["prepare-data"],
+            ["train-models"],
+            ["gen-dk"],
+            ["run-grid", "--mock", "rule"],
+            ["report", "--format", "markdown"],
+        ):
             assert main(["--config", cfg_path, *argv]) == 0
         cfg = ExperimentConfig.from_json(cfg_path)
         prepared = prepare_data(cfg)
@@ -193,6 +223,7 @@ class TestLiveFailures:
 
     def _prime(self, workdir):
         cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "prepare-data"]) == 0
         assert main(["--config", cfg, "train-models"]) == 0
         assert main(["--config", cfg, "gen-dk"]) == 0
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cardioprompt.data import (
     Dataset,
     RawDataset,
-    as_raw,
     binarize_target,
     knn_impute,
     load_csv,
@@ -20,7 +19,7 @@ from cardioprompt.data import (
     write_imputed_csv,
 )
 from cardioprompt.errors import ImputationError, ParseError, StratificationError, ValidationError
-from cardioprompt.schema import DEFAULT_SCHEMA, FEATURE_NAMES
+from cardioprompt.schema import FEATURE_NAMES
 from cardioprompt.synthetic import synthetic_raw
 
 from conftest import small_dataset
@@ -88,17 +87,17 @@ class TestLoadCsv:
 
 class TestBinarize:
     def test_zero_stays_zero_and_positive_goes_one(self):
-        raw = RawDataset(np.zeros((5, 13)), np.array([0, 1, 2, 3, 4]), DEFAULT_SCHEMA)
+        raw = RawDataset(np.zeros((5, 13)), np.array([0, 1, 2, 3, 4]))
         assert binarize_target(raw).targets.tolist() == [0, 1, 1, 1, 1]
 
     def test_idempotent(self):
-        raw = RawDataset(np.zeros((3, 13)), np.array([0, 2, 4]), DEFAULT_SCHEMA)
+        raw = RawDataset(np.zeros((3, 13)), np.array([0, 2, 4]))
         once = binarize_target(raw)
         twice = binarize_target(once)
         assert (once.targets == twice.targets).all()
 
     def test_out_of_range_rejected(self):
-        raw = RawDataset(np.zeros((1, 13)), np.array([5]), DEFAULT_SCHEMA)
+        raw = RawDataset(np.zeros((1, 13)), np.array([5]))
         with pytest.raises(ValidationError):
             binarize_target(raw)
 
@@ -107,7 +106,7 @@ def _raw_small(matrix, targets=None):
     matrix = np.asarray(matrix, dtype=float)
     if targets is None:
         targets = np.zeros(len(matrix), dtype=int)
-    return RawDataset(matrix, np.asarray(targets), DEFAULT_SCHEMA)
+    return RawDataset(matrix, np.asarray(targets))
 
 
 def _pad13(rows):
@@ -122,7 +121,7 @@ def _pad13(rows):
 class TestKnnImpute:
     def test_no_missing_is_identity(self):
         ds = small_dataset(30, seed=2)
-        again = knn_impute(as_raw(ds), k=5)
+        again = knn_impute(RawDataset(ds.matrix, ds.targets), k=5)
         assert (again.matrix == ds.matrix).all()
         assert (again.targets == ds.targets).all()
 
@@ -148,7 +147,7 @@ class TestKnnImpute:
     def test_idempotent(self):
         raw = binarize_target(synthetic_raw(60, missing_fraction=0.2, seed=11))
         once = knn_impute(raw, k=3)
-        twice = knn_impute(as_raw(once), k=3)
+        twice = knn_impute(RawDataset(once.matrix, once.targets), k=3)
         assert (once.matrix == twice.matrix).all()
 
     def test_all_missing_column_named_in_error(self):
@@ -213,7 +212,7 @@ class TestSplit:
     def test_tiny_balanced(self):
         X = np.arange(10 * 13, dtype=float).reshape(10, 13)
         y = np.array([0, 1] * 5)
-        ds = Dataset(X, y, DEFAULT_SCHEMA)
+        ds = Dataset(X, y)
         train, test = split(ds, 0.2, seed=0)
         assert test.n_rows == 2
         assert sorted(test.targets.tolist()) == [0, 1]
@@ -222,7 +221,7 @@ class TestSplit:
         X = np.zeros((5, 13))
         y = np.array([0, 0, 0, 0, 1])
         with pytest.raises(StratificationError):
-            split(Dataset(X, y, DEFAULT_SCHEMA), 0.2, seed=0)
+            split(Dataset(X, y), 0.2, seed=0)
 
     @given(st.integers(20, 120), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -238,14 +237,14 @@ class TestStandardize:
         X = np.ones((3, 13))
         X[:, 0] = [1.0, 2.0, 3.0]
         y = np.array([0, 1, 0])
-        train = Dataset(X, y, DEFAULT_SCHEMA)
-        test = Dataset(X.copy(), y.copy(), DEFAULT_SCHEMA)
+        train = Dataset(X, y)
+        test = Dataset(X.copy(), y.copy())
         tr, _, _ = standardize(train, test)
         assert tr.matrix[:, 0] == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
 
     def test_constant_column_passes_through_centered(self):
         X = np.full((3, 13), 5.0)
-        ds = Dataset(X, np.array([0, 1, 0]), DEFAULT_SCHEMA)
+        ds = Dataset(X, np.array([0, 1, 0]))
         tr, _, scaler = standardize(ds, ds)
         assert (tr.matrix == 0).all()
         assert (scaler.std == 1.0).all()
@@ -279,16 +278,16 @@ class TestStandardize:
 class TestStats:
     def test_counts_and_male_fraction(self):
         m = np.ones((4, 13))
-        m[0, DEFAULT_SCHEMA.index("sex")] = 0
+        m[0, FEATURE_NAMES.index("sex")] = 0
         m[2, 3] = np.nan
-        raw = RawDataset(m, np.array([0, 2, 1, 0]), DEFAULT_SCHEMA)
+        raw = RawDataset(m, np.array([0, 2, 1, 0]))
         st_ = stats(raw)
         assert st_.n_total == 4
         assert st_.n_with_missing == 1
         assert st_.male_fraction == pytest.approx(0.75)
 
     def test_single_complete_row(self):
-        raw = RawDataset(np.ones((1, 13)), np.array([0]), DEFAULT_SCHEMA)
+        raw = RawDataset(np.ones((1, 13)), np.array([0]))
         assert stats(raw).n_with_missing == 0
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cardioprompt.dk import DEFAULT_DK_FAMILIES, SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import ValidationError
 from cardioprompt.models.importance import ImportanceRanking
-from cardioprompt.schema import DEFAULT_SCHEMA
 from conftest import LR_ORDER, RF_ORDER, XGB_ORDER, make_ranking
 
 GOLDEN_TOP = {
@@ -66,10 +65,6 @@ class TestGoldenTexts:
         dk = render_dk(make_ranking(ORDERS[family], family), DkVariant.MLFI_ORD)
         assert dk.text == GOLDEN_ORD[family]
 
-    def test_explicit_tag_overrides_source(self):
-        dk = render_dk(make_ranking(RF_ORDER, "LR"), DkVariant.MLFI, source_tag="randomforestclassifier")
-        assert dk.text == GOLDEN_TOP["RF"]
-
 
 class TestRenderRules:
     def test_none_variant_empty(self):
@@ -98,17 +93,10 @@ class TestRenderRules:
         dk = render_dk(make_ranking(RF_ORDER, "KNN"), DkVariant.MLFI_ORD)
         assert dk.text == GOLDEN_ORD["RF"]
 
-    def test_top_counts_validated(self):
-        r = make_ranking(RF_ORDER, "RF")
-        with pytest.raises(ValidationError):
-            render_dk(r, DkVariant.MLFI, n_top=12, n_bottom=2)
-        with pytest.raises(ValidationError):
-            render_dk(r, DkVariant.MLFI, n_top=1)
-
     def test_schema_membership_checked(self):
         bogus = tuple(f"q{i}" for i in range(13))
         with pytest.raises(ValidationError):
-            render_dk(make_ranking(bogus, "RF"), DkVariant.MLFI_ORD, schema=DEFAULT_SCHEMA)
+            render_dk(make_ranking(bogus, "RF"), DkVariant.MLFI_ORD)
 
     def test_top_six_and_bottom_two_drawn_from_ranking(self):
         dk = render_dk(make_ranking(LR_ORDER, "LR"), DkVariant.MLFI)

@@ -14,7 +14,6 @@ from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import ValidationError
 from cardioprompt.experiment import (
     DISPLAY_NAMES,
-    ML_FAMILIES,
     REPORT_COLUMNS,
     ExperimentConfig,
     PreparedData,
@@ -32,8 +31,8 @@ from cardioprompt.experiment import (
 )
 from cardioprompt.gateway import OracleMock, RuleMock, ScriptedMock
 from cardioprompt.metrics import ConfusionMatrix, CostWeights, confusion, metrics_row
-from cardioprompt.models import feature_importance, train
-from cardioprompt.schema import DEFAULT_SCHEMA
+from cardioprompt.models import FAMILIES, feature_importance, train
+from cardioprompt.schema import FEATURE_NAMES
 from cardioprompt.synthetic import synthetic_raw
 from conftest import LR_ORDER, RF_ORDER, XGB_ORDER, make_ranking
 
@@ -49,7 +48,7 @@ def make_prepared(n: int = 60, seed: int = 3, test_fraction: float = 0.25) -> Pr
 
 
 def oracle(cfg: ExperimentConfig, prepared: PreparedData) -> OracleMock:
-    return OracleMock.for_dataset(prepared.test, DEFAULT_SCHEMA, float_style=cfg.paper_faithful)
+    return OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
 
 
 def seven_dks() -> list[DomainKnowledge]:
@@ -248,7 +247,7 @@ class TestPromptGrid:
 
     def test_rule_mock_hand_computed(self):
         prepared = make_prepared(48, seed=8)
-        chol = prepared.test.matrix[:, DEFAULT_SCHEMA.index("chol")]
+        chol = prepared.test.matrix[:, FEATURE_NAMES.index("chol")]
         threshold = float(np.median(chol))
         preds = (chol >= threshold).astype(int)
         expected = metrics_row(confusion(preds, prepared.test.targets), CostWeights())
@@ -322,7 +321,7 @@ class TestMlBaselines:
     def test_models_carry_importance(self, baseline_run):
         # only the families whose rankings the domain-knowledge texts read
         _, _, models = baseline_run
-        assert set(models) == set(ML_FAMILIES)
+        assert set(models) == set(FAMILIES)
         dk_families = ExperimentConfig().dk_families
         for family, model in models.items():
             if family in dk_families:

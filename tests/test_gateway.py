@@ -30,7 +30,7 @@ from cardioprompt.gateway import (
     query_line,
 )
 from cardioprompt.prompts import PromptSpec, assemble_prompt
-from cardioprompt.schema import DEFAULT_SCHEMA
+from cardioprompt.schema import FEATURE_NAMES
 from conftest import EXAMPLE_1, QUERY, ok_body, small_dataset
 
 NO_DK = DomainKnowledge(DkVariant.NONE, "", "")
@@ -164,7 +164,7 @@ class TestJsonlCache:
 
 
 def _one_row_prompt(x) -> str:
-    return assemble_prompt(DEFAULT_SCHEMA, PromptSpec(n_ex=0, dk=NO_DK), [], x).text
+    return assemble_prompt(PromptSpec(n_ex=0, dk=NO_DK), [], x).text
 
 
 class TestMocks:
@@ -178,18 +178,18 @@ class TestMocks:
 
     def test_oracle_answers_true_labels(self):
         ds = small_dataset(25, seed=3)
-        oracle = OracleMock.for_dataset(ds, DEFAULT_SCHEMA)
-        preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), oracle, DEFAULT_SCHEMA)
+        oracle = OracleMock.for_dataset(ds)
+        preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), oracle)
         assert [p.verdict.label for p in preds] == ds.targets.tolist()
         assert [p.index for p in preds] == list(range(ds.n_rows))
 
     def test_oracle_duplicate_rows_must_agree(self):
         twin = np.stack([QUERY, QUERY])
-        agreeing = Dataset(matrix=twin, targets=np.array([1, 1]), schema=DEFAULT_SCHEMA)
-        assert OracleMock.for_dataset(agreeing, DEFAULT_SCHEMA).respond(_one_row_prompt(QUERY)) == "1"
-        clashing = Dataset(matrix=twin, targets=np.array([0, 1]), schema=DEFAULT_SCHEMA)
+        agreeing = Dataset(matrix=twin, targets=np.array([1, 1]))
+        assert OracleMock.for_dataset(agreeing).respond(_one_row_prompt(QUERY)) == "1"
+        clashing = Dataset(matrix=twin, targets=np.array([0, 1]))
         with pytest.raises(ValidationError, match="age: 46, sex: 1"):
-            OracleMock.for_dataset(clashing, DEFAULT_SCHEMA)
+            OracleMock.for_dataset(clashing)
 
     def test_oracle_unknown_query_rejected(self):
         oracle = OracleMock({})
@@ -215,7 +215,7 @@ class TestMocks:
     def test_rule_mock_reads_query_not_examples(self):
         # EXAMPLE_1 has exang=1; the query has exang=0. The rule must see 0.
         prompt = assemble_prompt(
-            DEFAULT_SCHEMA, PromptSpec(n_ex=1, dk=NO_DK), [EXAMPLE_1], QUERY
+            PromptSpec(n_ex=1, dk=NO_DK), [EXAMPLE_1], QUERY
         ).text
         assert RuleMock("exang", 0.5).respond(prompt) == "0"
 
@@ -401,13 +401,13 @@ class TestClassifyBatch:
     def test_live_config_order_preserved_any_concurrency(self, stub, tmp_path):
         ds = small_dataset(12, seed=8)
         stub.script = [self._answers_by_chol]
-        expected = [1 if v >= 240 else 0 for v in ds.matrix[:, DEFAULT_SCHEMA.index("chol")]]
+        expected = [1 if v >= 240 else 0 for v in ds.matrix[:, FEATURE_NAMES.index("chol")]]
         results = {}
         for width in (1, 8):
             cfg = _cfg(stub, max_in_flight=width)
             cache = JsonlCache(tmp_path / f"c{width}.jsonl")
             preds = classify_batch(
-                ds, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(cfg, cache, api_key="k"), DEFAULT_SCHEMA
+                ds, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(cfg, cache, api_key="k")
             )
             assert [p.index for p in preds] == list(range(12))
             results[width] = [p.verdict.label for p in preds]
@@ -416,7 +416,7 @@ class TestClassifyBatch:
     def test_examples_requested_without_train_rejected(self):
         ds = small_dataset(10, seed=0)
         with pytest.raises(ValidationError):
-            classify_batch(ds, PromptSpec(n_ex=2, dk=NO_DK), OracleMock({}), DEFAULT_SCHEMA)
+            classify_batch(ds, PromptSpec(n_ex=2, dk=NO_DK), OracleMock({}))
 
     def test_examples_shared_across_rows(self):
         train = small_dataset(40, seed=1)
@@ -430,14 +430,14 @@ class TestClassifyBatch:
                 seen.append(prompt_text)
                 return "1"
 
-        classify_batch(test, PromptSpec(n_ex=4, dk=NO_DK, seed=3), Recorder(), DEFAULT_SCHEMA, train=train)
+        classify_batch(test, PromptSpec(n_ex=4, dk=NO_DK, seed=3), Recorder(), train=train)
         blocks = [t.split("Now, given")[0].split("Example 1:")[1] for t in seen]
         assert all(b == blocks[0] for b in blocks)  # same examples everywhere
 
     def test_unparseable_recorded_not_raised(self):
         ds = small_dataset(3, seed=4)
         preds = classify_batch(
-            ds, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(["1", "gibberish", "0"]), DEFAULT_SCHEMA
+            ds, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(["1", "gibberish", "0"])
         )
         assert [p.verdict.label for p in preds] == [1, None, 0]
         assert preds[1].verdict.unparseable
@@ -449,7 +449,7 @@ class TestClassifyBatch:
         sys.setswitchinterval(1e-5)  # more thread switches inside the free list's take and put-back
         try:
             for seed in (6, 7):
-                classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+                classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend)
         finally:
             sys.setswitchinterval(interval)
         assert len(stub.requests) == 120
@@ -462,7 +462,7 @@ class TestClassifyBatch:
         cache = JsonlCache(tmp_path / "c.jsonl")
         backend = HttpBackend(_cfg(stub, max_in_flight=4), cache, api_key="k")
         for seed in (6, 7):
-            preds = classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+            preds = classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend)
             assert [p.verdict.label for p in preds] == [1] * 60
         assert len(stub.requests) == len(cache) == stub.connections == 120
         assert {json.loads(line)["attempt_count"] for line in cache.path.read_text().splitlines()} == {1}
@@ -473,7 +473,7 @@ class TestClassifyBatch:
         stub.script = [(503, {})]
         backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=0.01, max_in_flight=width), api_key="k")
         with pytest.raises(TransportError):
-            classify_batch(small_dataset(20, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+            classify_batch(small_dataset(20, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend)
         assert 3 <= len(stub.requests) <= most
 
     def test_failure_wakes_backoff_and_is_the_error_raised(self, stub):
@@ -482,7 +482,7 @@ class TestClassifyBatch:
         backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=60.0, max_in_flight=2), api_key="k")
         start = time.monotonic()
         with pytest.raises(AuthError):
-            classify_batch(small_dataset(10, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend, DEFAULT_SCHEMA)
+            classify_batch(small_dataset(10, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend)
         assert time.monotonic() - start < 10.0
         assert len(stub.requests) == 2
         with pytest.raises(AuthError):

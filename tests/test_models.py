@@ -424,7 +424,7 @@ class TestImportance:
     def test_ranking_ties_break_canonically(self):
         raw = np.zeros(13)
         raw[:3] = (2.0, 1.0, 1.0)
-        r = build_ranking(raw, DEFAULT_SCHEMA, source="LR")
+        r = build_ranking(raw, source="LR")
         names = [n for n, _ in r.entries]
         weights = [w for _, w in r.entries]
         assert names[:3] == ["age", "sex", "cp"]
@@ -436,13 +436,13 @@ class TestImportance:
     def test_negative_scores_clipped(self):
         raw = np.zeros(13)
         raw[:3] = (2.0, -1.0, 1.0)
-        r = build_ranking(raw, DEFAULT_SCHEMA, source="GBT")
+        r = build_ranking(raw, source="GBT")
         assert r.entries[0] == ("age", pytest.approx(2 / 3))
         assert r.entries[1] == ("cp", pytest.approx(1 / 3))
         assert r.entries[2][0] == "sex" and r.entries[2][1] == 0.0
 
     def test_all_zero_degenerates_to_uniform(self):
-        r = build_ranking(np.zeros(13), DEFAULT_SCHEMA, source="KNN")
+        r = build_ranking(np.zeros(13), source="KNN")
         assert r.degenerate is True
         assert [n for n, _ in r.entries] == DEFAULT_SCHEMA.names
         assert all(w == pytest.approx(1 / 13) for _, w in r.entries)
@@ -451,12 +451,12 @@ class TestImportance:
         rng = np.random.default_rng(0)
         for _ in range(25):
             raw = rng.uniform(0, 5, size=13)
-            r = build_ranking(raw, DEFAULT_SCHEMA, source="RF")
+            r = build_ranking(raw, source="RF")
             assert sum(w for _, w in r.entries) == pytest.approx(1.0, abs=1e-12)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):
-            build_ranking(np.ones(5), DEFAULT_SCHEMA, source="RF")
+            build_ranking(np.ones(5), source="RF")
 
     def test_permutation_ignored_feature_scores_zero(self):
         rng = np.random.default_rng(7)
@@ -479,7 +479,7 @@ class TestImportance:
         X = rng.normal(0, 1, size=(40, 13))
         y = rng.integers(0, 2, size=40)
         raw = permutation_importance(_Constant(), X, y, seed=0)
-        r = build_ranking(raw, DEFAULT_SCHEMA, source="MLP")
+        r = build_ranking(raw, source="MLP")
         assert r.degenerate is True
 
 

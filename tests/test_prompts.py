@@ -59,20 +59,20 @@ class TestRenderValue:
 
 class TestRenderInstance:
     def test_worked_example_line(self):
-        assert render_instance(EXAMPLE_1[0], DEFAULT_SCHEMA) == EXAMPLE_1_LINE
+        assert render_instance(EXAMPLE_1[0]) == EXAMPLE_1_LINE
 
     def test_float_style_keeps_decimal(self):
-        line = render_instance(QUERY, DEFAULT_SCHEMA, float_style=True)
+        line = render_instance(QUERY, float_style=True)
         assert line.startswith("age: 46.0, sex: 1.0, cp: 3.0")
         assert "fbs: 0.2" in line and "thal: 6.2" in line
 
     def test_all_zero_vector(self):
-        line = render_instance(np.zeros(13), DEFAULT_SCHEMA)
+        line = render_instance(np.zeros(13))
         assert line == ", ".join(f"{n}: 0" for n in DEFAULT_SCHEMA.names)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValidationError):
-            render_instance(np.zeros(12), DEFAULT_SCHEMA)
+            render_instance(np.zeros(12))
 
     @pytest.mark.parametrize("fill, zeros", [(7.25, (-0.0, 0.0)), (8.25, (0.0, -0.0))])
     def test_float_style_keeps_the_sign_of_zero_whichever_comes_first(self, fill, zeros):
@@ -82,7 +82,7 @@ class TestRenderInstance:
         for zero in zeros:
             row = np.full(13, fill)
             row[0] = zero
-            lines[repr(zero)] = render_instance(row, DEFAULT_SCHEMA, float_style=True)
+            lines[repr(zero)] = render_instance(row, float_style=True)
         rest = ", ".join(f"{name}: {fill}" for name in DEFAULT_SCHEMA.names[1:])
         assert lines == {"-0.0": f"age: -0.0, {rest}", "0.0": f"age: 0.0, {rest}"}
 
@@ -139,20 +139,20 @@ class TestSampleExamples:
 class TestAssembly:
     def test_default_golden_byte_exact(self):
         spec = PromptSpec(n_ex=2, dk=NO_DK)
-        prompt = assemble_prompt(DEFAULT_SCHEMA, spec, [EXAMPLE_1, EXAMPLE_2], QUERY)
+        prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2], QUERY)
         expected = (GOLDEN_DIR / "prompt_default.txt").read_text()
         assert prompt.text == expected
 
     def test_paper_faithful_golden_byte_exact(self):
         dk1 = render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI)
         spec = PromptSpec(n_ex=3, dk=dk1, paper_faithful=True)
-        prompt = assemble_prompt(DEFAULT_SCHEMA, spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
+        prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
         expected = (GOLDEN_DIR / "prompt_paper_faithful.txt").read_text()
         assert prompt.text == expected
 
     def test_no_dk_leaves_no_residue(self):
         spec = PromptSpec(n_ex=0, dk=NO_DK)
-        prompt = assemble_prompt(DEFAULT_SCHEMA, spec, [], QUERY)
+        prompt = assemble_prompt(spec, [], QUERY)
         assert "Domain Knowledge" not in prompt.text
         assert "Example" not in prompt.text
         assert "\n\n\n" not in prompt.text
@@ -161,8 +161,8 @@ class TestAssembly:
         base = PromptSpec(n_ex=2, dk=NO_DK)
         with_dk = PromptSpec(n_ex=2, dk=render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI))
         examples = [EXAMPLE_1, EXAMPLE_2]
-        p0 = assemble_prompt(DEFAULT_SCHEMA, base, examples, QUERY)
-        p1 = assemble_prompt(DEFAULT_SCHEMA, with_dk, examples, QUERY)
+        p0 = assemble_prompt(base, examples, QUERY)
+        p1 = assemble_prompt(with_dk, examples, QUERY)
         assert p0.part1_task == p1.part1_task
         assert p0.part2_attributes == p1.part2_attributes
         assert p0.part3_examples == p1.part3_examples
@@ -172,24 +172,24 @@ class TestAssembly:
     def test_query_label_never_present(self):
         # the final question must not leak an answer
         spec = PromptSpec(n_ex=0, dk=NO_DK)
-        prompt = assemble_prompt(DEFAULT_SCHEMA, spec, [], QUERY)
+        prompt = assemble_prompt(spec, [], QUERY)
         tail = prompt.text.rsplit("<Answer>:", 1)[1]
         assert tail.strip() == ""
 
     def test_example_count_enforced(self):
         spec = PromptSpec(n_ex=2, dk=NO_DK)
         with pytest.raises(ValidationError):
-            assemble_prompt(DEFAULT_SCHEMA, spec, [EXAMPLE_1], QUERY)
+            assemble_prompt(spec, [EXAMPLE_1], QUERY)
 
     def test_bad_example_label_rejected(self):
         spec = PromptSpec(n_ex=1, dk=NO_DK)
         with pytest.raises(ValidationError):
-            assemble_prompt(DEFAULT_SCHEMA, spec, [(EXAMPLE_1[0], 2)], QUERY)
+            assemble_prompt(spec, [(EXAMPLE_1[0], 2)], QUERY)
 
     def test_assembly_is_pure(self):
         spec = PromptSpec(n_ex=1, dk=NO_DK)
-        a = assemble_prompt(DEFAULT_SCHEMA, spec, [EXAMPLE_1], QUERY)
-        b = assemble_prompt(DEFAULT_SCHEMA, spec, [EXAMPLE_1], QUERY)
+        a = assemble_prompt(spec, [EXAMPLE_1], QUERY)
+        b = assemble_prompt(spec, [EXAMPLE_1], QUERY)
         assert a == b and a.text == b.text
 
     def test_negative_example_count_rejected(self):
@@ -202,7 +202,7 @@ class TestAssembly:
 def test_example_block_count_matches_spec(n_ex, seed):
     ds = small_dataset(80, seed=1)
     examples = sample_examples(ds, n_ex, seed=seed)
-    prompt = assemble_prompt(DEFAULT_SCHEMA, PromptSpec(n_ex=n_ex, dk=NO_DK), examples, QUERY)
+    prompt = assemble_prompt(PromptSpec(n_ex=n_ex, dk=NO_DK), examples, QUERY)
     assert prompt.text.count("Example ") == n_ex
     for i in range(1, n_ex + 1):
         assert f"<Inputs {i}>:" in prompt.text and f"<Answer {i}>:" in prompt.text
