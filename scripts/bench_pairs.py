@@ -15,7 +15,8 @@ first. For each end-to-end metric the file holds both sides' runs, medians
 and quartiles, the quartile distances, the median change and each pair's
 outcome (change, parent, tie, or missing when a run reported no value; the
 runs without one are listed), with exit codes and failed operations per side
-and the machine the runs took (nproc, Python, numpy and requests versions).
+and the machine the runs took (nproc, Python and numpy versions, and the
+requests version where it is installed).
 `--claim W:METRIC` states whether the change beat the parent in at least 9
 of the 10 pairs (ties and missing pairs are not wins) and by more than the
 parent's quartile distance in the median, and why not if it did not.
@@ -148,13 +149,12 @@ def claim(summary: dict, metric: str) -> dict:
 def machine() -> dict:
     import numpy
 
-    return {
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "requests": importlib.metadata.version("requests"),
-        "platform": platform.platform(),
-    }
+    doc = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(), "numpy": numpy.__version__}
+    try:  # recorded where installed: older revisions of the program send through requests
+        doc["requests"] = importlib.metadata.version("requests")
+    except importlib.metadata.PackageNotFoundError:
+        pass
+    return {**doc, "platform": platform.platform()}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -37,6 +37,9 @@ from .models import load_model, save_model
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    for flag, key in (("--data-path", "data_path"), ("--impute-k", "impute_k")):
+        if args.verb != "prepare-data" and getattr(args, key) is not None:
+            raise ValidationError(f"{flag} is read only by prepare-data, not by {args.verb}")
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {}
     for key in ("data_path", "seed", "test_fraction", "impute_k", "cache_path", "output_dir"):
@@ -138,6 +141,9 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
             print("partial results are cached; rerun to resume", file=sys.stderr)
             return 3
         return 2
+    finally:
+        if cfg.live:
+            backend.cache.close()
     grid_path = Path(cfg.output_dir) / "grid_rows.json"
     save_rows(grid_path, rows, unparseable)
     if unparseable:

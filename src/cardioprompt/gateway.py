@@ -2,24 +2,21 @@
 
 Every backend answers one prompt with `respond(prompt_text) -> str` and takes
 at most `max_in_flight` prompts at once: 1 for the mocks, which
-`classify_batch` runs inline, more for `HttpBackend`, which it runs in a pool.
+`classify_batch` runs inline, more for `HttpBackend`, which it runs on threads.
 
 `HttpBackend` POSTs {base_url}/v1/chat/completions with a single user message
-and the bearer token from OPENAI_API_KEY, which is the only credential sent:
-`.netrc` is never consulted. It reuses at most `max_in_flight` keep-alive
-connections over its whole life, one pooled `requests.Session` per prompt in
-flight; the proxy and CA-bundle environment is read when a session is built,
-not per request. Only it opens the cache, an
-append-only JSONL file keyed by sha256(model_name NUL temperature NUL prompt)
-and read before the network, so a rerun after an abort costs no requests and
-a mock run never touches it. `requests` is imported only when a prompt
-misses the cache: the mocks, the offline verbs and a live run the cache
-answers in full never load the HTTP stack. A torn last line (a crash during
-an append) is dropped with a warning; a bad line anywhere else is an error.
-Transient failures (429, 5xx, timeouts, a response body cut short) retry
-with exponential backoff and equal jitter: delay = base * 2^attempt *
-(0.5 + 0.5*U), which stays inside the exponential envelope and never
-decreases. A send on a pooled session that
+and the bearer token from OPENAI_API_KEY, the only credential sent (`.netrc`
+is never read), over at most `max_in_flight` keep-alive `http.client`
+connections for its whole life; the proxy and CA-bundle environment is read
+when a connection is built. Only it opens the cache, an append-only JSONL
+file keyed by sha256(model_name NUL temperature NUL prompt) and read before
+the network, so a rerun after an abort costs no requests and a mock run never
+touches it. `http.client` is imported only when a prompt misses the cache.
+A torn last line (a crash during an append) is dropped with a warning; a bad
+line anywhere else is an error. Transient failures (429, 5xx, timeouts,
+resets, a response body cut short) retry with exponential backoff and equal
+jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
+exponential envelope and never decreases. A send on a pooled connection that
 the server hangs up on before any response byte (a kept-alive connection it
 had closed) is re-sent once per prompt on a fresh connection, without a sleep
 or a counted attempt. Auth failures never retry. The first permanent failure
@@ -32,28 +29,29 @@ response queue, and a threshold rule on one feature of the final question.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 import os
 import queue
 import random
 import re
+import select
 import sys
 import threading
 import time
+import urllib.parse
+import weakref
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from .prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
-
-if TYPE_CHECKING:  # imported where a request is sent: see the module docstring
-    import requests
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _LABEL_RE = re.compile(r"(?<![0-9])([01])(?![0-9])")
@@ -71,8 +69,14 @@ class LlmConfig:
     max_in_flight: int = 8
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValidationError("temperature must be >= 0")
+        if not self.base_url.lower().startswith(("http://", "https://")):  # else the token could go anywhere
+            raise ValidationError("base_url must start with http:// or https://")
+        if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
+            raise ValidationError("temperature must be finite and >= 0")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValidationError("backoff_base must be finite and >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValidationError("timeout must be finite and > 0")
         if self.max_retries < 0:
             raise ValidationError("max_retries must be >= 0")
         if self.max_in_flight < 1:
@@ -115,11 +119,12 @@ def prompt_hash(prompt_text: str, model_name: str, temperature: float = 0.0) -> 
 
 
 class JsonlCache:
-    """Append-only completion store; the whole file is indexed on open."""
+    """Append-only completion store, indexed whole on open; one handle, opened by the first put, flushes each record."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._fh = None
         self._by_hash: dict[str, CompletionRecord] = {}
         if self.path.exists():
             self._load()
@@ -154,34 +159,79 @@ class JsonlCache:
 
     def put(self, rec: CompletionRecord):
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(asdict(rec)) + "\n")
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self.path.open("a", encoding="utf-8")
+                weakref.finalize(self, self._fh.close)  # a cache dropped unclosed closes its handle
+            self._fh.write(json.dumps(vars(rec)) + "\n")  # the fields in declaration order, as asdict gives
+            self._fh.flush()  # written through: a kill leaves at most a torn last line
             self._by_hash[rec.prompt_hash] = rec
 
-
-def new_session(url: str) -> requests.Session:
-    """A session for requests to `url` that reads the proxy and CA-bundle
-    environment now, once, and never `.netrc`, so the bearer token is the only
-    credential."""
-    import requests
-
-    session = requests.Session()
-    session.trust_env = False
-    session.proxies = requests.utils.get_environ_proxies(url)  # honours NO_PROXY
-    session.verify = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
-    return session
+    def close(self):
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
-def _hung_up_before_response(exc: requests.ConnectionError) -> bool:
-    """The connection was reset or closed before a byte of the response came:
-    requests wraps urllib3's ProtocolError("Connection aborted.", <OSError>)."""
-    import urllib3
+class Connection(AbstractContextManager):
+    """A keep-alive HTTP/1.1 connection to the origin of `url`, opened on first
+    use and again once the server has closed it. `*_PROXY`, `NO_PROXY` and the
+    CA bundle (`REQUESTS_CA_BUNDLE`, `CURL_CA_BUNDLE`) are read once, here. HTTP
+    goes through a proxy as absolute-URI requests, HTTPS through a CONNECT
+    tunnel; credentials in the proxy URL become `Proxy-Authorization`."""
 
-    reason = exc.args[0] if exc.args else None
-    return isinstance(reason, urllib3.exceptions.ProtocolError) and isinstance(
-        reason.args[-1], (ConnectionResetError, BrokenPipeError)
-    )
+    def __init__(self, url: str):
+        import http.client
+        import urllib.request
+
+        origin = urllib.parse.urlsplit(url)
+        https = origin.scheme == "https"
+        host, port = origin.hostname, origin.port or (443 if https else 80)
+        proxies = urllib.request.getproxies_environment()
+        bypass = urllib.request.proxy_bypass_environment(f"{host}:{port}", proxies)  # NO_PROXY: hosts, suffixes
+        proxy = None if bypass else proxies.get(origin.scheme) or proxies.get("all")
+        address, proxy_headers = (host, port), {}
+        if proxy:
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            address = via.hostname, via.port or 80
+            if via.username is not None:
+                user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password or '')}"
+                proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode()
+        self._absolute_form = bool(proxy) and not https
+        self._proxy_headers = proxy_headers if self._absolute_form else {}  # else sent once, with CONNECT
+        if https:
+            import ssl
+
+            ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            context = ssl.create_default_context(**{"capath" if ca and os.path.isdir(ca) else "cafile": ca})
+            self._conn = http.client.HTTPSConnection(*address, context=context)
+            if proxy:
+                self._conn.set_tunnel(host, port, headers=proxy_headers)
+        else:
+            self._conn = http.client.HTTPConnection(*address)
+        weakref.finalize(self, self._conn.close)  # a connection dropped unclosed closes its socket
+
+    def request(self, url: str, body: bytes, headers: dict[str, str], timeout: float):
+        """POST `body` to `url`; the response, its body not yet read. An idle
+        connection turned readable was closed by the server: it is replaced."""
+        conn = self._conn
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
+        conn.timeout = timeout  # for a new connection
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        target = url if self._absolute_form else urllib.parse.urlsplit(url)._replace(scheme="", netloc="").geturl()
+        conn.request("POST", target, body, {**headers, **self._proxy_headers})
+        return conn.getresponse()
+
+    def close(self):
+        self._conn.close()
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+new_session = Connection  # the connection `complete` opens for a call when it is lent none
 
 
 def complete(
@@ -191,25 +241,22 @@ def complete(
     sleeper=time.sleep,
     jitter_rng: random.Random | None = None,
     api_key: str | None = None,
-    session: Callable[[], AbstractContextManager[requests.Session]] | None = None,
+    session: Callable[[], AbstractContextManager[Connection]] | None = None,
 ) -> CompletionRecord:
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
-    (body not in chat-completions shape). Sends through the session that
+    (body not in chat-completions shape). Sends through the connection that
     `session`, a function, lends for the call (HttpBackend's free list, asked
     only on a cache miss), or through a one-off `new_session` closed before
-    returning. A body cut short is a failed attempt, never re-sent
-    free: response bytes arrived. A send through `session` that the server
-    hangs up on before any response byte, as on a kept-alive connection it
-    closed while idle, is re-sent once per call, at once, on a fresh
-    connection, without counting an attempt or sleeping. A one-off session's
-    connection is always new, so its sends are never re-sent free."""
+    returning. A body cut short is a failed attempt. A send through `session`
+    that the server hangs up on before any response byte is re-sent once per
+    call, at once, on a fresh connection, without counting an attempt."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    import requests
+    import http.client
 
     token = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")
     if not token:
@@ -217,26 +264,24 @@ def complete(
     jitter_rng = jitter_rng or random.Random()
 
     url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-    body = {
-        "model": cfg.model_name,
-        "messages": [{"role": "user", "content": prompt_text}],
-        "temperature": cfg.temperature,
-    }
-    headers = {"Authorization": f"Bearer {token}"}
+    message = {"role": "user", "content": prompt_text}
+    body = {"model": cfg.model_name, "messages": [message], "temperature": cfg.temperature}
+    data = json.dumps(body, allow_nan=False).encode("utf-8")  # the bytes requests sent for json=body
+    headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
 
-    with new_session(url) if session is None else session() as http:
+    with new_session(url) if session is None else session() as conn:
         resent = False
 
-        def send() -> requests.Response:
+        def send() -> http.client.HTTPResponse:
             nonlocal resent
             try:
-                return http.post(url, json=body, headers=headers, timeout=cfg.timeout)
-            except requests.ConnectionError as exc:
-                if resent or session is None or not _hung_up_before_response(exc):
+                return conn.request(url, data, headers, cfg.timeout)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
+                if resent or session is None:
                     raise
             resent = True  # once per call: a pooled connection the server had closed
-            http.close()  # so the re-send opens a fresh connection
-            return http.post(url, json=body, headers=headers, timeout=cfg.timeout)
+            conn.close()  # so the re-send opens a fresh connection
+            return conn.request(url, data, headers, cfg.timeout)
 
         last_failure = "no attempt made"
         for attempt in range(cfg.max_retries + 1):
@@ -245,27 +290,23 @@ def complete(
                 sleeper(envelope * (0.5 + 0.5 * jitter_rng.random()))
             try:
                 resp = send()
-            except (requests.Timeout, requests.ConnectionError, requests.exceptions.ChunkedEncodingError) as exc:
+                status, payload = resp.status, resp.read()  # read whole, so the connection can carry the next
+            except (OSError, http.client.HTTPException) as exc:  # timeouts, resets, a body cut short
+                conn.close()
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"HTTP {resp.status_code} from {url}")
-            if resp.status_code in _RETRYABLE_STATUS:
-                last_failure = f"HTTP {resp.status_code}"
+            if status in (401, 403):
+                raise AuthError(f"HTTP {status} from {url}")
+            if status in _RETRYABLE_STATUS:
+                last_failure = f"HTTP {status}"
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code} from {url} (not retryable)")
+            if status != 200:
+                raise TransportError(f"HTTP {status} from {url} (not retryable)")
             try:
-                content = resp.json()["choices"][0]["message"]["content"]
+                content = json.loads(payload)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise ProtocolError(f"response body not in chat-completions shape: {exc}") from exc
-            rec = CompletionRecord(
-                prompt_hash=key,
-                model_name=cfg.model_name,
-                raw_response=str(content),
-                timestamp=time.time(),
-                attempt_count=attempt + 1,
-            )
+            rec = CompletionRecord(key, cfg.model_name, str(content), timestamp=time.time(), attempt_count=attempt + 1)
             if cache is not None:
                 cache.put(rec)
             return rec
@@ -282,7 +323,7 @@ class Backend(Protocol):
 
 class HttpBackend:
     """The endpoint through `complete`, up to cfg.max_in_flight prompts at
-    once, each on a session taken from a free list and put back after, so
+    once, each on a connection taken from a free list and put back after, so
     connections outlive a `classify_batch` call. Its first permanent failure
     stops it for good."""
 
@@ -294,7 +335,7 @@ class HttpBackend:
         self._lock = threading.Lock()
         self._stopped = threading.Event()
         self._failure: CardiopromptError | None = None
-        self._sessions: queue.SimpleQueue[requests.Session] = queue.SimpleQueue()  # idle, each with its connection
+        self._sessions: queue.SimpleQueue[Connection] = queue.SimpleQueue()  # idle, each with its connection
 
     def respond(self, prompt_text: str) -> str:
         try:
@@ -311,11 +352,11 @@ class HttpBackend:
         raise self._failure  # outside the handler, so no thread rewrites its context
 
     @contextmanager
-    def _lend_session(self) -> Iterator[requests.Session]:
-        """An idle session from the free list, put back after the prompt."""
+    def _lend_session(self) -> Iterator[Connection]:
+        """An idle connection from the free list, put back after the prompt."""
         try:
             session = self._sessions.get_nowait()
-        except queue.Empty:  # fewer sessions than prompts in flight: at most max_in_flight are ever built
+        except queue.Empty:  # fewer connections than prompts in flight: at most max_in_flight are ever built
             session = new_session(self.cfg.base_url)
         try:
             yield session
@@ -424,7 +465,9 @@ def classify_batch(
 
     Prompts share one draw of in-context examples (from train, per spec.seed)
     and differ only in the final question. Up to backend.max_in_flight prompts
-    are answered at once; width 1 runs inline, in row order, without a pool.
+    are answered at once, by the calling thread and up to width - 1 more,
+    each taking rows from one shared iterator, so width 1 runs inline, in row
+    order. No row starts after the first failure, which is the error raised.
     """
     if spec.n_ex > 0 and train is None:
         raise ValidationError("in-context examples requested but no train split given")
@@ -434,7 +477,24 @@ def classify_batch(
     def run(i: int) -> PredictionRecord:
         return PredictionRecord(i, parse_label(backend.respond(prompts[i])))
 
-    if backend.max_in_flight == 1:
-        return [run(i) for i in range(len(prompts))]
-    with ThreadPoolExecutor(max_workers=backend.max_in_flight) as pool:
-        return list(pool.map(run, range(len(prompts))))  # map keeps input order; a raise cancels the rest
+    results: list = [None] * len(prompts)  # every slot is filled, or a failure is raised
+    rows, failures = iter(range(len(prompts))), []
+
+    def drain():
+        for i in rows:  # the iterator is shared, so each row is taken once
+            if failures:
+                return
+            try:
+                results[i] = run(i)
+            except BaseException as exc:  # re-raised in the calling thread below
+                failures.append(exc)
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(backend.max_in_flight, len(prompts)) - 1)]
+    for t in helpers:
+        t.start()
+    drain()
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[0]
+    return results

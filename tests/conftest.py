@@ -113,9 +113,9 @@ class StubState:
         self.dropped = 0
         self.lock = threading.Lock()
 
-    def next_action(self, request_doc, headers, path):
+    def next_action(self, request_doc, headers, path, raw):
         with self.lock:
-            self.requests.append({"body": request_doc, "headers": dict(headers), "path": path})
+            self.requests.append({"body": request_doc, "headers": dict(headers), "path": path, "raw": raw})
             if len(self.script) > 1:
                 return self.script.pop(0)
             return self.script[0]
@@ -133,14 +133,15 @@ class StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        doc = json.loads(self.rfile.read(length) or b"{}")
+        raw = self.rfile.read(length)
+        doc = json.loads(raw or b"{}")
         if self.answered == self.state.answers_per_connection:  # read, then hang up without a byte
             with self.state.lock:
                 self.state.dropped += 1
             self.close_connection = True
             return
         self.answered += 1
-        action = self.state.next_action(doc, self.headers, self.path)
+        action = self.state.next_action(doc, self.headers, self.path, raw)
         status, payload = action(doc) if callable(action) else action
         body = json.dumps(payload).encode()
         closing = self.state.close_after_response

@@ -89,6 +89,26 @@ class TestPrepareData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, literal", [("temperature", "NaN"), ("timeout", "0"), ("backoff_base", "-Infinity")]
+    )
+    def test_bad_llm_value_exits_one(self, workdir, capsys, field, literal):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(f'{{"llm": {{"{field}": {literal}}}}}')  # NaN and Infinity are literals json accepts
+        assert main(["--config", str(bad), "--live", "run-grid"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("verb", ["train-models", "run-grid"])
+    @pytest.mark.parametrize("flag, value", [("--data-path", "nope.csv"), ("--impute-k", "3")])
+    def test_data_flags_outside_prepare_data_exit_one(self, workdir, capsys, verb, flag, value):
+        cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "prepare-data"]) == 0
+        capsys.readouterr()
+        assert main(["--config", cfg, flag, value, verb]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
     def test_unknown_nested_config_key_exits_one(self, workdir, capsys):
         bad = workdir["tmp"] / "bad.json"
         bad.write_text(json.dumps({"data_path": str(workdir["data"]), "llm": {"model": "gpt-3.5-turbo"}}))
@@ -267,7 +287,7 @@ class TestLiveFailures:
         self._prime(workdir)
         live = self._live_cfg(workdir, "cache.jsonl", base_url=short_body_server.url)
         assert main(["--config", str(live), "--live", "run-grid"]) == 2
-        assert "ChunkedEncodingError" in capsys.readouterr().err
+        assert "IncompleteRead" in capsys.readouterr().err
         assert short_body_server.requests == 1
 
     def test_mock_run_never_opens_the_cache(self, workdir):
@@ -285,16 +305,16 @@ class TestLiveFailures:
         assert main(["--config", str(live), "run-grid", "--mock", "oracle"]) == 0
 
 
-# runs each argv through main in one process; prints [exit code, requests loaded] after each
+# runs each argv through main in one process; prints [exit code, http.client loaded] after each
 _VERBS_IN_ONE_PROCESS = """
 import json, sys
 from cardioprompt.cli import main
-print(json.dumps([[main(argv), "requests" in sys.modules] for argv in json.loads(sys.argv[1])]))
+print(json.dumps([[main(argv), "http.client" in sys.modules] for argv in json.loads(sys.argv[1])]))
 """
 
 
 class TestHttpStackLoading:
-    """`requests` is imported only when a live prompt misses the cache."""
+    """`http.client` is imported only when a live prompt misses the cache."""
 
     def _run(self, argvs: list[list[str]]) -> list[list]:
         env = {**os.environ, "OPENAI_API_KEY": "k", "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}

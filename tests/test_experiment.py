@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestExperimentConfig:
     def test_unknown_nested_key_rejected(self, doc, message):
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("temperature", [math.nan, math.inf, -0.1]),
+            ("timeout", [math.nan, math.inf, 0.0, -1.0]),
+            ("backoff_base", [math.nan, math.inf, -1.0]),
+            ("base_url", ["api.openai.com", "ftp://api.openai.com", "/v1"]),
+        ],
+    )
+    def test_bad_llm_value_rejected(self, field, values):
+        for value in values:
+            with pytest.raises(ValidationError, match=field):
+                ExperimentConfig.from_dict({"llm": {field: value}})
 
 
 class TestMeanRow:
