@@ -70,32 +70,32 @@ def clean_env(monkeypatch):
 
 
 class ConnectProxy:
-    """Reads one request head per connection, keeps it, and refuses the
-    tunnel with 407."""
+    """Accepts one connection within 5 s, keeps the head of the request it
+    reads there, and refuses the tunnel with 407."""
 
     def __init__(self):
         self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(5.0)
         self.port = self.listener.getsockname()[1]
         self.heads: list[str] = []
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
 
     def _serve(self):
-        while True:
-            try:
-                conn, _ = self.listener.accept()
-            except OSError:  # closed
-                return
-            with conn, conn.makefile("rb") as reader:
-                lines = []
-                while (line := reader.readline()) not in (b"\r\n", b""):
-                    lines.append(line.decode("latin-1").rstrip("\r\n"))
-                self.heads.append("\n".join(lines))
-                conn.sendall(b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n")
+        try:
+            conn, _ = self.listener.accept()
+        except OSError:  # no client came
+            return
+        with conn, conn.makefile("rb") as reader:
+            lines = []
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                lines.append(line.decode("latin-1").rstrip("\r\n"))
+            self.heads.append("\n".join(lines))
+            conn.sendall(b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n")
 
     def close(self):
+        self.thread.join(timeout=10)
         self.listener.close()
-        self.thread.join(timeout=5)
 
 
 class TestParseLabel:
