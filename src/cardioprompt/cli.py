@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import load_csv, stats, write_imputed_csv
+from .data import load_csv, stats, write_atomic, write_imputed_csv
 from .dk import DkVariant, DomainKnowledge
 from .errors import CardiopromptError, TransportError, ValidationError
 from .experiment import (
@@ -72,7 +72,6 @@ def cmd_prepare_data(cfg: ExperimentConfig) -> int:
     prepared = prepare_data(cfg)
     st = stats(prepared.raw)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_imputed_csv(prepared.full, out / "imputed.csv")
     print(f"rows: {st.n_total}")
     print(f"rows with missing cells: {st.n_with_missing}")
@@ -86,7 +85,6 @@ def cmd_train_models(cfg: ExperimentConfig) -> int:
     prepared = _load_prepared(cfg)
     rows, models = run_ml_baselines(cfg, prepared)
     mdir = Path(cfg.output_dir) / "models"
-    mdir.mkdir(parents=True, exist_ok=True)
     for family, model in models.items():
         save_model(model, mdir / f"{family}.json")
     save_rows(Path(cfg.output_dir) / "ml_rows.json", rows)
@@ -103,11 +101,12 @@ def cmd_gen_dk(cfg: ExperimentConfig) -> int:
     }
     dks = dk_grid_from_models(models, families=cfg.dk_families)
     out = Path(cfg.output_dir) / "dk.json"
-    out.write_text(
+    write_atomic(
+        out,
         json.dumps(
             [{"variant": dk.variant.value, "source": dk.source_name, "text": dk.text} for dk in dks],
             indent=2,
-        )
+        ),
     )
     for i, dk in enumerate(dks):
         print(f"dk{i}: {dk.text if dk.text else 'None'}")
@@ -115,12 +114,15 @@ def cmd_gen_dk(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_dks(cfg: ExperimentConfig):
-    docs = json.loads(_artifact(cfg, "dk.json", "gen-dk").read_text())
-    out = []
-    for doc in docs:
-        out.append(DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"]))
-    return out
+def _load_dks(cfg: ExperimentConfig) -> list[DomainKnowledge]:
+    path = _artifact(cfg, "dk.json", "gen-dk")
+    try:
+        return [
+            DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
+            for doc in json.loads(path.read_text())
+        ]
+    except (ValueError, KeyError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path} does not hold domain-knowledge texts ({exc!r}); rerun gen-dk") from exc
 
 
 def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_threshold: float) -> int:

@@ -8,6 +8,9 @@ absent cells and leaves present cells bitwise untouched.
 from __future__ import annotations
 
 import csv
+import io
+import os
+import secrets
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -269,10 +272,30 @@ def stats(raw: RawDataset) -> DatasetStats:
 
 def write_imputed_csv(ds: Dataset, path: str | Path) -> None:
     """Emit the canonical fully-numeric audit CSV (same column order, header included)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(FEATURE_NAMES + [TARGET_NAME])
+    for row, label in zip(ds.matrix, ds.targets):
+        writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    write_atomic(path, buf.getvalue())
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write a stage artifact whole or not at all.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces `path` in one rename, so a crash or a failed write leaves the
+    previous artifact's bytes, never a torn file. Parent directories are
+    created. Newlines are written as given.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_NAMES + [TARGET_NAME])
-        for row, label in zip(ds.matrix, ds.targets):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", newline="")  # permissions from the umask, as a plain write's
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize
+from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
 from .dk import DEFAULT_DK_FAMILIES, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError
 from .gateway import Backend, LlmConfig, classify_batch
@@ -267,9 +267,7 @@ def save_rows(path: str | Path, rows: list[ReportRow], unparseable: dict[str, in
         }
         for r in rows
     ]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(docs))
+    write_atomic(path, json.dumps(docs))
 
 
 def load_rows(path: str | Path) -> tuple[list[ReportRow], dict[str, int]]:
@@ -331,8 +329,6 @@ def emit_report(table: ReportTable, fmt: str = "csv") -> str:
 
 
 def write_report(table: ReportTable, out_dir: str | Path, fmt: str = "csv") -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / ("report.csv" if fmt == "csv" else "report.md")
-    path.write_text(emit_report(table, fmt))
+    path = Path(out_dir) / ("report.csv" if fmt == "csv" else "report.md")
+    write_atomic(path, emit_report(table, fmt))
     return path

@@ -1,12 +1,12 @@
 """Confusion counting, the seven report metrics, and trivial baselines.
 
 Cost-sensitive accuracy is correct / (correct + w_fp*FP + w_fn*FN); with the
-default weights (0.2, 0.8) this reproduces published reference rows to 1e-3
-(see scripts/check_cost_formula.py for the derivation check).
+default weights (0.2, 0.8) this reproduces published reference rows to 1e-3.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +33,8 @@ class CostWeights:
     w_fn: float = 0.8
 
     def __post_init__(self):
-        if self.w_fp < 0 or self.w_fn < 0 or (self.w_fp == 0 and self.w_fn == 0):
-            raise ValidationError("cost weights must be nonnegative and not both zero")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.w_fp, self.w_fn)) or self.w_fp == self.w_fn == 0:
+            raise ValidationError("cost weights must be finite, nonnegative and not both zero")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..data import write_atomic
 from ..errors import ValidationError
 from .adaboost import AdaBoostStumps
 from .forest import RandomForest
@@ -124,6 +125,8 @@ def model_to_json(model: TrainedModel) -> str:
 
 def model_from_json(text: str) -> TrainedModel:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValidationError("a model artifact is a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported artifact format_version {doc.get('format_version')!r}")
     hyper = dict(doc["hyper"])
@@ -148,8 +151,12 @@ def model_from_json(text: str) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: str | Path):
-    Path(path).write_text(model_to_json(model))
+    write_atomic(path, model_to_json(model))
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_json(Path(path).read_text())
+    """The artifact at `path`; a malformed one is a ValidationError naming it."""
+    try:
+        return model_from_json(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path} is not a model artifact ({exc!r}); rerun train-models") from exc

@@ -4,6 +4,9 @@ Structure: task instruction, attribute glossary, optional in-context examples,
 optional domain-knowledge paragraph, final question. Parts are joined by one
 blank line; omitted parts leave no residue. Assembly is pure and
 byte-deterministic so cached completions stay valid across runs.
+
+Within one grid cell only the question changes from row to row, so the
+first four parts (the head) are built once per cell and memoized.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ If the assessment determines a high risk, the output should be '1'. If the risk 
 CREDIT_RISK_SENTENCE = "Evaluate the credit risk based on given attributes. If good, respond with '1', if bad, respond with '0'."
 
 ATTRIBUTES_HEADER = "The explanation of each attribute is as follows:"
+
+ATTRIBUTES = "\n".join([ATTRIBUTES_HEADER] + [f"- {line}" for line in DEFAULT_SCHEMA.attribute_lines()])
 
 QUESTION_LEAD = "Now, given the following inputs, please evaluate the risk of heart disease:"
 
@@ -127,25 +132,47 @@ def sample_examples(train: Dataset, n_ex: int, seed: int) -> list[tuple[np.ndarr
 def assemble_prompt(spec: PromptSpec, examples: list[tuple[np.ndarray, int]], query) -> Prompt:
     if len(examples) != spec.n_ex:
         raise ValidationError(f"spec wants {spec.n_ex} examples, got {len(examples)}")
-
-    part1 = TASK_INSTRUCTION
-    if spec.paper_faithful:
-        part1 = part1 + "\n" + CREDIT_RISK_SENTENCE
-
-    part2 = "\n".join([ATTRIBUTES_HEADER] + [f"- {line}" for line in DEFAULT_SCHEMA.attribute_lines()])
-
-    blocks = []
-    for i, (x, label) in enumerate(examples, start=1):
+    for i, (_, label) in enumerate(examples, start=1):
         if label not in (0, 1):
             raise ValidationError(f"example {i} label must be 0/1, got {label!r}")
-        blocks.append(f"Example {i}:\n<Inputs {i}>: {render_instance(x)}\n<Answer {i}>: {label}")
-
-    part4 = ""
-    if spec.dk.variant is not DkVariant.NONE:
-        part4 = f"Domain Knowledge:\n{spec.dk.text}"
+    # labels as printed, not as compared: True == 1, yet it prints "True"
+    labels = tuple([f"{label}" for _, label in examples])
+    part1, blocks, part4 = _head(spec, _example_bits(examples), labels)
 
     query_line = render_instance(query, float_style=spec.paper_faithful)
     tail = " ?" if spec.paper_faithful else ""
     part5 = f"{QUESTION_LEAD}\n<Inputs>: {query_line}\n<Answer>:{tail}"
 
-    return Prompt(part1, part2, tuple(blocks), part4, part5)
+    return Prompt(part1, ATTRIBUTES, blocks, part4, part5)
+
+
+def _example_bits(examples) -> bytes:
+    """The example rows' float64 bytes, one row after another."""
+    try:
+        rows = np.asarray([x for x, _ in examples], dtype=float)
+    except ValueError:  # rows of different shapes
+        rows = np.empty(0)
+    if rows.size != len(examples) * len(FEATURE_NAMES):
+        raise ValidationError(f"each example needs {len(FEATURE_NAMES)} feature values")
+    return rows.tobytes()
+
+
+@functools.lru_cache(maxsize=64)
+def _head(spec: PromptSpec, example_bits: bytes, labels: tuple[str, ...]) -> tuple[str, tuple[str, ...], str]:
+    """The task, example and domain-knowledge parts, which every row of a grid
+    cell shares. Keyed, like _render_row, by the example rows' float64 bytes,
+    never their values; 64 entries hold a 35-cell grid."""
+    part1 = TASK_INSTRUCTION
+    if spec.paper_faithful:
+        part1 = part1 + "\n" + CREDIT_RISK_SENTENCE
+
+    step = 8 * len(FEATURE_NAMES)  # bytes per row
+    blocks = []
+    for i, label in enumerate(labels, start=1):
+        line = _render_row(example_bits[(i - 1) * step : i * step], False)
+        blocks.append(f"Example {i}:\n<Inputs {i}>: {line}\n<Answer {i}>: {label}")
+
+    part4 = ""
+    if spec.dk.variant is not DkVariant.NONE:
+        part4 = f"Domain Knowledge:\n{spec.dk.text}"
+    return part1, tuple(blocks), part4

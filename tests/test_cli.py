@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +16,10 @@ import pytest
 
 import cardioprompt
 from cardioprompt.cli import main
-from cardioprompt.data import load_csv
+from cardioprompt.data import load_csv, write_atomic, write_imputed_csv
 from cardioprompt.experiment import (
     ExperimentConfig,
+    ReportRow,
     ReportTable,
     dk_grid_from_models,
     emit_report,
@@ -24,11 +27,13 @@ from cardioprompt.experiment import (
     run_ml_baselines,
     run_prompt_grid,
     save_rows,
+    write_report,
 )
 from cardioprompt.gateway import RuleMock
+from cardioprompt.metrics import MetricsRow
 from cardioprompt.models import feature_importance, save_model, train
 from cardioprompt.synthetic import synthetic_raw
-from conftest import ok_body
+from conftest import ok_body, small_dataset
 
 
 def write_raw_csv(path: Path, n: int = 70, seed: int = 3, missing: float = 0.05):
@@ -41,8 +46,7 @@ def write_raw_csv(path: Path, n: int = 70, seed: int = 3, missing: float = 0.05)
     return raw
 
 
-@pytest.fixture
-def workdir(tmp_path):
+def make_workdir(tmp_path: Path) -> dict:
     data = tmp_path / "heart.csv"
     write_raw_csv(data)
     cfg = {
@@ -59,6 +63,11 @@ def workdir(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     return {"tmp": tmp_path, "cfg": cfg_path, "data": data, "runs": tmp_path / "runs"}
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    return make_workdir(tmp_path)
 
 
 class TestParsing:
@@ -109,6 +118,14 @@ class TestPrepareData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cost_weight_exits_one(self, workdir, capsys, literal):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(f'{{"weights": {{"w_fp": {literal}}}}}')
+        assert main(["--config", str(bad), "train-models"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "weights" in err
+
     def test_unknown_nested_config_key_exits_one(self, workdir, capsys):
         bad = workdir["tmp"] / "bad.json"
         bad.write_text(json.dumps({"data_path": str(workdir["data"]), "llm": {"model": "gpt-3.5-turbo"}}))
@@ -155,6 +172,112 @@ class TestStageOrdering:
         save_rows(workdir["runs"] / "ml_rows.json", [])
         assert main(["--config", cfg, "report"]) == 1
         assert "grid_rows.json; run run-grid first" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="class")
+def finished_run(tmp_path_factory):
+    """A work directory after prepare-data, train-models, gen-dk and run-grid."""
+    workdir = make_workdir(tmp_path_factory.mktemp("finished"))
+    for argv in (["prepare-data"], ["train-models"], ["gen-dk"], ["run-grid", "--mock", "rule"]):
+        assert main(["--config", str(workdir["cfg"]), *argv]) == 0
+    return workdir
+
+
+class TestMalformedArtifacts:
+    """A malformed artifact exits 1 with an error line, never a traceback."""
+
+    def _run(self, finished_run, tmp_path, name: str, verb: str, damage):
+        runs = tmp_path / "runs"
+        shutil.copytree(finished_run["runs"], runs)
+        damage(runs / name)
+        assert main(["--config", str(finished_run["cfg"]), "--output-dir", str(runs), verb]) == 1
+
+    @pytest.mark.parametrize(
+        "name, verb",
+        [
+            ("imputed.csv", "train-models"),
+            ("models/RF.json", "gen-dk"),
+            ("ml_rows.json", "report"),
+            ("grid_rows.json", "report"),
+            ("dk.json", "run-grid"),
+        ],
+    )
+    def test_torn_in_half_exits_one(self, finished_run, tmp_path, capsys, name, verb):
+        def tear(path: Path):
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+
+        self._run(finished_run, tmp_path, name, verb, tear)
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "name, verb, key, writer",
+        [("models/RF.json", "gen-dk", "params", "train-models"), ("dk.json", "run-grid", "source", "gen-dk")],
+    )
+    def test_missing_key_names_the_file_and_its_writer(self, finished_run, tmp_path, capsys, name, verb, key, writer):
+        def drop_key(path: Path):
+            doc = json.loads(path.read_text())
+            del (doc[-1] if isinstance(doc, list) else doc)[key]
+            path.write_text(json.dumps(doc))
+
+        self._run(finished_run, tmp_path, name, verb, drop_key)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and f"rerun {writer}" in err
+
+
+def artifact_writers() -> list[tuple[str, object]]:
+    """(file name, write(path)) for each stage artifact writer, with fixed content."""
+    ds = small_dataset(40, seed=2)
+    model = train("LR", ds)
+    rows = [ReportRow(label="RF", dk_type="-", dk_source="-", n_ex=None, metrics=MetricsRow(*[0.5] * 7))]
+    return [
+        ("imputed.csv", lambda path: write_imputed_csv(ds, path)),
+        ("LR.json", lambda path: save_model(model, path)),
+        ("ml_rows.json", lambda path: save_rows(path, rows)),
+        ("dk.json", lambda path: write_atomic(path, json.dumps([{"variant": "NO", "source": "", "text": ""}] * 40))),
+        ("report.csv", lambda path: write_report(ReportTable(rows=tuple(rows)), path.parent)),
+    ]
+
+
+def fail_each_write_half_way(out: str):
+    """Rewrite each artifact in `out` with the file size limit at half its
+    size; print which writes raised. Run in a child: the limit is per process."""
+    import resource
+    import signal
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # the write then fails with EFBIG
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    raised = {}
+    for name, write in artifact_writers():
+        path = Path(out) / name
+        resource.setrlimit(resource.RLIMIT_FSIZE, (path.stat().st_size // 2, hard))
+        try:
+            write(path)
+        except OSError as exc:
+            raised[name] = exc.errno
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    print(json.dumps(raised))
+
+
+class TestAtomicWrites:
+    @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+    def test_a_write_failing_half_way_keeps_the_previous_artifact(self, tmp_path):
+        before = {}
+        for name, write in artifact_writers():
+            write(tmp_path / name)
+            before[name] = (tmp_path / name).read_bytes()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        code = f"import test_cli; test_cli.fail_each_write_half_way({str(tmp_path)!r})"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {name: errno.EFBIG for name in before}
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # and no temp file left
+
+    def test_an_artifact_gets_the_permissions_of_a_plain_write(self, tmp_path):
+        write_atomic(tmp_path / "atomic.json", "[]")
+        (tmp_path / "plain.json").write_text("[]")
+        assert (tmp_path / "atomic.json").stat().st_mode == (tmp_path / "plain.json").stat().st_mode
 
 
 class TestPipeline:

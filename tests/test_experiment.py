@@ -135,6 +135,12 @@ class TestExperimentConfig:
             with pytest.raises(ValidationError, match=field):
                 ExperimentConfig.from_dict({"llm": {field: value}})
 
+    @pytest.mark.parametrize("field", ["w_fp", "w_fn"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_weight_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            ExperimentConfig.from_dict({"weights": {field: value}})
+
 
 class TestMeanRow:
     def test_matches_naive_recompute(self):

@@ -1,0 +1,109 @@
+"""The shared prompt head: every grid cell builds its task, glossary, example
+and domain-knowledge parts once, and every prompt stays byte-identical to one
+assembled row by row."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from cardioprompt import prompts
+from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
+from cardioprompt.errors import ValidationError
+from cardioprompt.experiment import ExperimentConfig, derive_seed, prepare, run_prompt_grid
+from cardioprompt.prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
+from cardioprompt.schema import DEFAULT_SCHEMA
+from cardioprompt.synthetic import synthetic_raw
+from conftest import EXAMPLE_1, EXAMPLE_2, LR_ORDER, QUERY, RF_ORDER, XGB_ORDER, make_ranking
+
+NO_DK = DomainKnowledge(DkVariant.NONE, "", "")
+
+
+def reference_text(spec: PromptSpec, examples, query) -> str:
+    """Every part built afresh for one row, with no memo beyond render_instance's."""
+    part1 = prompts.TASK_INSTRUCTION
+    if spec.paper_faithful:
+        part1 += "\n" + prompts.CREDIT_RISK_SENTENCE
+    parts = [part1, "\n".join([prompts.ATTRIBUTES_HEADER] + [f"- {line}" for line in DEFAULT_SCHEMA.attribute_lines()])]
+    for i, (x, label) in enumerate(examples, start=1):
+        parts.append(f"Example {i}:\n<Inputs {i}>: {render_instance(x)}\n<Answer {i}>: {label}")
+    if spec.dk.variant is not DkVariant.NONE:
+        parts.append(f"Domain Knowledge:\n{spec.dk.text}")
+    tail = " ?" if spec.paper_faithful else ""
+    query_line = render_instance(query, float_style=spec.paper_faithful)
+    parts.append(f"{prompts.QUESTION_LEAD}\n<Inputs>: {query_line}\n<Answer>:{tail}")
+    return "\n\n".join(parts)
+
+
+class Recorder:
+    """A backend that keeps every prompt it is asked and answers 1."""
+
+    max_in_flight = 1
+
+    def __init__(self):
+        self.texts: list[str] = []
+
+    def respond(self, prompt_text: str) -> str:
+        self.texts.append(prompt_text)
+        return "1"
+
+
+def dk_grid() -> list[DomainKnowledge]:
+    grid = [render_dk(None, DkVariant.NONE)]
+    for order, source in ((RF_ORDER, "RF"), (LR_ORDER, "LR"), (XGB_ORDER, "GBT")):
+        grid += [render_dk(make_ranking(order, source), v) for v in (DkVariant.MLFI, DkVariant.MLFI_ORD)]
+    return grid
+
+
+class TestSharedHead:
+    """Each grid cell's head (task, glossary, examples, DK) is built once and memoized."""
+
+    @pytest.mark.parametrize("paper_faithful", [False, True])
+    def test_every_grid_prompt_matches_the_per_row_reference(self, paper_faithful):
+        cfg = ExperimentConfig(seed=11, paper_faithful=paper_faithful)
+        prepared = prepare(synthetic_raw(n_rows=120, missing_fraction=0.1, seed=11), cfg)
+        dks, backend = dk_grid(), Recorder()
+        prompts._head.cache_clear()
+        run_prompt_grid(cfg, prepared, dks, backend)
+        expected = []
+        for n_ex in cfg.n_ex_grid:
+            seed = derive_seed(cfg.seed, f"examples:{n_ex}")
+            examples = sample_examples(prepared.train, n_ex, seed)
+            for dk in dks:
+                spec = PromptSpec(n_ex=n_ex, dk=dk, seed=seed, paper_faithful=paper_faithful)
+                expected += [reference_text(spec, examples, q) for q in prepared.test.matrix]
+        assert len(expected) == 35 * prepared.test.n_rows
+        assert backend.texts == expected
+        # 35 heads, not one per prompt
+        assert prompts._head.cache_info().misses == 35
+
+    def test_negative_zero_is_not_a_hit_for_zero(self):
+        spec = PromptSpec(n_ex=1, dk=NO_DK, seed=3, paper_faithful=True)
+        for zero in (0.0, -0.0):
+            row = np.full(13, 9.75)
+            row[5] = zero
+            prompt = assemble_prompt(spec, [(row, 1)], row)
+            assert prompt.text == reference_text(spec, [(row, 1)], row)
+            assert f"fbs: {zero!r}" in prompt.part5_question
+
+    def test_label_true_is_not_a_hit_for_one(self):
+        spec = PromptSpec(n_ex=2, dk=NO_DK, seed=4)
+        texts = []
+        for examples in ([(EXAMPLE_1[0], 1), EXAMPLE_2], [(EXAMPLE_1[0], True), EXAMPLE_2]):
+            texts.append(assemble_prompt(spec, examples, QUERY).text)
+            assert texts[-1] == reference_text(spec, examples, QUERY)
+        assert "<Answer 1>: 1\n" in texts[0] and "<Answer 1>: True\n" in texts[1]
+
+    def test_bad_example_row_rejected(self):
+        spec = PromptSpec(n_ex=2, dk=NO_DK)
+        for rows in ([np.zeros(13), np.zeros(12)], [np.zeros(12), np.zeros(12)]):
+            with pytest.raises(ValidationError):
+                assemble_prompt(spec, [(rows[0], 1), (rows[1], 0)], QUERY)
+
+    def test_memo_is_bounded(self):
+        prompts._head.cache_clear()
+        for seed in range(3 * prompts._head.cache_info().maxsize):
+            assemble_prompt(PromptSpec(n_ex=1, dk=NO_DK, seed=seed), [EXAMPLE_1], QUERY)
+        info = prompts._head.cache_info()
+        assert info.misses == 3 * info.maxsize
+        assert info.currsize == info.maxsize == 64
