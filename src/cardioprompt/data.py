@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import secrets
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -50,7 +49,7 @@ class Dataset:
     def __post_init__(self):
         if np.isnan(self.matrix).any():
             raise ValidationError("Dataset matrix must have no missing cells")
-        bad = set(np.unique(self.targets)) - {0, 1}
+        bad = set(self.targets.tolist()) - {0, 1}
         if bad:
             raise ValidationError(f"Dataset targets must be binary, found {sorted(bad)}")
 
@@ -144,7 +143,7 @@ def _is_header(cells: list[str]) -> bool:
 
 def binarize_target(raw: RawDataset) -> RawDataset:
     """Collapse severity 1..4 to high risk: target becomes 1 iff original > 0."""
-    bad = set(np.unique(raw.targets)) - {0, 1, 2, 3, 4} if raw.n_rows else set()
+    bad = set(raw.targets.tolist()) - {0, 1, 2, 3, 4}
     if bad:
         raise ValidationError(f"targets outside 0..4: {sorted(bad)}")
     return replace(raw, targets=(raw.targets > 0).astype(int))
@@ -162,7 +161,7 @@ def knn_impute(raw: RawDataset, k: int = 5) -> Dataset:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    bad = set(np.unique(raw.targets)) - {0, 1}
+    bad = set(raw.targets.tolist()) - {0, 1}
     if bad:
         raise ValidationError("impute after binarize_target; targets must be binary")
     matrix = raw.matrix
@@ -290,7 +289,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", newline="")  # permissions from the umask, as a plain write's
     try:
         with fh:

@@ -66,7 +66,7 @@ def confusion(preds: Sequence[int], truth: Sequence[int]) -> ConfusionMatrix:
     if preds.shape != truth.shape:
         raise ValidationError(f"length mismatch: {preds.shape[0]} predictions vs {truth.shape[0]} labels")
     for arr, what in ((preds, "predictions"), (truth, "labels")):
-        bad = set(np.unique(arr)) - {0, 1}
+        bad = set(arr.tolist()) - {0, 1}
         if bad:
             raise ValidationError(f"{what} must be 0/1, found {sorted(bad)}")
     return ConfusionMatrix(

@@ -148,6 +148,8 @@ def assemble_prompt(spec: PromptSpec, examples: list[tuple[np.ndarray, int]], qu
 
 def _example_bits(examples) -> bytes:
     """The example rows' float64 bytes, one row after another."""
+    if not examples:
+        return b""
     try:
         rows = np.asarray([x for x, _ in examples], dtype=float)
     except ValueError:  # rows of different shapes
