@@ -152,7 +152,7 @@ def _example_bits(examples) -> bytes:
         return b""
     try:
         rows = np.asarray([x for x, _ in examples], dtype=float)
-    except ValueError:  # rows of different shapes
+    except ValueError:  # ragged or non-numeric rows
         rows = np.empty(0)
     if rows.size != len(examples) * len(FEATURE_NAMES):
         raise ValidationError(f"each example needs {len(FEATURE_NAMES)} feature values")
