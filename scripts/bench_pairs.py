@@ -14,9 +14,12 @@ workload in turn; pairs with even k run the parent first, odd k the change
 first. For each end-to-end metric the file holds both sides' runs, medians
 and quartiles, the quartile distances, the median change and each pair's
 outcome (change, parent, tie, or missing when a run reported no value; the
-runs without one are listed), with exit codes and failed operations per side
+runs without one are listed). Because the second run of a pair can read
+differently whichever side it is, each metric also gives, for the
+parent-first and the change-first pairs apart, the median change-minus-parent
+difference and the change's wins. Exit codes and failed operations per side
 and the machine the runs took (nproc, Python and numpy versions, and the
-requests version where it is installed).
+requests version where it is installed) are recorded too.
 `--claim W:METRIC` states whether the change beat the parent in at least 9
 of the 10 pairs (ties and missing pairs are not wins) and by more than the
 parent's quartile distance in the median, and why not if it did not.
@@ -96,6 +99,15 @@ def outcome(parent: float | None, change: float | None, lower: bool) -> str:
     return "change" if (change < parent) == lower else "parent"
 
 
+def order_summary(parent: list, change: list, outcomes: list[str]) -> dict:
+    """The pairs of one running order: median change-minus-parent difference and the change's wins."""
+    diffs = [c - p for p, c in zip(parent, change) if p is not None and c is not None]
+    return {
+        "median_change_minus_parent": round(statistics.median(diffs), 4) if diffs else None,
+        "change_better_in": f"{outcomes.count('change')} of {len(outcomes)} pairs",
+    }
+
+
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     """Per metric: both sides' runs and quartiles, and each pair's outcome."""
     out = {}
@@ -118,6 +130,10 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             )
         entry["change_better_in"] = f"{outcomes.count('change')} of {pairs} pairs"
         entry["wins"] = outcomes
+        entry["by_order"] = {
+            order: order_summary(values["parent"][first::2], values["change"][first::2], outcomes[first::2])
+            for order, first in (("parent_first", 0), ("change_first", 1))
+        }
         missing = {side: [i for i, v in enumerate(values[side]) if v is None] for side in SIDES}
         if any(missing.values()):
             entry["runs_without_value"] = missing

@@ -18,10 +18,11 @@ from pathlib import Path
 
 from .data import load_csv, stats, write_atomic, write_imputed_csv
 from .dk import DkVariant, DomainKnowledge
-from .errors import CardiopromptError, TransportError, ValidationError
+from .errors import CardiopromptError, ParseError, TransportError, ValidationError
 from .experiment import (
     ExperimentConfig,
     PreparedData,
+    ReportRow,
     ReportTable,
     dk_grid_from_models,
     load_rows,
@@ -65,7 +66,12 @@ def _artifact(cfg: ExperimentConfig, name: str, verb: str) -> Path:
 
 def _load_prepared(cfg: ExperimentConfig) -> PreparedData:
     """The split of the imputed data that prepare-data wrote; imputing it again changes no cell."""
-    return prepare(load_csv(_artifact(cfg, "imputed.csv", "prepare-data")), cfg)
+    path = _artifact(cfg, "imputed.csv", "prepare-data")
+    try:
+        raw = load_csv(path)
+    except ParseError as exc:
+        raise ParseError(f"{exc}; rerun prepare-data") from exc
+    return prepare(raw, cfg)
 
 
 def cmd_prepare_data(cfg: ExperimentConfig) -> int:
@@ -155,9 +161,17 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
     return 0
 
 
+def _load_rows(cfg: ExperimentConfig, name: str, writer: str) -> tuple[list[ReportRow], dict[str, int]]:
+    path = _artifact(cfg, name, writer)
+    try:
+        return load_rows(path)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}; rerun {writer}") from exc
+
+
 def cmd_report(cfg: ExperimentConfig, fmt: str) -> int:
-    ml_rows, _ = load_rows(_artifact(cfg, "ml_rows.json", "train-models"))
-    grid_rows, unparseable = load_rows(_artifact(cfg, "grid_rows.json", "run-grid"))
+    ml_rows, _ = _load_rows(cfg, "ml_rows.json", "train-models")
+    grid_rows, unparseable = _load_rows(cfg, "grid_rows.json", "run-grid")
     table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)
     path = write_report(table, cfg.output_dir, fmt=fmt)
     if unparseable:

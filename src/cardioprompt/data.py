@@ -85,8 +85,8 @@ def load_csv(path: str | Path) -> RawDataset:
     """Parse a 14-column CSV (13 features + target), "?" or empty cell = missing.
 
     An optional header row is accepted when it matches the schema's feature
-    names plus the target column. Raises ParseError naming the offending
-    line for wrong arity, non-numeric cells, or out-of-range targets.
+    names plus the target column. Raises ParseError naming the file and the
+    offending line for wrong arity, non-numeric cells, or out-of-range targets.
     """
     path = Path(path)
     expected = FEATURE_NAMES + [TARGET_NAME]
@@ -101,11 +101,11 @@ def load_csv(path: str | Path) -> RawDataset:
             if lineno == 1 and _is_header(cells):
                 if [c.lower() for c in cells] != expected:
                     raise ParseError(
-                        f"line 1: header {cells} does not match expected columns {expected}"
+                        f"{path}: line 1: header {cells} does not match expected columns {expected}"
                     )
                 continue
             if len(cells) != 14:
-                raise ParseError(f"line {lineno}: expected 14 columns, got {len(cells)}")
+                raise ParseError(f"{path}: line {lineno}: expected 14 columns, got {len(cells)}")
             parsed: list[float] = []
             for name, cell in zip(FEATURE_NAMES, cells[:13]):
                 if cell in MISSING_TOKENS:
@@ -114,14 +114,14 @@ def load_csv(path: str | Path) -> RawDataset:
                 try:
                     parsed.append(float(cell))
                 except ValueError:
-                    raise ParseError(f"line {lineno}: non-numeric value {cell!r} in column {name}") from None
+                    raise ParseError(f"{path}: line {lineno}: non-numeric value {cell!r} in column {name}") from None
             target_cell = cells[13]
             try:
                 target_f = float(target_cell)
             except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric target {target_cell!r}") from None
+                raise ParseError(f"{path}: line {lineno}: non-numeric target {target_cell!r}") from None
             if not target_f.is_integer() or not 0 <= target_f <= 4:
-                raise ParseError(f"line {lineno}: target must be an integer in 0..4, got {target_cell!r}")
+                raise ParseError(f"{path}: line {lineno}: target must be an integer in 0..4, got {target_cell!r}")
             rows.append(parsed)
             targets.append(int(target_f))
     matrix = np.array(rows, dtype=float).reshape(len(rows), 13)

@@ -21,6 +21,10 @@ class StratificationError(CardiopromptError):
     """A class is too small to stratify."""
 
 
+class WorkerError(CardiopromptError):
+    """A worker process died before it returned its result."""
+
+
 class SamplingError(CardiopromptError):
     """Not enough members of a class to draw in-context examples."""
 

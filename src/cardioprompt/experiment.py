@@ -12,17 +12,20 @@ baselines.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+import os
+import typing
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
 from .dk import DEFAULT_DK_FAMILIES, DkVariant, DomainKnowledge, render_dk
-from .errors import ValidationError
+from .errors import ValidationError, WorkerError
 from .gateway import Backend, LlmConfig, classify_batch
 from .metrics import CostWeights, MetricsRow, baseline_predict, confusion, metrics_row
 from .models import FAMILIES, TrainedModel, feature_importance, randomized_search
@@ -75,11 +78,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _check_keys(doc, cls)
+        _check_fields(doc, cls)
         kwargs = dict(doc)
         for key, nested in (("weights", CostWeights), ("llm", LlmConfig)):
             if key in kwargs:
-                _check_keys(kwargs[key], nested, prefix=f"{key}.")
+                _check_fields(kwargs[key], nested, prefix=f"{key}.")
                 kwargs[key] = nested(**kwargs[key])
         for key in ("n_ex_grid", "dk_families"):
             if key in kwargs:
@@ -87,12 +90,33 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _check_keys(doc, dataclass_type, prefix: str = ""):
+def _check_fields(doc, dataclass_type, prefix: str = ""):
+    """Every key names a field, and every value has the field's JSON type. A
+    nested dataclass field is left to its own call."""
     if not isinstance(doc, dict):
         raise ValidationError(f"config {prefix.rstrip('.') or 'document'} must be a JSON object")
     unknown = set(doc) - set(dataclass_type.__dataclass_fields__)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+    hints = typing.get_type_hints(dataclass_type)
+    for key, value in doc.items():
+        kind = hints[key]
+        if is_dataclass(kind):
+            continue
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            if not isinstance(value, (list, tuple)) or not all(_json_is(v, item) for v in value):
+                raise ValidationError(f"config key {prefix}{key} must be a list of {item.__name__}, not {value!r}")
+        elif not _json_is(value, kind):
+            raise ValidationError(f"config key {prefix}{key} must be {kind.__name__}, not {value!r}")
+
+
+def _json_is(value, kind: type) -> bool:
+    """Whether a JSON value fits a field of type `kind`: a float field takes
+    an integer too, and a number field takes no boolean."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
@@ -144,25 +168,57 @@ def _mean_row(label: str, members: list[ReportRow], n_ex: int | None = None) -> 
     return ReportRow(label=label, dk_type="-", dk_source="-", n_ex=n_ex, metrics=MetricsRow(*map(float, mean)))
 
 
+def _tune_family(cfg: ExperimentConfig, train: Dataset, family: str) -> TrainedModel:
+    """One family's search, plus its importance ranking when a DK text reads
+    it. Every draw is seeded from cfg.seed and the family alone, so the result
+    does not depend on which process runs it or beside which other family."""
+    model, _report = randomized_search(
+        family,
+        train,
+        n_iter=cfg.search_iters,
+        folds=cfg.search_folds,
+        seed=derive_seed(cfg.seed, f"search:{family}"),
+    )
+    if family in cfg.dk_families:
+        model = feature_importance(model, train, seed=derive_seed(cfg.seed, f"importance:{family}"))
+    return model
+
+
+def _tune_families(cfg: ExperimentConfig, train: Dataset) -> list[TrainedModel]:
+    """_tune_family for each of FAMILIES, in that order: one family per worker
+    process, with as many workers as CPUs this process may use (at most one
+    per family). With one CPU the families run here, one after another."""
+    tune = functools.partial(_tune_family, cfg, train)
+    workers = min(len(os.sched_getaffinity(0)), len(FAMILIES))
+    if workers == 1:
+        return list(map(tune, FAMILIES))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork: a worker starts with numpy and the package already imported, which
+    # spawn would import again in each; train-models starts no thread first.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(tune, family) for family in FAMILIES]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            lost = [f for f, future in zip(FAMILIES, futures) if isinstance(future.exception(), BrokenProcessPool)]
+            raise WorkerError(f"a worker process died; not tuned: {', '.join(lost)}; rerun train-models") from None
+        finally:
+            for future in futures:  # after an error, the families not yet started never start
+                future.cancel()
+
+
 def run_ml_baselines(cfg: ExperimentConfig, prepared: PreparedData) -> tuple[list[ReportRow], dict[str, TrainedModel]]:
     """Tune the six families, evaluate on the held-out split, and append the
     three non-informed baselines. Returns rows plus the fitted models keyed by
     family; only the families in cfg.dk_families, whose rankings the
     domain-knowledge texts read, carry an importance ranking."""
     rows: list[ReportRow] = []
-    models: dict[str, TrainedModel] = {}
+    models = dict(zip(FAMILIES, _tune_families(cfg, prepared.std_train)))
     truth = prepared.std_test.targets
-    for family in FAMILIES:
-        model, _report = randomized_search(
-            family,
-            prepared.std_train,
-            n_iter=cfg.search_iters,
-            folds=cfg.search_folds,
-            seed=derive_seed(cfg.seed, f"search:{family}"),
-        )
-        if family in cfg.dk_families:
-            model = feature_importance(model, prepared.std_train, seed=derive_seed(cfg.seed, f"importance:{family}"))
-        models[family] = model
+    for family, model in models.items():
         preds = model.predict(prepared.std_test.matrix)
         cm = confusion(preds, truth)
         rows.append(

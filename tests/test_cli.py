@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import cardioprompt
+from cardioprompt import experiment
 from cardioprompt.cli import main
 from cardioprompt.data import load_csv, write_atomic, write_imputed_csv
 from cardioprompt.experiment import (
@@ -31,7 +32,7 @@ from cardioprompt.experiment import (
 )
 from cardioprompt.gateway import RuleMock
 from cardioprompt.metrics import MetricsRow
-from cardioprompt.models import feature_importance, save_model, train
+from cardioprompt.models import FAMILIES, feature_importance, save_model, train
 from cardioprompt.synthetic import synthetic_raw
 from conftest import ok_body, small_dataset
 
@@ -126,6 +127,17 @@ class TestPrepareData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "weights" in err
 
+    @pytest.mark.parametrize(
+        "doc, verb, key",
+        [({"weights": {"w_fp": "0.2"}}, "prepare-data", "weights.w_fp"), ({"search_iters": "3"}, "train-models", "search_iters")],
+    )
+    def test_wrong_json_type_exits_one(self, workdir, capsys, doc, verb, key):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), **doc}))
+        assert main(["--config", str(bad), verb]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"config key {key} must be" in err
+
     def test_unknown_nested_config_key_exits_one(self, workdir, capsys):
         bad = workdir["tmp"] / "bad.json"
         bad.write_text(json.dumps({"data_path": str(workdir["data"]), "llm": {"model": "gpt-3.5-turbo"}}))
@@ -183,6 +195,16 @@ def finished_run(tmp_path_factory):
     return workdir
 
 
+# the verb that writes each stage artifact
+WRITERS = {
+    "imputed.csv": "prepare-data",
+    "models/RF.json": "train-models",
+    "ml_rows.json": "train-models",
+    "grid_rows.json": "run-grid",
+    "dk.json": "gen-dk",
+}
+
+
 class TestMalformedArtifacts:
     """A malformed artifact exits 1 with an error line, never a traceback."""
 
@@ -208,7 +230,8 @@ class TestMalformedArtifacts:
             path.write_bytes(data[: len(data) // 2])
 
         self._run(finished_run, tmp_path, name, verb, tear)
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and f"rerun {WRITERS[name]}" in err
 
     @pytest.mark.parametrize(
         "name, verb, key, writer",
@@ -473,6 +496,104 @@ class TestHttpStackLoading:
         assert len(stub.requests) > 0
         # the same grid again, answered in full by the cache it filled
         assert self._run([["--config", str(dead), "--live", "run-grid"]]) == [[0, False]]
+
+
+def use_cpus(monkeypatch, n: int):
+    """Make the family pool see `n` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+# in a fresh interpreter: which pool modules `import cardioprompt.cli` loads, then
+# the exit code of the verb in argv at one usable CPU and which it has loaded after
+_POOL_MODULES_AT_ONE_CPU = """
+import json, os, sys
+os.sched_getaffinity = lambda pid: {0}
+import cardioprompt.cli
+def loaded():
+    return [name in sys.modules for name in ("multiprocessing", "concurrent.futures")]
+before = loaded()
+print(json.dumps([before, cardioprompt.cli.main(sys.argv[1:]), loaded()]))
+"""
+
+# in a fresh interpreter: train-models at two usable CPUs, where the worker tuning KNN kills itself
+_KNN_WORKER_KILLED = """
+import os, signal, sys
+from cardioprompt import experiment
+from cardioprompt.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+search = experiment.randomized_search
+def killed_on_knn(family, *args, **kwargs):
+    if family == "KNN":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return search(family, *args, **kwargs)
+experiment.randomized_search = killed_on_knn
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestFamilyPool:
+    """train-models tunes the families in worker processes, one per usable CPU."""
+
+    def _child(self, code: str, argv: list[str]) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+    def test_same_bytes_at_one_and_two_workers(self, workdir, monkeypatch, capsys):
+        doc = {**json.loads(workdir["cfg"].read_text()), "search_iters": 2, "search_folds": 2}
+        workdir["cfg"].write_text(json.dumps(doc))
+        assert main(["--config", str(workdir["cfg"]), "prepare-data"]) == 0
+        pids = workdir["tmp"] / "pids"
+        search = experiment.randomized_search
+
+        def recording_pid(family, *args, **kwargs):
+            with pids.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return search(family, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "randomized_search", recording_pid)
+        out, searched_in = {}, {}
+        for n in (1, 2):
+            runs = workdir["tmp"] / f"runs{n}"
+            shutil.copytree(workdir["runs"], runs)
+            use_cpus(monkeypatch, n)
+            pids.write_text("")
+            assert main(["--config", str(workdir["cfg"]), "--output-dir", str(runs), "train-models"]) == 0
+            names = [f"models/{family}.json" for family in FAMILIES] + ["ml_rows.json", "report.csv"]
+            out[n] = {name: (runs / name).read_bytes() for name in names}
+            searched_in[n] = set(pids.read_text().split())
+        assert out[1] == out[2]
+        assert searched_in[1] == {str(os.getpid())}
+        assert str(os.getpid()) not in searched_in[2] and len(searched_in[2]) == 2
+
+    def test_worker_error_is_the_same_at_one_and_two_workers(self, workdir, monkeypatch, capsys):
+        cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "prepare-data"]) == 0
+        capsys.readouterr()
+        doc = {**json.loads(workdir["cfg"].read_text()), "search_folds": 60}  # more folds than either class has rows
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps(doc))
+        errs = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            assert main(["--config", str(bad), "train-models"]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == "error: class 0 has fewer members than folds\n"
+
+    def test_killed_worker_exits_one_naming_it(self, workdir):
+        cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "prepare-data"]) == 0
+        proc = self._child(_KNN_WORKER_KILLED, ["--config", cfg, "train-models"])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: a worker process died; not tuned: ")
+        assert "KNN" in proc.stderr and "rerun train-models" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir["runs"] / "ml_rows.json").exists()
+
+    def test_pool_modules_load_only_for_a_pool(self, workdir):
+        cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "prepare-data"]) == 0
+        proc = self._child(_POOL_MODULES_AT_ONE_CPU, ["--config", cfg, "train-models"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False], 0, [False, False]]
 
 
 class TestConsoleScript:

@@ -63,7 +63,7 @@ class TestLoadCsv:
         assert raw.n_with_missing == 1
 
     def test_wrong_arity_raises_with_line(self, tmp_path):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=r"data\.csv: line 1: "):
             load_csv(_write_csv(tmp_path, [_ROW_OK[:-2] + [0]]))
 
     def test_non_numeric_cell_raises(self, tmp_path):

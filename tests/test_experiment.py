@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,31 @@ class TestExperimentConfig:
     def test_non_finite_cost_weight_rejected(self, field, value):
         with pytest.raises(ValidationError, match="finite"):
             ExperimentConfig.from_dict({"weights": {field: value}})
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"search_iters": "3"}, "search_iters"),
+            ({"seed": True}, "seed"),
+            ({"seed": 7.0}, "seed"),
+            ({"test_fraction": "0.2"}, "test_fraction"),
+            ({"paper_faithful": 1}, "paper_faithful"),
+            ({"data_path": 5}, "data_path"),
+            ({"n_ex_grid": [0, "2"]}, "n_ex_grid"),
+            ({"n_ex_grid": 4}, "n_ex_grid"),
+            ({"dk_families": ["RF", 3]}, "dk_families"),
+            ({"weights": {"w_fp": "0.2"}}, "weights.w_fp"),
+            ({"llm": {"max_retries": 2.0}}, "llm.max_retries"),
+            ({"llm": {"temperature": False}}, "llm.temperature"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, doc, key):
+        with pytest.raises(ValidationError, match=rf"config key {re.escape(key)} must be "):
+            ExperimentConfig.from_dict(doc)
+
+    def test_float_field_takes_an_integer(self):
+        cfg = ExperimentConfig.from_dict({"test_fraction": 1, "weights": {"w_fp": 0, "w_fn": 1}, "llm": {"timeout": 5}})
+        assert cfg.test_fraction == 1 and cfg.weights == CostWeights(0.0, 1.0) and cfg.llm.timeout == 5
 
 
 class TestMeanRow:
