@@ -538,7 +538,7 @@ class TestFamilyPool:
         env = {**os.environ, "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
         return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
 
-    def test_same_bytes_at_one_and_two_workers(self, workdir, monkeypatch, capsys):
+    def test_same_bytes_at_one_and_two_workers(self, workdir, monkeypatch):
         doc = {**json.loads(workdir["cfg"].read_text()), "search_iters": 2, "search_folds": 2}
         workdir["cfg"].write_text(json.dumps(doc))
         assert main(["--config", str(workdir["cfg"]), "prepare-data"]) == 0
@@ -563,7 +563,7 @@ class TestFamilyPool:
             searched_in[n] = set(pids.read_text().split())
         assert out[1] == out[2]
         assert searched_in[1] == {str(os.getpid())}
-        assert str(os.getpid()) not in searched_in[2] and len(searched_in[2]) == 2
+        assert searched_in[2] and str(os.getpid()) not in searched_in[2]
 
     def test_worker_error_is_the_same_at_one_and_two_workers(self, workdir, monkeypatch, capsys):
         cfg = str(workdir["cfg"])
