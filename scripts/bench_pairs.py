@@ -17,7 +17,10 @@ outcome (change, parent, tie, or missing when a run reported no value; the
 runs without one are listed). Because the second run of a pair can read
 differently whichever side it is, each metric also gives, for the
 parent-first and the change-first pairs apart, the median change-minus-parent
-difference and the change's wins. Exit codes and failed operations per side
+difference and the change's wins. Because the host's speed drifts between
+pairs, which widens each side's own quartiles, each metric also gives the
+median and quartile distance of the per-pair change-minus-parent differences
+over all pairs that have both values. Exit codes and failed operations per side
 and the machine the runs took (nproc, Python and numpy versions, and the
 requests version where it is installed) are recorded too.
 `--claim W:METRIC` states whether the change beat the parent in at least 9
@@ -99,9 +102,27 @@ def outcome(parent: float | None, change: float | None, lower: bool) -> str:
     return "change" if (change < parent) == lower else "parent"
 
 
+def differences(parent: list, change: list) -> list[float]:
+    """Each pair's change-minus-parent difference; pairs missing a value are skipped."""
+    return [c - p for p, c in zip(parent, change) if p is not None and c is not None]
+
+
+def paired_summary(parent: list, change: list) -> dict | None:
+    """Median and quartile distance of the per-pair differences."""
+    diffs = differences(parent, change)
+    q = quartiles(diffs)
+    if q is None:
+        return None
+    return {
+        "pairs": len(diffs),
+        "median_change_minus_parent": q["median"],
+        "quartile_distance": round(q["q3"] - q["q1"], 4),
+    }
+
+
 def order_summary(parent: list, change: list, outcomes: list[str]) -> dict:
     """The pairs of one running order: median change-minus-parent difference and the change's wins."""
-    diffs = [c - p for p, c in zip(parent, change) if p is not None and c is not None]
+    diffs = differences(parent, change)
     return {
         "median_change_minus_parent": round(statistics.median(diffs), 4) if diffs else None,
         "change_better_in": f"{outcomes.count('change')} of {len(outcomes)} pairs",
@@ -130,6 +151,7 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             )
         entry["change_better_in"] = f"{outcomes.count('change')} of {pairs} pairs"
         entry["wins"] = outcomes
+        entry["paired_differences"] = paired_summary(values["parent"], values["change"])
         entry["by_order"] = {
             order: order_summary(values["parent"][first::2], values["change"][first::2], outcomes[first::2])
             for order, first in (("parent_first", 0), ("change_first", 1))

@@ -1,19 +1,22 @@
 """Chat-completions client with caching, retries, and deterministic mocks.
 
-Every backend answers one prompt with `respond(prompt_text) -> str` and takes
-at most `max_in_flight` prompts at once: 1 for the mocks, which
-`classify_batch` runs inline, more for `HttpBackend`, which it runs on threads.
+Every backend answers a batch of prompts in one call, `answer(prompts) ->
+list[str]`, in prompt order. The mocks answer inline, one prompt after
+another. `HttpBackend` answers in the calling thread until the first prompt
+that misses the cache, then with `max_in_flight` - 1 helper threads besides,
+so a fully cached batch starts no thread.
 
 `HttpBackend` POSTs {base_url}/v1/chat/completions with a single user message
 and the bearer token from OPENAI_API_KEY, the only credential sent (`.netrc`
 is never read), over at most `max_in_flight` keep-alive `http.client`
 connections for its whole life; the proxy and CA-bundle environment is read
 when a connection is built. Only it opens the cache, an append-only JSONL
-file keyed by sha256(model_name NUL temperature NUL prompt) and read before
-the network, so a rerun after an abort costs no requests and a mock run never
-touches it. `http.client` is imported only when a prompt misses the cache.
-A torn last line (a crash during an append) is dropped with a warning; a bad
-line anywhere else is an error. Transient failures (429, 5xx, timeouts,
+file keyed by sha256(model_name NUL temperature NUL prompt), hashed once per
+prompt and read before the network, so a rerun after an abort costs no
+requests and a mock run never touches it. `http.client` is imported only when
+a prompt misses the cache. The cache file is parsed in one call when it
+opens; a torn last line (a crash during an append) is dropped with a warning,
+and a bad line anywhere else is an error. Transient failures (429, 5xx, timeouts,
 resets, a response body cut short) retry with exponential backoff and equal
 jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
 exponential envelope and never decreases. A send on a pooled connection that
@@ -43,7 +46,7 @@ import threading
 import time
 import urllib.parse
 import weakref
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +54,7 @@ from typing import Protocol
 
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
-from .prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
+from .prompts import Examples, PromptSpec, assemble_prompt, render_instance, sample_examples
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _LABEL_RE = re.compile(r"(?<![0-9])([01])(?![0-9])")
@@ -130,14 +133,36 @@ class JsonlCache:
             self._load()
 
     def _load(self):
-        # lines[-1] is what follows the last newline: empty unless an append was cut short
-        lines = self.path.read_text(encoding="utf-8", errors="surrogateescape").split("\n")
+        # One parse for the file, each line in brackets of its own ([] when
+        # blank). No line carries an open string or object past "],\n[" (a
+        # string holds no raw newline, an object no "]"); one that leaves a
+        # bracket open or closes its own makes an item that is not [] or
+        # [record], or changes the number of items.
+        text = "[[" + self.path.read_text(encoding="utf-8", errors="surrogateescape").replace("\n", "],\n[") + "]]"
+        lines = text.count("\n") + 1
+        try:
+            items = json.loads(text)
+            del text  # before the records are built, which keeps the peak memory of opening low
+            records = [CompletionRecord(**doc) for [doc] in filter(None, items)]
+        except (ValueError, TypeError):
+            items = []
+        if len(items) != lines:  # some line is not one record: find it
+            self._read_lines(self.path.read_text(encoding="utf-8", errors="surrogateescape").split("\n"))
+            return
+        self._by_hash = {rec.prompt_hash: rec for rec in records}  # later lines win
+        if items[-1]:  # a whole record missing only its newline
+            with self.path.open("a") as fh:
+                fh.write("\n")
+
+    def _read_lines(self, lines: list[str]):
+        """_load one line at a time, which finds the line that is not a record."""
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 rec = CompletionRecord(**json.loads(line))
             except (ValueError, TypeError) as exc:
+                # lines[-1] is what follows the last newline: empty unless an append was cut short
                 if number < len(lines):
                     raise CardiopromptError(f"{self.path}: line {number} is not a cache record ({exc})") from exc
                 # an append cut short: cut the fragment off so the next put starts a fresh line
@@ -261,8 +286,6 @@ def complete(
     token = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")
     if not token:
         raise AuthError("no API key: set OPENAI_API_KEY")
-    jitter_rng = jitter_rng or random.Random()
-
     url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
     message = {"role": "user", "content": prompt_text}
     body = {"model": cfg.model_name, "messages": [message], "temperature": cfg.temperature}
@@ -286,6 +309,8 @@ def complete(
         last_failure = "no attempt made"
         for attempt in range(cfg.max_retries + 1):
             if attempt > 0:
+                if jitter_rng is None:  # seeded from os.urandom: built only when a retry sleeps
+                    jitter_rng = random.Random()
                 envelope = cfg.backoff_base * 2 ** (attempt - 1)
                 sleeper(envelope * (0.5 + 0.5 * jitter_rng.random()))
             try:
@@ -314,36 +339,68 @@ def complete(
 
 
 class Backend(Protocol):
-    """What classify_batch asks of a backend."""
+    """What classify_batch asks of a backend: one answer per prompt, in prompt order."""
 
-    max_in_flight: int
-
-    def respond(self, prompt_text: str) -> str: ...
+    def answer(self, prompts: Sequence[str]) -> list[str]: ...
 
 
 class HttpBackend:
     """The endpoint through `complete`, up to cfg.max_in_flight prompts at
     once, each on a connection taken from a free list and put back after, so
-    connections outlive a `classify_batch` call. Its first permanent failure
-    stops it for good."""
+    connections outlive an `answer` call. Its first permanent failure stops
+    it for good."""
 
     def __init__(self, cfg: LlmConfig, cache: JsonlCache | None = None, api_key: str | None = None):
         self.cfg = cfg
         self.cache = cache
         self.api_key = api_key
-        self.max_in_flight = cfg.max_in_flight
         self._lock = threading.Lock()
         self._stopped = threading.Event()
         self._failure: CardiopromptError | None = None
         self._sessions: queue.SimpleQueue[Connection] = queue.SimpleQueue()  # idle, each with its connection
 
-    def respond(self, prompt_text: str) -> str:
+    def answer(self, prompts: Sequence[str]) -> list[str]:
+        """The calling thread takes prompts in order from an iterator; the
+        first cache miss starts up to max_in_flight - 1 helper threads that
+        take from the same iterator, so hits before it are answered here and
+        a fully cached batch starts no thread. No prompt starts after the
+        first failure, which is the error raised."""
+        answers: list = [None] * len(prompts)  # every slot is filled, or a failure is raised
+        rows, failures, helpers = iter(range(len(prompts))), [], None
+
+        def drain(lend: Callable[[], AbstractContextManager[Connection]]):
+            for i in rows:  # the iterator is shared, so each prompt is taken once
+                if failures:
+                    return
+                try:
+                    answers[i] = self._respond(prompts[i], lend)
+                except BaseException as exc:  # re-raised in the calling thread below
+                    failures.append(exc)
+
+        # drain takes its lender as an argument: a lender it closed over would
+        # close a reference cycle that keeps the batch's prompts until a full
+        # garbage collection
+        def lend_starting_helpers() -> AbstractContextManager[Connection]:
+            nonlocal helpers
+            if helpers is None:  # the first miss; no other thread runs yet
+                width = min(self.cfg.max_in_flight, len(prompts))
+                helpers = [threading.Thread(target=drain, args=[self._lend_session]) for _ in range(width - 1)]
+                for t in helpers:
+                    t.start()
+            return self._lend_session()
+
+        drain(lend_starting_helpers)
+        for t in helpers or ():
+            t.join()
+        if failures:
+            raise failures[0]
+        return answers
+
+    def _respond(self, prompt_text: str, lend: Callable[[], AbstractContextManager[Connection]]) -> str:
         try:
             if self._stopped.is_set():  # a stopped backend starts no prompt
                 raise self._failure
-            return complete(
-                prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key, session=self._lend_session
-            ).raw_response
+            return complete(prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key, session=lend).raw_response
         except (TransportError, AuthError, ProtocolError) as exc:
             with self._lock:
                 if self._failure is None:
@@ -388,10 +445,15 @@ def _query_values(prompt_text: str) -> dict[str, float]:
     return pairs
 
 
-class OracleMock:
-    """Answers every prompt with the true label of its query instance."""
+class _InlineMock:
+    """A mock answers a batch one prompt after another, with `respond`."""
 
-    max_in_flight = 1
+    def answer(self, prompts: Sequence[str]) -> list[str]:
+        return [self.respond(p) for p in prompts]
+
+
+class OracleMock(_InlineMock):
+    """Answers every prompt with the true label of its query instance."""
 
     def __init__(self, answers: dict[str, int]):
         self.answers = dict(answers)
@@ -412,26 +474,20 @@ class OracleMock:
         return str(self.answers[line])
 
 
-class ScriptedMock:
+class ScriptedMock(_InlineMock):
     """Returns queued responses in order; draining the queue is an error."""
-
-    max_in_flight = 1
 
     def __init__(self, responses: list[str]):
         self.queue = list(responses)
-        self._lock = threading.Lock()
 
     def respond(self, prompt_text: str) -> str:
-        with self._lock:
-            if not self.queue:
-                raise ValidationError("scripted mock queue exhausted")
-            return self.queue.pop(0)
+        if not self.queue:
+            raise ValidationError("scripted mock queue exhausted")
+        return self.queue.pop(0)
 
 
-class RuleMock:
+class RuleMock(_InlineMock):
     """'1' iff the named feature in the final question is >= threshold."""
-
-    max_in_flight = 1
 
     def __init__(self, feature: str, threshold: float):
         self.feature = feature
@@ -463,38 +519,12 @@ def classify_batch(
 ) -> list[PredictionRecord]:
     """One verdict per test row, in row order.
 
-    Prompts share one draw of in-context examples (from train, per spec.seed)
-    and differ only in the final question. Up to backend.max_in_flight prompts
-    are answered at once, by the calling thread and up to width - 1 more,
-    each taking rows from one shared iterator, so width 1 runs inline, in row
-    order. No row starts after the first failure, which is the error raised.
+    Prompts share one draw of in-context examples (from train, per spec.seed),
+    checked once, and differ only in the final question. The backend answers
+    them all in one call; its first failure is the error raised.
     """
     if spec.n_ex > 0 and train is None:
         raise ValidationError("in-context examples requested but no train split given")
-    examples = sample_examples(train, spec.n_ex, spec.seed) if spec.n_ex else []
-    prompts = [assemble_prompt(spec, examples, test.matrix[i]).text for i in range(test.n_rows)]
-
-    def run(i: int) -> PredictionRecord:
-        return PredictionRecord(i, parse_label(backend.respond(prompts[i])))
-
-    results: list = [None] * len(prompts)  # every slot is filled, or a failure is raised
-    rows, failures = iter(range(len(prompts))), []
-
-    def drain():
-        for i in rows:  # the iterator is shared, so each row is taken once
-            if failures:
-                return
-            try:
-                results[i] = run(i)
-            except BaseException as exc:  # re-raised in the calling thread below
-                failures.append(exc)
-
-    helpers = [threading.Thread(target=drain) for _ in range(min(backend.max_in_flight, len(prompts)) - 1)]
-    for t in helpers:
-        t.start()
-    drain()
-    for t in helpers:
-        t.join()
-    if failures:
-        raise failures[0]
-    return results
+    examples = sample_examples(train, spec.n_ex, spec.seed) if spec.n_ex else Examples()
+    prompts = [assemble_prompt(spec, examples, row).text for row in test.matrix]
+    return [PredictionRecord(i, parse_label(raw)) for i, raw in enumerate(backend.answer(prompts))]

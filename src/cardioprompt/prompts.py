@@ -6,7 +6,9 @@ blank line; omitted parts leave no residue. Assembly is pure and
 byte-deterministic so cached completions stay valid across runs.
 
 Within one grid cell only the question changes from row to row, so the
-first four parts (the head) are built once per cell and memoized.
+first four parts (the head) are built once per cell and memoized. The
+in-context examples are an `Examples`, checked and keyed once per draw, so a
+row costs a memo lookup and its question line.
 """
 
 from __future__ import annotations
@@ -101,13 +103,40 @@ def _render_row(bits: bytes, float_style: bool) -> str:
     return ", ".join(f"{name}: {render(v)}" for name, v in zip(FEATURE_NAMES, np.frombuffer(bits)))
 
 
-def sample_examples(train: Dataset, n_ex: int, seed: int) -> list[tuple[np.ndarray, int]]:
+class Examples(tuple):
+    """In-context examples: (row, label) pairs, each row a read-only float64
+    copy of the 13 feature values and each label 0 or 1, checked once when
+    built. `bits` (the rows' float64 bytes, one after another) and `labels`
+    (each label as printed) are what the prompt head is memoized by."""
+
+    def __new__(cls, pairs=()):
+        rows, labels = [], []
+        for i, (x, label) in enumerate(pairs, start=1):
+            if label not in (0, 1):
+                raise ValidationError(f"example {i} label must be 0/1, got {label!r}")
+            try:
+                row = np.asarray(x, dtype=float).flatten()  # a copy, whatever x was
+            except (ValueError, TypeError):  # ragged or non-numeric rows
+                row = np.empty(0)
+            if row.size != len(FEATURE_NAMES):
+                raise ValidationError(f"each example needs {len(FEATURE_NAMES)} feature values")
+            row.flags.writeable = False
+            rows.append(row)
+            labels.append(label)
+        self = super().__new__(cls, zip(rows, labels))
+        self.bits = b"".join([row.tobytes() for row in rows])
+        # labels as printed, not as compared: True == 1, yet it prints "True"
+        self.labels = tuple([f"{label}" for label in labels])
+        return self
+
+
+def sample_examples(train: Dataset, n_ex: int, seed: int) -> Examples:
     """Stratified draw without replacement: ceil(n/2) positives and floor(n/2)
     negatives, interleaved starting with a positive. Deterministic per seed."""
     if n_ex < 0:
         raise ValidationError("example count must be >= 0")
     if n_ex == 0:
-        return []
+        return Examples()
     if n_ex > train.n_rows:
         raise SamplingError(f"asked for {n_ex} examples from {train.n_rows} rows")
     n_pos = math.ceil(n_ex / 2)
@@ -122,22 +151,18 @@ def sample_examples(train: Dataset, n_ex: int, seed: int) -> list[tuple[np.ndarr
     # draw order fixed (positives first) so the seed fully pins the result
     pos_pick = rng.choice(pos_idx, size=n_pos, replace=False)
     neg_pick = rng.choice(neg_idx, size=n_neg, replace=False)
-    out: list[tuple[np.ndarray, int]] = []
-    for i in range(n_ex):
-        src = pos_pick[i // 2] if i % 2 == 0 else neg_pick[i // 2]
-        out.append((train.matrix[src].copy(), int(train.targets[src])))
-    return out
+    picks = [pos_pick[i // 2] if i % 2 == 0 else neg_pick[i // 2] for i in range(n_ex)]
+    return Examples((train.matrix[src], int(train.targets[src])) for src in picks)
 
 
-def assemble_prompt(spec: PromptSpec, examples: list[tuple[np.ndarray, int]], query) -> Prompt:
+def assemble_prompt(spec: PromptSpec, examples, query) -> Prompt:
+    """The prompt for one query row. `examples` is an `Examples` or a list of
+    (row, label) pairs, which is checked as one."""
     if len(examples) != spec.n_ex:
         raise ValidationError(f"spec wants {spec.n_ex} examples, got {len(examples)}")
-    for i, (_, label) in enumerate(examples, start=1):
-        if label not in (0, 1):
-            raise ValidationError(f"example {i} label must be 0/1, got {label!r}")
-    # labels as printed, not as compared: True == 1, yet it prints "True"
-    labels = tuple([f"{label}" for _, label in examples])
-    part1, blocks, part4 = _head(spec, _example_bits(examples), labels)
+    if not isinstance(examples, Examples):
+        examples = Examples(examples)
+    part1, blocks, part4 = _head(spec, examples.bits, examples.labels)
 
     query_line = render_instance(query, float_style=spec.paper_faithful)
     tail = " ?" if spec.paper_faithful else ""
@@ -146,24 +171,11 @@ def assemble_prompt(spec: PromptSpec, examples: list[tuple[np.ndarray, int]], qu
     return Prompt(part1, ATTRIBUTES, blocks, part4, part5)
 
 
-def _example_bits(examples) -> bytes:
-    """The example rows' float64 bytes, one row after another."""
-    if not examples:
-        return b""
-    try:
-        rows = np.asarray([x for x, _ in examples], dtype=float)
-    except ValueError:  # ragged or non-numeric rows
-        rows = np.empty(0)
-    if rows.size != len(examples) * len(FEATURE_NAMES):
-        raise ValidationError(f"each example needs {len(FEATURE_NAMES)} feature values")
-    return rows.tobytes()
-
-
 @functools.lru_cache(maxsize=64)
 def _head(spec: PromptSpec, example_bits: bytes, labels: tuple[str, ...]) -> tuple[str, tuple[str, ...], str]:
     """The task, example and domain-knowledge parts, which every row of a grid
-    cell shares. Keyed, like _render_row, by the example rows' float64 bytes,
-    never their values; 64 entries hold a 35-cell grid."""
+    cell shares. Keyed, like _render_row, by the example rows' float64 bytes
+    (`Examples.bits`), never their values; 64 entries hold a 35-cell grid."""
     part1 = TASK_INSTRUCTION
     if spec.paper_faithful:
         part1 = part1 + "\n" + CREDIT_RISK_SENTENCE

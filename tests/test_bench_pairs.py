@@ -49,3 +49,14 @@ def test_order_summary_skips_missing_runs(bench_pairs):
         "parent_first": {"median_change_minus_parent": -0.5, "change_better_in": "1 of 2 pairs"},
         "change_first": {"median_change_minus_parent": -0.2, "change_better_in": "1 of 2 pairs"},
     }
+
+
+def test_paired_differences_skip_missing_pairs(bench_pairs):
+    # the host slows over the set: each side's own quartiles widen, the paired differences stay close
+    parent = [3.0, 3.5, None, 4.0, 4.5, 5.0]
+    change = [2.8, 3.2, 3.0, 3.8, None, 4.6]
+    s = bench_pairs.summarize({"parent": runs_of(parent), "change": runs_of(change)}, WALL_S)["wall_s"]
+    assert s["paired_differences"] == {"pairs": 4, "median_change_minus_parent": -0.25, "quartile_distance": 0.125}
+    assert s["parent_quartile_distance"] == 1.0
+    none = bench_pairs.summarize({"parent": runs_of([3.0, None]), "change": runs_of([None, 2.0])}, WALL_S)["wall_s"]
+    assert none["paired_differences"] is None

@@ -318,11 +318,9 @@ class TestPromptGrid:
         seen: list[str] = []
 
         class Recorder:
-            max_in_flight = 1
-
-            def respond(self, prompt_text):
-                seen.append(prompt_text)
-                return "1"
+            def answer(self, prompts):
+                seen.extend(prompts)
+                return ["1"] * len(prompts)
 
         cfg = ExperimentConfig(seed=4, n_ex_grid=(2,))
         run_prompt_grid(cfg, prepared, [NO_DK, seven_dks()[1]], backend=Recorder())

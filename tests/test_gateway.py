@@ -21,10 +21,12 @@ import numpy as np
 import pytest
 
 import cardioprompt
+from cardioprompt import gateway
 from cardioprompt.data import Dataset
 from cardioprompt.dk import DkVariant, DomainKnowledge
 from cardioprompt.errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from cardioprompt.gateway import (
+    CompletionRecord,
     HttpBackend,
     JsonlCache,
     LlmConfig,
@@ -233,6 +235,36 @@ class TestJsonlCache:
         assert path.read_text() == torn_mid_file  # nothing truncated
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"prompt_hash": "h2", "model_name": "m", "raw_response": "1", "timestamp": 1.0, "attempt_count": 1, "x": 0}',
+            '{"prompt_hash": "h2", "model_name": "m", "raw_response": "1", "timestamp": 1.0}',
+            '["h2", "m", "1", 1.0, 1]',
+            _lines("h2").strip() + ", " + _lines("h4").strip(),  # two records on one line
+            '{"prompt_hash": "h2", "model_name": "m", "raw_response": "\n", "timestamp": 1.0, "attempt_count": 1}',
+            '[\n1]',
+            '{"prompt_hash": "h2", "model_name": "m"\n"raw_response": "1", "timestamp": 1.0, "attempt_count": 1}',
+            '{"prompt_hash": "h2", "model_name": "m", "raw_response": "],\n[", "timestamp": 1.0, "attempt_count": 1}',
+        ],
+    )
+    def test_line_that_is_not_one_record_rejected(self, tmp_path, bad):
+        # the line with a raw newline becomes two lines, the first of them bad
+        path = tmp_path / "c.jsonl"
+        path.write_text(self._lines("h1") + bad + "\n" + self._lines("h3"))
+        with pytest.raises(CardiopromptError, match=r"c\.jsonl: line 2 "):
+            JsonlCache(path)
+
+    def test_file_parsed_in_one_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self._lines("h1", "h2", "h1", "h3"))
+        calls = []
+        original = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or original(text))
+        cache = JsonlCache(path)
+        assert len(calls) == 1 and len(cache) == 3
+
+
 def _one_row_prompt(x) -> str:
     return assemble_prompt(PromptSpec(n_ex=0, dk=NO_DK), [], x).text
 
@@ -316,6 +348,19 @@ class TestComplete:
         assert len(stub.requests) == 2
         assert len(sleeps) == 1
         assert 0.5 <= sleeps[0] <= 1.0  # equal jitter inside the first envelope
+
+    def test_jitter_rng_built_only_when_a_retry_sleeps(self, stub, monkeypatch):
+        built = []
+        original = random.Random
+        monkeypatch.setattr(random, "Random", lambda *a: built.append(a) or original(*a))
+        stub.script = [(200, ok_body("1"))]
+        complete("p", _cfg(stub), sleeper=lambda s: None, api_key="k")
+        assert built == []  # a first-attempt success
+        stub.script = [(503, {}), (503, {}), (200, ok_body("1"))]
+        sleeps = []
+        assert complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k").attempt_count == 3
+        assert len(built) == 1  # one for the call, at its first sleep
+        assert 0.5 <= sleeps[0] <= 1.0 and 1.0 <= sleeps[1] <= 2.0
 
     def test_backoff_nondecreasing_within_envelope(self, stub):
         stub.script = [(503, {})]
@@ -571,32 +616,67 @@ class TestClassifyBatch:
         seen = []
 
         class Recorder:
-            max_in_flight = 1
-
-            def respond(self, prompt_text):
-                seen.append(prompt_text)
-                return "1"
+            def answer(self, prompts):
+                seen.extend(prompts)
+                return ["1"] * len(prompts)
 
         classify_batch(test, PromptSpec(n_ex=4, dk=NO_DK, seed=3), Recorder(), train=train)
         blocks = [t.split("Now, given")[0].split("Example 1:")[1] for t in seen]
         assert all(b == blocks[0] for b in blocks)  # same examples everywhere
 
-    def test_no_row_starts_after_the_first_failure(self):
+    def test_no_row_starts_after_the_first_failure(self, monkeypatch):
         started = []
 
-        class FailsFirst:
-            max_in_flight = 3
-
-            def respond(self, prompt_text):
+        def fails_first(prompt_text, cfg, cache, sleeper, api_key, session):
+            with session():  # a cache miss
                 started.append(prompt_text)
                 if len(started) == 1:
                     raise ValidationError("first")
                 time.sleep(0.05)
-                return "1"
+                return CompletionRecord("h", cfg.model_name, "1", 0.0, 1)
 
+        monkeypatch.setattr(gateway, "complete", fails_first)
+        backend = HttpBackend(LlmConfig(base_url="http://127.0.0.1:9", max_in_flight=3), api_key="k")
         with pytest.raises(ValidationError, match="first"):
-            classify_batch(small_dataset(30, seed=4), PromptSpec(n_ex=0, dk=NO_DK), FailsFirst())
+            classify_batch(small_dataset(30, seed=4), PromptSpec(n_ex=0, dk=NO_DK), backend)
         assert len(started) <= 3  # the failing row and at most one row in flight on each other thread
+
+    def _fill(self, stub, path, ds, rows) -> list[str]:
+        """Caches the answers to `rows` of `ds`; every row's prompt, in row order."""
+        stub.script = [self._answers_by_chol]
+        prompts = [assemble_prompt(PromptSpec(n_ex=0, dk=NO_DK), [], x).text for x in ds.matrix]
+        cache = JsonlCache(path)
+        for i in rows:
+            complete(prompts[i], _cfg(stub), cache, api_key="k")
+        cache.close()
+        stub.requests.clear()
+        return prompts
+
+    def test_fully_cached_batch_starts_no_thread(self, stub, tmp_path, monkeypatch):
+        ds = small_dataset(12, seed=8)
+        self._fill(stub, tmp_path / "c.jsonl", ds, range(12))
+        expected = [1 if v >= 240 else 0 for v in ds.matrix[:, FEATURE_NAMES.index("chol")]]
+        starts = []
+        original_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or original_start(t))
+        backend = HttpBackend(_cfg(stub, max_in_flight=4), JsonlCache(tmp_path / "c.jsonl"), api_key="k")
+        preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), backend)
+        assert [p.verdict.label for p in preds] == expected
+        assert starts == [] and stub.requests == []
+
+    def test_half_cached_batch_sends_only_the_misses_hashing_each_prompt_once(self, stub, tmp_path, monkeypatch):
+        ds = small_dataset(12, seed=8)
+        prompts = self._fill(stub, tmp_path / "c.jsonl", ds, range(0, 12, 2))
+        expected = [1 if v >= 240 else 0 for v in ds.matrix[:, FEATURE_NAMES.index("chol")]]
+        hashed = []
+        original_hash = gateway.prompt_hash
+        monkeypatch.setattr(gateway, "prompt_hash", lambda text, *a: hashed.append(text) or original_hash(text, *a))
+        backend = HttpBackend(_cfg(stub, max_in_flight=4), JsonlCache(tmp_path / "c.jsonl"), api_key="k")
+        preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), backend)
+        assert [p.index for p in preds] == list(range(12))
+        assert [p.verdict.label for p in preds] == expected
+        assert sorted(r["body"]["messages"][0]["content"] for r in stub.requests) == sorted(prompts[1::2])
+        assert sorted(hashed) == sorted(prompts)
 
     def test_unparseable_recorded_not_raised(self):
         ds = small_dataset(3, seed=4)
@@ -650,7 +730,7 @@ class TestClassifyBatch:
         assert time.monotonic() - start < 10.0
         assert len(stub.requests) == 2
         with pytest.raises(AuthError):
-            backend.respond(_one_row_prompt(QUERY))  # a stopped backend stays stopped
+            backend.answer([_one_row_prompt(QUERY)])  # a stopped backend stays stopped
         assert len(stub.requests) == 2
 
 

@@ -38,14 +38,12 @@ def reference_text(spec: PromptSpec, examples, query) -> str:
 class Recorder:
     """A backend that keeps every prompt it is asked and answers 1."""
 
-    max_in_flight = 1
-
     def __init__(self):
         self.texts: list[str] = []
 
-    def respond(self, prompt_text: str) -> str:
-        self.texts.append(prompt_text)
-        return "1"
+    def answer(self, prompts: list[str]) -> list[str]:
+        self.texts += prompts
+        return ["1"] * len(prompts)
 
 
 def dk_grid() -> list[DomainKnowledge]:
@@ -99,6 +97,23 @@ class TestSharedHead:
         for rows in ([np.zeros(13), np.zeros(12)], [np.zeros(12), np.zeros(12)]):
             with pytest.raises(ValidationError):
                 assemble_prompt(spec, [(rows[0], 1), (rows[1], 0)], QUERY)
+
+    def test_example_rows_are_read_only_copies(self):
+        row = EXAMPLE_1[0].copy()
+        examples = prompts.Examples([(row, 1)])
+        row[0] = 99.0  # the caller's array is not the one kept
+        assert examples[0][0][0] == 57.0 and examples.bits == EXAMPLE_1[0].astype(float).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            examples[0][0][0] = 1.0
+
+    def test_examples_checked_once_per_draw(self, monkeypatch):
+        built = []
+        original = prompts.Examples.__new__
+        monkeypatch.setattr(prompts.Examples, "__new__", lambda cls, *a: built.append(cls) or original(cls, *a))
+        prepared = prepare(synthetic_raw(n_rows=60, missing_fraction=0.0, seed=5), ExperimentConfig(seed=5))
+        cfg = ExperimentConfig(seed=5, n_ex_grid=(4,))
+        run_prompt_grid(cfg, prepared, dk_grid()[:2], Recorder())
+        assert len(built) == 2  # one draw per cell, whatever the number of rows
 
     def test_memo_is_bounded(self):
         prompts._head.cache_clear()

@@ -89,7 +89,7 @@ class TestRenderInstance:
 
 class TestSampleExamples:
     def test_zero_returns_empty(self):
-        assert sample_examples(small_dataset(30), 0, seed=1) == []
+        assert sample_examples(small_dataset(30), 0, seed=1) == ()
 
     def test_count_and_interleaving(self):
         ds = small_dataset(80, seed=1)
