@@ -134,23 +134,27 @@ class JsonlCache:
 
     def _load(self):
         # One parse for the file, each line in brackets of its own ([] when
-        # blank). No line carries an open string or object past "],\n[" (a
-        # string holds no raw newline, an object no "]"); one that leaves a
-        # bracket open or closes its own makes an item that is not [] or
-        # [record], or changes the number of items.
-        text = "[[" + self.path.read_text(encoding="utf-8", errors="surrogateescape").replace("\n", "],\n[") + "]]"
-        lines = text.count("\n") + 1
+        # blank) and each object built into a record as it is parsed. No line
+        # carries an open string or object past "],\n[" (a string holds no raw
+        # newline, an object no "]"); one that leaves a bracket open or closes
+        # its own makes an item that is not [] or [record], or changes the
+        # number of items.
+        lines = self.path.read_text(encoding="utf-8", errors="surrogateescape").split("\n")
+        n_lines, last = len(lines), lines[-1]
+        lines[0] = "[[" + lines[0]
+        lines[-1] += "]]"  # the same line as lines[0] in a one-line file
+        text = "],\n[".join(lines)
+        del lines  # before the parse: the file is held once, as text
         try:
-            items = json.loads(text)
-            del text  # before the records are built, which keeps the peak memory of opening low
-            records = [CompletionRecord(**doc) for [doc] in filter(None, items)]
+            items = json.loads(text, object_hook=lambda doc: CompletionRecord(**doc))
+            records = [rec for [rec] in filter(None, items)]
         except (ValueError, TypeError):
-            items = []
-        if len(items) != lines:  # some line is not one record: find it
+            items, records = [], []
+        if len(items) != n_lines or not all(isinstance(rec, CompletionRecord) for rec in records):
             self._read_lines(self.path.read_text(encoding="utf-8", errors="surrogateescape").split("\n"))
             return
         self._by_hash = {rec.prompt_hash: rec for rec in records}  # later lines win
-        if items[-1]:  # a whole record missing only its newline
+        if last.strip():  # a whole record missing only its newline
             with self.path.open("a") as fh:
                 fh.write("\n")
 
@@ -162,7 +166,6 @@ class JsonlCache:
             try:
                 rec = CompletionRecord(**json.loads(line))
             except (ValueError, TypeError) as exc:
-                # lines[-1] is what follows the last newline: empty unless an append was cut short
                 if number < len(lines):
                     raise CardiopromptError(f"{self.path}: line {number} is not a cache record ({exc})") from exc
                 # an append cut short: cut the fragment off so the next put starts a fresh line

@@ -260,7 +260,7 @@ class TestJsonlCache:
         path.write_text(self._lines("h1", "h2", "h1", "h3"))
         calls = []
         original = json.loads
-        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or original(text))
+        monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(text) or original(text, **kw))
         cache = JsonlCache(path)
         assert len(calls) == 1 and len(cache) == 3
 
