@@ -234,7 +234,6 @@ class TestJsonlCache:
             JsonlCache(path)
         assert path.read_text() == torn_mid_file  # nothing truncated
 
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -249,7 +248,7 @@ class TestJsonlCache:
         ],
     )
     def test_line_that_is_not_one_record_rejected(self, tmp_path, bad):
-        # the line with a raw newline becomes two lines, the first of them bad
+        # a "\n" above is a raw newline: the file's line 2 is then the part before it
         path = tmp_path / "c.jsonl"
         path.write_text(self._lines("h1") + bad + "\n" + self._lines("h3"))
         with pytest.raises(CardiopromptError, match=r"c\.jsonl: line 2 "):
