@@ -8,6 +8,7 @@ absent cells and leaves present cells bitwise untouched.
 from __future__ import annotations
 
 import csv
+import glob
 import io
 import os
 from dataclasses import dataclass, replace
@@ -282,13 +283,20 @@ def write_imputed_csv(ds: Dataset, path: str | Path) -> None:
 def write_atomic(path: str | Path, text: str) -> None:
     """Write a stage artifact whole or not at all.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces `path` in one rename, so a crash or a failed write leaves the
-    previous artifact's bytes, never a torn file. Parent directories are
-    created. Newlines are written as given.
+    The text goes to a temporary file `.<name>.<16 hex>.tmp` in the same
+    directory, which then replaces `path` in one rename, so a killed process
+    or a failed write leaves the previous artifact's bytes, never a torn file.
+    Temporary files of this artifact that a killed write left behind are
+    removed first. The promise covers a killed process, not a lost machine:
+    nothing is fsynced, so a power loss or a kernel crash can still lose or
+    tear a file the operating system had not yet written out (an fsync per
+    completion-cache append would cost a system call per live prompt).
+    Parent directories are created. Newlines are written as given.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    for leftover in path.parent.glob(f".{glob.escape(path.name)}.{'[0-9a-f]' * 16}.tmp"):
+        leftover.unlink(missing_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", newline="")  # permissions from the umask, as a plain write's
     try:

@@ -184,10 +184,44 @@ def _tune_family(cfg: ExperimentConfig, train: Dataset, family: str) -> TrainedM
     return model
 
 
+def _openblas():
+    """The OpenBLAS library this process has loaded, found in /proc/self/maps
+    and opened again through ctypes (the same copy); None where there is none."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:  # not Linux
+        return None
+    for path in paths:
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _one_blas_thread():
+    """Pool worker initializer: one OpenBLAS thread in this worker, so that the
+    workers do not oversubscribe the CPUs (a forked worker keeps a thread per
+    CPU). Does nothing where no OpenBLAS thread-count setter is found."""
+    import ctypes
+
+    lib = _openblas()
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None  # void (int), in every build
+            setter(1)
+            return
+
+
 def _tune_families(cfg: ExperimentConfig, train: Dataset) -> list[TrainedModel]:
     """_tune_family for each of FAMILIES, in that order: one family per worker
     process, with as many workers as CPUs this process may use (at most one
-    per family). With one CPU the families run here, one after another."""
+    per family), each running one BLAS thread. With one CPU the families run
+    here, one after another."""
     tune = functools.partial(_tune_family, cfg, train)
     workers = min(len(os.sched_getaffinity(0)), len(FAMILIES))
     if workers == 1:
@@ -198,7 +232,8 @@ def _tune_families(cfg: ExperimentConfig, train: Dataset) -> list[TrainedModel]:
 
     # fork: a worker starts with numpy and the package already imported, which
     # spawn would import again in each; train-models starts no thread first.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(tune, family) for family in FAMILIES]
         try:
             return [future.result() for future in futures]

@@ -7,19 +7,26 @@ that misses the cache, then with `max_in_flight` - 1 helper threads besides,
 so a fully cached batch starts no thread.
 
 `HttpBackend` POSTs {base_url}/v1/chat/completions with a single user message
-and the bearer token from OPENAI_API_KEY, the only credential sent (`.netrc`
-is never read), over at most `max_in_flight` keep-alive `http.client`
-connections for its whole life; the proxy and CA-bundle environment is read
-when a connection is built. Only it opens the cache, an append-only JSONL
-file keyed by sha256(model_name NUL temperature NUL prompt), hashed once per
-prompt and read before the network, so a rerun after an abort costs no
-requests and a mock run never touches it. `http.client` is imported only when
-a prompt misses the cache. The cache file is parsed in one call when it
-opens; a torn last line (a crash during an append) is dropped with a warning,
-and a bad line anywhere else is an error. Transient failures (429, 5xx, timeouts,
-resets, a response body cut short) retry with exponential backoff and equal
-jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
-exponential envelope and never decreases. A send on a pooled connection that
+and the bearer token from OPENAI_API_KEY (looked up once per backend), the
+only credential sent (`.netrc` is never read), over at most `max_in_flight`
+keep-alive connections for its whole life. `http.client` connects them: the
+address, the proxy and CA-bundle environment (read when a connection is
+built), TLS and the CONNECT tunnel. The exchange on a connection is this
+module's own: each request leaves in one write, from a head encoded once per
+connection, and each reply is read from one buffered reader kept for the
+socket's life, within `http.client`'s line and header limits and raising its
+exception types. Only `HttpBackend` opens the cache, an append-only JSONL file
+keyed by sha256(model_name NUL temperature NUL prompt), hashed once per prompt
+and read before the network, so a rerun after an abort costs no requests and a
+mock run never touches it. `http.client` is imported only when a prompt misses
+the cache. The cache file is parsed in one call when it opens; a torn last
+line (a crash during an append) is dropped with a warning, and a bad line
+anywhere else is an error. Transient failures (429, 5xx, timeouts, resets, a
+malformed reply, a response body cut short) retry with exponential backoff and
+equal jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
+exponential envelope and never decreases. After a 429 or 503 the wait is the
+larger of that delay and the reply's Retry-After (seconds or an HTTP date; a
+negative or unparseable value is ignored). A send on a pooled connection that
 the server hangs up on before any response byte (a kept-alive connection it
 had closed) is re-sent once per prompt on a fresh connection, without a sleep
 or a counted attempt. Auth failures never retry. The first permanent failure
@@ -33,6 +40,7 @@ response queue, and a threshold rule on one feature of the final question.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -44,9 +52,10 @@ import select
 import sys
 import threading
 import time
+import types
 import urllib.parse
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +68,10 @@ from .prompts import Examples, PromptSpec, assemble_prompt, render_instance, sam
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _LABEL_RE = re.compile(r"(?<![0-9])([01])(?![0-9])")
 _QUERY_LINE_RE = re.compile(r"^<Inputs>: (.+)$", re.MULTILINE)
+_MAX_LINE = 65536  # http.client's limits: bytes in one line, header lines in one reply
+_MAX_HEADERS = 100
+_CONTROL_IN_TARGET = re.compile(r"[\x00-\x20\x7f]")
+_LINE_BREAK_IN_VALUE = re.compile(r"[\r\n\x00]")
 
 
 @dataclass(frozen=True)
@@ -203,10 +216,14 @@ class JsonlCache:
 
 class Connection(AbstractContextManager):
     """A keep-alive HTTP/1.1 connection to the origin of `url`, opened on first
-    use and again once the server has closed it. `*_PROXY`, `NO_PROXY` and the
-    CA bundle (`REQUESTS_CA_BUNDLE`, `CURL_CA_BUNDLE`) are read once, here. HTTP
-    goes through a proxy as absolute-URI requests, HTTPS through a CONNECT
-    tunnel; credentials in the proxy URL become `Proxy-Authorization`."""
+    use and again once the server has closed it. An `http.client` connection
+    object connects it: the address, `*_PROXY` and `NO_PROXY`, the CA bundle
+    (`REQUESTS_CA_BUNDLE`, `CURL_CA_BUNDLE`), TLS and the CONNECT tunnel, all
+    read once, here. HTTP goes through a proxy as absolute-URI requests, HTTPS
+    through a CONNECT tunnel; credentials in the proxy URL become
+    `Proxy-Authorization`. The exchange is its own: each request leaves in one
+    write from a head encoded once, and each reply is read from one buffered
+    reader kept for the socket's life."""
 
     def __init__(self, url: str):
         import http.client
@@ -237,29 +254,164 @@ class Connection(AbstractContextManager):
                 self._conn.set_tunnel(host, port, headers=proxy_headers)
         else:
             self._conn = http.client.HTTPConnection(*address)
+        self._reader = None  # the socket's buffered reader, made when it connects
+        self._head_key = self._head = None  # (url, headers) and the head encoded for them
         weakref.finalize(self, self._conn.close)  # a connection dropped unclosed closes its socket
 
-    def request(self, url: str, body: bytes, headers: dict[str, str], timeout: float):
-        """POST `body` to `url`; the response, its body not yet read. An idle
-        connection turned readable was closed by the server: it is replaced."""
+    def request(self, url: str, body: bytes, headers: Mapping[str, str], timeout: float) -> tuple[int, dict[str, str], bytes]:
+        """POST `body` to `url` in one write; the reply's status, its headers
+        (lower-case names) and its body. An idle connection turned readable
+        was closed by the server: it is replaced. Failures raise
+        `http.client`'s exceptions, `RemoteDisconnected` when no status line
+        came."""
         conn = self._conn
         if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-            conn.close()
-        conn.timeout = timeout  # for a new connection
-        if conn.sock is not None:
+            self.close()
+        if conn.sock is None:
+            conn.timeout = timeout
+            conn.connect()
+            self._reader = conn.sock.makefile("rb")
+        elif conn.sock.gettimeout() != timeout:
             conn.sock.settimeout(timeout)
-        target = url if self._absolute_form else urllib.parse.urlsplit(url)._replace(scheme="", netloc="").geturl()
-        conn.request("POST", target, body, {**headers, **self._proxy_headers})
-        return conn.getresponse()
+        if (url, headers) != self._head_key:
+            self._head = self._encode_head(url, headers)
+            self._head_key = url, dict(headers)
+        conn.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+        status, fields, payload, will_close = _read_reply(self._reader)
+        if will_close:
+            self.close()
+        return status, fields, payload
+
+    def _encode_head(self, url: str, headers: Mapping[str, str]) -> bytes:
+        """The request line and the headers `http.client` would send, up to
+        the value of the closing `Content-Length`."""
+        parts = urllib.parse.urlsplit(url)
+        target = url if self._absolute_form else parts._replace(scheme="", netloc="").geturl()
+        host = parts.hostname.encode("idna").decode("ascii")
+        host = f"[{host}]" if ":" in host else host
+        if parts.port not in (None, 443 if parts.scheme == "https" else 80):
+            host = f"{host}:{parts.port}"
+        fields = {"Host": host, "Accept-Encoding": "identity", **headers, **self._proxy_headers}
+        if _CONTROL_IN_TARGET.search(target) or any(map(_LINE_BREAK_IN_VALUE.search, fields.values())):
+            raise ValidationError("the endpoint URL or a request header holds a control character")
+        lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
+        return "\r\n".join([*lines, "Content-Length: "]).encode("latin-1")
 
     def close(self):
+        if self._reader is not None:
+            self._reader.close()  # the socket's descriptor closes with its last user
+            self._reader = None
         self._conn.close()
 
     def __exit__(self, *exc):
         self.close()
 
 
+def _read_reply(reader) -> tuple[int, dict[str, str], bytes, bool]:
+    """One reply to a POST: its status, headers (lower-case names, the first
+    of each kept), body, and whether the connection must close after it.
+    Interim 1xx replies are skipped; a 204 or 304 has no body; otherwise the
+    body is read by chunked encoding, by `Content-Length`, or until the
+    server closes."""
+    from http.client import BadStatusLine, IncompleteRead, LineTooLong, RemoteDisconnected
+
+    status = 100
+    while status < 200:
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise RemoteDisconnected("Remote end closed connection without response")
+        if len(line) > _MAX_LINE:
+            raise LineTooLong("status line")
+        version, code = (line.split(None, 2) + [b"", b""])[:2]
+        if version not in (b"HTTP/1.0", b"HTTP/1.1") or len(code) != 3 or not code.isdigit():
+            raise BadStatusLine(str(line, "iso-8859-1"))
+        status, fields = int(code), _read_fields(reader)
+    will_close = version == b"HTTP/1.0" or "close" in fields.get("connection", "").lower()
+    if status in (204, 304):
+        return status, fields, b"", will_close
+    if fields.get("transfer-encoding", "").lower() == "chunked":
+        return status, fields, _read_chunked(reader), will_close
+    try:
+        length = int(fields["content-length"])
+    except (KeyError, ValueError):
+        length = -1
+    if length < 0:  # no usable length: the body ends when the server closes
+        return status, fields, reader.read(), True
+    payload = reader.read(length)
+    if len(payload) < length:
+        raise IncompleteRead(payload, length - len(payload))
+    return status, fields, payload, will_close
+
+
+def _read_fields(reader) -> dict[str, str]:
+    """Header (or trailer) lines up to the blank line that ends them."""
+    from http.client import HTTPException, LineTooLong
+
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise LineTooLong("header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.decode("iso-8859-1").partition(":")
+        fields.setdefault(name.strip().lower(), value.strip())
+    raise HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_chunked(reader) -> bytes:
+    """A chunked body and its trailer; a chunk cut short, or a size line that
+    is not one, raises `IncompleteRead`."""
+    from http.client import IncompleteRead, LineTooLong
+
+    chunks = []
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise LineTooLong("chunk size")
+        try:
+            size = int(line.split(b";", 1)[0], 16)  # chunk extensions dropped
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise IncompleteRead(b"".join(chunks))
+        if size == 0:
+            _read_fields(reader)  # the trailer, discarded
+            return b"".join(chunks)
+        chunk = reader.read(size)
+        chunks.append(chunk)
+        if len(chunk) < size or len(reader.read(2)) < 2:  # the chunk and its CRLF
+            raise IncompleteRead(b"".join(chunks), size - len(chunk))
+
+
 new_session = Connection  # the connection `complete` opens for a call when it is lent none
+
+
+@functools.lru_cache(maxsize=8)
+def _endpoint(base_url: str, token: str) -> tuple[str, Mapping[str, str]]:
+    """The completions URL and the fixed request headers, built once per
+    endpoint and token; the headers are shared by every call, so read-only."""
+    headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
+    return base_url.rstrip("/") + "/v1/chat/completions", types.MappingProxyType(headers)
+
+
+def _retry_after(value: str | None) -> float:
+    """The seconds a Retry-After value asks to wait, given as delay-seconds
+    or as an HTTP date; 0 when it is absent, negative or unparseable."""
+    if value is None:
+        return 0.0
+    if value.isascii() and value.isdigit():
+        return float(value)
+    import datetime
+    import email.utils
+
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError, OverflowError):
+        return 0.0
+    if when.tzinfo is None:  # "-0000": UTC
+        when = when.replace(tzinfo=datetime.timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
 
 
 def complete(
@@ -278,7 +430,9 @@ def complete(
     only on a cache miss), or through a one-off `new_session` closed before
     returning. A body cut short is a failed attempt. A send through `session`
     that the server hangs up on before any response byte is re-sent once per
-    call, at once, on a fresh connection, without counting an attempt."""
+    call, at once, on a fresh connection, without counting an attempt. After
+    a 429 or 503 the wait before the next attempt is the larger of the
+    backoff and the reply's Retry-After."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
@@ -289,16 +443,15 @@ def complete(
     token = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")
     if not token:
         raise AuthError("no API key: set OPENAI_API_KEY")
-    url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
+    url, headers = _endpoint(cfg.base_url, token)
     message = {"role": "user", "content": prompt_text}
     body = {"model": cfg.model_name, "messages": [message], "temperature": cfg.temperature}
     data = json.dumps(body, allow_nan=False).encode("utf-8")  # the bytes requests sent for json=body
-    headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
 
     with new_session(url) if session is None else session() as conn:
         resent = False
 
-        def send() -> http.client.HTTPResponse:
+        def send() -> tuple[int, dict[str, str], bytes]:
             nonlocal resent
             try:
                 return conn.request(url, data, headers, cfg.timeout)
@@ -309,17 +462,17 @@ def complete(
             conn.close()  # so the re-send opens a fresh connection
             return conn.request(url, data, headers, cfg.timeout)
 
-        last_failure = "no attempt made"
+        last_failure, asked = "no attempt made", 0.0  # asked: the last reply's Retry-After
         for attempt in range(cfg.max_retries + 1):
             if attempt > 0:
                 if jitter_rng is None:  # seeded from os.urandom: built only when a retry sleeps
                     jitter_rng = random.Random()
                 envelope = cfg.backoff_base * 2 ** (attempt - 1)
-                sleeper(envelope * (0.5 + 0.5 * jitter_rng.random()))
+                sleeper(max(asked, envelope * (0.5 + 0.5 * jitter_rng.random())))
+            asked = 0.0
             try:
-                resp = send()
-                status, payload = resp.status, resp.read()  # read whole, so the connection can carry the next
-            except (OSError, http.client.HTTPException) as exc:  # timeouts, resets, a body cut short
+                status, fields, payload = send()
+            except (OSError, http.client.HTTPException) as exc:  # timeouts, resets, a malformed or short reply
                 conn.close()
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
@@ -327,6 +480,8 @@ def complete(
                 raise AuthError(f"HTTP {status} from {url}")
             if status in _RETRYABLE_STATUS:
                 last_failure = f"HTTP {status}"
+                if status in (429, 503):
+                    asked = _retry_after(fields.get("retry-after"))
                 continue
             if status != 200:
                 raise TransportError(f"HTTP {status} from {url} (not retryable)")
@@ -356,7 +511,7 @@ class HttpBackend:
     def __init__(self, cfg: LlmConfig, cache: JsonlCache | None = None, api_key: str | None = None):
         self.cfg = cfg
         self.cache = cache
-        self.api_key = api_key
+        self.api_key = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")  # looked up once
         self._lock = threading.Lock()
         self._stopped = threading.Event()
         self._failure: CardiopromptError | None = None

@@ -98,6 +98,8 @@ def ok_body(content: str) -> dict:
 
 class StubState:
     """Scripted HTTP behavior; the last entry repeats once the script drains.
+    An entry, or what a callable entry returns, is (status, payload) or
+    (status, payload, headers), the headers a dict sent with the reply.
     With `close_after_response` set, each connection is closed after one
     response, without a `Connection: close` header to warn the client. With
     `answers_per_connection` set to k, each connection answers k requests,
@@ -142,7 +144,7 @@ class StubHandler(BaseHTTPRequestHandler):
             return
         self.answered += 1
         action = self.state.next_action(doc, self.headers, self.path, raw)
-        status, payload = action(doc) if callable(action) else action
+        status, payload, *extra = action(doc) if callable(action) else action
         body = json.dumps(payload).encode()
         closing = self.state.close_after_response
         if closing:  # cork (Linux): the response leaves in one segment with the FIN, so no client reads it first
@@ -150,6 +152,8 @@ class StubHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
         if closing:
@@ -174,15 +178,18 @@ def stub():
     server.server_close()
 
 
-class ShortBodyServer:
-    """Answers every request with `200` and `Content-Length: 100`, sends 13
-    bytes of the body and closes the connection; counts the requests read."""
+class CannedServer:
+    """Answers the k-th request it reads with the raw bytes `replies[k]` (the
+    last repeats), then closes the connection if `close`, else reads the next
+    request on it. Serves one connection at a time; counts the connections
+    accepted and the requests read."""
 
-    def __init__(self):
+    def __init__(self, replies: list[bytes], close: bool = True):
+        self.replies, self.close_after_reply = replies, close
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.listener.settimeout(0.01)
         self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
-        self.requests = 0
+        self.connections = self.requests = 0
         self.stopped = threading.Event()
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
@@ -193,30 +200,49 @@ class ShortBodyServer:
                 conn, _ = self.listener.accept()
             except TimeoutError:
                 continue
+            self.connections += 1
             with conn, conn.makefile("rb") as reader:
                 conn.settimeout(5.0)
-                length = None
-                while (line := reader.readline()) not in (b"\r\n", b""):
-                    name, _, value = line.decode("latin-1").partition(":")
-                    if name.strip().lower() == "content-length":
-                        length = int(value)
-                if length is None:  # the client left before a whole request
-                    continue
-                reader.read(length)  # all of it: closing on unread bytes would reset the connection
-                self.requests += 1
-                conn.sendall(
-                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
-                    b'{"choices": ['
-                )
+                try:
+                    while self._answer(conn, reader) and not self.close_after_reply:
+                        pass
+                except OSError:  # the client hung up mid-reply, or left the connection idle
+                    pass
+
+    def _answer(self, conn, reader) -> bool:
+        """Reads one request and sends its reply; False when the client left first."""
+        length = None
+        while (line := reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        if length is None:  # the client left before a whole request
+            return False
+        reader.read(length)  # all of it: closing on unread bytes would reset the connection
+        reply = self.replies[min(self.requests, len(self.replies) - 1)]
+        self.requests += 1
+        conn.sendall(reply)
+        return True
 
     def close(self):
         self.stopped.set()
-        self.thread.join(timeout=5)
+        self.thread.join(timeout=10)
         self.listener.close()
 
 
 @pytest.fixture
+def canned_server():
+    """A function starting a CannedServer, each closed after the test."""
+    servers = []
+    yield lambda replies, close=True: servers.append(CannedServer(replies, close)) or servers[-1]
+    for server in servers:
+        server.close()
+
+
+@pytest.fixture
 def short_body_server():
-    server = ShortBodyServer()
+    """Answers every request with `200` and `Content-Length: 100`, sends 13
+    bytes of the body and closes the connection; counts the requests read."""
+    server = CannedServer([b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"choices\": ["])
     yield server
     server.close()

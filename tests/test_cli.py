@@ -297,6 +297,23 @@ class TestAtomicWrites:
         assert json.loads(proc.stdout.splitlines()[-1]) == {name: errno.EFBIG for name in before}
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # and no temp file left
 
+    def test_a_rerun_removes_what_a_killed_write_left(self, workdir):
+        cfg = str(workdir["cfg"])
+        assert main(["--config", cfg, "prepare-data"]) == 0
+        runs = workdir["runs"]
+        leftover, not_ours = runs / ".imputed.csv.0123456789abcdef.tmp", runs / ".imputed.csv.tmp"
+        for planted in (leftover, not_ours):
+            planted.write_text("half an artifact")
+        assert main(["--config", cfg, "prepare-data"]) == 0
+        assert not leftover.exists() and not_ours.exists()
+
+    def test_leftovers_matched_by_the_artifact_name_as_written(self, tmp_path):
+        ours, other = tmp_path / ".a[1].json.0123456789abcdef.tmp", tmp_path / ".a1.json.0123456789abcdef.tmp"
+        for planted in (ours, other):
+            planted.write_text("half an artifact")
+        write_atomic(tmp_path / "a[1].json", "[]")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [other.name, "a[1].json"]
+
     def test_an_artifact_gets_the_permissions_of_a_plain_write(self, tmp_path):
         write_atomic(tmp_path / "atomic.json", "[]")
         (tmp_path / "plain.json").write_text("[]")
@@ -564,6 +581,24 @@ class TestFamilyPool:
         assert out[1] == out[2]
         assert searched_in[1] == {str(os.getpid())}
         assert searched_in[2] and str(os.getpid()) not in searched_in[2]
+
+    def test_workers_run_one_blas_thread(self, workdir, monkeypatch):
+        # a forked worker would keep this process's OpenBLAS thread count, one per CPU
+        lib = experiment._openblas()
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None) or getattr(lib, "openblas_get_num_threads", None)
+        assert main(["--config", str(workdir["cfg"]), "prepare-data"]) == 0
+        threads = workdir["tmp"] / "threads"
+        search = experiment.randomized_search
+
+        def recording_threads(family, *args, **kwargs):
+            with threads.open("a") as fh:
+                fh.write(f"{getter() if getter else None}\n")
+            return search(family, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "randomized_search", recording_threads)
+        use_cpus(monkeypatch, 2)
+        assert main(["--config", str(workdir["cfg"]), "train-models"]) == 0
+        assert set(threads.read_text().split()) == {"1" if getter else "None"}
 
     def test_worker_error_is_the_same_at_one_and_two_workers(self, workdir, monkeypatch, capsys):
         cfg = str(workdir["cfg"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import base64
+import email.utils
 import gc
 import json
 import random
@@ -579,6 +580,148 @@ class TestComplete:
         with pytest.raises(TransportError):
             complete("p", cfg, sleeper=sleeps.append, api_key="k")
         assert len(sleeps) == 2
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_seconds_outwait_a_shorter_backoff(self, stub, status):
+        stub.script = [(status, {}, {"Retry-After": "7"}), (200, ok_body("1"))]
+        sleeps = []
+        rec = complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
+        assert rec.attempt_count == 2
+        assert sleeps == [7.0]
+
+    def test_retry_after_http_date(self, stub):
+        when = email.utils.formatdate(time.time() + 30, usegmt=True)  # whole seconds, so 29-30 s ahead
+        stub.script = [(429, {}, {"Retry-After": when}), (200, ok_body("1"))]
+        sleeps = []
+        complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
+        assert len(sleeps) == 1 and 28.0 <= sleeps[0] <= 30.0
+
+    @pytest.mark.parametrize("value", ["soon", "-5", "1.5", "Mon, 01 Jan 2001 00:00:00 GMT"])
+    def test_unparseable_negative_or_past_retry_after_ignored(self, stub, value):
+        stub.script = [(503, {}, {"Retry-After": value}), (200, ok_body("1"))]
+        sleeps = []
+        complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
+        assert len(sleeps) == 1 and 0.5 <= sleeps[0] <= 1.0  # the backoff alone
+
+    def test_longer_backoff_beats_retry_after(self, stub):
+        stub.script = [(429, {}, {"Retry-After": "1"})] * 3 + [(200, ok_body("1"))]
+        sleeps = []
+        complete("p", _cfg(stub, backoff_base=4.0), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
+        assert [2.0 * 2**k <= d <= 4.0 * 2**k for k, d in enumerate(sleeps)] == [True] * 3
+
+    def test_retry_after_read_only_on_429_and_503(self, stub):
+        stub.script = [(500, {}, {"Retry-After": "7"}), (200, ok_body("1"))]
+        sleeps = []
+        complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
+        assert len(sleeps) == 1 and 0.5 <= sleeps[0] <= 1.0
+
+    def test_retry_after_wait_ends_when_another_prompt_fails(self, stub):
+        # one prompt is asked to wait 60 s; the other's 401 must end that wait before any retry
+        stub.script = [(429, {}, {"Retry-After": "60"}), (401, {})]
+        backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=0.01, max_in_flight=2), api_key="k")
+        start = time.monotonic()
+        with pytest.raises(AuthError):
+            classify_batch(small_dataset(10, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend)
+        assert time.monotonic() - start < 10.0
+        assert len(stub.requests) == 2
+
+
+_OK = json.dumps(ok_body("1")).encode()
+
+
+def _reply(status_line: bytes = b"HTTP/1.1 200 OK", headers: bytes = b"", body: bytes = _OK) -> bytes:
+    return b"%s\r\nContent-Length: %d\r\n%s\r\n%s" % (status_line, len(body), headers, body)
+
+
+class TestLeanExchange:
+    """The reply reader and the one-write request, against canned bytes."""
+
+    def _two_calls(self, server, **kw) -> list[CompletionRecord]:
+        """Two prompts through one pooled session."""
+        cfg = LlmConfig(base_url=server.url, max_retries=0, timeout=5.0, **kw)
+        with new_session(server.url) as session:
+            return [complete(p, cfg, api_key="k", session=lend(session)) for p in ("a", "b")]
+
+    def test_chunked_body_with_extensions_and_trailer(self, canned_server):
+        chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        chunked += b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n" % (10, _OK[:10], len(_OK) - 10, _OK[10:])
+        chunked += b"0\r\nX-Trailer: t\r\n\r\n"
+        server = canned_server([chunked], close=False)
+        assert [r.raw_response for r in self._two_calls(server)] == ["1", "1"]
+        assert (server.connections, server.requests) == (1, 2)  # each body read exactly, trailer too
+
+    def test_interim_replies_skipped(self, canned_server):
+        interim = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+        server = canned_server([interim + _reply()], close=False)
+        assert [r.raw_response for r in self._two_calls(server)] == ["1", "1"]
+        assert server.connections == 1
+
+    def test_no_content_has_no_body(self, canned_server):
+        server = canned_server([b"HTTP/1.1 204 No Content\r\n\r\n", _reply()], close=False)
+        cfg = LlmConfig(base_url=server.url, max_retries=0, timeout=5.0)
+        with new_session(server.url) as session:
+            with pytest.raises(TransportError, match="HTTP 204"):  # not a timeout waiting for a body
+                complete("a", cfg, api_key="k", session=lend(session))
+            assert complete("b", cfg, api_key="k", session=lend(session)).raw_response == "1"
+        assert server.connections == 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [_reply(headers=b"Connection: close\r\n"), _reply(b"HTTP/1.0 200 OK")],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_client_closes_after_a_closing_reply(self, canned_server, reply):
+        server = canned_server([reply], close=False)  # the server leaves it open
+        assert [r.raw_response for r in self._two_calls(server)] == ["1", "1"]
+        assert server.connections == 2
+
+    def test_body_read_until_close(self, canned_server):
+        server = canned_server([b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK])
+        records = self._two_calls(server)
+        assert [(r.raw_response, r.attempt_count) for r in records] == [("1", 1), ("1", 1)]
+        assert server.connections == 2
+
+    @pytest.mark.parametrize(
+        "reply, failure",
+        [
+            (b"HTTP/1.1 200 " + b"x" * 70_000 + b"\r\n\r\n", "LineTooLong"),
+            (_reply(headers=b"X-Filler: 1\r\n" * 100), "got more than 100 headers"),
+            (b"HTTP/1.1 2xx OK\r\n\r\n", "BadStatusLine"),
+        ],
+        ids=["long-status-line", "101-headers", "bad-status"],
+    )
+    def test_malformed_reply_is_a_failed_attempt(self, canned_server, reply, failure):
+        server = canned_server([reply])
+        cfg = LlmConfig(base_url=server.url, max_retries=1, timeout=5.0)
+        sleeps = []
+        start = time.monotonic()
+        with pytest.raises(TransportError, match=failure):
+            complete("p", cfg, sleeper=sleeps.append, api_key="k")
+        assert time.monotonic() - start < 4.0  # never waits out the timeout
+        assert (server.requests, len(sleeps)) == (2, 1)
+
+    def test_a_hundred_headers_accepted(self, canned_server):
+        server = canned_server([_reply(headers=b"X-Filler: 1\r\n" * 99)])  # and Content-Length
+        assert complete("p", LlmConfig(base_url=server.url, timeout=5.0), api_key="k").raw_response == "1"
+
+    def test_one_write_per_request(self, stub, monkeypatch):
+        stub.script = [(200, ok_body("1"))]
+        port = int(stub.url.rsplit(":", 1)[1])
+        writes = []
+        for name in ("send", "sendall"):
+            original = getattr(socket.socket, name)
+
+            def counted(sock, data, *args, _name=name, _original=original):
+                if sock.getpeername()[1] == port:  # the client's side, not the stub's
+                    writes.append(_name)
+                return _original(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, counted)
+        with new_session(stub.url) as session:
+            for prompt in ("a", "b", "c"):
+                complete(prompt, _cfg(stub), api_key="k", session=lend(session))
+        assert writes == ["sendall"] * 3
+        assert stub.connections == 1
 
 
 class TestClassifyBatch:
