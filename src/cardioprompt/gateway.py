@@ -397,21 +397,24 @@ def _endpoint(base_url: str, token: str) -> tuple[str, Mapping[str, str]]:
 
 def _retry_after(value: str | None) -> float:
     """The seconds a Retry-After value asks to wait, given as delay-seconds
-    or as an HTTP date; 0 when it is absent, negative or unparseable."""
+    or as an HTTP date; 0 when it is absent, negative or unparseable, and at
+    most the longest wait a sleep or a lock takes."""
     if value is None:
         return 0.0
     if value.isascii() and value.isdigit():
-        return float(value)
-    import datetime
-    import email.utils
+        seconds = float(value)
+    else:
+        import datetime
+        import email.utils
 
-    try:
-        when = email.utils.parsedate_to_datetime(value)
-    except (TypeError, ValueError, OverflowError):
-        return 0.0
-    if when.tzinfo is None:  # "-0000": UTC
-        when = when.replace(tzinfo=datetime.timezone.utc)
-    return max(0.0, when.timestamp() - time.time())
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError, OverflowError):
+            return 0.0
+        if when.tzinfo is None:  # "-0000": UTC
+            when = when.replace(tzinfo=datetime.timezone.utc)
+        seconds = when.timestamp() - time.time()
+    return min(max(0.0, seconds), threading.TIMEOUT_MAX)
 
 
 def complete(

@@ -226,7 +226,7 @@ class CannedServer:
 
     def close(self):
         self.stopped.set()
-        self.thread.join(timeout=10)
+        self.thread.join(timeout=5)
         self.listener.close()
 
 

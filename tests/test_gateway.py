@@ -596,24 +596,28 @@ class TestComplete:
         complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
         assert len(sleeps) == 1 and 28.0 <= sleeps[0] <= 30.0
 
-    @pytest.mark.parametrize("value", ["soon", "-5", "1.5", "Mon, 01 Jan 2001 00:00:00 GMT"])
-    def test_unparseable_negative_or_past_retry_after_ignored(self, stub, value):
-        stub.script = [(503, {}, {"Retry-After": value}), (200, ok_body("1"))]
+    @pytest.mark.parametrize(
+        "status, value",
+        [(503, "soon"), (503, "-5"), (503, "1.5"), (503, "Mon, 01 Jan 2001 00:00:00 GMT"), (500, "7")],
+    )
+    def test_retry_after_ignored_when_unparseable_negative_past_or_not_429_503(self, stub, status, value):
+        stub.script = [(status, {}, {"Retry-After": value}), (200, ok_body("1"))]
         sleeps = []
         complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
         assert len(sleeps) == 1 and 0.5 <= sleeps[0] <= 1.0  # the backoff alone
+
+    @pytest.mark.parametrize("value", ["9" * 400, "Fri, 31 Dec 9999 23:59:59 GMT"])
+    def test_retry_after_beyond_any_timeout_is_the_longest_wait(self, stub, value):
+        stub.script = [(429, {}, {"Retry-After": value}), (200, ok_body("1"))]
+        sleeps = []
+        complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k")
+        assert sleeps == [threading.TIMEOUT_MAX]  # a longer wait raises OverflowError in a sleep or a lock
 
     def test_longer_backoff_beats_retry_after(self, stub):
         stub.script = [(429, {}, {"Retry-After": "1"})] * 3 + [(200, ok_body("1"))]
         sleeps = []
         complete("p", _cfg(stub, backoff_base=4.0), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
         assert [2.0 * 2**k <= d <= 4.0 * 2**k for k, d in enumerate(sleeps)] == [True] * 3
-
-    def test_retry_after_read_only_on_429_and_503(self, stub):
-        stub.script = [(500, {}, {"Retry-After": "7"}), (200, ok_body("1"))]
-        sleeps = []
-        complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", jitter_rng=random.Random(0))
-        assert len(sleeps) == 1 and 0.5 <= sleeps[0] <= 1.0
 
     def test_retry_after_wait_ends_when_another_prompt_fails(self, stub):
         # one prompt is asked to wait 60 s; the other's 401 must end that wait before any retry
