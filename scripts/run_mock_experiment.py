@@ -15,12 +15,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cardioprompt.experiment import (
     ExperimentConfig,
-    ReportTable,
     dk_grid_from_models,
     emit_report,
     prepare,
     run_ml_baselines,
     run_prompt_grid,
+    unparseable_counts,
     write_report,
 )
 from cardioprompt.gateway import OracleMock, RuleMock
@@ -57,15 +57,15 @@ def main(argv=None) -> int:
         backend = RuleMock("chol", 240.0)
     else:
         backend = OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
-    grid_rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend)
+    grid_rows = run_prompt_grid(cfg, prepared, dks, backend)
 
-    table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)
+    rows = ml_rows + grid_rows
     print()
-    print(emit_report(table, "markdown"))
-    if unparseable:
+    print(emit_report(rows, "markdown"))
+    if unparseable := unparseable_counts(grid_rows):
         print(f"unparseable responses: {unparseable}")
     if args.out:
-        path = write_report(table, args.out, "csv")
+        path = write_report(rows, args.out, "csv")
         print(f"wrote {path}")
     print(f"total {monotonic() - t0:.1f}s")
     return 0

@@ -18,12 +18,10 @@ from pathlib import Path
 
 from .data import load_csv, stats, write_atomic, write_imputed_csv
 from .dk import DkVariant, DomainKnowledge
-from .errors import CardiopromptError, ParseError, TransportError, ValidationError
+from .errors import CardiopromptError, TransportError, ValidationError
 from .experiment import (
     ExperimentConfig,
     PreparedData,
-    ReportRow,
-    ReportTable,
     dk_grid_from_models,
     load_rows,
     prepare,
@@ -31,10 +29,20 @@ from .experiment import (
     run_ml_baselines,
     run_prompt_grid,
     save_rows,
+    unparseable_counts,
     write_report,
 )
 from .gateway import HttpBackend, JsonlCache, OracleMock, RuleMock
 from .models import load_model, save_model
+
+# the verb that writes each stage artifact, by its name in the output directory
+WRITERS = {
+    "imputed.csv": "prepare-data",
+    "models": "train-models",  # models/<family>.json
+    "ml_rows.json": "train-models",
+    "dk.json": "gen-dk",
+    "grid_rows.json": "run-grid",
+}
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -56,22 +64,23 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _artifact(cfg: ExperimentConfig, name: str, verb: str) -> Path:
-    """An upstream stage's output; missing means that stage has not run."""
+def _read(cfg: ExperimentConfig, name: str, parse):
+    """parse(path) of the artifact `name` that an upstream verb wrote. A
+    missing file means that verb has not run; a malformed one, that it
+    should run again."""
     path = Path(cfg.output_dir) / name
+    verb = WRITERS[name.split("/")[0]]
     if not path.exists():
         raise ValidationError(f"missing {path}; run {verb} first")
-    return path
+    try:
+        return parse(path)
+    except CardiopromptError as exc:
+        raise type(exc)(f"{exc}; rerun {verb}") from exc
 
 
 def _load_prepared(cfg: ExperimentConfig) -> PreparedData:
     """The split of the imputed data that prepare-data wrote; imputing it again changes no cell."""
-    path = _artifact(cfg, "imputed.csv", "prepare-data")
-    try:
-        raw = load_csv(path)
-    except ParseError as exc:
-        raise ParseError(f"{exc}; rerun prepare-data") from exc
-    return prepare(raw, cfg)
+    return prepare(_read(cfg, "imputed.csv", load_csv), cfg)
 
 
 def cmd_prepare_data(cfg: ExperimentConfig) -> int:
@@ -88,23 +97,19 @@ def cmd_prepare_data(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train_models(cfg: ExperimentConfig) -> int:
-    prepared = _load_prepared(cfg)
-    rows, models = run_ml_baselines(cfg, prepared)
+    rows, models = run_ml_baselines(cfg, _load_prepared(cfg))
     mdir = Path(cfg.output_dir) / "models"
     for family, model in models.items():
         save_model(model, mdir / f"{family}.json")
     save_rows(Path(cfg.output_dir) / "ml_rows.json", rows)
-    table = ReportTable(rows=tuple(rows))
-    path = write_report(table, cfg.output_dir, fmt="csv")
+    path = write_report(rows, cfg.output_dir, fmt="csv")
     print(f"models saved to {mdir}")
     print(f"classifier table written to {path}")
     return 0
 
 
 def cmd_gen_dk(cfg: ExperimentConfig) -> int:
-    models = {
-        family: load_model(_artifact(cfg, f"models/{family}.json", "train-models")) for family in cfg.dk_families
-    }
+    models = {family: _read(cfg, f"models/{family}.json", load_model) for family in cfg.dk_families}
     dks = dk_grid_from_models(models, families=cfg.dk_families)
     out = Path(cfg.output_dir) / "dk.json"
     write_atomic(
@@ -120,20 +125,20 @@ def cmd_gen_dk(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_dks(cfg: ExperimentConfig) -> list[DomainKnowledge]:
-    path = _artifact(cfg, "dk.json", "gen-dk")
+def _load_dks(path: Path) -> list[DomainKnowledge]:
+    """The texts that cmd_gen_dk wrote to dk.json."""
     try:
         return [
             DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
             for doc in json.loads(path.read_text())
         ]
     except (ValueError, KeyError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"{path} does not hold domain-knowledge texts ({exc!r}); rerun gen-dk") from exc
+        raise ValidationError(f"{path} does not hold domain-knowledge texts ({exc!r})") from exc
 
 
 def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_threshold: float) -> int:
     prepared = _load_prepared(cfg)
-    dks = _load_dks(cfg)
+    dks = _read(cfg, "dk.json", _load_dks)
     if cfg.live:
         backend = HttpBackend(cfg.llm, JsonlCache(cfg.cache_path))
         cached_at_open = len(backend.cache)
@@ -142,7 +147,7 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
     else:
         backend = RuleMock(rule_feature, rule_threshold)
     try:
-        rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend)
+        rows = run_prompt_grid(cfg, prepared, dks, backend)
     except TransportError as exc:  # only the live backend sends anything
         print(f"transport failure: {exc}", file=sys.stderr)
         if len(backend.cache) > cached_at_open:
@@ -153,28 +158,19 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
         if cfg.live:
             backend.cache.close()
     grid_path = Path(cfg.output_dir) / "grid_rows.json"
-    save_rows(grid_path, rows, unparseable)
-    if unparseable:
+    save_rows(grid_path, rows)
+    if unparseable := unparseable_counts(rows):
         total = sum(unparseable.values())
         print(f"warning: {total} unparseable responses counted as positive ({unparseable})")
     print(f"grid rows written to {grid_path}")
     return 0
 
 
-def _load_rows(cfg: ExperimentConfig, name: str, writer: str) -> tuple[list[ReportRow], dict[str, int]]:
-    path = _artifact(cfg, name, writer)
-    try:
-        return load_rows(path)
-    except ValidationError as exc:
-        raise ValidationError(f"{exc}; rerun {writer}") from exc
-
-
 def cmd_report(cfg: ExperimentConfig, fmt: str) -> int:
-    ml_rows, _ = _load_rows(cfg, "ml_rows.json", "train-models")
-    grid_rows, unparseable = _load_rows(cfg, "grid_rows.json", "run-grid")
-    table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)
-    path = write_report(table, cfg.output_dir, fmt=fmt)
-    if unparseable:
+    ml_rows = _read(cfg, "ml_rows.json", load_rows)
+    grid_rows = _read(cfg, "grid_rows.json", load_rows)
+    path = write_report(ml_rows + grid_rows, cfg.output_dir, fmt=fmt)
+    if unparseable := unparseable_counts(grid_rows):
         print(f"warning: unparseable responses counted as positive: {unparseable}")
     print(f"report written to {path}")
     return 0

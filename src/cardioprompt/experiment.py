@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
-from .dk import DEFAULT_DK_FAMILIES, DkVariant, DomainKnowledge, render_dk
+from .dk import DEFAULT_DK_FAMILIES, SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError, WorkerError
 from .gateway import Backend, LlmConfig, classify_batch
 from .metrics import CostWeights, MetricsRow, baseline_predict, confusion, metrics_row
@@ -148,18 +148,7 @@ class ReportRow:
     dk_source: str
     n_ex: int | None
     metrics: MetricsRow
-
-
-@dataclass(frozen=True)
-class ReportTable:
-    rows: tuple[ReportRow, ...]
-    unparseable: dict[str, int] = field(default_factory=dict)  # row label -> count
-
-    def row(self, label: str) -> ReportRow:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(label)
+    unparseable: int = 0  # answers holding no 0/1, counted as positive
 
 
 def _mean_row(label: str, members: list[ReportRow], n_ex: int | None = None) -> ReportRow:
@@ -288,7 +277,7 @@ def dk_grid_from_models(models: dict[str, TrainedModel], families=DEFAULT_DK_FAM
     return grid
 
 
-_TAG_DISPLAY = {"randomforestclassifier": "RF", "logisticregression": "LR", "xgbclassifier": "XGB"}
+_TAG_DISPLAY = {SOURCE_TAGS[f]: DISPLAY_NAMES[f] for f in SOURCE_TAGS}
 
 
 def run_prompt_grid(
@@ -296,13 +285,13 @@ def run_prompt_grid(
     prepared: PreparedData,
     dks: list[DomainKnowledge],
     backend: Backend,
-) -> tuple[list[ReportRow], dict[str, int]]:
+) -> list[ReportRow]:
     """Evaluate every (dk, n_ex) cell on the full test split with `backend`.
 
     Rows are grouped by example count: for each n_ex, prompt-0..prompt-6 then
     that block's average. In-context examples are drawn once per n_ex, so two
-    dk variants at the same n_ex see identical examples."""
-    unparseable: dict[str, int] = {}
+    dk variants at the same n_ex see identical examples. Each prompt row
+    counts its unparseable answers, which score as positive predictions."""
     rows: list[ReportRow] = []
     truth = prepared.test.targets
     for n_ex in cfg.n_ex_grid:
@@ -315,38 +304,29 @@ def run_prompt_grid(
                 paper_faithful=cfg.paper_faithful,
             )
             records = classify_batch(prepared.test, spec, backend, train=prepared.train)
-            # unparseable verdicts count as positive predictions, flagged
             preds = [r.verdict.label if not r.verdict.unparseable else 1 for r in records]
-            n_bad = sum(1 for r in records if r.verdict.unparseable)
-            label = f"prompt-{dk_index}"
-            if n_bad:
-                unparseable[_cell_key(label, n_ex)] = n_bad
             cm = confusion(preds, truth)
             source = _TAG_DISPLAY.get(dk.source_name, dk.source_name)
             block.append(
                 ReportRow(
-                    label=label,
+                    label=f"prompt-{dk_index}",
                     dk_type=dk.variant.value,
                     dk_source=source if dk.variant is not DkVariant.NONE else "-",
                     n_ex=n_ex,
                     metrics=metrics_row(cm, cfg.weights),
+                    unparseable=sum(1 for r in records if r.verdict.unparseable),
                 )
             )
         rows.extend(block)
         rows.append(_mean_row(f"Average (N_ex={n_ex})", block, n_ex=n_ex))
-    return rows, unparseable
+    return rows
 
 
-def _cell_key(label: str, n_ex: int | None) -> str:
-    return f"{label}/N_ex={n_ex}"
-
-
-def save_rows(path: str | Path, rows: list[ReportRow], unparseable: dict[str, int] | None = None):
+def save_rows(path: str | Path, rows: list[ReportRow]):
     """Write rows as the JSON list that `train-models` (ml_rows.json) and
     `run-grid` (grid_rows.json) hand to `report`. Metrics keep full float
     precision, so a table rendered from the loaded rows matches one rendered
     from the rows in memory byte for byte."""
-    unparseable = unparseable or {}
     docs = [
         {
             "label": r.label,
@@ -354,37 +334,39 @@ def save_rows(path: str | Path, rows: list[ReportRow], unparseable: dict[str, in
             "dk_source": r.dk_source,
             "n_ex": r.n_ex,
             "metrics": list(r.metrics.as_tuple()),
-            "unparseable": unparseable.get(_cell_key(r.label, r.n_ex), 0),
+            "unparseable": r.unparseable,
         }
         for r in rows
     ]
     write_atomic(path, json.dumps(docs))
 
 
-def load_rows(path: str | Path) -> tuple[list[ReportRow], dict[str, int]]:
-    """Inverse of save_rows: the rows and the nonzero unparseable counts."""
-    rows: list[ReportRow] = []
-    unparseable: dict[str, int] = {}
+def load_rows(path: str | Path) -> list[ReportRow]:
+    """Inverse of save_rows."""
     try:
-        for doc in json.loads(Path(path).read_text()):
-            row = ReportRow(
+        return [
+            ReportRow(
                 label=doc["label"],
                 dk_type=doc["dk_type"],
                 dk_source=doc["dk_source"],
                 n_ex=doc["n_ex"],
                 metrics=MetricsRow(*doc["metrics"]),
+                unparseable=doc["unparseable"],
             )
-            rows.append(row)
-            if doc["unparseable"]:
-                unparseable[_cell_key(row.label, row.n_ex)] = doc["unparseable"]
+            for doc in json.loads(Path(path).read_text())
+        ]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path} does not hold report rows: {exc!r}") from exc
-    return rows, unparseable
 
 
-def emit_report(table: ReportTable, fmt: str = "csv") -> str:
-    """Render the table; 4-decimal fixed formatting throughout."""
-    if not table.rows:
+def unparseable_counts(rows: list[ReportRow]) -> dict[str, int]:
+    """The nonzero unparseable counts, keyed "prompt-k/N_ex=n" in row order."""
+    return {f"{r.label}/N_ex={r.n_ex}": r.unparseable for r in rows if r.unparseable}
+
+
+def emit_report(rows: list[ReportRow], fmt: str = "csv") -> str:
+    """Render the rows; 4-decimal fixed formatting throughout."""
+    if not rows:
         raise ValidationError("empty report table")
     if fmt not in ("csv", "markdown"):
         raise ValidationError(f"unknown format {fmt!r}")
@@ -409,17 +391,17 @@ def emit_report(table: ReportTable, fmt: str = "csv") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for r in table.rows:
+        for r in rows:
             writer.writerow(cells(r))
         return buf.getvalue()
 
     lines = ["| " + " | ".join(REPORT_COLUMNS) + " |", "|" + "---|" * len(REPORT_COLUMNS)]
-    for r in table.rows:
+    for r in rows:
         lines.append("| " + " | ".join(cells(r)) + " |")
     return "\n".join(lines) + "\n"
 
 
-def write_report(table: ReportTable, out_dir: str | Path, fmt: str = "csv") -> Path:
+def write_report(rows: list[ReportRow], out_dir: str | Path, fmt: str = "csv") -> Path:
     path = Path(out_dir) / ("report.csv" if fmt == "csv" else "report.md")
-    write_atomic(path, emit_report(table, fmt))
+    write_atomic(path, emit_report(rows, fmt))
     return path

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree, as_xy
+from .tree import DecisionTree, as_rows, as_xy
 
 
 @dataclass
@@ -63,11 +63,7 @@ class AdaBoostStumps:
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Normalized vote margin in [-1, 1]."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features_:
-            raise ValidationError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        X = as_rows(X, self.n_features_)
         margin = np.zeros(len(X))
         for stump, alpha in zip(self.stumps, self.alphas):
             margin += alpha * (2 * stump.predict(X) - 1)

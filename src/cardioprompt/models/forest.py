@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree, as_xy
+from .tree import DecisionTree, as_rows, as_xy
 
 
 @dataclass
@@ -58,9 +58,7 @@ class RandomForest:
         return self
 
     def _votes(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        X = as_rows(X, self.n_features_)
         return np.stack([t.predict(X) for t in self.trees])  # (n_trees, n_rows)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree, as_xy
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+from .logistic import _sigmoid
+from .tree import DecisionTree, as_rows, as_xy
 
 
 @dataclass
@@ -80,11 +77,7 @@ class GradientBoostedTrees:
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features_:
-            raise ValidationError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        X = as_rows(X, self.n_features_)
         F = np.full(len(X), self.base_score_)
         for tree, cols in zip(self.trees, self.tree_cols):
             F = F + self.learning_rate * tree.predict_value(X[:, cols])

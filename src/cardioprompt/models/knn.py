@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
+from .tree import as_rows
 
 
 @dataclass
@@ -45,11 +46,7 @@ class KNNClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.X_ is None:
             raise ValidationError("model not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.X_.shape[1]:
-            raise ValidationError(f"expected {self.X_.shape[1]} features, got {X.shape[1]}")
+        X = as_rows(X, self.X_.shape[1])
 
         diff = np.abs(X[:, None, :] - self.X_[None, :, :])
         dist = diff.sum(-1) if self.p == 1 else (diff**self.p).sum(-1) ** (1.0 / self.p)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
+from .tree import as_rows
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -76,13 +77,9 @@ class LogisticRegressionGD:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
         if self.theta is None:
             raise ValidationError("model not fitted")
-        if X.shape[1] != len(self.theta) - 1:
-            raise ValidationError(f"expected {len(self.theta) - 1} features, got {X.shape[1]}")
+        X = as_rows(X, len(self.theta) - 1)
         return _sigmoid(X @ self.theta[:-1] + self.theta[-1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
+from .logistic import _sigmoid
+from .tree import as_rows
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0), lambda z, a: (z > 0).astype(float)),
     "tanh": (np.tanh, lambda z, a: 1 - a**2),
-    "logistic": (lambda z: 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))), lambda z, a: a * (1 - a)),
+    "logistic": (_sigmoid, lambda z, a: a * (1 - a)),
 }
 
 
@@ -92,7 +94,7 @@ class MLPClassifier:
                 if li < len(self.weights) - 1:
                     acts.append(act(z))
                 else:
-                    acts.append(1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))))
+                    acts.append(_sigmoid(z))
             p = acts[-1].ravel()
 
             epsl = 1e-10
@@ -149,16 +151,11 @@ class MLPClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self.weights:
             raise ValidationError("model not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.weights[0].shape[0]:
-            raise ValidationError(f"expected {self.weights[0].shape[0]} features, got {X.shape[1]}")
+        a = as_rows(X, self.weights[0].shape[0])
         act, _ = _ACTIVATIONS[self.activation]
-        a = X
         for li, (W, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ W + b
-            a = act(z) if li < len(self.weights) - 1 else 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+            a = act(z) if li < len(self.weights) - 1 else _sigmoid(z)
         return a.ravel()
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -159,4 +159,4 @@ def load_model(path: str | Path) -> TrainedModel:
     try:
         return model_from_json(Path(path).read_text())
     except (ValueError, KeyError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"{path} is not a model artifact ({exc!r}); rerun train-models") from exc
+        raise ValidationError(f"{path} is not a model artifact ({exc!r})") from exc

@@ -44,6 +44,14 @@ def as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def as_rows(X, n_features: int) -> np.ndarray:
+    """X as a 2-D float array (a 1-D X is one row), checked to have `n_features` columns."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != n_features:
+        raise ValidationError(f"expected {n_features} features, got {X.shape[1]}")
+    return X
+
+
 @dataclass
 class DecisionTree:
     max_depth: int | None = None
@@ -166,11 +174,7 @@ class DecisionTree:
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         """Leaf value per row: class-1 probability (gini) or mean target (mse)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features_:
-            raise ValidationError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        X = as_rows(X, self.n_features_)
         feature = np.asarray(self.feature)
         threshold = np.asarray(self.threshold)
         left = np.asarray(self.left)

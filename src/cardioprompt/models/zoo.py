@@ -21,10 +21,16 @@ from .importance import ImportanceRanking, build_ranking, permutation_importance
 from .knn import KNNClassifier
 from .logistic import LogisticRegressionGD
 from .mlp import MLPClassifier
-from .spaces import FAMILIES
 
-# families whose estimator exposes a raw importance vector directly
-_INTRINSIC_IMPORTANCE = ("RF", "LR", "GBT", "ADA")
+# the estimator class of each family
+ESTIMATORS = {
+    "RF": RandomForest,
+    "LR": LogisticRegressionGD,
+    "MLP": MLPClassifier,
+    "KNN": KNNClassifier,
+    "GBT": GradientBoostedTrees,
+    "ADA": AdaBoostStumps,
+}
 
 
 @dataclass(frozen=True)
@@ -41,32 +47,16 @@ class TrainedModel:
         out = self.estimator.predict(X)
         return out[0] if single else out
 
-    def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        out = self.estimator.predict_proba(X)
-        return out[0] if single else out
-
 
 def _build_estimator(family: str, hyper: dict, seed: int):
-    if family == "RF":
-        return RandomForest(seed=seed, **hyper)
-    if family == "LR":
-        return LogisticRegressionGD(**hyper)
-    if family == "MLP":
-        return MLPClassifier(seed=seed, **hyper)
-    if family == "KNN":
-        return KNNClassifier(**hyper)
-    if family == "GBT":
-        return GradientBoostedTrees(seed=seed, **hyper)
-    if family == "ADA":
-        return AdaBoostStumps(**hyper)
-    raise ValidationError(f"unknown model family {family!r}")
+    """The family's estimator with `hyper`, seeded where the class takes a seed."""
+    if family not in ESTIMATORS:
+        raise ValidationError(f"unknown model family {family!r}")
+    cls = ESTIMATORS[family]
+    return cls(**hyper, seed=seed) if "seed" in cls.__dataclass_fields__ else cls(**hyper)
 
 
 def train(family: str, train_ds: Dataset, hyper: dict | None = None, seed: int = 0) -> TrainedModel:
-    if family not in FAMILIES:
-        raise ValidationError(f"unknown model family {family!r}")
     est = _build_estimator(family, dict(hyper or {}), seed)
     est.fit(train_ds.matrix, train_ds.targets)
     converged = bool(getattr(est, "converged", True))
@@ -80,7 +70,7 @@ def feature_importance(
     n_repeats: int = 10,
 ) -> TrainedModel:
     """Attach a normalized ranking; returns a new TrainedModel carrying it."""
-    if model.family in _INTRINSIC_IMPORTANCE:
+    if hasattr(model.estimator, "raw_importance"):
         raw = model.estimator.raw_importance()
     else:
         raw = permutation_importance(model.estimator, train_ds.matrix, train_ds.targets, seed=seed, n_repeats=n_repeats)

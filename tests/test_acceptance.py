@@ -26,7 +26,6 @@ from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
 from cardioprompt.experiment import (
     ExperimentConfig,
     PreparedData,
-    ReportTable,
     derive_seed,
     emit_report,
     run_ml_baselines,
@@ -131,9 +130,9 @@ def test_criterion_3_classical_ml_reproduction():
         t0 = monotonic()
         rows, _models = run_ml_baselines(cfg, prepared)
         elapsed = monotonic() - t0
-        table = ReportTable(rows=tuple(rows))
+        by_label = {r.label: r for r in rows}
         for label in ("RF", "XGB"):
-            m = table.row(label).metrics
+            m = by_label[label].metrics
             assert m.f1 >= 0.82, f"{label} F1 {m.f1:.4f} < 0.82"
             assert m.accuracy >= 0.80, f"{label} accuracy {m.accuracy:.4f} < 0.80"
         assert elapsed < 600.0, f"six-family search took {elapsed:.1f}s, budget 600s"
@@ -222,8 +221,8 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         # (a) oracle grid: perfect scores on every row
         cfg_small = ExperimentConfig(seed=7, n_ex_grid=(0, 4))
         oracle = OracleMock.for_dataset(prepared.test)
-        rows, unparseable = run_prompt_grid(cfg_small, prepared, _seven_dks(), oracle)
-        assert unparseable == {}
+        rows = run_prompt_grid(cfg_small, prepared, _seven_dks(), oracle)
+        assert all(r.unparseable == 0 for r in rows)
         for r in rows:
             assert r.metrics.f1 == 1.0, f"{r.label}: oracle F1 {r.metrics.f1}"
             assert r.metrics.cost_sensitive_accuracy == 1.0, f"{r.label}: oracle csa"
@@ -249,11 +248,11 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         outputs = []
         for _ in range(2):
             t0 = monotonic()
-            grid_rows, unp = run_prompt_grid(cfg_full, prepared, _seven_dks(), oracle)
+            grid_rows = run_prompt_grid(cfg_full, prepared, _seven_dks(), oracle)
             elapsed = monotonic() - t0
             assert elapsed < 60.0, f"grid run took {elapsed:.1f}s, budget 60s"
             assert len(grid_rows) == 5 * 8
-            outputs.append(emit_report(ReportTable(rows=tuple(grid_rows), unparseable=unp), "csv"))
+            outputs.append(emit_report(grid_rows, "csv"))
         assert outputs[0] == outputs[1], "grid report not byte-identical across runs"
 
         # (d) warm cache answers without touching the network

@@ -21,7 +21,6 @@ from cardioprompt.data import load_csv, write_atomic, write_imputed_csv
 from cardioprompt.experiment import (
     ExperimentConfig,
     ReportRow,
-    ReportTable,
     dk_grid_from_models,
     emit_report,
     prepare_data,
@@ -258,7 +257,7 @@ def artifact_writers() -> list[tuple[str, object]]:
         ("LR.json", lambda path: save_model(model, path)),
         ("ml_rows.json", lambda path: save_rows(path, rows)),
         ("dk.json", lambda path: write_atomic(path, json.dumps([{"variant": "NO", "source": "", "text": ""}] * 40))),
-        ("report.csv", lambda path: write_report(ReportTable(rows=tuple(rows)), path.parent)),
+        ("report.csv", lambda path: write_report(rows, path.parent)),
     ]
 
 
@@ -384,9 +383,8 @@ class TestPipeline:
         prepared = prepare_data(cfg)
         ml_rows, models = run_ml_baselines(cfg, prepared)
         dks = dk_grid_from_models(models, families=cfg.dk_families)
-        grid_rows, unparseable = run_prompt_grid(cfg, prepared, dks, backend=RuleMock("oldpeak", 1.0))
-        table = ReportTable(rows=tuple(ml_rows + grid_rows), unparseable=unparseable)
-        assert (workdir["runs"] / "report.md").read_text() == emit_report(table, "markdown")
+        grid_rows = run_prompt_grid(cfg, prepared, dks, backend=RuleMock("oldpeak", 1.0))
+        assert (workdir["runs"] / "report.md").read_text() == emit_report(ml_rows + grid_rows, "markdown")
 
     def test_flag_overrides_config(self, workdir):
         other = workdir["tmp"] / "elsewhere"
@@ -452,6 +450,22 @@ class TestLiveFailures:
         assert main(["--config", str(live), "--live", "run-grid"]) == 2
         assert "IncompleteRead" in capsys.readouterr().err
         assert short_body_server.requests == 1
+
+    def test_an_unparseable_answer_is_warned_and_counted_on_its_row(self, workdir, monkeypatch, capsys, stub):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        self._prime(workdir)
+        answers = iter(["no idea"])  # the first prompt sent (one in flight: prompt-0 at N_ex=0), then "1"
+        stub.script = [lambda doc: (200, ok_body(next(answers, "1")))]
+        live = self._live_cfg(workdir, "cache.jsonl", base_url=stub.url)
+        capsys.readouterr()
+        assert main(["--config", str(live), "--live", "run-grid"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "warning: 1 unparseable responses counted as positive ({'prompt-0/N_ex=0': 1})"
+        grid = json.loads((workdir["runs"] / "grid_rows.json").read_text())
+        assert [row["unparseable"] for row in grid] == [1] + [0] * 15
+        assert main(["--config", str(live), "report"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "warning: unparseable responses counted as positive: {'prompt-0/N_ex=0': 1}"
 
     def test_mock_run_never_opens_the_cache(self, workdir):
         self._prime(workdir)
@@ -640,3 +654,19 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "prepare-data" in proc.stdout
+
+
+class TestDemoScript:
+    def test_readme_demo_prints_the_table(self, tmp_path):
+        script = Path(__file__).parents[1] / "scripts" / "run_mock_experiment.py"
+        argv = ["--rows", "120", "--search-iters", "1", "--search-folds", "2", "--n-ex", "0", "2", "--mock", "rule"]
+        proc = subprocess.run(
+            [sys.executable, str(script), *argv, "--out", str(tmp_path)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed = [ln.split(" | ")[0].lstrip("| ") for ln in proc.stdout.splitlines() if ln.startswith("| ")]
+        ml = ["RF", "LR", "MLP", "KNN", "XGB", "AdaBoost", "Average ML", "Random", "Maj0", "Maj1"]
+        grid = [f"prompt-{k}" for k in range(7)]
+        labels = ml + grid + ["Average (N_ex=0)"] + grid + ["Average (N_ex=2)"]
+        assert printed == ["Model", *labels]
+        assert [row[0] for row in csv.reader((tmp_path / "report.csv").read_text().splitlines())] == ["Model", *labels]

@@ -20,7 +20,6 @@ from cardioprompt.experiment import (
     ExperimentConfig,
     PreparedData,
     ReportRow,
-    ReportTable,
     _mean_row,
     derive_seed,
     dk_grid_from_models,
@@ -29,6 +28,7 @@ from cardioprompt.experiment import (
     run_ml_baselines,
     run_prompt_grid,
     save_rows,
+    unparseable_counts,
     write_report,
 )
 from cardioprompt.gateway import OracleMock, RuleMock, ScriptedMock
@@ -183,13 +183,9 @@ class TestMeanRow:
 
 
 class TestEmitReport:
-    def _tiny_table(self) -> ReportTable:
+    def _tiny_table(self) -> list[ReportRow]:
         m = metrics_row(ConfusionMatrix(9, 6, 2, 3), CostWeights())
-        rows = (
-            ReportRow("RF", "-", "-", None, m),
-            ReportRow("prompt-1", "MLFI", "RF", 4, m),
-        )
-        return ReportTable(rows=rows)
+        return [ReportRow("RF", "-", "-", None, m), ReportRow("prompt-1", "MLFI", "RF", 4, m)]
 
     def test_csv_header_exact(self):
         out = emit_report(self._tiny_table(), "csv")
@@ -214,7 +210,7 @@ class TestEmitReport:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
-            emit_report(ReportTable(rows=()), "csv")
+            emit_report([], "csv")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
@@ -230,8 +226,8 @@ class TestPromptGrid:
     def test_oracle_backend_scores_perfect(self):
         prepared = make_prepared(60, seed=3)
         cfg = ExperimentConfig(seed=5, n_ex_grid=(0, 2))
-        rows, unparseable = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
-        assert unparseable == {}
+        rows = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
+        assert unparseable_counts(rows) == {}
         assert len(rows) == 2 * 8  # 7 prompts + average, per n_ex
         for r in rows:
             assert r.metrics.precision == 1.0
@@ -243,7 +239,7 @@ class TestPromptGrid:
     def test_row_labels_and_dk_columns(self):
         prepared = make_prepared(40, seed=1)
         cfg = ExperimentConfig(seed=2, n_ex_grid=(0,))
-        rows, _ = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
+        rows = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
         labels = [r.label for r in rows]
         assert labels == [f"prompt-{i}" for i in range(7)] + ["Average (N_ex=0)"]
         expected_cols = [
@@ -262,15 +258,15 @@ class TestPromptGrid:
         # float-style query lines must match the oracle's float-style keys
         prepared = make_prepared(40, seed=6)
         cfg = ExperimentConfig(seed=3, n_ex_grid=(0,), paper_faithful=True)
-        rows, unparseable = run_prompt_grid(cfg, prepared, [NO_DK], oracle(cfg, prepared))
-        assert unparseable == {}
+        rows = run_prompt_grid(cfg, prepared, [NO_DK], oracle(cfg, prepared))
+        assert unparseable_counts(rows) == {}
         assert rows[0].metrics.accuracy == 1.0
 
     def test_scripted_all_positive_matches_prevalence(self):
         prepared = make_prepared(50, seed=4)
         n = prepared.test.n_rows
         cfg = ExperimentConfig(seed=1, n_ex_grid=(0,))
-        rows, _ = run_prompt_grid(cfg, prepared, [NO_DK], backend=ScriptedMock(["1"] * n))
+        rows = run_prompt_grid(cfg, prepared, [NO_DK], backend=ScriptedMock(["1"] * n))
         m = rows[0].metrics
         n_pos = int(prepared.test.targets.sum())
         n_neg = n - n_pos
@@ -285,7 +281,7 @@ class TestPromptGrid:
         prepared = make_prepared(50, seed=7)
         n = prepared.test.n_rows
         cfg = ExperimentConfig(seed=9, n_ex_grid=(0,))
-        rows, _ = run_prompt_grid(
+        rows = run_prompt_grid(
             cfg, prepared, [NO_DK], backend=RuleMock("chol", float(np.median(prepared.test.matrix[:, 4])))
         )
         m = rows[0].metrics
@@ -299,7 +295,7 @@ class TestPromptGrid:
         preds = (chol >= threshold).astype(int)
         expected = metrics_row(confusion(preds, prepared.test.targets), CostWeights())
         cfg = ExperimentConfig(seed=1, n_ex_grid=(0,))
-        rows, _ = run_prompt_grid(cfg, prepared, [NO_DK], backend=RuleMock("chol", threshold))
+        rows = run_prompt_grid(cfg, prepared, [NO_DK], backend=RuleMock("chol", threshold))
         assert rows[0].metrics == expected
 
     def test_unparseable_counted_as_positive_and_flagged(self):
@@ -307,8 +303,9 @@ class TestPromptGrid:
         n = prepared.test.n_rows
         responses = ["no idea"] + ["1"] * (n - 1)
         cfg = ExperimentConfig(seed=6, n_ex_grid=(0,))
-        rows, unparseable = run_prompt_grid(cfg, prepared, [NO_DK], backend=ScriptedMock(responses))
-        assert unparseable == {"prompt-0/N_ex=0": 1}
+        rows = run_prompt_grid(cfg, prepared, [NO_DK], backend=ScriptedMock(responses))
+        assert [r.unparseable for r in rows] == [1, 0]  # prompt-0, then the block average
+        assert unparseable_counts(rows) == {"prompt-0/N_ex=0": 1}
         # every response resolves to a positive prediction either way
         m = rows[0].metrics
         assert m.recall == 1.0
@@ -337,8 +334,7 @@ class TestPromptGrid:
         cfg = ExperimentConfig(seed=8, n_ex_grid=(0, 2))
         out = []
         for _ in range(2):
-            rows, unp = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
-            out.append(emit_report(ReportTable(rows=tuple(rows), unparseable=unp), "csv"))
+            out.append(emit_report(run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared)), "csv"))
         assert out[0] == out[1]
 
 
@@ -408,20 +404,13 @@ class TestDkGrid:
 class TestRowArtifacts:
     def test_roundtrip_keeps_rows_and_unparseable_counts(self, tmp_path):
         cfg = ExperimentConfig(seed=3, n_ex_grid=(0,))
-        rows, unparseable = run_prompt_grid(cfg, make_prepared(), seven_dks(), backend=ScriptedMock(["maybe"] + ["1"] * 200))
-        save_rows(tmp_path / "rows.json", rows, unparseable)
-        assert load_rows(tmp_path / "rows.json") == (rows, {"prompt-0/N_ex=0": 1})
+        rows = run_prompt_grid(cfg, make_prepared(), seven_dks(), backend=ScriptedMock(["maybe"] + ["1"] * 200))
+        save_rows(tmp_path / "rows.json", rows)
+        assert load_rows(tmp_path / "rows.json") == rows
+        assert unparseable_counts(rows) == {"prompt-0/N_ex=0": 1}
 
     def test_malformed_rows_rejected(self, tmp_path):
         (tmp_path / "rows.json").write_text('[{"label": "RF"}]')
         with pytest.raises(ValidationError, match="rows.json"):
             load_rows(tmp_path / "rows.json")
 
-
-class TestReportTable:
-    def test_row_lookup(self):
-        m = metrics_row(ConfusionMatrix(5, 5, 0, 0), CostWeights())
-        t = ReportTable(rows=(ReportRow("RF", "-", "-", None, m),))
-        assert t.row("RF").label == "RF"
-        with pytest.raises(KeyError):
-            t.row("LR")

@@ -1,9 +1,10 @@
-"""Golden tree artifacts: seeded fits of every tree-based estimator must
-serialize to the same bytes as the recorded sha256 in
+"""Golden model artifacts: seeded fits of every model family and of the
+plain tree must serialize to the same bytes as the recorded sha256 in
 tests/golden/tree_artifacts.json.
 
 The split kernel is an exact algorithm, so any change to its arithmetic,
-its tie-breaking, its node numbering or its RNG draws shows up here. A
+its tie-breaking, its node numbering or its RNG draws shows up here; so
+does any change to the fitted arithmetic of the LR, KNN and MLP families. A
 deliberate contract change regenerates the file with
 `PYTHONPATH=src python tests/test_golden_trees.py` and says so in CHANGES.md.
 """
@@ -32,6 +33,9 @@ MODELS = {
         {"n_estimators": 8, "max_depth": 5, "learning_rate": 0.1, "colsample_bytree": 0.55, "eval_metric": "error"},
     ),
     "ADA": ("ADA", {"n_estimators": 40, "learning_rate": 0.8}),
+    "LR": ("LR", {"C": 0.5, "solver": "gd_momentum", "max_iter": 200}),
+    "KNN": ("KNN", {"n_neighbors": 7, "weights": "distance", "p": 1}),
+    "MLP": ("MLP", {"hidden_layer_sizes": (6, 4), "activation": "logistic", "max_iter": 40}),
 }
 
 TREES = {  # criterion, weighted, min_samples_leaf, max_depth

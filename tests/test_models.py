@@ -499,7 +499,9 @@ class TestZooAndSerialization:
         for family in FAMILIES:
             m = train(family, ds, self.HYPERS[family], seed=1)
             assert isinstance(m, TrainedModel)
-            restored = model_from_json(model_to_json(m))
+            text = model_to_json(m)
+            restored = model_from_json(text)
+            assert model_to_json(restored) == text
             assert restored.family == family
             assert restored.hyper == m.hyper
             assert np.array_equal(restored.predict(probe.matrix), m.predict(probe.matrix))
