@@ -57,8 +57,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             overrides[key] = value
     if getattr(args, "paper_faithful", False):
         overrides["paper_faithful"] = True
-    if getattr(args, "live", False):
-        overrides["live"] = True
     if overrides:
         cfg = ExperimentConfig.from_dict({**dataclasses.asdict(cfg), **overrides})
     return cfg
@@ -136,16 +134,16 @@ def _load_dks(path: Path) -> list[DomainKnowledge]:
         raise ValidationError(f"{path} does not hold domain-knowledge texts ({exc!r})") from exc
 
 
-def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_threshold: float) -> int:
+def cmd_run_grid(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     prepared = _load_prepared(cfg)
     dks = _read(cfg, "dk.json", _load_dks)
-    if cfg.live:
+    if args.live:
         backend = HttpBackend(cfg.llm, JsonlCache(cfg.cache_path))
         cached_at_open = len(backend.cache)
-    elif mock_kind == "oracle":
+    elif args.mock == "oracle":
         backend = OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
     else:
-        backend = RuleMock(rule_feature, rule_threshold)
+        backend = RuleMock(args.rule_feature, args.rule_threshold)
     try:
         rows = run_prompt_grid(cfg, prepared, dks, backend)
     except TransportError as exc:  # only the live backend sends anything
@@ -155,7 +153,7 @@ def cmd_run_grid(cfg: ExperimentConfig, mock_kind: str, rule_feature: str, rule_
             return 3
         return 2
     finally:
-        if cfg.live:
+        if args.live:
             backend.cache.close()
     grid_path = Path(cfg.output_dir) / "grid_rows.json"
     save_rows(grid_path, rows)
@@ -217,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "gen-dk":
             return cmd_gen_dk(cfg)
         if args.verb == "run-grid":
-            return cmd_run_grid(cfg, args.mock, args.rule_feature, args.rule_threshold)
+            return cmd_run_grid(cfg, args)
         return cmd_report(cfg, args.format)  # the required subparser admits no other verb
     except (CardiopromptError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

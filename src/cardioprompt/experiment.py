@@ -68,7 +68,6 @@ class ExperimentConfig:
     cache_path: str = "runs/completions.jsonl"
     output_dir: str = "runs"
     paper_faithful: bool = False
-    live: bool = False
     llm: LlmConfig = field(default_factory=LlmConfig)
 
     @classmethod
@@ -289,9 +288,10 @@ def run_prompt_grid(
     """Evaluate every (dk, n_ex) cell on the full test split with `backend`.
 
     Rows are grouped by example count: for each n_ex, prompt-0..prompt-6 then
-    that block's average. In-context examples are drawn once per n_ex, so two
-    dk variants at the same n_ex see identical examples. Each prompt row
-    counts its unparseable answers, which score as positive predictions."""
+    that block's average. `classify_batch` draws each cell's in-context
+    examples afresh, with a seed that depends only on n_ex, so the seven
+    cells at one n_ex see identical examples. Each prompt row counts its
+    unparseable answers, which score as positive predictions."""
     rows: list[ReportRow] = []
     truth = prepared.test.targets
     for n_ex in cfg.n_ex_grid:
@@ -303,8 +303,8 @@ def run_prompt_grid(
                 seed=derive_seed(cfg.seed, f"examples:{n_ex}"),
                 paper_faithful=cfg.paper_faithful,
             )
-            records = classify_batch(prepared.test, spec, backend, train=prepared.train)
-            preds = [r.verdict.label if not r.verdict.unparseable else 1 for r in records]
+            labels = classify_batch(prepared.test, spec, backend, train=prepared.train)
+            preds = [1 if label is None else label for label in labels]
             cm = confusion(preds, truth)
             source = _TAG_DISPLAY.get(dk.source_name, dk.source_name)
             block.append(
@@ -314,7 +314,7 @@ def run_prompt_grid(
                     dk_source=source if dk.variant is not DkVariant.NONE else "-",
                     n_ex=n_ex,
                     metrics=metrics_row(cm, cfg.weights),
-                    unparseable=sum(1 for r in records if r.verdict.unparseable),
+                    unparseable=labels.count(None),
                 )
             )
         rows.extend(block)

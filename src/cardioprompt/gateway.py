@@ -108,22 +108,6 @@ class CompletionRecord:
     attempt_count: int
 
 
-@dataclass(frozen=True)
-class Verdict:
-    label: int | None  # 0, 1, or None when unparseable
-    raw: str
-
-    @property
-    def unparseable(self) -> bool:
-        return self.label is None
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    index: int
-    verdict: Verdict
-
-
 def prompt_hash(prompt_text: str, model_name: str, temperature: float = 0.0) -> str:
     h = hashlib.sha256()
     h.update(model_name.encode("utf-8"))
@@ -664,12 +648,10 @@ class RuleMock(_InlineMock):
 # --- parsing and batching ------------------------------------------------
 
 
-def parse_label(raw: str) -> Verdict:
-    """First standalone 0/1 digit wins; none found -> unparseable."""
+def parse_label(raw: str) -> int | None:
+    """First standalone 0/1 digit wins; none found -> None (unparseable)."""
     m = _LABEL_RE.search(raw)
-    if m is None:
-        return Verdict(label=None, raw=raw)
-    return Verdict(label=int(m.group(1)), raw=raw)
+    return None if m is None else int(m.group(1))
 
 
 def classify_batch(
@@ -677,15 +659,17 @@ def classify_batch(
     spec: PromptSpec,
     backend: Backend,
     train: Dataset | None = None,
-) -> list[PredictionRecord]:
-    """One verdict per test row, in row order.
+) -> list[int | None]:
+    """One label per test row, in row order: 0, 1, or None where the answer
+    is unparseable.
 
     Prompts share one draw of in-context examples (from train, per spec.seed),
-    checked once, and differ only in the final question. The backend answers
-    them all in one call; its first failure is the error raised.
+    checked and rendered once, and differ only in the final question. The
+    backend answers them all in one call; its first failure is the error
+    raised.
     """
     if spec.n_ex > 0 and train is None:
         raise ValidationError("in-context examples requested but no train split given")
     examples = sample_examples(train, spec.n_ex, spec.seed) if spec.n_ex else Examples()
     prompts = [assemble_prompt(spec, examples, row).text for row in test.matrix]
-    return [PredictionRecord(i, parse_label(raw)) for i, raw in enumerate(backend.answer(prompts))]
+    return [parse_label(raw) for raw in backend.answer(prompts)]

@@ -27,89 +27,75 @@ from .zoo import TrainedModel, _build_estimator
 FORMAT_VERSION = 1
 
 
-def _tree_to_doc(t: DecisionTree) -> dict:
-    return {
-        "feature": list(t.feature),
-        "threshold": list(t.threshold),
-        "left": list(t.left),
-        "right": list(t.right),
-        "value": list(t.value),
-        "criterion": t.criterion,
-        "n_features": t.n_features_,
-        "importance_raw": t.importance_raw_.tolist(),
-    }
+def _each(kind):
+    """(encode, decode) for a list of `kind` values."""
+    return list, lambda doc: [kind(v) for v in doc]
 
 
-def _tree_from_doc(doc: dict) -> DecisionTree:
-    t = DecisionTree(criterion=doc["criterion"])
-    t.feature = [int(v) for v in doc["feature"]]
-    t.threshold = [float(v) for v in doc["threshold"]]
-    t.left = [int(v) for v in doc["left"]]
-    t.right = [int(v) for v in doc["right"]]
-    t.value = [float(v) for v in doc["value"]]
-    t.n_features_ = int(doc["n_features"])
-    t.importance_raw_ = np.asarray(doc["importance_raw"], dtype=float)
-    return t
+def _array(dtype):
+    return np.ndarray.tolist, lambda doc: np.asarray(doc, dtype=dtype)
 
 
-def _params_doc(est) -> dict:
-    if isinstance(est, RandomForest):
-        return {"trees": [_tree_to_doc(t) for t in est.trees], "n_features": est.n_features_}
-    if isinstance(est, LogisticRegressionGD):
-        return {"theta": est.theta.tolist(), "n_iter": est.n_iter_}
-    if isinstance(est, GradientBoostedTrees):
-        return {
-            "base_score": est.base_score_,
-            "trees": [_tree_to_doc(t) for t in est.trees],
-            "tree_cols": [c.tolist() for c in est.tree_cols],
-            "n_features": est.n_features_,
-        }
-    if isinstance(est, AdaBoostStumps):
-        return {
-            "stumps": [_tree_to_doc(t) for t in est.stumps],
-            "alphas": list(est.alphas),
-            "stump_errors": list(est.stump_errors),
-            "n_features": est.n_features_,
-        }
-    if isinstance(est, KNNClassifier):
-        return {"X": est.X_.tolist(), "y": est.y_.tolist()}
-    if isinstance(est, MLPClassifier):
-        return {"weights": [w.tolist() for w in est.weights], "biases": [b.tolist() for b in est.biases]}
-    raise ValidationError(f"cannot serialize estimator type {type(est).__name__}")
+def _arrays(dtype):
+    return (lambda arrays: [a.tolist() for a in arrays]), (lambda doc: [np.asarray(a, dtype=dtype) for a in doc])
 
 
-def _restore_params(est, doc: dict):
-    if isinstance(est, RandomForest):
-        est.trees = [_tree_from_doc(d) for d in doc["trees"]]
-        est.n_features_ = int(doc["n_features"])
-    elif isinstance(est, LogisticRegressionGD):
-        est.theta = np.asarray(doc["theta"], dtype=float)
-        est.n_iter_ = int(doc["n_iter"])
-    elif isinstance(est, GradientBoostedTrees):
-        est.base_score_ = float(doc["base_score"])
-        est.trees = [_tree_from_doc(d) for d in doc["trees"]]
-        est.tree_cols = [np.asarray(c, dtype=int) for c in doc["tree_cols"]]
-        est.n_features_ = int(doc["n_features"])
-    elif isinstance(est, AdaBoostStumps):
-        est.stumps = [_tree_from_doc(d) for d in doc["stumps"]]
-        est.alphas = [float(a) for a in doc["alphas"]]
-        est.stump_errors = [float(e) for e in doc["stump_errors"]]
-        est.n_features_ = int(doc["n_features"])
-    elif isinstance(est, KNNClassifier):
-        est.X_ = np.asarray(doc["X"], dtype=float)
-        est.y_ = np.asarray(doc["y"], dtype=int)
-    elif isinstance(est, MLPClassifier):
-        est.weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-        est.biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    else:
-        raise ValidationError(f"cannot restore estimator type {type(est).__name__}")
+_TREES = (lambda trees: [fitted_doc(t) for t in trees]), (lambda doc: [restore_fitted(DecisionTree(), d) for d in doc])
+
+# estimator class -> {artifact key: (attribute, encode, decode)}, keys in artifact order
+FITTED = {
+    DecisionTree: {
+        "feature": ("feature", *_each(int)),
+        "threshold": ("threshold", *_each(float)),
+        "left": ("left", *_each(int)),
+        "right": ("right", *_each(int)),
+        "value": ("value", *_each(float)),
+        "criterion": ("criterion", str, str),
+        "n_features": ("n_features_", int, int),
+        "importance_raw": ("importance_raw_", *_array(float)),
+    },
+    RandomForest: {"trees": ("trees", *_TREES), "n_features": ("n_features_", int, int)},
+    LogisticRegressionGD: {"theta": ("theta", *_array(float)), "n_iter": ("n_iter_", int, int)},
+    GradientBoostedTrees: {
+        "base_score": ("base_score_", float, float),
+        "trees": ("trees", *_TREES),
+        "tree_cols": ("tree_cols", *_arrays(int)),
+        "n_features": ("n_features_", int, int),
+    },
+    AdaBoostStumps: {
+        "stumps": ("stumps", *_TREES),
+        "alphas": ("alphas", *_each(float)),
+        "stump_errors": ("stump_errors", *_each(float)),
+        "n_features": ("n_features_", int, int),
+    },
+    KNNClassifier: {"X": ("X_", *_array(float)), "y": ("y_", *_array(int))},
+    MLPClassifier: {"weights": ("weights", *_arrays(float)), "biases": ("biases", *_arrays(float))},
+}
+
+
+def _fields(est) -> dict:
+    if type(est) not in FITTED:
+        raise ValidationError(f"cannot serialize estimator type {type(est).__name__}")
+    return FITTED[type(est)]
+
+
+def fitted_doc(est) -> dict:
+    """The fitted parameters of `est`, as its artifact stores them."""
+    return {key: encode(getattr(est, attr)) for key, (attr, encode, _) in _fields(est).items()}
+
+
+def restore_fitted(est, doc: dict):
+    """`est` with the fitted parameters of `doc` set on it."""
+    for key, (attr, _, decode) in _fields(est).items():
+        setattr(est, attr, decode(doc[key]))
+    return est
 
 
 def model_to_json(model: TrainedModel) -> str:
     doc = {
         "format_version": FORMAT_VERSION,
         "family": model.family,
-        "hyper": {k: (list(v) if isinstance(v, tuple) else v) for k, v in model.hyper.items()},
+        "hyper": model.hyper,
         "converged": model.converged,
         "importance": None
         if model.importance is None
@@ -118,7 +104,7 @@ def model_to_json(model: TrainedModel) -> str:
             "source": model.importance.source,
             "degenerate": model.importance.degenerate,
         },
-        "params": _params_doc(model.estimator),
+        "params": fitted_doc(model.estimator),
     }
     return json.dumps(doc)
 
@@ -132,8 +118,7 @@ def model_from_json(text: str) -> TrainedModel:
     hyper = dict(doc["hyper"])
     if "hidden_layer_sizes" in hyper:
         hyper["hidden_layer_sizes"] = tuple(hyper["hidden_layer_sizes"])
-    est = _build_estimator(doc["family"], dict(hyper), seed=0)
-    _restore_params(est, doc["params"])
+    est = restore_fitted(_build_estimator(doc["family"], dict(hyper), seed=0), doc["params"])
     importance = None
     if doc["importance"] is not None:
         importance = ImportanceRanking(

@@ -5,10 +5,9 @@ optional domain-knowledge paragraph, final question. Parts are joined by one
 blank line; omitted parts leave no residue. Assembly is pure and
 byte-deterministic so cached completions stay valid across runs.
 
-Within one grid cell only the question changes from row to row, so the
-first four parts (the head) are built once per cell and memoized. The
-in-context examples are an `Examples`, checked and keyed once per draw, so a
-row costs a memo lookup and its question line.
+Within one grid cell only the question changes from row to row. The
+in-context examples are an `Examples`, checked and rendered once per draw, so
+a row costs its question line and one join.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ If the assessment determines a high risk, the output should be '1'. If the risk 
 # Stray instruction carried over from a different task; reproduced only when
 # paper_faithful fidelity is requested.
 CREDIT_RISK_SENTENCE = "Evaluate the credit risk based on given attributes. If good, respond with '1', if bad, respond with '0'."
+
+FAITHFUL_TASK = TASK_INSTRUCTION + "\n" + CREDIT_RISK_SENTENCE
 
 ATTRIBUTES_HEADER = "The explanation of each attribute is as follows:"
 
@@ -106,8 +107,7 @@ def _render_row(bits: bytes, float_style: bool) -> str:
 class Examples(tuple):
     """In-context examples: (row, label) pairs, each row a read-only float64
     copy of the 13 feature values and each label 0 or 1, checked once when
-    built. `bits` (the rows' float64 bytes, one after another) and `labels`
-    (each label as printed) are what the prompt head is memoized by."""
+    built. `blocks` holds their `Example i:` parts, rendered once too."""
 
     def __new__(cls, pairs=()):
         rows, labels = [], []
@@ -124,9 +124,10 @@ class Examples(tuple):
             rows.append(row)
             labels.append(label)
         self = super().__new__(cls, zip(rows, labels))
-        self.bits = b"".join([row.tobytes() for row in rows])
-        # labels as printed, not as compared: True == 1, yet it prints "True"
-        self.labels = tuple([f"{label}" for label in labels])
+        self.blocks = tuple(
+            f"Example {i}:\n<Inputs {i}>: {render_instance(row)}\n<Answer {i}>: {label}"
+            for i, (row, label) in enumerate(self, start=1)
+        )
         return self
 
 
@@ -162,31 +163,11 @@ def assemble_prompt(spec: PromptSpec, examples, query) -> Prompt:
         raise ValidationError(f"spec wants {spec.n_ex} examples, got {len(examples)}")
     if not isinstance(examples, Examples):
         examples = Examples(examples)
-    part1, blocks, part4 = _head(spec, examples.bits, examples.labels)
+    task = FAITHFUL_TASK if spec.paper_faithful else TASK_INSTRUCTION
+    dk = "" if spec.dk.variant is DkVariant.NONE else f"Domain Knowledge:\n{spec.dk.text}"
 
     query_line = render_instance(query, float_style=spec.paper_faithful)
     tail = " ?" if spec.paper_faithful else ""
-    part5 = f"{QUESTION_LEAD}\n<Inputs>: {query_line}\n<Answer>:{tail}"
+    question = f"{QUESTION_LEAD}\n<Inputs>: {query_line}\n<Answer>:{tail}"
 
-    return Prompt(part1, ATTRIBUTES, blocks, part4, part5)
-
-
-@functools.lru_cache(maxsize=64)
-def _head(spec: PromptSpec, example_bits: bytes, labels: tuple[str, ...]) -> tuple[str, tuple[str, ...], str]:
-    """The task, example and domain-knowledge parts, which every row of a grid
-    cell shares. Keyed, like _render_row, by the example rows' float64 bytes
-    (`Examples.bits`), never their values; 64 entries hold a 35-cell grid."""
-    part1 = TASK_INSTRUCTION
-    if spec.paper_faithful:
-        part1 = part1 + "\n" + CREDIT_RISK_SENTENCE
-
-    step = 8 * len(FEATURE_NAMES)  # bytes per row
-    blocks = []
-    for i, label in enumerate(labels, start=1):
-        line = _render_row(example_bits[(i - 1) * step : i * step], False)
-        blocks.append(f"Example {i}:\n<Inputs {i}>: {line}\n<Answer {i}>: {label}")
-
-    part4 = ""
-    if spec.dk.variant is not DkVariant.NONE:
-        part4 = f"Domain Knowledge:\n{spec.dk.text}"
-    return part1, tuple(blocks), part4
+    return Prompt(task, ATTRIBUTES, examples.blocks, dk, question)

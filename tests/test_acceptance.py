@@ -230,8 +230,7 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         # (b) scripted responses against hand-computed confusion counts
         sub = prepared.test
         flip = [("0" if t == 1 else "1") if i < 10 else str(t) for i, t in enumerate(sub.targets)]
-        records = classify_batch(sub, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(flip))
-        preds = [r.verdict.label for r in records]
+        preds = classify_batch(sub, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(flip))
         cm = confusion(preds, sub.targets)
         first = sub.targets[:10]
         expected_cm = ConfusionMatrix(

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import cardioprompt
-from cardioprompt import experiment
+from cardioprompt import cli, experiment
 from cardioprompt.cli import main
 from cardioprompt.data import load_csv, write_atomic, write_imputed_csv
+from cardioprompt.errors import ValidationError
 from cardioprompt.experiment import (
     ExperimentConfig,
     ReportRow,
@@ -474,6 +475,26 @@ class TestLiveFailures:
         assert main(["--config", str(workdir["cfg"]), "run-grid", "--mock", "rule"]) == 0
         assert cache.read_bytes() == b"not a cache record\n"
 
+    def test_only_the_live_flag_builds_the_http_backend(self, workdir, monkeypatch, capsys):
+        self._prime(workdir)
+        built = []
+
+        def http_backend(*args, **kwargs):
+            built.append(args)
+            raise ValidationError("HttpBackend built")
+
+        monkeypatch.setattr(cli, "HttpBackend", http_backend)
+        keyed = workdir["tmp"] / "live-key.json"
+        keyed.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "live": True}))
+        capsys.readouterr()
+        assert main(["--config", str(keyed), "run-grid"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'live'" in err
+        assert main(["--config", str(workdir["cfg"]), "run-grid", "--mock", "rule"]) == 0
+        assert built == []
+        assert main(["--config", str(workdir["cfg"]), "--live", "run-grid"]) == 1
+        assert len(built) == 1
+
     def test_offline_never_touches_network(self, workdir, monkeypatch):
         # without --live the dead endpoint must not matter
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
@@ -549,7 +570,7 @@ print(json.dumps([before, cardioprompt.cli.main(sys.argv[1:]), loaded()]))
 # in a fresh interpreter: train-models at two usable CPUs, where the worker tuning KNN kills itself
 _KNN_WORKER_KILLED = """
 import os, signal, sys
-from cardioprompt import experiment
+from cardioprompt import cli, experiment
 from cardioprompt.cli import main
 os.sched_getaffinity = lambda pid: {0, 1}
 search = experiment.randomized_search

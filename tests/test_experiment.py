@@ -84,7 +84,6 @@ class TestExperimentConfig:
         assert cfg.n_ex_grid == (0, 2, 4, 8, 16)
         assert cfg.dk_families == ("RF", "LR", "GBT")
         assert cfg.weights == CostWeights(0.2, 0.8)
-        assert cfg.live is False
 
     def test_from_dict_nested(self):
         cfg = ExperimentConfig.from_dict(

@@ -103,29 +103,28 @@ class ConnectProxy:
 
 class TestParseLabel:
     def test_bare_digits(self):
-        assert parse_label("1").label == 1
-        assert parse_label("0").label == 0
+        assert parse_label("1") == 1
+        assert parse_label("0") == 0
 
     def test_digit_inside_sentence(self):
-        assert parse_label("The answer is 0.").label == 0
-        assert parse_label("I assess this as high risk: 1").label == 1
+        assert parse_label("The answer is 0.") == 0
+        assert parse_label("I assess this as high risk: 1") == 1
 
     def test_first_standalone_digit_wins(self):
-        assert parse_label("0 or maybe 1").label == 0
+        assert parse_label("0 or maybe 1") == 0
 
     def test_multidigit_numbers_do_not_count(self):
-        v = parse_label("risk score 10 out of 10")
-        assert v.unparseable and v.label is None
+        assert parse_label("risk score 10 out of 10") is None
 
     def test_adjacent_digits_rejected(self):
-        assert parse_label("01").unparseable
-        assert parse_label("value 100").unparseable
+        assert parse_label("01") is None
+        assert parse_label("value 100") is None
 
     def test_no_digits(self):
-        assert parse_label("High risk, definitely.").unparseable
+        assert parse_label("High risk, definitely.") is None
 
-    def test_raw_preserved(self):
-        assert parse_label("whatever 1").raw == "whatever 1"
+    def test_label_is_a_bare_int(self):
+        assert type(parse_label("whatever 1")) is int
 
 
 class TestPromptHash:
@@ -282,8 +281,7 @@ class TestMocks:
         ds = small_dataset(25, seed=3)
         oracle = OracleMock.for_dataset(ds)
         preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), oracle)
-        assert [p.verdict.label for p in preds] == ds.targets.tolist()
-        assert [p.index for p in preds] == list(range(ds.n_rows))
+        assert preds == ds.targets.tolist()
 
     def test_oracle_duplicate_rows_must_agree(self):
         twin = np.stack([QUERY, QUERY])
@@ -747,8 +745,7 @@ class TestClassifyBatch:
             preds = classify_batch(
                 ds, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(cfg, cache, api_key="k")
             )
-            assert [p.index for p in preds] == list(range(12))
-            results[width] = [p.verdict.label for p in preds]
+            results[width] = preds
         assert results[1] == results[8] == expected
 
     def test_examples_requested_without_train_rejected(self):
@@ -807,7 +804,7 @@ class TestClassifyBatch:
         monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or original_start(t))
         backend = HttpBackend(_cfg(stub, max_in_flight=4), JsonlCache(tmp_path / "c.jsonl"), api_key="k")
         preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), backend)
-        assert [p.verdict.label for p in preds] == expected
+        assert preds == expected
         assert starts == [] and stub.requests == []
 
     def test_half_cached_batch_sends_only_the_misses_hashing_each_prompt_once(self, stub, tmp_path, monkeypatch):
@@ -819,8 +816,7 @@ class TestClassifyBatch:
         monkeypatch.setattr(gateway, "prompt_hash", lambda text, *a: hashed.append(text) or original_hash(text, *a))
         backend = HttpBackend(_cfg(stub, max_in_flight=4), JsonlCache(tmp_path / "c.jsonl"), api_key="k")
         preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), backend)
-        assert [p.index for p in preds] == list(range(12))
-        assert [p.verdict.label for p in preds] == expected
+        assert preds == expected
         assert sorted(r["body"]["messages"][0]["content"] for r in stub.requests) == sorted(prompts[1::2])
         assert sorted(hashed) == sorted(prompts)
 
@@ -829,8 +825,17 @@ class TestClassifyBatch:
         preds = classify_batch(
             ds, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(["1", "gibberish", "0"])
         )
-        assert [p.verdict.label for p in preds] == [1, None, 0]
-        assert preds[1].verdict.unparseable
+        assert preds == [1, None, 0]
+
+    def test_unparseable_answer_is_none_in_its_rows_slot(self):
+        ds = small_dataset(8, seed=2)
+        odd = _one_row_prompt(ds.matrix[5])
+
+        class AnswersByRow:
+            def answer(self, prompts: list[str]) -> list[str]:
+                return ["no idea" if p == odd else "0" for p in prompts]
+
+        assert classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), AnswersByRow()) == [0] * 5 + [None] + [0] * 2
 
     def test_connections_reused_across_batches(self, stub):
         stub.script = [(200, ok_body("1"))]
@@ -853,7 +858,7 @@ class TestClassifyBatch:
         backend = HttpBackend(_cfg(stub, max_in_flight=4), cache, api_key="k")
         for seed in (6, 7):
             preds = classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend)
-            assert [p.verdict.label for p in preds] == [1] * 60
+            assert preds == [1] * 60
         assert len(stub.requests) == len(cache) == stub.connections == 120
         assert {json.loads(line)["attempt_count"] for line in cache.path.read_text().splitlines()} == {1}
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from cardioprompt.data import binarize_target, knn_impute, split, standardize
 from cardioprompt.models import DecisionTree, train
-from cardioprompt.models.serialize import _tree_to_doc, model_to_json
+from cardioprompt.models.serialize import fitted_doc, model_to_json
 from cardioprompt.synthetic import synthetic_raw
 
 GOLDEN = Path(__file__).parent / "golden" / "tree_artifacts.json"
@@ -66,7 +66,7 @@ def artifact_digests() -> dict[str, str]:
     for name, (criterion, weighted, leaf, depth) in TREES.items():
         tree = DecisionTree(max_depth=depth, min_samples_leaf=leaf, criterion=criterion)
         tree.fit(X, y if criterion == "gini" else target, sample_weight=weights if weighted else None)
-        docs[f"tree-{name}"] = json.dumps(_tree_to_doc(tree))
+        docs[f"tree-{name}"] = json.dumps(fitted_doc(tree))
     return {name: hashlib.sha256(doc.encode()).hexdigest() for name, doc in docs.items()}
 
 
