@@ -46,16 +46,17 @@ WRITERS = {
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    for flag, key in (("--data-path", "data_path"), ("--impute-k", "impute_k")):
-        if args.verb != "prepare-data" and getattr(args, key) is not None:
-            raise ValidationError(f"{flag} is read only by prepare-data, not by {args.verb}")
+    for flag, key, verb in (("--data-path", "data_path", "prepare-data"), ("--impute-k", "impute_k", "prepare-data"),
+                            ("--live", "live", "run-grid"), ("--paper-faithful", "paper_faithful", "run-grid")):
+        if args.verb != verb and getattr(args, key) not in (None, False):
+            raise ValidationError(f"{flag} is read only by {verb}, not by {args.verb}")
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {}
     for key in ("data_path", "seed", "test_fraction", "impute_k", "cache_path", "output_dir"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "paper_faithful", False):
+    if args.paper_faithful:
         overrides["paper_faithful"] = True
     if overrides:
         cfg = ExperimentConfig.from_dict({**dataclasses.asdict(cfg), **overrides})

@@ -2,9 +2,9 @@
 
 Every backend answers a batch of prompts in one call, `answer(prompts) ->
 list[str]`, in prompt order. The mocks answer inline, one prompt after
-another. `HttpBackend` answers in the calling thread until the first prompt
-that misses the cache, then with `max_in_flight` - 1 helper threads besides,
-so a fully cached batch starts no thread.
+another. `HttpBackend` answers in the calling thread alone: a cache hit at
+once, and up to `max_in_flight` misses at a time through a `selectors` loop
+that reads each reply once its socket turns readable.
 
 `HttpBackend` POSTs {base_url}/v1/chat/completions with a single user message
 and the bearer token from OPENAI_API_KEY (looked up once per backend), the
@@ -18,20 +18,21 @@ socket's life, within `http.client`'s line and header limits and raising its
 exception types. Only `HttpBackend` opens the cache, an append-only JSONL file
 keyed by sha256(model_name NUL temperature NUL prompt), hashed once per prompt
 and read before the network, so a rerun after an abort costs no requests and a
-mock run never touches it. `http.client` is imported only when a prompt misses
-the cache. The cache file is parsed in one call when it opens; a torn last
-line (a crash during an append) is dropped with a warning, and a bad line
-anywhere else is an error. Transient failures (429, 5xx, timeouts, resets, a
-malformed reply, a response body cut short) retry with exponential backoff and
-equal jitter: delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the
-exponential envelope and never decreases. After a 429 or 503 the wait is the
-larger of that delay and the reply's Retry-After (seconds or an HTTP date; a
-negative or unparseable value is ignored). A send on a pooled connection that
-the server hangs up on before any response byte (a kept-alive connection it
-had closed) is re-sent once per prompt on a fresh connection, without a sleep
-or a counted attempt. Auth failures never retry. The first permanent failure
-stops the backend: a new prompt or an interrupted backoff wait raises that
-same failure at once.
+mock run never touches it. `http.client` and `selectors` are imported only
+when a prompt misses the cache. The cache file is parsed in one call when it
+opens; a torn last line (a crash during an append) is dropped with a warning,
+and a bad line anywhere else is an error. Transient failures (429, 5xx,
+timeouts, resets, a malformed reply, a response body cut short) retry with
+exponential backoff and equal jitter: delay = base * 2^attempt * (0.5 +
+0.5*U), which stays inside the exponential envelope and never decreases.
+After a 429 or 503 the wait is the larger of that delay and the reply's
+Retry-After (seconds or an HTTP date; a negative or unparseable value is
+ignored). A send on a pooled connection that the server hangs up on before
+any response byte (a kept-alive connection it had closed) is re-sent once
+per prompt on a fresh connection, without a sleep or a counted attempt. Auth
+failures never retry. The first failure stops the backend: no prompt starts
+and no retry is sent after it, and the replies already awaited are read and
+cached before it is raised.
 
 The mocks: an oracle answering with the query's true label, a scripted
 response queue, and a threshold rule on one feature of the final question.
@@ -45,7 +46,6 @@ import hashlib
 import json
 import math
 import os
-import queue
 import random
 import re
 import select
@@ -55,8 +55,8 @@ import time
 import types
 import urllib.parse
 import weakref
-from collections.abc import Callable, Iterator, Mapping, Sequence
-from contextlib import AbstractContextManager, contextmanager
+from collections.abc import Callable, Generator, Mapping, Sequence
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -72,6 +72,7 @@ _MAX_LINE = 65536  # http.client's limits: bytes in one line, header lines in on
 _MAX_HEADERS = 100
 _CONTROL_IN_TARGET = re.compile(r"[\x00-\x20\x7f]")
 _LINE_BREAK_IN_VALUE = re.compile(r"[\r\n\x00]")
+_LONGEST_SELECT = 86400.0  # seconds; epoll rejects a timeout of 2**31 ms or more
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,11 @@ def prompt_hash(prompt_text: str, model_name: str, temperature: float = 0.0) -> 
 
 
 class JsonlCache:
-    """Append-only completion store, indexed whole on open; one handle, opened by the first put, flushes each record."""
+    """Append-only completion store, indexed whole on open; one handle, opened by the first put, flushes
+    each record. It takes no lock: the program uses it from one thread."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._fh = None
         self._by_hash: dict[str, CompletionRecord] = {}
         if self.path.exists():
@@ -179,18 +180,16 @@ class JsonlCache:
         return len(self._by_hash)
 
     def get(self, key: str) -> CompletionRecord | None:
-        with self._lock:
-            return self._by_hash.get(key)
+        return self._by_hash.get(key)
 
     def put(self, rec: CompletionRecord):
-        with self._lock:
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("a", encoding="utf-8")
-                weakref.finalize(self, self._fh.close)  # a cache dropped unclosed closes its handle
-            self._fh.write(json.dumps(vars(rec)) + "\n")  # the fields in declaration order, as asdict gives
-            self._fh.flush()  # written through: a kill leaves at most a torn last line
-            self._by_hash[rec.prompt_hash] = rec
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("a", encoding="utf-8")
+            weakref.finalize(self, self._fh.close)  # a cache dropped unclosed closes its handle
+        self._fh.write(json.dumps(vars(rec)) + "\n")  # the fields in declaration order, as asdict gives
+        self._fh.flush()  # written through: a kill leaves at most a torn last line
+        self._by_hash[rec.prompt_hash] = rec
 
     def close(self):
         if self._fh is not None:
@@ -242,12 +241,10 @@ class Connection(AbstractContextManager):
         self._head_key = self._head = None  # (url, headers) and the head encoded for them
         weakref.finalize(self, self._conn.close)  # a connection dropped unclosed closes its socket
 
-    def request(self, url: str, body: bytes, headers: Mapping[str, str], timeout: float) -> tuple[int, dict[str, str], bytes]:
-        """POST `body` to `url` in one write; the reply's status, its headers
-        (lower-case names) and its body. An idle connection turned readable
-        was closed by the server: it is replaced. Failures raise
-        `http.client`'s exceptions, `RemoteDisconnected` when no status line
-        came."""
+    def send(self, url: str, body: bytes, headers: Mapping[str, str], timeout: float):
+        """POST `body` to `url` in one write; the socket it went out on. An
+        idle connection turned readable was closed by the server: it is
+        replaced."""
         conn = self._conn
         if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             self.close()
@@ -261,6 +258,12 @@ class Connection(AbstractContextManager):
             self._head = self._encode_head(url, headers)
             self._head_key = url, dict(headers)
         conn.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+        return conn.sock
+
+    def receive(self) -> tuple[int, dict[str, str], bytes]:
+        """The reply to the request `send` wrote: its status, its headers
+        (lower-case names) and its body. Failures raise `http.client`'s
+        exceptions, `RemoteDisconnected` when no status line came."""
         status, fields, payload, will_close = _read_reply(self._reader)
         if will_close:
             self.close()
@@ -368,7 +371,7 @@ def _read_chunked(reader) -> bytes:
             raise IncompleteRead(b"".join(chunks), size - len(chunk))
 
 
-new_session = Connection  # the connection `complete` opens for a call when it is lent none
+new_session = Connection  # the connection `complete` opens when lent none, and `HttpBackend` when none is idle
 
 
 @functools.lru_cache(maxsize=8)
@@ -408,25 +411,23 @@ def complete(
     sleeper=time.sleep,
     jitter_rng: random.Random | None = None,
     api_key: str | None = None,
-    session: Callable[[], AbstractContextManager[Connection]] | None = None,
-) -> CompletionRecord:
+    session: Callable[[], AbstractContextManager[Connection]] | HttpBackend | None = None,
+) -> CompletionRecord | None:
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
     (body not in chat-completions shape). Sends through the connection that
-    `session`, a function, lends for the call (HttpBackend's free list, asked
-    only on a cache miss), or through a one-off `new_session` closed before
-    returning. A body cut short is a failed attempt. A send through `session`
-    that the server hangs up on before any response byte is re-sent once per
-    call, at once, on a fresh connection, without counting an attempt. After
-    a 429 or 503 the wait before the next attempt is the larger of the
-    backoff and the reply's Retry-After."""
+    `session`, a function, lends, or a one-off `new_session`, sleeping with
+    `sleeper`; an `HttpBackend` as `session` takes a miss into its loop, and
+    None is returned. A body cut short is a failed attempt. A send on a lent or
+    pooled connection that the server hangs up on before any response byte is
+    re-sent once per call, at once, on a fresh connection, without counting an
+    attempt. After a 429 or 503 the wait before the next attempt is the larger
+    of the backoff and the reply's Retry-After."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    import http.client
-
     token = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")
     if not token:
         raise AuthError("no API key: set OPENAI_API_KEY")
@@ -434,53 +435,69 @@ def complete(
     message = {"role": "user", "content": prompt_text}
     body = {"model": cfg.model_name, "messages": [message], "temperature": cfg.temperature}
     data = json.dumps(body, allow_nan=False).encode("utf-8")  # the bytes requests sent for json=body
-
+    attempts = functools.partial(_attempts, key, url, headers, data, cfg, cache, jitter_rng)
+    if isinstance(session, HttpBackend):
+        return session._admit(attempts)
     with new_session(url) if session is None else session() as conn:
-        resent = False
-
-        def send() -> tuple[int, dict[str, str], bytes]:
-            nonlocal resent
+        steps = attempts(conn, session is not None)
+        while True:
             try:
-                return conn.request(url, data, headers, cfg.timeout)
+                step = next(steps)
+            except StopIteration as done:
+                return done.value
+            if isinstance(step, float):  # a socket's reply is read on the next step, within its timeout
+                sleeper(step)
+
+
+def _attempts(key, url, headers, data, cfg: LlmConfig, cache, jitter_rng, conn: Connection, pooled: bool):
+    """One prompt's attempts on `conn`: a generator yielding the seconds to sleep before a retry, or the
+    socket a request went out on, whose reply it reads when resumed; it returns the cached record. Only
+    a `pooled` connection gets the free re-send."""
+    from http.client import HTTPException
+
+    def exchange():
+        yield conn.send(url, data, headers, cfg.timeout)
+        return conn.receive()
+
+    resent, last_failure, asked = False, "no attempt made", 0.0  # asked: the last reply's Retry-After
+    for attempt in range(cfg.max_retries + 1):
+        if attempt > 0:
+            if jitter_rng is None:  # seeded from os.urandom: built only when a retry sleeps
+                jitter_rng = random.Random()
+            envelope = cfg.backoff_base * 2 ** (attempt - 1)
+            yield max(asked, envelope * (0.5 + 0.5 * jitter_rng.random()))
+        asked = 0.0
+        try:
+            try:
+                status, fields, payload = yield from exchange()
             except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
-                if resent or session is None:
+                if resent or not pooled:
                     raise
-            resent = True  # once per call: a pooled connection the server had closed
-            conn.close()  # so the re-send opens a fresh connection
-            return conn.request(url, data, headers, cfg.timeout)
-
-        last_failure, asked = "no attempt made", 0.0  # asked: the last reply's Retry-After
-        for attempt in range(cfg.max_retries + 1):
-            if attempt > 0:
-                if jitter_rng is None:  # seeded from os.urandom: built only when a retry sleeps
-                    jitter_rng = random.Random()
-                envelope = cfg.backoff_base * 2 ** (attempt - 1)
-                sleeper(max(asked, envelope * (0.5 + 0.5 * jitter_rng.random())))
-            asked = 0.0
-            try:
-                status, fields, payload = send()
-            except (OSError, http.client.HTTPException) as exc:  # timeouts, resets, a malformed or short reply
-                conn.close()
-                last_failure = f"{type(exc).__name__}: {exc}"
-                continue
-            if status in (401, 403):
-                raise AuthError(f"HTTP {status} from {url}")
-            if status in _RETRYABLE_STATUS:
-                last_failure = f"HTTP {status}"
-                if status in (429, 503):
-                    asked = _retry_after(fields.get("retry-after"))
-                continue
-            if status != 200:
-                raise TransportError(f"HTTP {status} from {url} (not retryable)")
-            try:
-                content = json.loads(payload)["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise ProtocolError(f"response body not in chat-completions shape: {exc}") from exc
-            rec = CompletionRecord(key, cfg.model_name, str(content), timestamp=time.time(), attempt_count=attempt + 1)
-            if cache is not None:
-                cache.put(rec)
-            return rec
-        raise TransportError(f"gave up after {cfg.max_retries + 1} attempts; last failure: {last_failure}")
+                resent = True  # once per prompt: a pooled connection the server had closed
+                conn.close()  # so the re-send opens a fresh connection
+                status, fields, payload = yield from exchange()
+        except (OSError, HTTPException) as exc:  # timeouts, resets, a malformed or short reply
+            conn.close()
+            last_failure = f"{type(exc).__name__}: {exc}"
+            continue
+        if status in (401, 403):
+            raise AuthError(f"HTTP {status} from {url}")
+        if status in _RETRYABLE_STATUS:
+            last_failure = f"HTTP {status}"
+            if status in (429, 503):
+                asked = _retry_after(fields.get("retry-after"))
+            continue
+        if status != 200:
+            raise TransportError(f"HTTP {status} from {url} (not retryable)")
+        try:
+            content = json.loads(payload)["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ProtocolError(f"response body not in chat-completions shape: {exc}") from exc
+        rec = CompletionRecord(key, cfg.model_name, str(content), timestamp=time.time(), attempt_count=attempt + 1)
+        if cache is not None:
+            cache.put(rec)
+        return rec
+    raise TransportError(f"gave up after {cfg.max_retries + 1} attempts; last failure: {last_failure}")
 
 
 class Backend(Protocol):
@@ -490,85 +507,107 @@ class Backend(Protocol):
 
 
 class HttpBackend:
-    """The endpoint through `complete`, up to cfg.max_in_flight prompts at
-    once, each on a connection taken from a free list and put back after, so
-    connections outlive an `answer` call. Its first permanent failure stops
-    it for good."""
+    """The endpoint through `complete`, whose misses a selectors loop in the
+    calling thread steps, up to cfg.max_in_flight at once, each holding a
+    connection from its first send to its end (a backoff sleep included). At
+    most max_in_flight connections are built, idle between prompts and
+    batches. Its first failure stops it for good."""
 
     def __init__(self, cfg: LlmConfig, cache: JsonlCache | None = None, api_key: str | None = None):
         self.cfg = cfg
         self.cache = cache
         self.api_key = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")  # looked up once
-        self._lock = threading.Lock()
-        self._stopped = threading.Event()
-        self._failure: CardiopromptError | None = None
-        self._sessions: queue.SimpleQueue[Connection] = queue.SimpleQueue()  # idle, each with its connection
+        self._failure: Exception | None = None
+        self._idle: list[Connection] = []
+        self._flights: list[_Flight] = []  # the misses in flight, during `answer`
+        self._selector = None  # made at the first miss, as http.client is imported
 
     def answer(self, prompts: Sequence[str]) -> list[str]:
-        """The calling thread takes prompts in order from an iterator; the
-        first cache miss starts up to max_in_flight - 1 helper threads that
-        take from the same iterator, so hits before it are answered here and
-        a fully cached batch starts no thread. No prompt starts after the
-        first failure, which is the error raised."""
-        answers: list = [None] * len(prompts)  # every slot is filled, or a failure is raised
-        rows, failures, helpers = iter(range(len(prompts))), [], None
-
-        def drain(lend: Callable[[], AbstractContextManager[Connection]]):
-            for i in rows:  # the iterator is shared, so each prompt is taken once
-                if failures:
-                    return
-                try:
-                    answers[i] = self._respond(prompts[i], lend)
-                except BaseException as exc:  # re-raised in the calling thread below
-                    failures.append(exc)
-
-        # drain takes its lender as an argument: a lender it closed over would
-        # close a reference cycle that keeps the batch's prompts until a full
-        # garbage collection
-        def lend_starting_helpers() -> AbstractContextManager[Connection]:
-            nonlocal helpers
-            if helpers is None:  # the first miss; no other thread runs yet
-                width = min(self.cfg.max_in_flight, len(prompts))
-                helpers = [threading.Thread(target=drain, args=[self._lend_session]) for _ in range(width - 1)]
-                for t in helpers:
-                    t.start()
-            return self._lend_session()
-
-        drain(lend_starting_helpers)
-        for t in helpers or ():
-            t.join()
-        if failures:
-            raise failures[0]
+        """Prompts in order through `complete`, each miss started once a slot
+        is free; the first failure is raised once the replies awaited are read."""
+        if self._failure is not None:  # a stopped backend starts no prompt
+            raise self._failure
+        self._answers = answers = [None] * len(prompts)  # every slot is filled, or a failure is raised
+        try:
+            for self._row, prompt in enumerate(prompts):  # _admit starts a miss for row _row
+                rec = complete(prompt, self.cfg, self.cache, api_key=self.api_key, session=self)
+                if self._failure is not None:
+                    break
+                if rec is not None:  # a hit
+                    answers[self._row] = rec.raw_response
+            while self._flights:
+                self._turn()
+        finally:
+            for flight in self._flights:  # what an interrupt left, perhaps part way through an exchange
+                flight.attempts.close()
+                if flight.sock is not None:
+                    self._selector.unregister(flight.sock)
+                flight.conn.close()
+                self._idle.append(flight.conn)
+            self._flights.clear()
+        if self._failure is not None:
+            raise self._failure
         return answers
 
-    def _respond(self, prompt_text: str, lend: Callable[[], AbstractContextManager[Connection]]) -> str:
-        try:
-            if self._stopped.is_set():  # a stopped backend starts no prompt
-                raise self._failure
-            return complete(prompt_text, self.cfg, self.cache, self._wait, api_key=self.api_key, session=lend).raw_response
-        except (TransportError, AuthError, ProtocolError) as exc:
-            with self._lock:
-                if self._failure is None:
-                    self._failure = exc
-                    self._stopped.set()
-        raise self._failure  # outside the handler, so no thread rewrites its context
+    def _admit(self, attempts: Callable[[Connection, bool], Generator]) -> None:
+        """Starts the attempts of row `_row` once a slot is free, unless the backend has failed."""
+        if self._selector is None:
+            import selectors
 
-    @contextmanager
-    def _lend_session(self) -> Iterator[Connection]:
-        """An idle connection from the free list, put back after the prompt."""
-        try:
-            session = self._sessions.get_nowait()
-        except queue.Empty:  # fewer connections than prompts in flight: at most max_in_flight are ever built
-            session = new_session(self.cfg.base_url)
-        try:
-            yield session
-        finally:
-            self._sessions.put(session)
+            self._selector = selectors.DefaultSelector()
+        while len(self._flights) >= self.cfg.max_in_flight and self._failure is None:
+            self._turn()
+        if self._failure is None:
+            conn = self._idle.pop() if self._idle else new_session(self.cfg.base_url)
+            self._flights.append(flight := _Flight(self._row, attempts(conn, True), conn))
+            self._step(flight)
 
-    def _wait(self, seconds: float):
-        """The backoff sleep; a failure in another prompt ends it early."""
-        if self._stopped.wait(seconds):
-            raise self._failure
+    def _turn(self):
+        """Ends the sleeping flights once failed; waits for a socket to turn readable
+        or the first due time, and steps each flight ready, a reply overdue with `TimeoutError`."""
+        if self._failure is not None:  # a sleeping prompt sends no retry
+            for flight in [f for f in self._flights if f.sock is None]:
+                self._release(flight)
+        wait = min((f.due for f in self._flights), default=0.0) - time.monotonic()
+        for key, _ in self._selector.select(min(max(wait, 0.0), _LONGEST_SELECT)):
+            self._step(key.data)
+        now = time.monotonic()
+        for flight in [f for f in self._flights if f.due <= now and (f.sock is not None or self._failure is None)]:
+            self._step(flight, TimeoutError("timed out") if flight.sock is not None else None)
+
+    def _step(self, flight: _Flight, exc: Exception | None = None):
+        """Resumes a flight, `exc` raised where it waits, up to its next wait or its end."""
+        if flight.sock is not None:
+            self._selector.unregister(flight.sock)
+            flight.sock = None
+        try:
+            wait = flight.attempts.throw(exc) if exc else next(flight.attempts)
+            if isinstance(wait, float):
+                flight.due = time.monotonic() + wait
+            else:
+                flight.sock, flight.due = wait, time.monotonic() + self.cfg.timeout
+                self._selector.register(wait, 1, flight)  # selectors.EVENT_READ
+            return
+        except StopIteration as done:
+            self._answers[flight.row] = done.value.raw_response
+        except Exception as failure:
+            self._failure = self._failure or failure
+        self._release(flight)
+
+    def _release(self, flight: _Flight):
+        self._flights.remove(flight)
+        self._idle.append(flight.conn)
+
+
+@dataclass(eq=False)
+class _Flight:
+    """A miss's attempts on `conn`, awaiting a reply on `sock` (None: sleeping) until `due`, monotonic seconds."""
+
+    row: int
+    attempts: Generator
+    conn: Connection
+    sock: object = None
+    due: float = 0.0
 
 
 # --- mocks ---------------------------------------------------------------

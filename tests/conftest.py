@@ -104,7 +104,8 @@ class StubState:
     response, without a `Connection: close` header to warn the client. With
     `answers_per_connection` set to k, each connection answers k requests,
     then reads the next one and closes without answering it (counted in
-    `dropped`, not in `requests`)."""
+    `dropped`, not in `requests`). `most_in_flight` is the most requests it
+    held at once, each from its reading to the end of its reply."""
 
     def __init__(self):
         self.script = []
@@ -113,6 +114,7 @@ class StubState:
         self.close_after_response = False
         self.answers_per_connection = None
         self.dropped = 0
+        self.in_flight = self.most_in_flight = 0
         self.lock = threading.Lock()
 
     def next_action(self, request_doc, headers, path, raw):
@@ -143,6 +145,16 @@ class StubHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         self.answered += 1
+        with self.state.lock:
+            self.state.in_flight += 1
+            self.state.most_in_flight = max(self.state.most_in_flight, self.state.in_flight)
+        try:
+            self._reply(doc, raw)
+        finally:
+            with self.state.lock:
+                self.state.in_flight -= 1
+
+    def _reply(self, doc, raw):
         action = self.state.next_action(doc, self.headers, self.path, raw)
         status, payload, *extra = action(doc) if callable(action) else action
         body = json.dumps(payload).encode()

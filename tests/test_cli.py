@@ -119,6 +119,14 @@ class TestPrepareData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("verb", ["prepare-data", "train-models", "gen-dk", "report"])
+    @pytest.mark.parametrize("flag", ["--live", "--paper-faithful"])
+    def test_run_grid_flags_on_another_verb_exit_one(self, workdir, capsys, verb, flag):
+        assert main(["--config", str(workdir["cfg"]), flag, verb]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag} is read only by run-grid, not by {verb}" in err
+        assert not workdir["runs"].exists()  # refused before the verb ran
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_cost_weight_exits_one(self, workdir, capsys, literal):
         bad = workdir["tmp"] / "bad.json"
@@ -503,16 +511,16 @@ class TestLiveFailures:
         assert main(["--config", str(live), "run-grid", "--mock", "oracle"]) == 0
 
 
-# runs each argv through main in one process; prints [exit code, http.client loaded] after each
+# runs each argv through main in one process; prints [exit code, http.client loaded, selectors loaded] after each
 _VERBS_IN_ONE_PROCESS = """
 import json, sys
 from cardioprompt.cli import main
-print(json.dumps([[main(argv), "http.client" in sys.modules] for argv in json.loads(sys.argv[1])]))
+print(json.dumps([[main(argv), "http.client" in sys.modules, "selectors" in sys.modules] for argv in json.loads(sys.argv[1])]))
 """
 
 
 class TestHttpStackLoading:
-    """`http.client` is imported only when a live prompt misses the cache."""
+    """`http.client` and `selectors` are imported only when a live prompt misses the cache."""
 
     def _run(self, argvs: list[list[str]]) -> list[list]:
         env = {**os.environ, "OPENAI_API_KEY": "k", "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
@@ -531,6 +539,8 @@ class TestHttpStackLoading:
         doc["llm"] = {"base_url": stub.url, "max_retries": 0, "timeout": 5.0}
         live = workdir["tmp"] / "live.json"
         live.write_text(json.dumps(doc))
+        fresh = workdir["tmp"] / "fresh.json"
+        fresh.write_text(json.dumps({**doc, "cache_path": str(workdir["tmp"] / "fresh.jsonl")}))
         doc["llm"]["base_url"] = "http://127.0.0.1:9"  # nothing listens there
         dead = workdir["tmp"] / "dead.json"
         dead.write_text(json.dumps(doc))
@@ -543,11 +553,14 @@ class TestHttpStackLoading:
             ["--config", cfg, "run-grid", "--mock", "oracle"],
             ["--config", cfg, "report"],
         ]
-        # the offline verbs, then a live grid from an empty cache
-        assert self._run([*offline, ["--config", str(live), "--live", "run-grid"]]) == [[0, False]] * 6 + [[0, True]]
+        # the offline verbs, then a live grid from an empty cache (train-models' worker pool loads selectors)
+        runs = self._run([*offline, ["--config", str(live), "--live", "run-grid"]])
+        assert [run[:2] for run in runs] == [[0, False]] * 6 + [[0, True]]
         assert len(stub.requests) > 0
         # the same grid again, answered in full by the cache it filled
-        assert self._run([["--config", str(dead), "--live", "run-grid"]]) == [[0, False]]
+        assert self._run([["--config", str(dead), "--live", "run-grid"]]) == [[0, False, False]]
+        # a live grid from an empty cache, alone in its interpreter
+        assert self._run([["--config", str(fresh), "--live", "run-grid"]]) == [[0, True, True]]
 
 
 def use_cpus(monkeypatch, n: int):

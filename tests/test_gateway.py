@@ -11,7 +11,6 @@ import json
 import random
 import socket
 import ssl
-import sys
 import threading
 import time
 import warnings
@@ -767,22 +766,15 @@ class TestClassifyBatch:
         blocks = [t.split("Now, given")[0].split("Example 1:")[1] for t in seen]
         assert all(b == blocks[0] for b in blocks)  # same examples everywhere
 
-    def test_no_row_starts_after_the_first_failure(self, monkeypatch):
-        started = []
-
-        def fails_first(prompt_text, cfg, cache, sleeper, api_key, session):
-            with session():  # a cache miss
-                started.append(prompt_text)
-                if len(started) == 1:
-                    raise ValidationError("first")
-                time.sleep(0.05)
-                return CompletionRecord("h", cfg.model_name, "1", 0.0, 1)
-
-        monkeypatch.setattr(gateway, "complete", fails_first)
-        backend = HttpBackend(LlmConfig(base_url="http://127.0.0.1:9", max_in_flight=3), api_key="k")
-        with pytest.raises(ValidationError, match="first"):
+    def test_no_row_starts_after_the_first_failure(self, stub, tmp_path):
+        # the first request read fails for good at once; every other reply comes 0.2 s later
+        stub.script = [(400, {}), lambda doc: time.sleep(0.2) or (200, ok_body("1"))]
+        cache = JsonlCache(tmp_path / "c.jsonl")
+        backend = HttpBackend(_cfg(stub, max_in_flight=3), cache, api_key="k")
+        with pytest.raises(TransportError, match="HTTP 400"):
             classify_batch(small_dataset(30, seed=4), PromptSpec(n_ex=0, dk=NO_DK), backend)
-        assert len(started) <= 3  # the failing row and at most one row in flight on each other thread
+        assert len(stub.requests) <= 3  # the failing row and the rows already in flight beside it
+        assert len(cache) == len(stub.requests) - 1  # the replies awaited were still read and cached
 
     def _fill(self, stub, path, ds, rows) -> list[str]:
         """Caches the answers to `rows` of `ds`; every row's prompt, in row order."""
@@ -840,13 +832,8 @@ class TestClassifyBatch:
     def test_connections_reused_across_batches(self, stub):
         stub.script = [(200, ok_body("1"))]
         backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # more thread switches inside the free list's take and put-back
-        try:
-            for seed in (6, 7):
-                classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend)
-        finally:
-            sys.setswitchinterval(interval)
+        for seed in (6, 7):
+            classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend)
         assert len(stub.requests) == 120
         assert stub.connections <= 4
 
@@ -870,6 +857,64 @@ class TestClassifyBatch:
         with pytest.raises(TransportError):
             classify_batch(small_dataset(20, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend)
         assert 3 <= len(stub.requests) <= most
+
+    def test_a_live_batch_starts_no_thread(self, stub, monkeypatch):
+        stub.script = [(200, ok_body("1"))]
+        caller, starts = threading.current_thread(), []  # the stub's own threads start from its server thread
+        original_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda t: (threading.current_thread() is caller and starts.append(t)) or original_start(t)
+        )
+        backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
+        assert classify_batch(small_dataset(12, seed=8), PromptSpec(n_ex=0, dk=NO_DK), backend) == [1] * 12
+        assert starts == [] and len(stub.requests) == 12
+
+    def test_the_stub_holds_max_in_flight_requests_at_once(self, stub):
+        stub.script = [lambda doc: time.sleep(0.05) or (200, ok_body("1"))]
+        backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
+        classify_batch(small_dataset(24, seed=8), PromptSpec(n_ex=0, dk=NO_DK), backend)
+        assert len(stub.requests) == 24
+        assert stub.most_in_flight == 4
+
+    def test_a_held_reply_does_not_delay_the_other_prompts(self, stub):
+        # the first request read is answered after 1 s; the other slot carries the other 19 prompts meanwhile
+        seen = []
+
+        def held(doc):
+            time.sleep(1.0)
+            seen.append(len(stub.requests))
+            return 200, ok_body("0")
+
+        stub.script = [held, (200, ok_body("1"))]
+        backend = HttpBackend(_cfg(stub, max_in_flight=2), api_key="k")
+        start = time.monotonic()
+        labels = classify_batch(small_dataset(20, seed=8), PromptSpec(n_ex=0, dk=NO_DK), backend)
+        assert seen == [20]  # every other prompt was sent, and so answered, while the first reply was held
+        assert sorted(labels) == [0] + [1] * 19
+        assert time.monotonic() - start < 5.0
+
+    def test_a_server_that_never_answers_times_out_each_attempt(self):
+        listener = socket.create_server(("127.0.0.1", 0))  # the kernel accepts into its backlog; nothing reads
+        try:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            cfg = LlmConfig(base_url=url, max_retries=2, backoff_base=0.01, timeout=0.3, max_in_flight=2)
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="gave up after 3 attempts; last failure: TimeoutError: timed out"):
+                HttpBackend(cfg, api_key="k").answer(["p"])
+            assert 0.9 <= time.monotonic() - start < 5.0  # each attempt waited out its timeout
+        finally:
+            listener.close()
+
+    def test_a_retry_after_beyond_any_select_timeout_ends_when_another_prompt_fails(self, stub):
+        # one prompt is asked to wait for ever while the other's reply, a 401, is held back 0.3 s;
+        # with a 35-day timeout on that reply too, no wait the loop computes is under 2**31 ms
+        stub.script = [(429, {}, {"Retry-After": "9" * 400}), lambda doc: time.sleep(0.3) or (401, {})]
+        backend = HttpBackend(_cfg(stub, max_retries=2, timeout=3e6, max_in_flight=2), api_key="k")
+        start = time.monotonic()
+        with pytest.raises(AuthError):
+            backend.answer([_one_row_prompt(QUERY), _one_row_prompt(QUERY + 1)])
+        assert time.monotonic() - start < 10.0
+        assert len(stub.requests) == 2
 
     def test_failure_wakes_backoff_and_is_the_error_raised(self, stub):
         # one prompt draws a 503 and waits >= 30 s; the other's 401 must end that wait
