@@ -860,11 +860,15 @@ class TestClassifyBatch:
 
     def test_a_live_batch_starts_no_thread(self, stub, monkeypatch):
         stub.script = [(200, ok_body("1"))]
-        caller, starts = threading.current_thread(), []  # the stub's own threads start from its server thread
+        caller, starts = threading.current_thread(), []
         original_start = threading.Thread.start
-        monkeypatch.setattr(
-            threading.Thread, "start", lambda t: (threading.current_thread() is caller and starts.append(t)) or original_start(t)
-        )
+
+        def start(thread):
+            if threading.current_thread() is caller:  # the stub starts its own threads from its server thread
+                starts.append(thread)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
         backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
         assert classify_batch(small_dataset(12, seed=8), PromptSpec(n_ex=0, dk=NO_DK), backend) == [1] * 12
         assert starts == [] and len(stub.requests) == 12
