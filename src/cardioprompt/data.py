@@ -87,7 +87,8 @@ def load_csv(path: str | Path) -> RawDataset:
 
     An optional header row is accepted when it matches the schema's feature
     names plus the target column. Raises ParseError naming the file and the
-    offending line for wrong arity, non-numeric cells, or out-of-range targets.
+    offending line for wrong arity, non-numeric cells, or out-of-range targets,
+    and naming the file when it holds no data row.
     """
     path = Path(path)
     expected = FEATURE_NAMES + [TARGET_NAME]
@@ -125,6 +126,8 @@ def load_csv(path: str | Path) -> RawDataset:
                 raise ParseError(f"{path}: line {lineno}: target must be an integer in 0..4, got {target_cell!r}")
             rows.append(parsed)
             targets.append(int(target_f))
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     matrix = np.array(rows, dtype=float).reshape(len(rows), 13)
     return RawDataset(matrix=matrix, targets=np.array(targets, dtype=int))
 

@@ -70,6 +70,11 @@ class ExperimentConfig:
     paper_faithful: bool = False
     llm: LlmConfig = field(default_factory=LlmConfig)
 
+    def __post_init__(self):
+        if not set(self.dk_families) <= SOURCE_TAGS.keys():  # only these families' rankings render a DK text
+            allowed = list(SOURCE_TAGS)
+            raise ValidationError(f"config key dk_families may list only {allowed}, not {list(self.dk_families)}")
+
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         doc = json.loads(Path(path).read_text())

@@ -27,12 +27,12 @@ exponential backoff and equal jitter: delay = base * 2^attempt * (0.5 +
 0.5*U), which stays inside the exponential envelope and never decreases.
 After a 429 or 503 the wait is the larger of that delay and the reply's
 Retry-After (seconds or an HTTP date; a negative or unparseable value is
-ignored). A send on a pooled connection that the server hangs up on before
-any response byte (a kept-alive connection it had closed) is re-sent once
-per prompt on a fresh connection, without a sleep or a counted attempt. Auth
-failures never retry. The first failure stops the backend: no prompt starts
-and no retry is sent after it, and the replies already awaited are read and
-cached before it is raised.
+ignored). A request that the server hangs up on before any response byte,
+on a socket that has already carried a reply (a kept-alive connection it had
+closed), is re-sent once per prompt on a fresh connection, without a sleep or
+a counted attempt. Auth failures never retry. The first failure stops the
+backend: no prompt starts and no retry is sent after it, and the replies
+already awaited are read and cached before it is raised.
 
 The mocks: an oracle answering with the query's true label, a scripted
 response queue, and a threshold rule on one feature of the final question.
@@ -52,7 +52,6 @@ import select
 import sys
 import threading
 import time
-import types
 import urllib.parse
 import weakref
 from collections.abc import Callable, Generator, Mapping, Sequence
@@ -198,26 +197,29 @@ class JsonlCache:
 
 
 class Connection(AbstractContextManager):
-    """A keep-alive HTTP/1.1 connection to the origin of `url`, opened on first
-    use and again once the server has closed it. An `http.client` connection
-    object connects it: the address, `*_PROXY` and `NO_PROXY`, the CA bundle
-    (`REQUESTS_CA_BUNDLE`, `CURL_CA_BUNDLE`), TLS and the CONNECT tunnel, all
-    read once, here. HTTP goes through a proxy as absolute-URI requests, HTTPS
-    through a CONNECT tunnel; credentials in the proxy URL become
-    `Proxy-Authorization`. The exchange is its own: each request leaves in one
-    write from a head encoded once, and each reply is read from one buffered
-    reader kept for the socket's life."""
+    """A keep-alive HTTP/1.1 connection that POSTs to `url` with `headers`,
+    opened on first use and again once the server has closed it, each socket
+    with `timeout`. An `http.client` connection object connects it: the
+    address, `*_PROXY` and `NO_PROXY`, the CA bundle (`REQUESTS_CA_BUNDLE`,
+    `CURL_CA_BUNDLE`), TLS and the CONNECT tunnel, all read once, here. HTTP
+    goes through a proxy as absolute-URI requests, HTTPS through a CONNECT
+    tunnel; credentials in the proxy URL become `Proxy-Authorization`. The
+    exchange is its own: the request head is encoded once, here, each request
+    leaves in one write, and each reply is read from one buffered reader kept
+    for the socket's life. `replied` tells whether the current socket has
+    carried a whole reply."""
 
-    def __init__(self, url: str):
+    def __init__(self, url: str, headers: Mapping[str, str], timeout: float):
         import http.client
         import urllib.request
 
-        origin = urllib.parse.urlsplit(url)
-        https = origin.scheme == "https"
-        host, port = origin.hostname, origin.port or (443 if https else 80)
+        self.url = url
+        parts = urllib.parse.urlsplit(url)
+        https = parts.scheme == "https"
+        host, port = parts.hostname, parts.port or (443 if https else 80)
         proxies = urllib.request.getproxies_environment()
         bypass = urllib.request.proxy_bypass_environment(f"{host}:{port}", proxies)  # NO_PROXY: hosts, suffixes
-        proxy = None if bypass else proxies.get(origin.scheme) or proxies.get("all")
+        proxy = None if bypass else proxies.get(parts.scheme) or proxies.get("all")
         address, proxy_headers = (host, port), {}
         if proxy:
             via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
@@ -225,38 +227,44 @@ class Connection(AbstractContextManager):
             if via.username is not None:
                 user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password or '')}"
                 proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode()
-        self._absolute_form = bool(proxy) and not https
-        self._proxy_headers = proxy_headers if self._absolute_form else {}  # else sent once, with CONNECT
+        # the request line and the headers `http.client` would send, up to the value of the closing Content-Length
+        absolute_form = bool(proxy) and not https
+        target = url if absolute_form else parts._replace(scheme="", netloc="").geturl()
+        authority = host.encode("idna").decode("ascii")
+        authority = f"[{authority}]" if ":" in authority else authority
+        if port != (443 if https else 80):
+            authority = f"{authority}:{port}"
+        fields = {"Host": authority, "Accept-Encoding": "identity", **headers}
+        fields.update(proxy_headers if absolute_form else {})  # else sent once, with CONNECT
+        if _CONTROL_IN_TARGET.search(target) or any(map(_LINE_BREAK_IN_VALUE.search, fields.values())):
+            raise ValidationError("the endpoint URL or a request header holds a control character")
+        lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
+        self._head = "\r\n".join([*lines, "Content-Length: "]).encode("latin-1")
         if https:
             import ssl
 
             ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
             context = ssl.create_default_context(**{"capath" if ca and os.path.isdir(ca) else "cafile": ca})
-            self._conn = http.client.HTTPSConnection(*address, context=context)
+            self._conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
             if proxy:
                 self._conn.set_tunnel(host, port, headers=proxy_headers)
         else:
-            self._conn = http.client.HTTPConnection(*address)
-        self._reader = None  # the socket's buffered reader, made when it connects
-        self._head_key = self._head = None  # (url, headers) and the head encoded for them
+            self._conn = http.client.HTTPConnection(*address, timeout=timeout)
+        self._reader = self._probe = None  # the socket's buffered reader and its poll, made when it connects
+        self.replied = False
         weakref.finalize(self, self._conn.close)  # a connection dropped unclosed closes its socket
 
-    def send(self, url: str, body: bytes, headers: Mapping[str, str], timeout: float):
-        """POST `body` to `url` in one write; the socket it went out on. An
-        idle connection turned readable was closed by the server: it is
-        replaced."""
+    def send(self, body: bytes):
+        """POST `body` in one write; the socket it went out on. An idle
+        socket turned readable was closed by the server: it is replaced."""
         conn = self._conn
-        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+        if conn.sock is not None and self._probe.poll(0):
             self.close()
         if conn.sock is None:
-            conn.timeout = timeout
             conn.connect()
             self._reader = conn.sock.makefile("rb")
-        elif conn.sock.gettimeout() != timeout:
-            conn.sock.settimeout(timeout)
-        if (url, headers) != self._head_key:
-            self._head = self._encode_head(url, headers)
-            self._head_key = url, dict(headers)
+            self._probe = select.poll()  # poll, not select: it takes a descriptor of 1024 or more
+            self._probe.register(conn.sock, select.POLLIN)
         conn.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
         return conn.sock
 
@@ -265,30 +273,17 @@ class Connection(AbstractContextManager):
         (lower-case names) and its body. Failures raise `http.client`'s
         exceptions, `RemoteDisconnected` when no status line came."""
         status, fields, payload, will_close = _read_reply(self._reader)
+        self.replied = True
         if will_close:
             self.close()
         return status, fields, payload
 
-    def _encode_head(self, url: str, headers: Mapping[str, str]) -> bytes:
-        """The request line and the headers `http.client` would send, up to
-        the value of the closing `Content-Length`."""
-        parts = urllib.parse.urlsplit(url)
-        target = url if self._absolute_form else parts._replace(scheme="", netloc="").geturl()
-        host = parts.hostname.encode("idna").decode("ascii")
-        host = f"[{host}]" if ":" in host else host
-        if parts.port not in (None, 443 if parts.scheme == "https" else 80):
-            host = f"{host}:{parts.port}"
-        fields = {"Host": host, "Accept-Encoding": "identity", **headers, **self._proxy_headers}
-        if _CONTROL_IN_TARGET.search(target) or any(map(_LINE_BREAK_IN_VALUE.search, fields.values())):
-            raise ValidationError("the endpoint URL or a request header holds a control character")
-        lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
-        return "\r\n".join([*lines, "Content-Length: "]).encode("latin-1")
-
     def close(self):
         if self._reader is not None:
             self._reader.close()  # the socket's descriptor closes with its last user
-            self._reader = None
+            self._reader = self._probe = None
         self._conn.close()
+        self.replied = False
 
     def __exit__(self, *exc):
         self.close()
@@ -371,15 +366,10 @@ def _read_chunked(reader) -> bytes:
             raise IncompleteRead(b"".join(chunks), size - len(chunk))
 
 
-new_session = Connection  # the connection `complete` opens when lent none, and `HttpBackend` when none is idle
-
-
-@functools.lru_cache(maxsize=8)
-def _endpoint(base_url: str, token: str) -> tuple[str, Mapping[str, str]]:
-    """The completions URL and the fixed request headers, built once per
-    endpoint and token; the headers are shared by every call, so read-only."""
+def _endpoint(base_url: str, token: str) -> tuple[str, dict[str, str]]:
+    """The completions URL and the fixed request headers."""
     headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
-    return base_url.rstrip("/") + "/v1/chat/completions", types.MappingProxyType(headers)
+    return base_url.rstrip("/") + "/v1/chat/completions", headers
 
 
 def _retry_after(value: str | None) -> float:
@@ -411,18 +401,18 @@ def complete(
     sleeper=time.sleep,
     jitter_rng: random.Random | None = None,
     api_key: str | None = None,
-    session: Callable[[], AbstractContextManager[Connection]] | HttpBackend | None = None,
+    session: HttpBackend | None = None,
 ) -> CompletionRecord | None:
     """One completion, cache first. Raises AuthError (401/403, missing key),
     TransportError (retries exhausted or non-retryable HTTP), ProtocolError
-    (body not in chat-completions shape). Sends through the connection that
-    `session`, a function, lends, or a one-off `new_session`, sleeping with
-    `sleeper`; an `HttpBackend` as `session` takes a miss into its loop, and
-    None is returned. A body cut short is a failed attempt. A send on a lent or
-    pooled connection that the server hangs up on before any response byte is
-    re-sent once per call, at once, on a fresh connection, without counting an
-    attempt. After a 429 or 503 the wait before the next attempt is the larger
-    of the backoff and the reply's Retry-After."""
+    (body not in chat-completions shape). Sends through a one-off `Connection`,
+    sleeping with `sleeper`, or, with an `HttpBackend` as `session`, hands the
+    miss to its loop and returns None. A body cut short is a failed attempt. A
+    request that the server hangs up on before any response byte, on a socket
+    that has already carried a reply, is re-sent once per call, at once, on a
+    fresh connection, without counting an attempt. After a 429 or 503 the wait
+    before the next attempt is the larger of the backoff and the reply's
+    Retry-After."""
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
     if cache is not None:
         hit = cache.get(key)
@@ -431,15 +421,14 @@ def complete(
     token = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")
     if not token:
         raise AuthError("no API key: set OPENAI_API_KEY")
-    url, headers = _endpoint(cfg.base_url, token)
     message = {"role": "user", "content": prompt_text}
     body = {"model": cfg.model_name, "messages": [message], "temperature": cfg.temperature}
     data = json.dumps(body, allow_nan=False).encode("utf-8")  # the bytes requests sent for json=body
-    attempts = functools.partial(_attempts, key, url, headers, data, cfg, cache, jitter_rng)
-    if isinstance(session, HttpBackend):
+    attempts = functools.partial(_attempts, key, data, cfg, cache, jitter_rng)
+    if session is not None:
         return session._admit(attempts)
-    with new_session(url) if session is None else session() as conn:
-        steps = attempts(conn, session is not None)
+    with Connection(*_endpoint(cfg.base_url, token), cfg.timeout) as conn:
+        steps = attempts(conn)
         while True:
             try:
                 step = next(steps)
@@ -449,14 +438,14 @@ def complete(
                 sleeper(step)
 
 
-def _attempts(key, url, headers, data, cfg: LlmConfig, cache, jitter_rng, conn: Connection, pooled: bool):
+def _attempts(key, data, cfg: LlmConfig, cache, jitter_rng, conn: Connection):
     """One prompt's attempts on `conn`: a generator yielding the seconds to sleep before a retry, or the
     socket a request went out on, whose reply it reads when resumed; it returns the cached record. Only
-    a `pooled` connection gets the free re-send."""
+    a socket that has carried a reply gets the free re-send."""
     from http.client import HTTPException
 
     def exchange():
-        yield conn.send(url, data, headers, cfg.timeout)
+        yield conn.send(data)
         return conn.receive()
 
     resent, last_failure, asked = False, "no attempt made", 0.0  # asked: the last reply's Retry-After
@@ -471,9 +460,9 @@ def _attempts(key, url, headers, data, cfg: LlmConfig, cache, jitter_rng, conn: 
             try:
                 status, fields, payload = yield from exchange()
             except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
-                if resent or not pooled:
+                if resent or not conn.replied:
                     raise
-                resent = True  # once per prompt: a pooled connection the server had closed
+                resent = True  # once per prompt: a kept-alive connection the server had closed
                 conn.close()  # so the re-send opens a fresh connection
                 status, fields, payload = yield from exchange()
         except (OSError, HTTPException) as exc:  # timeouts, resets, a malformed or short reply
@@ -481,14 +470,14 @@ def _attempts(key, url, headers, data, cfg: LlmConfig, cache, jitter_rng, conn: 
             last_failure = f"{type(exc).__name__}: {exc}"
             continue
         if status in (401, 403):
-            raise AuthError(f"HTTP {status} from {url}")
+            raise AuthError(f"HTTP {status} from {conn.url}")
         if status in _RETRYABLE_STATUS:
             last_failure = f"HTTP {status}"
             if status in (429, 503):
                 asked = _retry_after(fields.get("retry-after"))
             continue
         if status != 200:
-            raise TransportError(f"HTTP {status} from {url} (not retryable)")
+            raise TransportError(f"HTTP {status} from {conn.url} (not retryable)")
         try:
             content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -517,6 +506,7 @@ class HttpBackend:
         self.cfg = cfg
         self.cache = cache
         self.api_key = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")  # looked up once
+        self._endpoint = *_endpoint(cfg.base_url, self.api_key), cfg.timeout  # what each Connection is built with
         self._failure: Exception | None = None
         self._idle: list[Connection] = []
         self._flights: list[_Flight] = []  # the misses in flight, during `answer`
@@ -549,7 +539,7 @@ class HttpBackend:
             raise self._failure
         return answers
 
-    def _admit(self, attempts: Callable[[Connection, bool], Generator]) -> None:
+    def _admit(self, attempts: Callable[[Connection], Generator]) -> None:
         """Starts the attempts of row `_row` once a slot is free, unless the backend has failed."""
         if self._selector is None:
             import selectors
@@ -558,8 +548,8 @@ class HttpBackend:
         while len(self._flights) >= self.cfg.max_in_flight and self._failure is None:
             self._turn()
         if self._failure is None:
-            conn = self._idle.pop() if self._idle else new_session(self.cfg.base_url)
-            self._flights.append(flight := _Flight(self._row, attempts(conn, True), conn))
+            conn = self._idle.pop() if self._idle else Connection(*self._endpoint)
+            self._flights.append(flight := _Flight(self._row, attempts(conn), conn))
             self._step(flight)
 
     def _turn(self):

@@ -96,16 +96,21 @@ def ok_body(content: str) -> dict:
     return {"choices": [{"message": {"role": "assistant", "content": content}}]}
 
 
+HANG_UP = "hang up"  # a script entry: read the request, then close the connection without a byte
+
+
 class StubState:
     """Scripted HTTP behavior; the last entry repeats once the script drains.
     An entry, or what a callable entry returns, is (status, payload) or
-    (status, payload, headers), the headers a dict sent with the reply.
-    With `close_after_response` set, each connection is closed after one
+    (status, payload, headers), the headers a dict sent with the reply; the
+    entry `HANG_UP` closes the connection without answering. With
+    `close_after_response` set, each connection is closed after one
     response, without a `Connection: close` header to warn the client. With
     `answers_per_connection` set to k, each connection answers k requests,
-    then reads the next one and closes without answering it (counted in
-    `dropped`, not in `requests`). `most_in_flight` is the most requests it
-    held at once, each from its reading to the end of its reply."""
+    then reads the next one and closes without answering it. A request left
+    unanswered is counted in `dropped`, not in `requests`. `most_in_flight` is
+    the most requests it held at once, each from its reading to the end of its
+    reply."""
 
     def __init__(self):
         self.script = []
@@ -119,15 +124,16 @@ class StubState:
 
     def next_action(self, request_doc, headers, path, raw):
         with self.lock:
-            self.requests.append({"body": request_doc, "headers": dict(headers), "path": path, "raw": raw})
-            if len(self.script) > 1:
-                return self.script.pop(0)
-            return self.script[0]
+            action = self.script.pop(0) if len(self.script) > 1 else self.script[0]
+            if action != HANG_UP:
+                self.requests.append({"body": request_doc, "headers": dict(headers), "path": path, "raw": raw})
+            return action
 
 
 class StubHandler(BaseHTTPRequestHandler):
     state: StubState  # assigned per fixture
     protocol_version = "HTTP/1.1"  # keep-alive: one handler serves every request of a connection
+    disable_nagle_algorithm = True  # the body, written after the head, leaves at once, not after the client's ACK
 
     def setup(self):
         super().setup()
@@ -139,7 +145,11 @@ class StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length)
         doc = json.loads(raw or b"{}")
-        if self.answered == self.state.answers_per_connection:  # read, then hang up without a byte
+        if self.answered == self.state.answers_per_connection:
+            action = HANG_UP
+        else:
+            action = self.state.next_action(doc, self.headers, self.path, raw)
+        if action == HANG_UP:  # read, then hang up without a byte
             with self.state.lock:
                 self.state.dropped += 1
             self.close_connection = True
@@ -149,13 +159,12 @@ class StubHandler(BaseHTTPRequestHandler):
             self.state.in_flight += 1
             self.state.most_in_flight = max(self.state.most_in_flight, self.state.in_flight)
         try:
-            self._reply(doc, raw)
+            self._reply(doc, action)
         finally:
             with self.state.lock:
                 self.state.in_flight -= 1
 
-    def _reply(self, doc, raw):
-        action = self.state.next_action(doc, self.headers, self.path, raw)
+    def _reply(self, doc, action):
         status, payload, *extra = action(doc) if callable(action) else action
         body = json.dumps(payload).encode()
         closing = self.state.close_after_response

@@ -33,6 +33,7 @@ from cardioprompt.experiment import (
 from cardioprompt.gateway import RuleMock
 from cardioprompt.metrics import MetricsRow
 from cardioprompt.models import FAMILIES, feature_importance, save_model, train
+from cardioprompt.schema import FEATURE_NAMES, TARGET_NAME
 from cardioprompt.synthetic import synthetic_raw
 from conftest import ok_body, small_dataset
 
@@ -98,6 +99,22 @@ class TestPrepareData:
         code = main(["--config", str(workdir["cfg"]), "--data-path", "nope.csv", "prepare-data"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", ",".join([*FEATURE_NAMES, TARGET_NAME]) + "\n"], ids=["empty", "header-only"])
+    def test_a_csv_without_data_rows_exits_one(self, workdir, capsys, text):
+        workdir["data"].write_text(text)
+        assert main(["--config", str(workdir["cfg"]), "prepare-data"]) == 1
+        assert capsys.readouterr().err == f"error: {workdir['data']}: no data rows\n"
+        assert not workdir["runs"].exists()
+
+    @pytest.mark.parametrize("families", [["KNN"], ["RF", "XYZ"]])
+    def test_a_dk_family_without_a_source_tag_exits_one(self, workdir, capsys, families):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "dk_families": families}))
+        assert main(["--config", str(bad), "prepare-data"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key dk_families may list only ['RF', 'LR', 'GBT'], not {families}\n"
+        assert not workdir["runs"].exists()
 
     @pytest.mark.parametrize(
         "field, literal", [("temperature", "NaN"), ("timeout", "0"), ("backoff_base", "-Infinity")]
@@ -476,6 +493,16 @@ class TestLiveFailures:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "warning: unparseable responses counted as positive: {'prompt-0/N_ex=0': 1}"
 
+    def test_a_line_break_in_the_api_key_exits_one_before_any_request(self, workdir, monkeypatch, capsys, stub):
+        monkeypatch.setenv("OPENAI_API_KEY", "k\r\nX-Injected: 1")
+        self._prime(workdir)
+        stub.script = [(200, ok_body("1"))]
+        live = self._live_cfg(workdir, "cache.jsonl", base_url=stub.url)
+        capsys.readouterr()
+        assert main(["--config", str(live), "--live", "run-grid"]) == 1
+        assert capsys.readouterr().err == "error: the endpoint URL or a request header holds a control character\n"
+        assert (stub.requests, stub.dropped) == ([], 0)
+
     def test_mock_run_never_opens_the_cache(self, workdir):
         self._prime(workdir)
         cache = workdir["runs"] / "completions.jsonl"
@@ -681,10 +708,12 @@ class TestFamilyPool:
 
 class TestConsoleScript:
     def test_help_runs(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}  # the package under test
         proc = subprocess.run(
             [sys.executable, "-m", "cardioprompt.cli", "--help"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "prepare-data" in proc.stdout

@@ -7,18 +7,22 @@ import ast
 import base64
 import email.utils
 import gc
+import itertools
 import json
+import os
 import random
+import resource
 import socket
 import ssl
 import threading
 import time
 import warnings
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cardioprompt
 from cardioprompt import gateway
@@ -27,6 +31,7 @@ from cardioprompt.dk import DkVariant, DomainKnowledge
 from cardioprompt.errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from cardioprompt.gateway import (
     CompletionRecord,
+    Connection,
     HttpBackend,
     JsonlCache,
     LlmConfig,
@@ -35,14 +40,13 @@ from cardioprompt.gateway import (
     ScriptedMock,
     classify_batch,
     complete,
-    new_session,
     parse_label,
     prompt_hash,
     query_line,
 )
 from cardioprompt.prompts import PromptSpec, assemble_prompt
 from cardioprompt.schema import FEATURE_NAMES
-from conftest import EXAMPLE_1, QUERY, ok_body, small_dataset
+from conftest import EXAMPLE_1, HANG_UP, QUERY, ok_body, small_dataset
 
 NO_DK = DomainKnowledge(DkVariant.NONE, "", "")
 
@@ -51,11 +55,6 @@ def _cfg(stub, **kw) -> LlmConfig:
     defaults = dict(base_url=stub.url, max_retries=3, backoff_base=1.0, timeout=5.0)
     defaults.update(kw)
     return LlmConfig(**defaults)
-
-
-def lend(session):
-    """A lender that hands `complete` the same open session every call."""
-    return lambda: nullcontext(session)
 
 
 _PROXY_VARIABLES = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY", "REQUEST_METHOD")
@@ -493,7 +492,7 @@ class TestComplete:
     def test_no_proxy_domain_suffixes(self, clean_env, no_proxy, proxied):
         clean_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")
         clean_env.setenv("NO_PROXY", no_proxy)
-        with new_session("http://api.example.test/base") as session:  # builds, connects to nothing
+        with Connection("http://api.example.test/base", {}, 5.0) as session:  # builds, connects to nothing
             address = (session._conn.host, session._conn.port)
         assert address == (("127.0.0.1", 9) if proxied else ("api.example.test", 80))
 
@@ -520,36 +519,46 @@ class TestComplete:
         made = []
         default = ssl.create_default_context
         clean_env.setattr(ssl, "create_default_context", lambda **kw: made.append(kw) or default())
-        new_session("https://api.example.test").close()
+        Connection("https://api.example.test", {}, 5.0).close()
         assert made == [{kind: str(bundle)}]
 
     def test_no_ca_bundle_uses_the_system_store(self, clean_env):
         made = []
         default = ssl.create_default_context
         clean_env.setattr(ssl, "create_default_context", lambda **kw: made.append(kw) or default())
-        new_session("https://api.example.test").close()
+        Connection("https://api.example.test", {}, 5.0).close()
         assert made == [{"cafile": None}]
 
-    def test_pooled_connection_hung_up_is_resent_once_for_free(self, stub):
+    def test_pooled_connection_hung_up_is_resent_once_for_free(self, stub, tmp_path):
         # the second request on the kept-alive connection is read and left unanswered
         stub.script = [(200, ok_body("1"))]
         stub.answers_per_connection = 1
-        sleeps = []
-        with new_session(stub.url) as session:
-            complete("warm", _cfg(stub), api_key="k", session=lend(session))
-            rec = complete("p", _cfg(stub), sleeper=sleeps.append, api_key="k", session=lend(session))
-        assert rec.attempt_count == 1
-        assert sleeps == []
+        cfg = _cfg(stub, backoff_base=60.0, max_in_flight=1)  # a retry would wait 30 s or more
+        cache = JsonlCache(tmp_path / "c.jsonl")
+        start = time.monotonic()
+        assert HttpBackend(cfg, cache, api_key="k").answer(["warm", "p"]) == ["1", "1"]
+        assert cache.get(prompt_hash("p", cfg.model_name)).attempt_count == 1
+        assert time.monotonic() - start < 10.0  # no backoff
         assert (stub.connections, stub.dropped, len(stub.requests)) == (2, 1, 2)
 
-    def test_only_one_free_resend_per_call(self, stub):
+    def test_only_one_free_resend_per_call(self, stub, tmp_path):
+        # the re-sent request draws a 500; the retry on that kept-alive socket is dropped too, a failed attempt
+        stub.script = [(200, ok_body("1")), (500, {}), (200, ok_body("1"))]
+        stub.answers_per_connection = 1
+        cfg = _cfg(stub, backoff_base=0.0, max_in_flight=1)
+        cache = JsonlCache(tmp_path / "c.jsonl")
+        assert HttpBackend(cfg, cache, api_key="k").answer(["warm", "p"]) == ["1", "1"]
+        assert cache.get(prompt_hash("p", cfg.model_name)).attempt_count == 3
+        assert (stub.connections, stub.dropped) == (3, 2)
+
+    def test_a_socket_that_never_replied_gets_no_free_resend(self, stub):
+        # a server hanging up on every request never closed a kept-alive connection: each hang-up is an attempt
         stub.script = [(200, ok_body("1"))]
-        stub.answers_per_connection = 0  # every request is read and left unanswered
-        sleeps = []
-        with new_session(stub.url) as session, pytest.raises(TransportError):
-            complete("p", _cfg(stub, max_retries=2), sleeper=sleeps.append, api_key="k", session=lend(session))
-        assert len(sleeps) == 2
-        assert stub.dropped == 3 + 1  # three attempts, plus the one free re-send
+        stub.answers_per_connection = 0
+        backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=0.0), api_key="k")
+        with pytest.raises(TransportError, match="gave up after 3 attempts"):
+            backend.answer(["p"])
+        assert stub.dropped == 2 + 1
 
     def test_one_off_session_gets_no_free_resend(self, stub):
         # its connection is always new, so a hang-up there is a failed attempt
@@ -562,14 +571,19 @@ class TestComplete:
         assert stub.dropped == 3
 
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_body_cut_short_retries_then_gives_up(self, short_body_server, pooled):
-        # response bytes arrived, so even a pooled session gets no free re-send
+    def test_body_cut_short_retries_then_gives_up(self, short_body_server, tmp_path, pooled):
+        # response bytes arrived, so even a pooled connection gets no free re-send
         sleeps = []
-        cfg = LlmConfig(base_url=short_body_server.url, max_retries=1, timeout=5.0)
-        with new_session(cfg.base_url) as session, pytest.raises(TransportError, match="IncompleteRead"):
-            complete("p", cfg, sleeper=sleeps.append, api_key="k", session=lend(session) if pooled else None)
-        assert short_body_server.requests == 2
-        assert len(sleeps) == 1
+        cfg = LlmConfig(base_url=short_body_server.url, max_retries=1, backoff_base=0.0, timeout=5.0, max_in_flight=1)
+        cache = JsonlCache(tmp_path / "c.jsonl")
+        with pytest.raises(TransportError, match="IncompleteRead"):
+            if pooled:  # the backend waits out its backoff in its loop, with no sleeper
+                HttpBackend(cfg, cache, api_key="k").answer(["p"])
+            else:
+                complete("p", cfg, cache, sleeper=sleeps.append, api_key="k")
+        assert short_body_server.requests == 2  # the attempt and its one retry, after one backoff
+        assert len(sleeps) == (0 if pooled else 1)
+        assert len(cache) == 0
 
     def test_connection_errors_retry_then_give_up(self):
         cfg = LlmConfig(base_url="http://127.0.0.1:9", max_retries=2, backoff_base=0.01)
@@ -637,33 +651,35 @@ def _reply(status_line: bytes = b"HTTP/1.1 200 OK", headers: bytes = b"", body: 
 class TestLeanExchange:
     """The reply reader and the one-write request, against canned bytes."""
 
-    def _two_calls(self, server, **kw) -> list[CompletionRecord]:
-        """Two prompts through one pooled session."""
-        cfg = LlmConfig(base_url=server.url, max_retries=0, timeout=5.0, **kw)
-        with new_session(server.url) as session:
-            return [complete(p, cfg, api_key="k", session=lend(session)) for p in ("a", "b")]
+    def _two_calls(self, server, tmp_path) -> list[CompletionRecord]:
+        """Two prompts through a backend of one connection; the records it cached."""
+        cfg = LlmConfig(base_url=server.url, max_retries=0, timeout=5.0, max_in_flight=1)
+        cache = JsonlCache(tmp_path / "c.jsonl")
+        assert HttpBackend(cfg, cache, api_key="k").answer(["a", "b"]) == ["1", "1"]
+        return [cache.get(prompt_hash(p, cfg.model_name)) for p in ("a", "b")]
 
-    def test_chunked_body_with_extensions_and_trailer(self, canned_server):
+    def test_chunked_body_with_extensions_and_trailer(self, canned_server, tmp_path):
         chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
         chunked += b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n" % (10, _OK[:10], len(_OK) - 10, _OK[10:])
         chunked += b"0\r\nX-Trailer: t\r\n\r\n"
         server = canned_server([chunked], close=False)
-        assert [r.raw_response for r in self._two_calls(server)] == ["1", "1"]
+        assert [r.raw_response for r in self._two_calls(server, tmp_path)] == ["1", "1"]
         assert (server.connections, server.requests) == (1, 2)  # each body read exactly, trailer too
 
-    def test_interim_replies_skipped(self, canned_server):
+    def test_interim_replies_skipped(self, canned_server, tmp_path):
         interim = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
         server = canned_server([interim + _reply()], close=False)
-        assert [r.raw_response for r in self._two_calls(server)] == ["1", "1"]
+        assert [r.raw_response for r in self._two_calls(server, tmp_path)] == ["1", "1"]
         assert server.connections == 1
 
     def test_no_content_has_no_body(self, canned_server):
         server = canned_server([b"HTTP/1.1 204 No Content\r\n\r\n", _reply()], close=False)
-        cfg = LlmConfig(base_url=server.url, max_retries=0, timeout=5.0)
-        with new_session(server.url) as session:
-            with pytest.raises(TransportError, match="HTTP 204"):  # not a timeout waiting for a body
-                complete("a", cfg, api_key="k", session=lend(session))
-            assert complete("b", cfg, api_key="k", session=lend(session)).raw_response == "1"
+        with Connection(server.url + "/v1/chat/completions", {}, 5.0) as conn:
+            sock = conn.send(b"{}")
+            assert conn.receive() == (204, {}, b"")  # not a timeout waiting for a body
+            assert conn.send(b"{}") is sock
+            status, _, body = conn.receive()
+            assert (status, json.loads(body)) == (200, ok_body("1"))
         assert server.connections == 1
 
     @pytest.mark.parametrize(
@@ -671,14 +687,14 @@ class TestLeanExchange:
         [_reply(headers=b"Connection: close\r\n"), _reply(b"HTTP/1.0 200 OK")],
         ids=["connection-close", "http-1.0"],
     )
-    def test_client_closes_after_a_closing_reply(self, canned_server, reply):
+    def test_client_closes_after_a_closing_reply(self, canned_server, tmp_path, reply):
         server = canned_server([reply], close=False)  # the server leaves it open
-        assert [r.raw_response for r in self._two_calls(server)] == ["1", "1"]
+        assert [r.raw_response for r in self._two_calls(server, tmp_path)] == ["1", "1"]
         assert server.connections == 2
 
-    def test_body_read_until_close(self, canned_server):
+    def test_body_read_until_close(self, canned_server, tmp_path):
         server = canned_server([b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK])
-        records = self._two_calls(server)
+        records = self._two_calls(server, tmp_path)
         assert [(r.raw_response, r.attempt_count) for r in records] == [("1", 1), ("1", 1)]
         assert server.connections == 2
 
@@ -705,7 +721,7 @@ class TestLeanExchange:
         server = canned_server([_reply(headers=b"X-Filler: 1\r\n" * 99)])  # and Content-Length
         assert complete("p", LlmConfig(base_url=server.url, timeout=5.0), api_key="k").raw_response == "1"
 
-    def test_one_write_per_request(self, stub, monkeypatch):
+    def test_one_write_per_request(self, stub, tmp_path, monkeypatch):
         stub.script = [(200, ok_body("1"))]
         port = int(stub.url.rsplit(":", 1)[1])
         writes = []
@@ -718,20 +734,21 @@ class TestLeanExchange:
                 return _original(sock, data, *args)
 
             monkeypatch.setattr(socket.socket, name, counted)
-        with new_session(stub.url) as session:
-            for prompt in ("a", "b", "c"):
-                complete(prompt, _cfg(stub), api_key="k", session=lend(session))
+        backend = HttpBackend(_cfg(stub, max_in_flight=1), JsonlCache(tmp_path / "c.jsonl"), api_key="k")
+        assert backend.answer(["a", "b", "c"]) == ["1"] * 3
         assert writes == ["sendall"] * 3
         assert stub.connections == 1
 
 
+def _answer_by_chol(doc):
+    """The stub's rule answer: 1 iff the final question's chol is 240 or more."""
+    content = doc["messages"][0]["content"]
+    chol = float(dict(part.split(": ") for part in query_line(content).split(", "))["chol"])
+    return 200, ok_body("1" if chol >= 240 else "0")
+
+
 class TestClassifyBatch:
-    def _answers_by_chol(self, doc):
-        content = doc["messages"][0]["content"]
-        chol = float(dict(
-            part.split(": ") for part in query_line(content).split(", ")
-        )["chol"])
-        return 200, ok_body("1" if chol >= 240 else "0")
+    _answers_by_chol = staticmethod(_answer_by_chol)
 
     def test_live_config_order_preserved_any_concurrency(self, stub, tmp_path):
         ds = small_dataset(12, seed=8)
@@ -837,6 +854,24 @@ class TestClassifyBatch:
         assert len(stub.requests) == 120
         assert stub.connections <= 4
 
+    def test_an_idle_connection_on_a_descriptor_past_1023_is_probed(self, stub):
+        # select.select refuses a descriptor of 1024 or more; the second prompt probes the idle connection first
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if hard != resource.RLIM_INFINITY and hard < 1100:
+            pytest.skip(f"no descriptor reaches 1024 under a hard limit of {hard}")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (hard if hard != resource.RLIM_INFINITY else max(soft, 2048), hard))
+        held = []
+        try:
+            while not held or held[-1] < 1024:  # the lowest free descriptors, so every socket opened next is past them
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            stub.script = [(200, ok_body("1"))]
+            assert HttpBackend(_cfg(stub, max_in_flight=1), api_key="k").answer(["a", "b"]) == ["1", "1"]
+            assert stub.connections == 1
+        finally:
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
     def test_server_closing_every_connection(self, stub, tmp_path):
         # each pooled connection is dead when next taken; the client must notice before sending
         stub.script = [(200, ok_body("1"))]
@@ -932,6 +967,43 @@ class TestClassifyBatch:
         with pytest.raises(AuthError):
             backend.answer([_one_row_prompt(QUERY)])  # a stopped backend stays stopped
         assert len(stub.requests) == 2
+
+
+_BEHAVIOURS = {
+    "rule": _answer_by_chol,
+    "500": (500, {}),
+    "429": (429, {}),
+    "503 Retry-After: 0": (503, {}, {"Retry-After": "0"}),
+    "hang-up": HANG_UP,
+}
+_CACHES = itertools.count()
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(list(_BEHAVIOURS)), min_size=1, max_size=16))
+def test_any_mix_of_failures_caches_only_rule_answers_and_resumes(stub, tmp_path, behaviours):
+    # each request the stub reads meets the next behaviour drawn; the last one repeats
+    ds = small_dataset(8, seed=8)
+    prompts = [_one_row_prompt(x) for x in ds.matrix]
+    expected = ["1" if chol >= 240 else "0" for chol in ds.matrix[:, FEATURE_NAMES.index("chol")]]
+    cfg = LlmConfig(base_url=stub.url, max_retries=2, backoff_base=0.0, timeout=5.0, max_in_flight=2)
+    path = tmp_path / f"c{next(_CACHES)}.jsonl"
+    stub.script = [_BEHAVIOURS[b] for b in behaviours]
+    backend = HttpBackend(cfg, JsonlCache(path), api_key="k")
+    try:
+        assert backend.answer(prompts) == expected
+    except TransportError:
+        pass
+    backend.cache.close()
+    cache = JsonlCache(path)
+    records = [cache.get(prompt_hash(p, cfg.model_name)) for p in prompts]
+    assert all(rec.raw_response == answer for rec, answer in zip(records, expected) if rec)
+    assert len(cache) == sum(rec is not None for rec in records)  # nothing but these prompts' answers
+    stub.script = [_answer_by_chol]
+    stub.requests.clear()
+    assert HttpBackend(cfg, cache, api_key="k").answer(prompts) == expected
+    sent = sorted(r["body"]["messages"][0]["content"] for r in stub.requests)
+    assert sent == sorted(p for p, rec in zip(prompts, records) if rec is None)
 
 
 def test_no_module_imports_requests_or_urllib3():
