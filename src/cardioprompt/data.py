@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import glob
 import io
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -86,15 +87,16 @@ def load_csv(path: str | Path) -> RawDataset:
     """Parse a 14-column CSV (13 features + target), "?" or empty cell = missing.
 
     An optional header row is accepted when it matches the schema's feature
-    names plus the target column. Raises ParseError naming the file and the
-    offending line for wrong arity, non-numeric cells, or out-of-range targets,
-    and naming the file when it holds no data row.
+    names plus the target column; a UTF-8 byte-order mark before it is
+    skipped. Raises ParseError naming the file and the offending line for
+    wrong arity, non-numeric or infinite cells, or out-of-range targets, and
+    naming the file when it holds no data row.
     """
     path = Path(path)
     expected = FEATURE_NAMES + [TARGET_NAME]
     rows: list[list[float]] = []
     targets: list[int] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, record in enumerate(reader, start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
@@ -114,9 +116,12 @@ def load_csv(path: str | Path) -> RawDataset:
                     parsed.append(np.nan)
                     continue
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(f"{path}: line {lineno}: non-numeric value {cell!r} in column {name}") from None
+                if math.isinf(value):
+                    raise ParseError(f"{path}: line {lineno}: infinite value {cell!r} in column {name}")
+                parsed.append(value)
             target_cell = cells[13]
             try:
                 target_f = float(target_cell)
@@ -298,8 +303,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    for leftover in path.parent.glob(f".{glob.escape(path.name)}.{'[0-9a-f]' * 16}.tmp"):
-        leftover.unlink(missing_ok=True)
+    remove_leftovers(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", newline="")  # permissions from the umask, as a plain write's
     try:
@@ -309,3 +313,10 @@ def write_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink()
         raise
+
+
+def remove_leftovers(path: Path) -> None:
+    """Remove the temporary files `.<name>.<16 hex>.tmp` that killed
+    write_atomic calls for `path` left in its directory."""
+    for leftover in path.parent.glob(f".{glob.escape(path.name)}.{'[0-9a-f]' * 16}.tmp"):
+        leftover.unlink(missing_ok=True)

@@ -71,9 +71,16 @@ class ExperimentConfig:
     llm: LlmConfig = field(default_factory=LlmConfig)
 
     def __post_init__(self):
+        """The checks that need no data; prepare-data checks the rest against the split."""
         if not set(self.dk_families) <= SOURCE_TAGS.keys():  # only these families' rankings render a DK text
             allowed = list(SOURCE_TAGS)
             raise ValidationError(f"config key dk_families may list only {allowed}, not {list(self.dk_families)}")
+        if self.search_iters < 1:
+            raise ValidationError(f"config key search_iters must be >= 1, not {self.search_iters}")
+        if self.search_folds < 2:
+            raise ValidationError(f"config key search_folds must be >= 2, not {self.search_folds}")
+        if any(n_ex < 0 for n_ex in self.n_ex_grid):
+            raise ValidationError(f"config key n_ex_grid must hold counts >= 0, not {list(self.n_ex_grid)}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

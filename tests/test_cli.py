@@ -163,6 +163,25 @@ class TestPrepareData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"config key {key} must be" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"search_iters": 0}, "config key search_iters must be >= 1, not 0"),
+            ({"search_folds": 1}, "config key search_folds must be >= 2, not 1"),
+            ({"n_ex_grid": [0, -1]}, "config key n_ex_grid must hold counts >= 0, not [0, -1]"),
+            ({"n_ex_grid": [0, 100]}, "config key n_ex_grid: 100 examples from the train split: asked for 100 examples from 52 rows"),
+            ({"n_ex_grid": [50]}, "config key n_ex_grid: 50 examples from the train split: need 25 negative examples, have 24"),
+            ({"search_folds": 40}, "config key search_folds: 40 folds of the train split: class 0 has fewer members than folds"),
+        ],
+        ids=["iters", "folds", "negative-n_ex", "n_ex-over-rows", "n_ex-over-a-class", "folds-over-a-class"],
+    )
+    def test_a_config_value_the_split_refutes_exits_one_at_prepare_data(self, workdir, capsys, doc, message):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), **doc}))
+        assert main(["--config", str(bad), "prepare-data"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not workdir["runs"].exists()
+
     def test_unknown_nested_config_key_exits_one(self, workdir, capsys):
         bad = workdir["tmp"] / "bad.json"
         bad.write_text(json.dumps({"data_path": str(workdir["data"]), "llm": {"model": "gpt-3.5-turbo"}}))
@@ -233,9 +252,11 @@ WRITERS = {
 class TestMalformedArtifacts:
     """A malformed artifact exits 1 with an error line, never a traceback."""
 
-    def _run(self, finished_run, tmp_path, name: str, verb: str, damage):
+    def _run(self, finished_run, tmp_path, name: str, verb: str, damage, manifest: bool = True):
         runs = tmp_path / "runs"
         shutil.copytree(finished_run["runs"], runs)
+        if not manifest:  # as written before the manifest: the parse, not the writer's sha256, finds the damage
+            (runs / "manifest.json").unlink()
         damage(runs / name)
         assert main(["--config", str(finished_run["cfg"]), "--output-dir", str(runs), verb]) == 1
 
@@ -257,6 +278,17 @@ class TestMalformedArtifacts:
         self._run(finished_run, tmp_path, name, verb, tear)
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and f"rerun {WRITERS[name]}" in err
+
+    @pytest.mark.parametrize("name, verb", [("imputed.csv", "train-models"), ("models/RF.json", "gen-dk"), ("dk.json", "run-grid")])
+    def test_torn_in_half_without_a_manifest_exits_one(self, finished_run, tmp_path, capsys, name, verb):
+        def tear(path: Path):
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+
+        self._run(finished_run, tmp_path, name, verb, tear, manifest=False)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and f"rerun {WRITERS[name]}" in err
+        assert "changed since" not in err
 
     @pytest.mark.parametrize(
         "name, verb, key, writer",

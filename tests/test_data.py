@@ -84,6 +84,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(_write_csv(tmp_path, [row]))
 
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity"])
+    def test_infinite_cell_raises_naming_file_and_line(self, tmp_path, cell):
+        row = list(_ROW_OK)
+        row[4] = cell
+        with pytest.raises(ParseError, match=rf"data\.csv: line 2: infinite value '{cell}' in column chol$"):
+            load_csv(_write_csv(tmp_path, [_ROW_OK, row]))
+
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        path = _write_csv(tmp_path, [_ROW_OK], header=True)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_csv(path).matrix.tolist() == [[float(v) for v in _ROW_OK[:13]]]
+
 
 class TestBinarize:
     def test_zero_stays_zero_and_positive_goes_one(self):
