@@ -17,32 +17,59 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .data import load_csv, remove_leftovers, stats, write_atomic, write_imputed_csv
+from .atomic import remove_leftovers, write_atomic
+from .config import ExperimentConfig
 from .dk import DkVariant, DomainKnowledge
 from .errors import CardiopromptError, SamplingError, StratificationError, TransportError, ValidationError
-from .experiment import (
-    ExperimentConfig,
-    PreparedData,
-    dk_grid_from_models,
-    load_rows,
-    prepare,
-    prepare_data,
-    run_ml_baselines,
-    run_prompt_grid,
-    save_rows,
-    unparseable_counts,
-    write_report,
-)
-from .gateway import HttpBackend, JsonlCache, OracleMock, RuleMock
-from .models import load_model, save_model, stratified_folds
-from .prompts import sample_examples
+
+if TYPE_CHECKING:
+    from .experiment import PreparedData
+
+# The pipeline's names that the verbs call, by module. They, and numpy with
+# them, are imported only when a verb runs (see _import_pipeline), so an
+# up-to-date verb costs an interpreter start and a few file hashes.
+PIPELINE = {
+    "data": ("load_csv", "stats", "write_imputed_csv"),
+    "experiment": (
+        "dk_grid_from_models",
+        "load_rows",
+        "prepare",
+        "prepare_data",
+        "run_ml_baselines",
+        "run_prompt_grid",
+        "save_rows",
+        "unparseable_counts",
+        "write_report",
+    ),
+    "gateway": ("HttpBackend", "JsonlCache", "OracleMock", "RuleMock"),
+    "models": ("load_model", "save_model", "stratified_folds"),
+    "prompts": ("sample_examples",),
+}
+
+
+def _import_pipeline():
+    """Bind the names of PIPELINE in this module. A name already bound is
+    kept: a tracer or a test may have replaced it through `cli.<name>`."""
+    for module, names in PIPELINE.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """`cli.<name>` of a PIPELINE name before any verb ran in this process."""
+    if any(name in names for names in PIPELINE.values()):
+        _import_pipeline()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # the verb that writes each stage artifact, by its name in the output directory
 WRITERS = {
@@ -72,10 +99,12 @@ def _sha256(path: Path) -> str | None:
 
 @functools.cache
 def program_identity() -> str:
-    """A digest of this package's own sources and the Python and numpy
-    versions, so that what another program wrote is never up to date."""
+    """A digest of this package's own sources, the Python version and
+    numpy's version.py (found without importing numpy), so that what another
+    program wrote is never up to date."""
     package = Path(__file__).parent
-    digest = hashlib.sha256(f"{sys.version}\nnumpy {np.__version__}\n".encode())
+    numpy_version = Path(importlib.util.find_spec("numpy").origin).with_name("version.py")
+    digest = hashlib.sha256(f"{sys.version}\nnumpy {_sha256(numpy_version)}\n".encode())
     for path in sorted(package.rglob("*.py")):
         digest.update(f"{path.relative_to(package).as_posix()} {_sha256(path)}\n".encode())
     return digest.hexdigest()
@@ -408,6 +437,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.verb} is up to date: config, arguments, inputs and outputs match {trace.manifest}")
             return 0
         start = time.perf_counter()
+        _import_pipeline()
         code = VERBS[args.verb](trace, args)
         if code == 0:
             trace.commit(time.perf_counter() - start)

@@ -17,17 +17,17 @@ import hashlib
 import io
 import json
 import os
-import typing
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
 from .dk import DEFAULT_DK_FAMILIES, SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError, WorkerError
-from .gateway import Backend, LlmConfig, classify_batch
-from .metrics import CostWeights, MetricsRow, baseline_predict, confusion, metrics_row
+from .gateway import Backend, classify_batch
+from .metrics import MetricsRow, baseline_predict, confusion, metrics_row
 from .models import FAMILIES, TrainedModel, feature_importance, randomized_search
 from .prompts import PromptSpec
 
@@ -52,82 +52,6 @@ REPORT_COLUMNS = (
 def derive_seed(master: int, stage: str) -> int:
     digest = hashlib.sha256(f"{master}:{stage}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    data_path: str = "data/heart.csv"
-    seed: int = 7
-    test_fraction: float = 0.2
-    impute_k: int = 5
-    weights: CostWeights = field(default_factory=CostWeights)
-    n_ex_grid: tuple[int, ...] = (0, 2, 4, 8, 16)
-    dk_families: tuple[str, ...] = DEFAULT_DK_FAMILIES
-    search_iters: int = 20
-    search_folds: int = 5
-    cache_path: str = "runs/completions.jsonl"
-    output_dir: str = "runs"
-    paper_faithful: bool = False
-    llm: LlmConfig = field(default_factory=LlmConfig)
-
-    def __post_init__(self):
-        """The checks that need no data; prepare-data checks the rest against the split."""
-        if not set(self.dk_families) <= SOURCE_TAGS.keys():  # only these families' rankings render a DK text
-            allowed = list(SOURCE_TAGS)
-            raise ValidationError(f"config key dk_families may list only {allowed}, not {list(self.dk_families)}")
-        if self.search_iters < 1:
-            raise ValidationError(f"config key search_iters must be >= 1, not {self.search_iters}")
-        if self.search_folds < 2:
-            raise ValidationError(f"config key search_folds must be >= 2, not {self.search_folds}")
-        if any(n_ex < 0 for n_ex in self.n_ex_grid):
-            raise ValidationError(f"config key n_ex_grid must hold counts >= 0, not {list(self.n_ex_grid)}")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text())
-        return cls.from_dict(doc)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _check_fields(doc, cls)
-        kwargs = dict(doc)
-        for key, nested in (("weights", CostWeights), ("llm", LlmConfig)):
-            if key in kwargs:
-                _check_fields(kwargs[key], nested, prefix=f"{key}.")
-                kwargs[key] = nested(**kwargs[key])
-        for key in ("n_ex_grid", "dk_families"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
-
-def _check_fields(doc, dataclass_type, prefix: str = ""):
-    """Every key names a field, and every value has the field's JSON type. A
-    nested dataclass field is left to its own call."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"config {prefix.rstrip('.') or 'document'} must be a JSON object")
-    unknown = set(doc) - set(dataclass_type.__dataclass_fields__)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
-    hints = typing.get_type_hints(dataclass_type)
-    for key, value in doc.items():
-        kind = hints[key]
-        if is_dataclass(kind):
-            continue
-        if typing.get_origin(kind) is tuple:
-            item = typing.get_args(kind)[0]
-            if not isinstance(value, (list, tuple)) or not all(_json_is(v, item) for v in value):
-                raise ValidationError(f"config key {prefix}{key} must be a list of {item.__name__}, not {value!r}")
-        elif not _json_is(value, kind):
-            raise ValidationError(f"config key {prefix}{key} must be {kind.__name__}, not {value!r}")
-
-
-def _json_is(value, kind: type) -> bool:
-    """Whether a JSON value fits a field of type `kind`: a float field takes
-    an integer too, and a number field takes no boolean."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)

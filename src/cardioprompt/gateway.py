@@ -44,7 +44,6 @@ import base64
 import functools
 import hashlib
 import json
-import math
 import os
 import random
 import re
@@ -60,6 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
+from .config import LlmConfig
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
 from .prompts import Examples, PromptSpec, assemble_prompt, render_instance, sample_examples
@@ -72,31 +72,6 @@ _MAX_HEADERS = 100
 _CONTROL_IN_TARGET = re.compile(r"[\x00-\x20\x7f]")
 _LINE_BREAK_IN_VALUE = re.compile(r"[\r\n\x00]")
 _LONGEST_SELECT = 86400.0  # seconds; epoll rejects a timeout of 2**31 ms or more
-
-
-@dataclass(frozen=True)
-class LlmConfig:
-    base_url: str = "https://api.openai.com"
-    model_name: str = "gpt-3.5-turbo"
-    temperature: float = 0.0
-    max_retries: int = 5
-    backoff_base: float = 1.0
-    timeout: float = 30.0
-    max_in_flight: int = 8
-
-    def __post_init__(self):
-        if not self.base_url.lower().startswith(("http://", "https://")):  # else the token could go anywhere
-            raise ValidationError("base_url must start with http:// or https://")
-        if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
-            raise ValidationError("temperature must be finite and >= 0")
-        if not 0 <= self.backoff_base < math.inf:
-            raise ValidationError("backoff_base must be finite and >= 0")
-        if not 0 < self.timeout < math.inf:
-            raise ValidationError("timeout must be finite and > 0")
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValidationError("max_in_flight must be >= 1")
 
 
 @dataclass(frozen=True)

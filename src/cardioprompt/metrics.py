@@ -6,12 +6,12 @@ default weights (0.2, 0.8) this reproduces published reference rows to 1e-3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .config import CostWeights
 from .errors import ValidationError
 
 
@@ -25,16 +25,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    w_fp: float = 0.2
-    w_fn: float = 0.8
-
-    def __post_init__(self):
-        if not all(math.isfinite(w) and w >= 0 for w in (self.w_fp, self.w_fn)) or self.w_fp == self.w_fn == 0:
-            raise ValidationError("cost weights must be finite, nonnegative and not both zero")
 
 
 @dataclass(frozen=True)

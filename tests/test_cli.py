@@ -84,6 +84,9 @@ class TestParsing:
         assert exc.value.code == 2
 
 
+N_EX_OF_TRAIN = "config key n_ex_grid: {} examples from the train split:"
+
+
 class TestPrepareData:
     def test_writes_imputed_csv(self, workdir, capsys):
         code = main(["--config", str(workdir["cfg"]), "prepare-data"])
@@ -169,8 +172,8 @@ class TestPrepareData:
             ({"search_iters": 0}, "config key search_iters must be >= 1, not 0"),
             ({"search_folds": 1}, "config key search_folds must be >= 2, not 1"),
             ({"n_ex_grid": [0, -1]}, "config key n_ex_grid must hold counts >= 0, not [0, -1]"),
-            ({"n_ex_grid": [0, 100]}, "config key n_ex_grid: 100 examples from the train split: asked for 100 examples from 52 rows"),
-            ({"n_ex_grid": [50]}, "config key n_ex_grid: 50 examples from the train split: need 25 negative examples, have 24"),
+            ({"n_ex_grid": [0, 100]}, f"{N_EX_OF_TRAIN.format(100)} asked for 100 examples from 52 rows"),
+            ({"n_ex_grid": [50]}, f"{N_EX_OF_TRAIN.format(50)} need 25 negative examples, have 24"),
             ({"search_folds": 40}, "config key search_folds: 40 folds of the train split: class 0 has fewer members than folds"),
         ],
         ids=["iters", "folds", "negative-n_ex", "n_ex-over-rows", "n_ex-over-a-class", "folds-over-a-class"],
@@ -279,7 +282,9 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and f"rerun {WRITERS[name]}" in err
 
-    @pytest.mark.parametrize("name, verb", [("imputed.csv", "train-models"), ("models/RF.json", "gen-dk"), ("dk.json", "run-grid")])
+    @pytest.mark.parametrize(
+        "name, verb", [("imputed.csv", "train-models"), ("models/RF.json", "gen-dk"), ("dk.json", "run-grid")]
+    )
     def test_torn_in_half_without_a_manifest_exits_one(self, finished_run, tmp_path, capsys, name, verb):
         def tear(path: Path):
             data = path.read_bytes()

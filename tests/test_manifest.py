@@ -6,11 +6,15 @@ recorded."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cardioprompt
 from cardioprompt import cli, experiment, gateway
 from cardioprompt.cli import main
 from conftest import ok_body
@@ -100,7 +104,9 @@ class TestUpToDate:
         assert calls == []
         assert files(runs) == before
 
-    def test_an_unchanged_live_rerun_opens_no_cache_and_sends_nothing(self, finished, runs, capsys, calls, stub, tmp_path, monkeypatch):
+    def test_an_unchanged_live_rerun_opens_no_cache_and_sends_nothing(
+        self, finished, runs, capsys, calls, stub, tmp_path, monkeypatch
+    ):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
         stub.script = [(200, ok_body("1"))]
         live = live_config(finished, tmp_path, stub.url)
@@ -110,6 +116,18 @@ class TestUpToDate:
         assert run(live, runs, capsys, "--live", "run-grid") == (0, up_to_date(runs, "run-grid"), "")
         assert calls == [] and len(stub.requests) == sent
         assert files(runs) == before
+
+
+    def test_an_up_to_date_verb_imports_no_numpy(self, finished, runs):
+        # in a fresh interpreter: [exit code, numpy loaded] after each argv
+        code = "import json, sys; from cardioprompt.cli import main; " + (
+            'print(json.dumps([[main(a), "numpy" in sys.modules] for a in json.loads(sys.argv[1])]))'
+        )
+        argvs = [["--config", str(finished["cfg"]), "--output-dir", str(runs), *argv] for argv in README]
+        env = {**os.environ, "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False]] * len(README)
 
 
 def live_config(finished, tmp_path: Path, url: str) -> Path:
@@ -156,7 +174,9 @@ class TestRunsAgain:
         ],
         ids=["train-models", "gen-dk", "run-grid", "report"],
     )
-    def test_an_input_rewritten_by_its_writer_with_other_settings(self, finished, runs, capsys, tmp_path, upstream, argv):
+    def test_an_input_rewritten_by_its_writer_with_other_settings(
+        self, finished, runs, capsys, tmp_path, upstream, argv
+    ):
         other = tmp_path / "other.csv"
         write_raw_csv(other, seed=5)
         assert ran(*run(finished["cfg"], runs, capsys, *[a.format(other=other) for a in upstream])[:2])
@@ -194,7 +214,9 @@ class TestRunsAgain:
         assert len(stub.requests) == sent  # every prompt is still cached
         assert run(live, runs, capsys, "--live", "run-grid")[:2] == (0, up_to_date(runs, "run-grid"))
 
-    def test_an_interrupted_live_grid_resumes_with_the_prompts_it_lacks(self, finished, runs, capsys, stub, tmp_path, monkeypatch):
+    def test_an_interrupted_live_grid_resumes_with_the_prompts_it_lacks(
+        self, finished, runs, capsys, stub, tmp_path, monkeypatch
+    ):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
         stub.script = [(200, ok_body("1")), (200, ok_body("0")), (503, {})]
         live = live_config(finished, tmp_path, stub.url)
