@@ -110,11 +110,14 @@ def program_identity() -> str:
     return digest.hexdigest()
 
 
-def _config_digest(cfg: ExperimentConfig) -> str:
+def _config_digest(cfg: ExperimentConfig, live: bool) -> str:
     """The config's sha256 without output_dir and cache_path, which are
-    locations, not content: a copied run directory still checks clean."""
+    locations, not content: a copied run directory still checks clean. The
+    llm settings count only for a live run-grid, the one verb that reads them."""
     doc = dataclasses.asdict(cfg)
     del doc["output_dir"], doc["cache_path"]
+    if not live:
+        del doc["llm"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
@@ -139,7 +142,7 @@ class Trace:
     manifest of its output directory.
 
     The manifest holds one entry per verb, from that verb's last successful
-    run: the config digest and seed, the verb's arguments (run-grid's
+    run: the config digest, seed and test fraction, the verb's arguments (run-grid's
     backend, report's format), the program identity, the sha256 of every
     file the verb read, as it read it, and of every artifact it wrote, and
     its wall time. A verb whose entry still matches, every file included,
@@ -152,7 +155,8 @@ class Trace:
     def __init__(self, cfg: ExperimentConfig, verb: str, args: dict):
         self.cfg, self.verb = cfg, verb
         self.manifest = Path(cfg.output_dir) / MANIFEST
-        self.key = {"config": _config_digest(cfg), "args": args, "program": program_identity()}
+        live = args.get("backend") == "live"
+        self.key = {"config": _config_digest(cfg, live), "args": args, "program": program_identity()}
         self.entries = _load_manifest(self.manifest)
         self.reads: dict[str, str | None] = {}
         self.writes: list[str] = []
@@ -206,6 +210,7 @@ class Trace:
         entries[self.verb] = {
             **self.key,
             "seed": self.cfg.seed,
+            "test_fraction": self.cfg.test_fraction,
             "inputs": self.reads,
             "outputs": {name: _sha256(self.path(name)) for name in self.writes},
             "wall_s": round(wall_s, 3),
@@ -231,12 +236,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _verb_args(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
+def _verb_args(args: argparse.Namespace) -> dict:
     """The arguments besides the config that decide what a verb writes:
     run-grid's backend and report's format."""
     if args.verb == "run-grid":
         if args.live:
-            return {"backend": "live", "model": cfg.llm.model_name, "base_url": cfg.llm.base_url}
+            return {"backend": "live"}  # the model and URL are in cfg.llm, which the config digest covers
         if args.mock == "oracle":
             return {"backend": "oracle"}
         return {"backend": "rule", "rule_feature": args.rule_feature, "rule_threshold": args.rule_threshold}
@@ -357,21 +362,22 @@ def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
 
 
 def _check_one_run(trace: Trace):
-    """ml_rows.json and grid_rows.json must come from one seed and one
-    imputed.csv. Rows whose writer has no entry (written before the
-    manifest) are not checked."""
+    """ml_rows.json and grid_rows.json must score one test split: the same
+    seed, test fraction and imputed.csv. Rows whose writer has no entry
+    (written before the manifest) are not checked."""
     made_from = {}
     for verb in ("train-models", "run-grid"):
         entry = trace.entries.get(verb)
         if entry is None:
             return
-        made_from[verb] = (entry.get("seed"), entry["inputs"].get("imputed.csv"))
+        made_from[verb] = (entry.get("seed"), entry.get("test_fraction"), entry["inputs"].get("imputed.csv"))
     if made_from["train-models"] != made_from["run-grid"]:
-        now = (trace.cfg.seed, _sha256(trace.path("imputed.csv")))
+        now = (trace.cfg.seed, trace.cfg.test_fraction, _sha256(trace.path("imputed.csv")))
         stale = [verb for verb, made in made_from.items() if made != now] or list(made_from)
+        split = {verb: f"seed {made[0]}, test fraction {made[1]}" for verb, made in made_from.items()}
         raise ValidationError(
-            f"ml_rows.json (train-models, seed {made_from['train-models'][0]}) and grid_rows.json "
-            f"(run-grid, seed {made_from['run-grid'][0]}) come from different seeds or imputed data; "
+            f"ml_rows.json (train-models, {split['train-models']}) and grid_rows.json "
+            f"(run-grid, {split['run-grid']}) come from different test splits or imputed data; "
             f"rerun {' and '.join(stale)}"
         )
 
@@ -431,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        trace = Trace(cfg, args.verb, _verb_args(cfg, args))
+        trace = Trace(cfg, args.verb, _verb_args(args))
         if trace.up_to_date():
             trace.remove_leftovers()
             print(f"{args.verb} is up to date: config, arguments, inputs and outputs match {trace.manifest}")

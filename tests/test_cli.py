@@ -252,6 +252,16 @@ WRITERS = {
 }
 
 
+def with_and_without_manifest(cases: list[tuple]) -> list:
+    """Each case as run with the manifest the verbs wrote, then without it,
+    as artifacts written before the manifest existed are read."""
+    return [
+        pytest.param(*case, manifest, id="-".join(case) + ("" if manifest else "-no-manifest"))
+        for manifest in (True, False)
+        for case in cases
+    ]
+
+
 class TestMalformedArtifacts:
     """A malformed artifact exits 1 with an error line, never a traceback."""
 
@@ -264,50 +274,45 @@ class TestMalformedArtifacts:
         assert main(["--config", str(finished_run["cfg"]), "--output-dir", str(runs), verb]) == 1
 
     @pytest.mark.parametrize(
-        "name, verb",
-        [
-            ("imputed.csv", "train-models"),
-            ("models/RF.json", "gen-dk"),
-            ("ml_rows.json", "report"),
-            ("grid_rows.json", "report"),
-            ("dk.json", "run-grid"),
-        ],
+        "name, verb, manifest",
+        with_and_without_manifest(
+            [
+                ("imputed.csv", "train-models"),
+                ("models/RF.json", "gen-dk"),
+                ("ml_rows.json", "report"),
+                ("grid_rows.json", "report"),
+                ("dk.json", "run-grid"),
+            ]
+        ),
     )
-    def test_torn_in_half_exits_one(self, finished_run, tmp_path, capsys, name, verb):
+    def test_torn_in_half_exits_one(self, finished_run, tmp_path, capsys, name, verb, manifest):
         def tear(path: Path):
             data = path.read_bytes()
             path.write_bytes(data[: len(data) // 2])
 
-        self._run(finished_run, tmp_path, name, verb, tear)
+        self._run(finished_run, tmp_path, name, verb, tear, manifest)
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and f"rerun {WRITERS[name]}" in err
+        assert ("changed since" in err) == manifest
 
     @pytest.mark.parametrize(
-        "name, verb", [("imputed.csv", "train-models"), ("models/RF.json", "gen-dk"), ("dk.json", "run-grid")]
+        "name, verb, key, writer, manifest",
+        with_and_without_manifest(
+            [("models/RF.json", "gen-dk", "params", "train-models"), ("dk.json", "run-grid", "source", "gen-dk")]
+        ),
     )
-    def test_torn_in_half_without_a_manifest_exits_one(self, finished_run, tmp_path, capsys, name, verb):
-        def tear(path: Path):
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 2])
-
-        self._run(finished_run, tmp_path, name, verb, tear, manifest=False)
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and name in err and f"rerun {WRITERS[name]}" in err
-        assert "changed since" not in err
-
-    @pytest.mark.parametrize(
-        "name, verb, key, writer",
-        [("models/RF.json", "gen-dk", "params", "train-models"), ("dk.json", "run-grid", "source", "gen-dk")],
-    )
-    def test_missing_key_names_the_file_and_its_writer(self, finished_run, tmp_path, capsys, name, verb, key, writer):
+    def test_missing_key_names_the_file_and_its_writer(
+        self, finished_run, tmp_path, capsys, name, verb, key, writer, manifest
+    ):
         def drop_key(path: Path):
             doc = json.loads(path.read_text())
             del (doc[-1] if isinstance(doc, list) else doc)[key]
             path.write_text(json.dumps(doc))
 
-        self._run(finished_run, tmp_path, name, verb, drop_key)
+        self._run(finished_run, tmp_path, name, verb, drop_key, manifest)
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and f"rerun {writer}" in err
+        assert ("changed since" in err) == manifest
 
 
 def artifact_writers() -> list[tuple[str, object]]:

@@ -197,9 +197,24 @@ class TestRunsAgain:
         live = live_config(finished, tmp_path, stub.url)  # one config for every backend
         rule, oracle = ["run-grid", "--mock", "rule"], ["run-grid", "--mock", "oracle"]
         threshold = [*rule, "--rule-threshold", "2.0"]
-        for argv in (rule, oracle, ["--live", "run-grid"], rule, threshold):
+        assert run(live, runs, capsys, *rule)[:2] == (0, up_to_date(runs, "run-grid"))  # as the finished run left it
+        for argv in (oracle, ["--live", "run-grid"], rule, threshold):
             assert ran(*run(live, runs, capsys, *argv)[:2]), argv
             assert run(live, runs, capsys, *argv)[:2] == (0, up_to_date(runs, "run-grid")), argv
+
+    def test_llm_settings_count_only_for_a_live_grid(self, finished, runs, capsys, stub, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        stub.script = [(200, ok_body("1"))]
+        live = live_config(finished, tmp_path, stub.url)  # the finished run's config but for its llm settings
+        for argv in README:
+            assert run(live, runs, capsys, *argv)[:2] == (0, up_to_date(runs, argv[0])), argv
+        assert ran(*run(live, runs, capsys, "--live", "run-grid")[:2])
+        for llm in ({"timeout": 6.0}, {"model_name": "another-model"}):
+            doc = json.loads(live.read_text())
+            doc["llm"].update(llm)
+            live.write_text(json.dumps(doc))
+            assert ran(*run(live, runs, capsys, "--live", "run-grid")[:2]), llm
+            assert run(live, runs, capsys, "--live", "run-grid")[:2] == (0, up_to_date(runs, "run-grid")), llm
 
     def test_a_record_appended_to_the_cache(self, finished, runs, capsys, stub, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
@@ -236,11 +251,20 @@ class TestMismatchedInputs:
         code, _, err = run(finished["cfg"], runs, capsys, "report")
         assert code == 1
         assert err == (
-            "error: ml_rows.json (train-models, seed 3) and grid_rows.json (run-grid, seed 4) "
-            "come from different seeds or imputed data; rerun run-grid\n"
+            "error: ml_rows.json (train-models, seed 3, test fraction 0.25) and grid_rows.json "
+            "(run-grid, seed 4, test fraction 0.25) come from different test splits or imputed data; rerun run-grid\n"
         )
         assert ran(*run(finished["cfg"], runs, capsys, *ARGV["run-grid"])[:2])
         assert run(finished["cfg"], runs, capsys, "report")[0] == 0
+
+    def test_report_of_rows_from_two_test_fractions_exits_one_naming_the_verb_to_rerun(self, finished, runs, capsys):
+        assert ran(*run(finished["cfg"], runs, capsys, "--test-fraction", "0.3", *ARGV["run-grid"])[:2])
+        code, _, err = run(finished["cfg"], runs, capsys, "report")
+        assert code == 1
+        assert err == (
+            "error: ml_rows.json (train-models, seed 3, test fraction 0.25) and grid_rows.json "
+            "(run-grid, seed 3, test fraction 0.3) come from different test splits or imputed data; rerun run-grid\n"
+        )
 
     def test_report_of_rows_from_two_imputed_files_names_the_stale_one(self, finished, runs, capsys, tmp_path):
         other = tmp_path / "other.csv"
