@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         if code == 0:
             trace.commit(time.perf_counter() - start)
         return code
-    except (CardiopromptError, FileNotFoundError) as exc:
+    except (CardiopromptError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,9 @@
 Every backend answers a batch of prompts in one call, `answer(prompts) ->
 list[str]`, in prompt order. The mocks answer inline, one prompt after
 another. `HttpBackend` answers in the calling thread alone: a cache hit at
-once, and up to `max_in_flight` misses at a time through a `selectors` loop
-that reads each reply once its socket turns readable.
+once, and up to `max_in_flight` misses at a time through a `selectors` loop,
+the one driver of a miss's attempts (every retry and backoff), which reads
+each reply once its socket turns readable.
 
 `HttpBackend` POSTs {base_url}/v1/chat/completions with a single user message
 and the bearer token from OPENAI_API_KEY (looked up once per backend), the
@@ -29,7 +30,7 @@ After a 429 or 503 the wait is the larger of that delay and the reply's
 Retry-After (seconds or an HTTP date; a negative or unparseable value is
 ignored). A request that the server hangs up on before any response byte,
 on a socket that has already carried a reply (a kept-alive connection it had
-closed), is re-sent once per prompt on a fresh connection, without a sleep or
+closed), is re-sent once per prompt on a fresh connection, without a wait or
 a counted attempt. Auth failures never retry. The first failure stops the
 backend: no prompt starts and no retry is sent after it, and the replies
 already awaited are read and cached before it is raised.
@@ -54,7 +55,6 @@ import time
 import urllib.parse
 import weakref
 from collections.abc import Callable, Generator, Mapping, Sequence
-from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -171,7 +171,7 @@ class JsonlCache:
             self._fh = None
 
 
-class Connection(AbstractContextManager):
+class Connection:
     """A keep-alive HTTP/1.1 connection that POSTs to `url` with `headers`,
     opened on first use and again once the server has closed it, each socket
     with `timeout`. An `http.client` connection object connects it: the
@@ -260,9 +260,6 @@ class Connection(AbstractContextManager):
         self._conn.close()
         self.replied = False
 
-    def __exit__(self, *exc):
-        self.close()
-
 
 def _read_reply(reader) -> tuple[int, dict[str, str], bytes, bool]:
     """One reply to a POST: its status, headers (lower-case names, the first
@@ -341,12 +338,6 @@ def _read_chunked(reader) -> bytes:
             raise IncompleteRead(b"".join(chunks), size - len(chunk))
 
 
-def _endpoint(base_url: str, token: str) -> tuple[str, dict[str, str]]:
-    """The completions URL and the fixed request headers."""
-    headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
-    return base_url.rstrip("/") + "/v1/chat/completions", headers
-
-
 def _retry_after(value: str | None) -> float:
     """The seconds a Retry-After value asks to wait, given as delay-seconds
     or as an HTTP date; 0 when it is absent, negative or unparseable, and at
@@ -369,54 +360,29 @@ def _retry_after(value: str | None) -> float:
     return min(max(0.0, seconds), threading.TIMEOUT_MAX)
 
 
-def complete(
-    prompt_text: str,
-    cfg: LlmConfig,
-    cache: JsonlCache | None = None,
-    sleeper=time.sleep,
-    jitter_rng: random.Random | None = None,
-    api_key: str | None = None,
-    session: HttpBackend | None = None,
-) -> CompletionRecord | None:
-    """One completion, cache first. Raises AuthError (401/403, missing key),
-    TransportError (retries exhausted or non-retryable HTTP), ProtocolError
-    (body not in chat-completions shape). Sends through a one-off `Connection`,
-    sleeping with `sleeper`, or, with an `HttpBackend` as `session`, hands the
-    miss to its loop and returns None. A body cut short is a failed attempt. A
-    request that the server hangs up on before any response byte, on a socket
-    that has already carried a reply, is re-sent once per call, at once, on a
-    fresh connection, without counting an attempt. After a 429 or 503 the wait
-    before the next attempt is the larger of the backoff and the reply's
-    Retry-After."""
+def complete(prompt_text: str, backend: HttpBackend, row: int) -> None:
+    """Prompt `row` of `backend`'s batch, cache first: a hit fills the row's
+    answer at once, and a miss's attempts go to the backend's loop. Raises
+    AuthError on a miss when the backend has no API key."""
+    cfg = backend.cfg
     key = prompt_hash(prompt_text, cfg.model_name, cfg.temperature)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    token = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")
-    if not token:
+    hit = backend.cache.get(key) if backend.cache is not None else None
+    if hit is not None:
+        backend._answers[row] = hit.raw_response
+        return
+    if not backend.api_key:
         raise AuthError("no API key: set OPENAI_API_KEY")
     message = {"role": "user", "content": prompt_text}
     body = {"model": cfg.model_name, "messages": [message], "temperature": cfg.temperature}
     data = json.dumps(body, allow_nan=False).encode("utf-8")  # the bytes requests sent for json=body
-    attempts = functools.partial(_attempts, key, data, cfg, cache, jitter_rng)
-    if session is not None:
-        return session._admit(attempts)
-    with Connection(*_endpoint(cfg.base_url, token), cfg.timeout) as conn:
-        steps = attempts(conn)
-        while True:
-            try:
-                step = next(steps)
-            except StopIteration as done:
-                return done.value
-            if isinstance(step, float):  # a socket's reply is read on the next step, within its timeout
-                sleeper(step)
+    backend._admit(row, functools.partial(_attempts, key, data, cfg, backend.cache))
 
 
-def _attempts(key, data, cfg: LlmConfig, cache, jitter_rng, conn: Connection):
-    """One prompt's attempts on `conn`: a generator yielding the seconds to sleep before a retry, or the
+def _attempts(key, data, cfg: LlmConfig, cache, conn: Connection):
+    """One prompt's attempts on `conn`: a generator yielding the seconds to wait before a retry, or the
     socket a request went out on, whose reply it reads when resumed; it returns the cached record. Only
-    a socket that has carried a reply gets the free re-send."""
+    a socket that has carried a reply gets the free re-send. Raises AuthError (401/403), TransportError
+    (retries exhausted or non-retryable HTTP) or ProtocolError (body not in chat-completions shape)."""
     from http.client import HTTPException
 
     def exchange():
@@ -424,9 +390,10 @@ def _attempts(key, data, cfg: LlmConfig, cache, jitter_rng, conn: Connection):
         return conn.receive()
 
     resent, last_failure, asked = False, "no attempt made", 0.0  # asked: the last reply's Retry-After
+    jitter_rng = None
     for attempt in range(cfg.max_retries + 1):
         if attempt > 0:
-            if jitter_rng is None:  # seeded from os.urandom: built only when a retry sleeps
+            if jitter_rng is None:  # seeded from os.urandom: built only when a retry waits
                 jitter_rng = random.Random()
             envelope = cfg.backoff_base * 2 ** (attempt - 1)
             yield max(asked, envelope * (0.5 + 0.5 * jitter_rng.random()))
@@ -471,17 +438,20 @@ class Backend(Protocol):
 
 
 class HttpBackend:
-    """The endpoint through `complete`, whose misses a selectors loop in the
-    calling thread steps, up to cfg.max_in_flight at once, each holding a
-    connection from its first send to its end (a backoff sleep included). At
-    most max_in_flight connections are built, idle between prompts and
-    batches. Its first failure stops it for good."""
+    """The endpoint, through `complete` once per prompt. A hit is answered at
+    once. A miss's attempts are stepped by a selectors loop in the calling
+    thread, the only code that steps them, up to cfg.max_in_flight at once,
+    each holding a connection from its first send to its end (a backoff wait
+    included). At most max_in_flight connections are built, idle between
+    prompts and batches. Its first failure stops it for good."""
 
     def __init__(self, cfg: LlmConfig, cache: JsonlCache | None = None, api_key: str | None = None):
         self.cfg = cfg
         self.cache = cache
         self.api_key = api_key if api_key is not None else os.environ.get("OPENAI_API_KEY", "")  # looked up once
-        self._endpoint = *_endpoint(cfg.base_url, self.api_key), cfg.timeout  # what each Connection is built with
+        headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
+        url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
+        self._endpoint = url, headers, cfg.timeout  # what each Connection is built with
         self._failure: Exception | None = None
         self._idle: list[Connection] = []
         self._flights: list[_Flight] = []  # the misses in flight, during `answer`
@@ -494,12 +464,10 @@ class HttpBackend:
             raise self._failure
         self._answers = answers = [None] * len(prompts)  # every slot is filled, or a failure is raised
         try:
-            for self._row, prompt in enumerate(prompts):  # _admit starts a miss for row _row
-                rec = complete(prompt, self.cfg, self.cache, api_key=self.api_key, session=self)
+            for row, prompt in enumerate(prompts):
+                complete(prompt, self, row)  # the module global, which the benchmark's tracer wraps
                 if self._failure is not None:
                     break
-                if rec is not None:  # a hit
-                    answers[self._row] = rec.raw_response
             while self._flights:
                 self._turn()
         finally:
@@ -514,8 +482,8 @@ class HttpBackend:
             raise self._failure
         return answers
 
-    def _admit(self, attempts: Callable[[Connection], Generator]) -> None:
-        """Starts the attempts of row `_row` once a slot is free, unless the backend has failed."""
+    def _admit(self, row: int, attempts: Callable[[Connection], Generator]) -> None:
+        """Starts the attempts of `row` once a slot is free, unless the backend has failed."""
         if self._selector is None:
             import selectors
 
@@ -524,7 +492,7 @@ class HttpBackend:
             self._turn()
         if self._failure is None:
             conn = self._idle.pop() if self._idle else Connection(*self._endpoint)
-            self._flights.append(flight := _Flight(self._row, attempts(conn), conn))
+            self._flights.append(flight := _Flight(row, attempts(conn), conn))
             self._step(flight)
 
     def _turn(self):

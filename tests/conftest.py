@@ -1,6 +1,7 @@
 """Shared fixtures: reference importance orders, the three worked examples and
-final query used in the golden prompt, small dataset builders, and a scripted
-local chat-completions endpoint."""
+final query used in the golden prompt, small dataset builders, a scripted
+local chat-completions endpoint, and the backoff waits that `HttpBackend`'s
+loop is asked for."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from cardioprompt import gateway
 from cardioprompt.data import Dataset, binarize_target, knn_impute, split, standardize
 from cardioprompt.models.importance import ImportanceRanking
 from cardioprompt.synthetic import synthetic_raw
@@ -183,6 +185,35 @@ class StubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The seconds each prompt's attempts ask `HttpBackend`'s loop to wait
+    before a retry, in order, exactly as asked; the loop waits 0 s instead."""
+    asked, real = [], gateway._attempts
+
+    def recorded(*args):
+        steps = real(*args)
+        try:
+            step = next(steps)
+            while True:
+                if isinstance(step, float):
+                    asked.append(step)
+                    step = 0.0
+                try:
+                    reply = yield step
+                except Exception as exc:  # a timeout the loop raises where a reply is awaited
+                    step = steps.throw(exc)
+                else:
+                    step = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        finally:
+            steps.close()
+
+    monkeypatch.setattr(gateway, "_attempts", recorded)
+    return asked
 
 
 @pytest.fixture

@@ -103,6 +103,13 @@ class TestPrepareData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_directory_as_data_path_exits_one(self, workdir, capsys):
+        code = main(["--config", str(workdir["cfg"]), "--data-path", str(workdir["tmp"]), "prepare-data"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"Is a directory: '{workdir['tmp']}'\n")
+        assert not workdir["runs"].exists()
+
     @pytest.mark.parametrize("text", ["", ",".join([*FEATURE_NAMES, TARGET_NAME]) + "\n"], ids=["empty", "header-only"])
     def test_a_csv_without_data_rows_exits_one(self, workdir, capsys, text):
         workdir["data"].write_text(text)
