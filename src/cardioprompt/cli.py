@@ -183,16 +183,20 @@ class Trace:
 
     def read(self, name: str, parse):
         """parse(path) of the artifact `name` that an upstream verb wrote. A
-        missing file means that verb has not run; a malformed one, or one
-        other than the file that verb recorded writing, that it should run
-        again."""
+        missing file means that verb has not run; a malformed one, one other
+        than the file that verb recorded writing, or one made from an
+        artifact that has changed since, that it should run again."""
         path = self.path(name)
         verb = WRITERS[name.split("/")[0]]
         digest = self.record(name)
         if digest is None:
             raise ValidationError(f"missing {path}; run {verb} first")
-        if self.entries.get(verb, {}).get("outputs", {}).get(name, digest) != digest:
+        entry = self.entries.get(verb, {"inputs": {}, "outputs": {}})
+        if entry["outputs"].get(name, digest) != digest:
             raise ValidationError(f"{path} changed since {verb} wrote it; rerun {verb}")
+        for source, made_from in entry["inputs"].items():
+            if source.split("/")[0] in WRITERS and _sha256(self.path(source)) != made_from:
+                raise ValidationError(f"{name} was made from a {source} that has changed since; rerun {verb}")
         try:
             return parse(path)
         except CardiopromptError as exc:
@@ -363,16 +367,17 @@ def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
 
 def _check_one_run(trace: Trace):
     """ml_rows.json and grid_rows.json must score one test split: the same
-    seed, test fraction and imputed.csv. Rows whose writer has no entry
-    (written before the manifest) are not checked."""
+    seed and test fraction (`Trace.read` has checked that both were made from
+    the imputed.csv on disk). Rows whose writer has no entry (written before
+    the manifest) are not checked."""
     made_from = {}
     for verb in ("train-models", "run-grid"):
         entry = trace.entries.get(verb)
         if entry is None:
             return
-        made_from[verb] = (entry.get("seed"), entry.get("test_fraction"), entry["inputs"].get("imputed.csv"))
+        made_from[verb] = (entry.get("seed"), entry.get("test_fraction"))
     if made_from["train-models"] != made_from["run-grid"]:
-        now = (trace.cfg.seed, trace.cfg.test_fraction, _sha256(trace.path("imputed.csv")))
+        now = (trace.cfg.seed, trace.cfg.test_fraction)
         stale = [verb for verb, made in made_from.items() if made != now] or list(made_from)
         split = {verb: f"seed {made[0]}, test fraction {made[1]}" for verb, made in made_from.items()}
         raise ValidationError(

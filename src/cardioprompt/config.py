@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import typing
+import urllib.parse
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -42,6 +43,13 @@ class LlmConfig:
     def __post_init__(self):
         if not self.base_url.lower().startswith(("http://", "https://")):  # else the token could go anywhere
             raise ValidationError("base_url must start with http:// or https://")
+        try:
+            parts = urllib.parse.urlsplit(self.base_url)
+            parts.port  # a port out of range or not a number raises here
+        except ValueError as exc:
+            raise ValidationError(f"base_url {self.base_url!r} is not a URL: {exc}") from None
+        if not parts.hostname:
+            raise ValidationError(f"base_url {self.base_url!r} names no host")
         if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
             raise ValidationError("temperature must be finite and >= 0")
         if not 0 <= self.backoff_base < math.inf:

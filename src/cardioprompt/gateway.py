@@ -20,20 +20,20 @@ exception types. Only `HttpBackend` opens the cache, an append-only JSONL file
 keyed by sha256(model_name NUL temperature NUL prompt), hashed once per prompt
 and read before the network, so a rerun after an abort costs no requests and a
 mock run never touches it. `http.client` and `selectors` are imported only
-when a prompt misses the cache. The cache file is parsed in one call when it
-opens; a torn last line (a crash during an append) is dropped with a warning,
-and a bad line anywhere else is an error. Transient failures (429, 5xx,
-timeouts, resets, a malformed reply, a response body cut short) retry with
-exponential backoff and equal jitter: delay = base * 2^attempt * (0.5 +
-0.5*U), which stays inside the exponential envelope and never decreases.
-After a 429 or 503 the wait is the larger of that delay and the reply's
-Retry-After (seconds or an HTTP date; a negative or unparseable value is
-ignored). A request that the server hangs up on before any response byte,
-on a socket that has already carried a reply (a kept-alive connection it had
-closed), is re-sent once per prompt on a fresh connection, without a wait or
-a counted attempt. Auth failures never retry. The first failure stops the
-backend: no prompt starts and no retry is sent after it, and the replies
-already awaited are read and cached before it is raised.
+when a prompt misses the cache. The cache file is read when it opens, one
+`json.loads` per line, later lines winning; a torn last line (a crash during
+an append) is dropped with a warning, and a bad line anywhere else is an
+error. Transient failures (429, 5xx, timeouts, resets, a malformed reply, a
+response body cut short) retry with exponential backoff and equal jitter:
+delay = base * 2^attempt * (0.5 + 0.5*U), which stays inside the exponential
+envelope and never decreases. After a 429 or 503 the wait is the larger of
+that delay and the reply's Retry-After (seconds or an HTTP date; a negative or
+unparseable value is ignored). A request that the server hangs up on before
+any response byte, on a socket that has already carried a reply (a kept-alive
+connection it had closed), is re-sent once per prompt on a fresh connection,
+without a wait or a counted attempt. Auth failures never retry. The first
+failure stops the backend: no prompt starts and no retry is sent after it, and
+the replies already awaited are read and cached before it is raised.
 
 The mocks: an oracle answering with the query's true label, a scripted
 response queue, and a threshold rule on one feature of the final question.
@@ -105,33 +105,8 @@ class JsonlCache:
             self._load()
 
     def _load(self):
-        # One parse for the file, each line in brackets of its own ([] when
-        # blank) and each object built into a record as it is parsed. No line
-        # carries an open string or object past "],\n[" (a string holds no raw
-        # newline, an object no "]"); one that leaves a bracket open or closes
-        # its own makes an item that is not [] or [record], or changes the
-        # number of items.
+        """Index the file one line at a time, which finds a line that is not a record."""
         lines = self.path.read_text(encoding="utf-8", errors="surrogateescape").split("\n")
-        n_lines, last = len(lines), lines[-1]
-        lines[0] = "[[" + lines[0]
-        lines[-1] += "]]"  # the same line as lines[0] in a one-line file
-        text = "],\n[".join(lines)
-        del lines  # before the parse: the file is held once, as text
-        try:
-            items = json.loads(text, object_hook=lambda doc: CompletionRecord(**doc))
-            records = [rec for [rec] in filter(None, items)]
-        except (ValueError, TypeError):
-            items, records = [], []
-        if len(items) != n_lines or not all(isinstance(rec, CompletionRecord) for rec in records):
-            self._read_lines(self.path.read_text(encoding="utf-8", errors="surrogateescape").split("\n"))
-            return
-        self._by_hash = {rec.prompt_hash: rec for rec in records}  # later lines win
-        if last.strip():  # a whole record missing only its newline
-            with self.path.open("a") as fh:
-                fh.write("\n")
-
-    def _read_lines(self, lines: list[str]):
-        """_load one line at a time, which finds the line that is not a record."""
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue

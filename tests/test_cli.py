@@ -6,6 +6,7 @@ import csv
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -552,6 +553,13 @@ class TestLiveFailures:
         assert capsys.readouterr().err == "error: the endpoint URL or a request header holds a control character\n"
         assert (stub.requests, stub.dropped) == ([], 0)
 
+    @pytest.mark.parametrize("base_url", ["http://", "http://h:99999", "http://h:abc"])
+    def test_a_base_url_without_a_host_or_port_exits_one_as_the_config_loads(self, workdir, capsys, base_url):
+        live = self._live_cfg(workdir, "cache.jsonl", base_url=base_url)
+        assert main(["--config", str(live), "--live", "run-grid"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: base_url {base_url!r} ") and err.count("\n") == 1
+
     def test_mock_run_never_opens_the_cache(self, workdir):
         self._prime(workdir)
         cache = workdir["runs"] / "completions.jsonl"
@@ -768,17 +776,9 @@ class TestConsoleScript:
         assert "prepare-data" in proc.stdout
 
 
-class TestDemoScript:
-    def test_readme_demo_prints_the_table(self, tmp_path):
-        script = Path(__file__).parents[1] / "scripts" / "run_mock_experiment.py"
-        argv = ["--rows", "120", "--search-iters", "1", "--search-folds", "2", "--n-ex", "0", "2", "--mock", "rule"]
-        proc = subprocess.run(
-            [sys.executable, str(script), *argv, "--out", str(tmp_path)], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        printed = [ln.split(" | ")[0].lstrip("| ") for ln in proc.stdout.splitlines() if ln.startswith("| ")]
-        ml = ["RF", "LR", "MLP", "KNN", "XGB", "AdaBoost", "Average ML", "Random", "Maj0", "Maj1"]
-        grid = [f"prompt-{k}" for k in range(7)]
-        labels = ml + grid + ["Average (N_ex=0)"] + grid + ["Average (N_ex=2)"]
-        assert printed == ["Model", *labels]
-        assert [row[0] for row in csv.reader((tmp_path / "report.csv").read_text().splitlines())] == ["Model", *labels]
+
+class TestReadme:
+    def test_every_script_it_names_exists(self):
+        root = Path(__file__).parents[1]
+        named = set(re.findall(r"\b(?:scripts|bench)/[\w/]+\.py\b", (root / "README.md").read_text()))
+        assert named and [name for name in sorted(named) if not (root / name).is_file()] == []

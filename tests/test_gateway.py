@@ -251,15 +251,6 @@ class TestJsonlCache:
         with pytest.raises(CardiopromptError, match=r"c\.jsonl: line 2 "):
             JsonlCache(path)
 
-    def test_file_parsed_in_one_call(self, tmp_path, monkeypatch):
-        path = tmp_path / "c.jsonl"
-        path.write_text(self._lines("h1", "h2", "h1", "h3"))
-        calls = []
-        original = json.loads
-        monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(text) or original(text, **kw))
-        cache = JsonlCache(path)
-        assert len(calls) == 1 and len(cache) == 3
-
 
 def _one_row_prompt(x) -> str:
     return assemble_prompt(PromptSpec(n_ex=0, dk=NO_DK), [], x).text

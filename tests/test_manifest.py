@@ -5,6 +5,7 @@ recorded."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -70,6 +71,14 @@ def files(runs: Path) -> dict:
 
 def entries(runs: Path) -> dict:
     return json.loads((runs / "manifest.json").read_text())
+
+
+def test_the_report_lists_every_row_in_order(finished):
+    ml = ["RF", "LR", "MLP", "KNN", "XGB", "AdaBoost", "Average ML", "Random", "Maj0", "Maj1"]
+    grid = [f"prompt-{k}" for k in range(7)]
+    labels = [*ml, *grid, "Average (N_ex=0)", *grid, "Average (N_ex=2)"]
+    report = (finished["runs"] / "report.csv").read_text().splitlines()
+    assert [row[0] for row in csv.reader(report)] == ["Model", *labels]
 
 
 class TestUpToDate:
@@ -273,6 +282,15 @@ class TestMismatchedInputs:
             assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2])
         code, _, err = run(finished["cfg"], runs, capsys, "report")
         assert code == 1 and err.startswith("error: ml_rows.json") and err.endswith("; rerun train-models\n")
+
+    def test_dk_texts_from_models_trained_since_exit_one_naming_gen_dk(self, finished, runs, capsys):
+        assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", "train-models")[:2])
+        code, _, err = run(finished["cfg"], runs, capsys, "--seed", "4", *ARGV["run-grid"])
+        assert code == 1
+        assert err == "error: dk.json was made from a models/GBT.json that has changed since; rerun gen-dk\n"
+        assert run(finished["cfg"], runs, capsys, "--seed", "4", "report")[0] == 1  # grid rows of seed 3
+        for argv in (ARGV["gen-dk"], ARGV["run-grid"], ARGV["report"]):
+            assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2]), argv
 
     def test_rows_without_an_entry_are_read_as_before(self, finished, runs, capsys):
         doc = entries(runs)
