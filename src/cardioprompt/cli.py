@@ -122,16 +122,21 @@ def _config_digest(cfg: ExperimentConfig, live: bool) -> str:
 
 
 def _load_manifest(path: Path) -> dict:
-    """The manifest's entries by verb; none where there is no manifest."""
+    """The manifest's entries by verb; none where there is no manifest. An
+    entry reads stage artifacts of earlier verbs only, so a walk up the writers ends."""
     try:
         entries = json.loads(path.read_text())
     except FileNotFoundError:
         return {}
     except ValueError as exc:
         raise ValidationError(f"{path} is not a manifest ({exc}); delete it to run every verb again") from exc
-    files = ("inputs", "outputs")
+    order = list(VERBS)
     if not isinstance(entries, dict) or not all(
-        isinstance(entry, dict) and all(isinstance(entry.get(key), dict) for key in files) for entry in entries.values()
+        verb in order and isinstance(entry, dict) and {"seed", "test_fraction"} <= entry.keys()
+        and all(isinstance(entry.get(key), dict) for key in ("inputs", "outputs"))
+        and all(order.index(WRITERS[top]) < order.index(verb)
+                for top in (source.split("/")[0] for source in entry["inputs"]) if top in WRITERS)
+        for verb, entry in entries.items()
     ):
         raise ValidationError(f"{path} is not a manifest; delete it to run every verb again")
     return entries
@@ -181,22 +186,39 @@ class Trace:
         self.reads[name] = _sha256(self.path(name))
         return self.reads[name]
 
-    def read(self, name: str, parse):
-        """parse(path) of the artifact `name` that an upstream verb wrote. A
-        missing file means that verb has not run; a malformed one, one other
-        than the file that verb recorded writing, or one made from an
-        artifact that has changed since, that it should run again."""
-        path = self.path(name)
-        verb = WRITERS[name.split("/")[0]]
-        digest = self.record(name)
-        if digest is None:
-            raise ValidationError(f"missing {path}; run {verb} first")
-        entry = self.entries.get(verb, {"inputs": {}, "outputs": {}})
+    def _lineage(self, name: str, digest: str) -> dict:
+        """The split ("seed S, test fraction F") of each verb that split the
+        data on the way to the file `name` with sha256 `digest`. Each writer
+        up the chain must have written the file it is taken for, from stage
+        artifacts still on disk, and the splits must agree. A file no entry
+        wrote ends the walk: an external input, or one older than the manifest."""
+        verb = WRITERS.get(name.split("/")[0])
+        if (entry := self.entries.get(verb)) is None:
+            return {}
         if entry["outputs"].get(name, digest) != digest:
-            raise ValidationError(f"{path} changed since {verb} wrote it; rerun {verb}")
+            raise ValidationError(f"{self.path(name)} changed since {verb} wrote it; rerun {verb}")
+        splits = {}
         for source, made_from in entry["inputs"].items():
             if source.split("/")[0] in WRITERS and _sha256(self.path(source)) != made_from:
                 raise ValidationError(f"{name} was made from a {source} that has changed since; rerun {verb}")
+            splits.update(self._lineage(source, made_from))
+        if verb in ("train-models", "run-grid"):
+            splits[verb] = f"seed {entry['seed']}, test fraction {entry['test_fraction']}"
+        if len(set(splits.values())) > 1:
+            now = f"seed {self.cfg.seed}, test fraction {self.cfg.test_fraction}"
+            stale = [by for by, split in splits.items() if split != now] or list(splits)
+            made = " and ".join(f"{by} ({split})" for by, split in splits.items())
+            raise ValidationError(f"{name} comes from two test splits: {made}; rerun {' and '.join(stale)}")
+        return splits
+
+    def read(self, name: str, parse):
+        """parse(path) of the artifact `name` that an upstream verb wrote. A
+        missing file means that verb has not run; a malformed one, or one
+        whose lineage fails `_lineage`, that it should run again."""
+        path, verb = self.path(name), WRITERS[name.split("/")[0]]
+        if (digest := self.record(name)) is None:
+            raise ValidationError(f"missing {path}; run {verb} first")
+        self._lineage(name, digest)
         try:
             return parse(path)
         except CardiopromptError as exc:
@@ -365,32 +387,9 @@ def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_one_run(trace: Trace):
-    """ml_rows.json and grid_rows.json must score one test split: the same
-    seed and test fraction (`Trace.read` has checked that both were made from
-    the imputed.csv on disk). Rows whose writer has no entry (written before
-    the manifest) are not checked."""
-    made_from = {}
-    for verb in ("train-models", "run-grid"):
-        entry = trace.entries.get(verb)
-        if entry is None:
-            return
-        made_from[verb] = (entry.get("seed"), entry.get("test_fraction"))
-    if made_from["train-models"] != made_from["run-grid"]:
-        now = (trace.cfg.seed, trace.cfg.test_fraction)
-        stale = [verb for verb, made in made_from.items() if made != now] or list(made_from)
-        split = {verb: f"seed {made[0]}, test fraction {made[1]}" for verb, made in made_from.items()}
-        raise ValidationError(
-            f"ml_rows.json (train-models, {split['train-models']}) and grid_rows.json "
-            f"(run-grid, {split['run-grid']}) come from different test splits or imputed data; "
-            f"rerun {' and '.join(stale)}"
-        )
-
-
 def cmd_report(trace: Trace, args: argparse.Namespace) -> int:
     ml_rows = trace.read("ml_rows.json", load_rows)
     grid_rows = trace.read("grid_rows.json", load_rows)
-    _check_one_run(trace)
     path = write_report(ml_rows + grid_rows, trace.cfg.output_dir, fmt=args.format)
     trace.output(path.name)
     if unparseable := unparseable_counts(grid_rows):

@@ -66,12 +66,6 @@ class RandomForest:
         ones = votes.sum(axis=0)
         return (2 * ones >= len(self.trees)).astype(int)  # exact tie -> 1
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Fraction of trees voting 1. predict() is NOT thresholded from this
-        in general (it is the same thing for a vote fraction), kept for a
-        uniform estimator surface."""
-        return self._votes(X).mean(axis=0)
-
     def raw_importance(self) -> np.ndarray:
         """Mean of per-tree normalized impurity decreases."""
         acc = np.zeros(self.n_features_)

@@ -6,11 +6,14 @@ recorded."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,22 +177,32 @@ class TestRunsAgain:
         assert run(finished["cfg"], runs, capsys, *ARGV[verb])[:2] == (0, up_to_date(runs, verb))
 
     @pytest.mark.parametrize(
-        "upstream, argv",
+        "upstream, argv, stale",
         [
-            (["--data-path", "{other}", "prepare-data"], ARGV["train-models"]),
-            (["--seed", "4", "train-models"], ARGV["gen-dk"]),
-            (["--data-path", "{other}", "prepare-data"], ARGV["run-grid"]),
-            (["run-grid", "--mock", "oracle"], ARGV["report"]),
+            (["--data-path", "{other}", "prepare-data"], ARGV["train-models"], None),
+            (["--seed", "4", "train-models"], ARGV["gen-dk"], None),
+            # dk.json's models were trained on the imputed.csv replaced since
+            (
+                ["--data-path", "{other}", "prepare-data"],
+                ARGV["run-grid"],
+                "models/GBT.json was made from a imputed.csv that has changed since; rerun train-models",
+            ),
+            (["run-grid", "--mock", "oracle"], ARGV["report"], None),
         ],
         ids=["train-models", "gen-dk", "run-grid", "report"],
     )
     def test_an_input_rewritten_by_its_writer_with_other_settings(
-        self, finished, runs, capsys, tmp_path, upstream, argv
+        self, finished, runs, capsys, tmp_path, upstream, argv, stale
     ):
         other = tmp_path / "other.csv"
         write_raw_csv(other, seed=5)
         assert ran(*run(finished["cfg"], runs, capsys, *[a.format(other=other) for a in upstream])[:2])
-        assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2])
+        if stale:
+            assert run(finished["cfg"], runs, capsys, *argv) == (1, [], f"error: {stale}\n")
+            for redo in (ARGV["train-models"], ARGV["gen-dk"], argv, ARGV["report"]):
+                assert ran(*run(finished["cfg"], runs, capsys, *redo)[:2]), redo
+        else:
+            assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2])
         assert run(finished["cfg"], runs, capsys, *argv)[:2] == (0, up_to_date(runs, argv[0]))
 
     def test_prepare_data_after_its_csv_changed(self, tmp_path, capsys):
@@ -253,6 +266,64 @@ class TestRunsAgain:
         assert len(stub.requests) - sent == prompts - 2
         assert run(live, runs, capsys, "--live", "run-grid")[:2] == (0, up_to_date(runs, "run-grid"))
 
+    @pytest.mark.parametrize("kill", ["after_a_few_answers", "halfway_through_an_append"])
+    def test_a_live_grid_killed_while_it_appends_resumes_to_the_rows_of_an_uninterrupted_run(
+        self, finished, runs, capsys, stub, tmp_path, monkeypatch, kill
+    ):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        stub.script = [fixed_answer]
+        whole, killed = tmp_path / "whole", tmp_path / "killed"
+        for place in (whole, killed):
+            shutil.copytree(runs, place / "runs")
+        assert ran(*run(live_config(finished, whole, stub.url), whole / "runs", capsys, "--live", "run-grid")[:2])
+        prompts = len(gateway.JsonlCache(whole / "cache.jsonl"))
+        live = live_config(finished, killed, stub.url)
+        argv = ["--config", str(live), "--output-dir", str(killed / "runs"), "--live", "run-grid"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
+        quiet = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
+        if kill == "halfway_through_an_append":
+            child = subprocess.run([sys.executable, "-c", _KILLED_HALFWAY_THROUGH_AN_APPEND, *argv], env=env, **quiet)
+            assert not (killed / "cache.jsonl").read_text().endswith("\n")
+        else:
+            sent = len(stub.requests)
+            child = subprocess.Popen([sys.executable, "-m", "cardioprompt.cli", *argv], env=env, **quiet)
+            deadline = time.monotonic() + 60
+            while len(stub.requests) < sent + 3 and child.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            child.send_signal(signal.SIGKILL)
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+        assert 0 < (killed / "cache.jsonl").read_bytes().count(b"\n") < prompts  # killed mid-grid
+        code, out, err = run(live, killed / "runs", capsys, "--live", "run-grid")  # resumes from what the kill left
+        assert ran(code, out)
+        assert "dropped a torn last line" in err or kill == "after_a_few_answers"  # where that kill lands is chance
+        assert len(gateway.JsonlCache(killed / "cache.jsonl")) == prompts
+        assert (killed / "runs" / "grid_rows.json").read_bytes() == (whole / "runs" / "grid_rows.json").read_bytes()
+
+
+# in a fresh interpreter: a live run-grid that writes half of its fourth cache record, then kills itself
+_KILLED_HALFWAY_THROUGH_AN_APPEND = """
+import json, os, signal, sys
+from cardioprompt import gateway
+from cardioprompt.cli import main
+put = gateway.JsonlCache.put
+def torn(self, rec):
+    if len(self) == 3:
+        line = json.dumps(vars(rec)) + "\\n"
+        with open(self.path, "a") as fh:
+            fh.write(line[: len(line) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+    put(self, rec)
+gateway.JsonlCache.put = torn
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def fixed_answer(doc: dict) -> tuple[int, dict]:
+    """The stub's reply to a prompt: 1 or 0, fixed by the prompt alone."""
+    digest = hashlib.sha256(json.dumps(doc["messages"]).encode()).digest()
+    return 200, ok_body(str(digest[0] % 2))
+
 
 class TestMismatchedInputs:
     def test_report_of_rows_from_two_seeds_exits_one_naming_the_verb_to_rerun(self, finished, runs, capsys):
@@ -260,9 +331,11 @@ class TestMismatchedInputs:
         code, _, err = run(finished["cfg"], runs, capsys, "report")
         assert code == 1
         assert err == (
-            "error: ml_rows.json (train-models, seed 3, test fraction 0.25) and grid_rows.json "
-            "(run-grid, seed 4, test fraction 0.25) come from different test splits or imputed data; rerun run-grid\n"
+            "error: grid_rows.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
+            "and run-grid (seed 4, test fraction 0.25); rerun run-grid\n"
         )
+        code, _, err = run(finished["cfg"], runs, capsys, "--seed", "5", "report")  # a split neither verb made
+        assert (code, err.rpartition("; ")[2]) == (1, "rerun train-models and run-grid\n")
         assert ran(*run(finished["cfg"], runs, capsys, *ARGV["run-grid"])[:2])
         assert run(finished["cfg"], runs, capsys, "report")[0] == 0
 
@@ -271,24 +344,28 @@ class TestMismatchedInputs:
         code, _, err = run(finished["cfg"], runs, capsys, "report")
         assert code == 1
         assert err == (
-            "error: ml_rows.json (train-models, seed 3, test fraction 0.25) and grid_rows.json "
-            "(run-grid, seed 3, test fraction 0.3) come from different test splits or imputed data; rerun run-grid\n"
+            "error: grid_rows.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
+            "and run-grid (seed 3, test fraction 0.3); rerun run-grid\n"
         )
 
     def test_report_of_rows_from_two_imputed_files_names_the_stale_one(self, finished, runs, capsys, tmp_path):
         other = tmp_path / "other.csv"
         write_raw_csv(other, seed=5)
-        for argv in (["--data-path", str(other), "prepare-data"], ARGV["run-grid"]):
-            assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2])
-        code, _, err = run(finished["cfg"], runs, capsys, "report")
-        assert code == 1 and err.startswith("error: ml_rows.json") and err.endswith("; rerun train-models\n")
+        assert ran(*run(finished["cfg"], runs, capsys, "--data-path", str(other), "prepare-data")[:2])
+        err = "error: models/GBT.json was made from a imputed.csv that has changed since; rerun train-models\n"
+        assert run(finished["cfg"], runs, capsys, *ARGV["run-grid"]) == (1, [], err)
+        # ml rows of the new imputed.csv beside grid rows graded with the texts of the old one's models
+        assert ran(*run(finished["cfg"], runs, capsys, *ARGV["train-models"])[:2])
+        err = "error: dk.json was made from a models/GBT.json that has changed since; rerun gen-dk\n"
+        assert run(finished["cfg"], runs, capsys, "report") == (1, [], err)
 
     def test_dk_texts_from_models_trained_since_exit_one_naming_gen_dk(self, finished, runs, capsys):
         assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", "train-models")[:2])
         code, _, err = run(finished["cfg"], runs, capsys, "--seed", "4", *ARGV["run-grid"])
-        assert code == 1
-        assert err == "error: dk.json was made from a models/GBT.json that has changed since; rerun gen-dk\n"
-        assert run(finished["cfg"], runs, capsys, "--seed", "4", "report")[0] == 1  # grid rows of seed 3
+        stale = "dk.json was made from a models/GBT.json that has changed since; rerun gen-dk"
+        assert (code, err) == (1, f"error: {stale}\n")
+        # grid rows of seed 3, graded with the texts of the replaced models
+        assert run(finished["cfg"], runs, capsys, "--seed", "4", "report") == (1, [], f"error: {stale}\n")
         for argv in (ARGV["gen-dk"], ARGV["run-grid"], ARGV["report"]):
             assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2]), argv
 
@@ -308,8 +385,23 @@ class TestMismatchedInputs:
         assert code == 1
         assert err == f"error: {path} changed since prepare-data wrote it; rerun prepare-data\n"
 
-    @pytest.mark.parametrize("text", ["{", "[]", '{"gen-dk": {"inputs": []}}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            '{"gen-dk": {"inputs": []}}',
+            # a cycle: prepare-data made from the dk.json that its own imputed.csv leads to
+            "cycle",
+            # an entry without the seed and test fraction of its split
+            '{"train-models": {"inputs": {}, "outputs": {}}}',
+        ],
+    )
     def test_a_malformed_manifest_exits_one(self, finished, runs, capsys, text):
+        if text == "cycle":
+            doc = entries(runs)
+            doc["prepare-data"]["inputs"]["dk.json"] = doc["gen-dk"]["outputs"]["dk.json"]
+            text = json.dumps(doc)
         (runs / "manifest.json").write_text(text)
         code, _, err = run(finished["cfg"], runs, capsys, "gen-dk")
         assert code == 1
