@@ -282,7 +282,8 @@ class TestRunsAgain:
         env = {**os.environ, "PYTHONPATH": str(Path(cardioprompt.__file__).parents[1])}
         quiet = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
         if kill == "halfway_through_an_append":
-            child = subprocess.run([sys.executable, "-c", _KILLED_HALFWAY_THROUGH_AN_APPEND, *argv], env=env, **quiet)
+            code = [sys.executable, "-c", _KILLED_HALFWAY_THROUGH_AN_APPEND]
+            child = subprocess.run([*code, *argv], env=env, timeout=60, **quiet)
             assert not (killed / "cache.jsonl").read_text().endswith("\n")
         else:
             sent = len(stub.requests)
@@ -291,7 +292,7 @@ class TestRunsAgain:
             while len(stub.requests) < sent + 3 and child.poll() is None and time.monotonic() < deadline:
                 time.sleep(0.001)
             child.send_signal(signal.SIGKILL)
-            child.wait()
+            child.wait(timeout=60)
         assert child.returncode == -signal.SIGKILL
         assert 0 < (killed / "cache.jsonl").read_bytes().count(b"\n") < prompts  # killed mid-grid
         code, out, err = run(live, killed / "runs", capsys, "--live", "run-grid")  # resumes from what the kill left
