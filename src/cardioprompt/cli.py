@@ -170,20 +170,36 @@ class Trace:
         return Path(getattr(self.cfg, name)) if name in EXTERNAL_INPUTS else Path(self.cfg.output_dir) / name
 
     def up_to_date(self) -> bool:
+        """Whether this verb's entry still matches: its key, each recorded
+        input as `_verified` finds it, lineage included, and each output by
+        its sha256 alone."""
         entry = self.entries.get(self.verb)
         if entry is None or any(entry.get(key) != value for key, value in self.key.items()):
             return False
-        files = {**entry["inputs"], **entry["outputs"]}
-        return all(_sha256(self.path(name)) == digest for name, digest in files.items())
+        try:
+            return all(self._verified(name) == digest for name, digest in entry["inputs"].items()) and all(
+                _sha256(self.path(name)) == digest for name, digest in entry["outputs"].items()
+            )
+        except ValidationError:  # a lineage that fails: the verb runs, and its read names what to rerun
+            return False
 
     def remove_leftovers(self):
         """What killed writes of this verb's recorded outputs left behind."""
         for name in self.entries[self.verb]["outputs"]:
             remove_leftovers(self.path(name))
 
+    def _verified(self, name: str) -> str | None:
+        """The sha256 of the file `name` now, None where there is none. The
+        lineage of a stage artifact is walked first (`_lineage`), so the one
+        rule that decides a read decides a skip too."""
+        digest = _sha256(self.path(name))
+        if digest is not None:
+            self._lineage(name, digest)
+        return digest
+
     def record(self, name: str) -> str | None:
-        """Record a file this verb reads, with its sha256 now."""
-        self.reads[name] = _sha256(self.path(name))
+        """Record a file this verb reads, with its sha256 now, as `_verified` finds it."""
+        self.reads[name] = self._verified(name)
         return self.reads[name]
 
     def _lineage(self, name: str, digest: str) -> dict:
@@ -212,13 +228,12 @@ class Trace:
         return splits
 
     def read(self, name: str, parse):
-        """parse(path) of the artifact `name` that an upstream verb wrote. A
-        missing file means that verb has not run; a malformed one, or one
-        whose lineage fails `_lineage`, that it should run again."""
+        """parse(path) of the artifact `name` that an upstream verb wrote,
+        recorded through `record`. A missing file means that verb has not
+        run; a malformed one, or one whose lineage fails, that it should run again."""
         path, verb = self.path(name), WRITERS[name.split("/")[0]]
-        if (digest := self.record(name)) is None:
+        if self.record(name) is None:
             raise ValidationError(f"missing {path}; run {verb} first")
-        self._lineage(name, digest)
         try:
             return parse(path)
         except CardiopromptError as exc:

@@ -64,8 +64,6 @@ class DatasetStats:
     n_total: int
     n_with_missing: int
     male_fraction: float
-    prevalence_male: float
-    prevalence_female: float
 
 
 @dataclass(frozen=True)
@@ -260,20 +258,12 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler
 
 
 def stats(raw: RawDataset) -> DatasetStats:
-    """Headline counts: size, missingness, sex balance, per-sex disease prevalence."""
-    sex_col = FEATURE_NAMES.index("sex")
-    sex = raw.matrix[:, sex_col]
-    diseased = raw.targets > 0
-    male = sex == 1
-    female = sex == 0
-    n_male = int(male.sum())
-    n_female = int(female.sum())
+    """Headline counts: size, missingness, sex balance."""
+    n_male = int((raw.matrix[:, FEATURE_NAMES.index("sex")] == 1).sum())
     return DatasetStats(
         n_total=raw.n_rows,
         n_with_missing=raw.n_with_missing,
         male_fraction=n_male / raw.n_rows if raw.n_rows else 0.0,
-        prevalence_male=float(diseased[male].mean()) if n_male else 0.0,
-        prevalence_female=float(diseased[female].mean()) if n_female else 0.0,
     )
 
 

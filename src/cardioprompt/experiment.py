@@ -29,7 +29,7 @@ from .errors import ValidationError, WorkerError
 from .gateway import Backend, classify_batch
 from .metrics import MetricsRow, baseline_predict, confusion, metrics_row
 from .models import FAMILIES, TrainedModel, feature_importance, randomized_search
-from .prompts import PromptSpec
+from .prompts import PromptSpec, sample_examples
 
 # display names: the boosted-trees family stands in for the XGB results
 DISPLAY_NAMES = {"RF": "RF", "LR": "LR", "MLP": "MLP", "KNN": "KNN", "GBT": "XGB", "ADA": "AdaBoost"}
@@ -224,22 +224,18 @@ def run_prompt_grid(
     """Evaluate every (dk, n_ex) cell on the full test split with `backend`.
 
     Rows are grouped by example count: for each n_ex, prompt-0..prompt-6 then
-    that block's average. `classify_batch` draws each cell's in-context
-    examples afresh, with a seed that depends only on n_ex, so the seven
-    cells at one n_ex see identical examples. Each prompt row counts its
-    unparseable answers, which score as positive predictions."""
+    that block's average. The in-context examples are drawn once per n_ex,
+    with a seed that depends only on n_ex, and shared by its seven cells.
+    Each prompt row counts its unparseable answers, which score as positive
+    predictions."""
     rows: list[ReportRow] = []
     truth = prepared.test.targets
     for n_ex in cfg.n_ex_grid:
+        examples = sample_examples(prepared.train, n_ex, derive_seed(cfg.seed, f"examples:{n_ex}"))
         block: list[ReportRow] = []
         for dk_index, dk in enumerate(dks):
-            spec = PromptSpec(
-                n_ex=n_ex,
-                dk=dk,
-                seed=derive_seed(cfg.seed, f"examples:{n_ex}"),
-                paper_faithful=cfg.paper_faithful,
-            )
-            labels = classify_batch(prepared.test, spec, backend, train=prepared.train)
+            spec = PromptSpec(n_ex=n_ex, dk=dk, paper_faithful=cfg.paper_faithful)
+            labels = classify_batch(prepared.test, spec, backend, examples)
             preds = [1 if label is None else label for label in labels]
             cm = confusion(preds, truth)
             source = _TAG_DISPLAY.get(dk.source_name, dk.source_name)

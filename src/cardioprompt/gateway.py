@@ -62,7 +62,8 @@ from typing import Protocol
 from .config import LlmConfig
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
-from .prompts import Examples, PromptSpec, assemble_prompt, render_instance, sample_examples
+from .prompts import Examples, PromptSpec, assemble_prompt, render_instance
+from .prompts import sample_examples  # noqa: F401 -- unused here; bench/tracer.py wraps gateway.sample_examples
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _LABEL_RE = re.compile(r"(?<![0-9])([01])(?![0-9])")
@@ -605,18 +606,15 @@ def classify_batch(
     test: Dataset,
     spec: PromptSpec,
     backend: Backend,
-    train: Dataset | None = None,
+    examples: Examples = Examples(),
 ) -> list[int | None]:
     """One label per test row, in row order: 0, 1, or None where the answer
     is unparseable.
 
-    Prompts share one draw of in-context examples (from train, per spec.seed),
-    checked and rendered once, and differ only in the final question. The
-    backend answers them all in one call; its first failure is the error
-    raised.
+    Prompts share the in-context `examples` (spec.n_ex of them, drawn by the
+    caller and checked and rendered once) and differ only in the final
+    question. The backend answers them all in one call; its first failure is
+    the error raised.
     """
-    if spec.n_ex > 0 and train is None:
-        raise ValidationError("in-context examples requested but no train split given")
-    examples = sample_examples(train, spec.n_ex, spec.seed) if spec.n_ex else Examples()
     prompts = [assemble_prompt(spec, examples, row).text for row in test.matrix]
     return [parse_label(raw) for raw in backend.answer(prompts)]

@@ -46,7 +46,6 @@ QUESTION_LEAD = "Now, given the following inputs, please evaluate the risk of he
 class PromptSpec:
     n_ex: int
     dk: DomainKnowledge
-    seed: int = 0
     paper_faithful: bool = False
 
     def __post_init__(self):

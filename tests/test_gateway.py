@@ -43,7 +43,7 @@ from cardioprompt.gateway import (
     prompt_hash,
     query_line,
 )
-from cardioprompt.prompts import PromptSpec, assemble_prompt
+from cardioprompt.prompts import PromptSpec, assemble_prompt, sample_examples
 from cardioprompt.schema import FEATURE_NAMES
 from conftest import EXAMPLE_1, HANG_UP, QUERY, ok_body, small_dataset
 
@@ -741,9 +741,9 @@ class TestClassifyBatch:
             results[width] = preds
         assert results[1] == results[8] == expected
 
-    def test_examples_requested_without_train_rejected(self):
+    def test_examples_fewer_than_the_spec_wants_rejected(self):
         ds = small_dataset(10, seed=0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="spec wants 2 examples, got 0"):
             classify_batch(ds, PromptSpec(n_ex=2, dk=NO_DK), OracleMock({}))
 
     def test_examples_shared_across_rows(self):
@@ -756,7 +756,7 @@ class TestClassifyBatch:
                 seen.extend(prompts)
                 return ["1"] * len(prompts)
 
-        classify_batch(test, PromptSpec(n_ex=4, dk=NO_DK, seed=3), Recorder(), train=train)
+        classify_batch(test, PromptSpec(n_ex=4, dk=NO_DK), Recorder(), examples=sample_examples(train, 4, seed=3))
         blocks = [t.split("Now, given")[0].split("Example 1:")[1] for t in seen]
         assert all(b == blocks[0] for b in blocks)  # same examples everywhere
 

@@ -360,6 +360,24 @@ class TestMismatchedInputs:
         err = "error: dk.json was made from a models/GBT.json that has changed since; rerun gen-dk\n"
         assert run(finished["cfg"], runs, capsys, "report") == (1, [], err)
 
+    @pytest.mark.parametrize(
+        "verb, stale",
+        [
+            ("gen-dk", "models/RF.json"),
+            ("run-grid", "models/GBT.json"),  # through dk.json
+            ("report", "ml_rows.json"),
+        ],
+    )
+    def test_a_verb_downstream_of_a_new_imputed_file_is_not_up_to_date(
+        self, finished, runs, capsys, tmp_path, verb, stale
+    ):
+        # the skip walks each input's lineage as the read does, so it reaches the same verdict
+        other = tmp_path / "other.csv"
+        write_raw_csv(other, seed=5)
+        assert ran(*run(finished["cfg"], runs, capsys, "--data-path", str(other), "prepare-data")[:2])
+        err = f"error: {stale} was made from a imputed.csv that has changed since; rerun train-models\n"
+        assert run(finished["cfg"], runs, capsys, *ARGV[verb]) == (1, [], err)
+
     def test_dk_texts_from_models_trained_since_exit_one_naming_gen_dk(self, finished, runs, capsys):
         assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", "train-models")[:2])
         code, _, err = run(finished["cfg"], runs, capsys, "--seed", "4", *ARGV["run-grid"])
