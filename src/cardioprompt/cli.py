@@ -84,6 +84,16 @@ MANIFEST = "manifest.json"
 # the inputs outside the output directory, recorded under their config key
 EXTERNAL_INPUTS = ("data_path", "cache_path")
 
+# the settings that one verb alone reads, by config key or, for --live, by
+# flag: the flag --<key> is refused on any other verb, and the key counts in
+# that verb's config digest alone
+SINGLE_VERB_SETTINGS = {
+    "data_path": "prepare-data",
+    "impute_k": "prepare-data",
+    "paper_faithful": "run-grid",
+    "live": "run-grid",
+}
+
 
 def _sha256(path: Path) -> str | None:
     """The file's sha256, read in chunks; None where there is no file."""
@@ -110,12 +120,16 @@ def program_identity() -> str:
     return digest.hexdigest()
 
 
-def _config_digest(cfg: ExperimentConfig, live: bool) -> str:
-    """The config's sha256 without output_dir and cache_path, which are
-    locations, not content: a copied run directory still checks clean. The
-    llm settings count only for a live run-grid, the one verb that reads them."""
+def _config_digest(cfg: ExperimentConfig, verb: str, live: bool) -> str:
+    """The sha256 of the config as `verb` reads it. output_dir and cache_path
+    are locations, not content: a copied run directory still checks clean. A
+    key of SINGLE_VERB_SETTINGS counts for its verb alone, and the llm
+    settings count only for a live run-grid, the one verb that reads them."""
     doc = dataclasses.asdict(cfg)
     del doc["output_dir"], doc["cache_path"]
+    for key, reader in SINGLE_VERB_SETTINGS.items():
+        if reader != verb:
+            doc.pop(key, None)  # live is a flag, not a config key
     if not live:
         del doc["llm"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -161,9 +175,10 @@ class Trace:
         self.cfg, self.verb = cfg, verb
         self.manifest = Path(cfg.output_dir) / MANIFEST
         live = args.get("backend") == "live"
-        self.key = {"config": _config_digest(cfg, live), "args": args, "program": program_identity()}
+        self.key = {"config": _config_digest(cfg, verb, live), "args": args, "program": program_identity()}
         self.entries = _load_manifest(self.manifest)
         self.reads: dict[str, str | None] = {}
+        self.digests: dict[str, str | None] = {}  # by stage artifact, as `_digest` first took it
         self.writes: list[str] = []
 
     def path(self, name: str) -> Path:
@@ -188,11 +203,22 @@ class Trace:
         for name in self.entries[self.verb]["outputs"]:
             remove_leftovers(self.path(name))
 
+    def _digest(self, name: str) -> str | None:
+        """The sha256 of the file `name`, None where there is none. A stage
+        artifact is hashed once per run, since no verb writes one that it or
+        a lineage walk reads. The data file and the cache are hashed anew
+        each time: a live run-grid records the cache after appending to it."""
+        if name.split("/")[0] not in WRITERS:
+            return _sha256(self.path(name))
+        if name not in self.digests:
+            self.digests[name] = _sha256(self.path(name))
+        return self.digests[name]
+
     def _verified(self, name: str) -> str | None:
         """The sha256 of the file `name` now, None where there is none. The
         lineage of a stage artifact is walked first (`_lineage`), so the one
         rule that decides a read decides a skip too."""
-        digest = _sha256(self.path(name))
+        digest = self._digest(name)
         if digest is not None:
             self._lineage(name, digest)
         return digest
@@ -215,7 +241,7 @@ class Trace:
             raise ValidationError(f"{self.path(name)} changed since {verb} wrote it; rerun {verb}")
         splits = {}
         for source, made_from in entry["inputs"].items():
-            if source.split("/")[0] in WRITERS and _sha256(self.path(source)) != made_from:
+            if source.split("/")[0] in WRITERS and self._digest(source) != made_from:
                 raise ValidationError(f"{name} was made from a {source} that has changed since; rerun {verb}")
             splits.update(self._lineage(source, made_from))
         if verb in ("train-models", "run-grid"):
@@ -260,18 +286,15 @@ class Trace:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    for flag, key, verb in (("--data-path", "data_path", "prepare-data"), ("--impute-k", "impute_k", "prepare-data"),
-                            ("--live", "live", "run-grid"), ("--paper-faithful", "paper_faithful", "run-grid")):
-        if args.verb != verb and getattr(args, key) not in (None, False):
-            raise ValidationError(f"{flag} is read only by {verb}, not by {args.verb}")
+    for key, verb in SINGLE_VERB_SETTINGS.items():
+        if args.verb != verb and getattr(args, key) is not None:
+            raise ValidationError(f"--{key.replace('_', '-')} is read only by {verb}, not by {args.verb}")
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    for key in ("data_path", "seed", "test_fraction", "impute_k", "cache_path", "output_dir"):
+    for key in ("data_path", "seed", "test_fraction", "impute_k", "cache_path", "output_dir", "paper_faithful"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if args.paper_faithful:
-        overrides["paper_faithful"] = True
     if overrides:
         cfg = ExperimentConfig.from_dict({**dataclasses.asdict(cfg), **overrides})
     return cfg
@@ -434,9 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--impute-k", dest="impute_k", type=int)
     parser.add_argument("--cache-path", dest="cache_path")
     parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--paper-faithful", dest="paper_faithful", action="store_true")
+    # None when absent, as for the flags that take a value: _build_config tells a given flag by `is not None`
+    parser.add_argument("--paper-faithful", dest="paper_faithful", action="store_true", default=None)
     parser.add_argument(
-        "--live", action="store_true", help="send real API requests (default: offline mocks/cache only)"
+        "--live", action="store_true", default=None, help="send real API requests (default: offline mocks/cache only)"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     sub.add_parser("prepare-data", help="load, binarize, impute, split; print dataset stats")

@@ -105,10 +105,10 @@ def load_csv(path: str | Path) -> RawDataset:
                         f"{path}: line 1: header {cells} does not match expected columns {expected}"
                     )
                 continue
-            if len(cells) != 14:
-                raise ParseError(f"{path}: line {lineno}: expected 14 columns, got {len(cells)}")
+            if len(cells) != len(expected):
+                raise ParseError(f"{path}: line {lineno}: expected {len(expected)} columns, got {len(cells)}")
             parsed: list[float] = []
-            for name, cell in zip(FEATURE_NAMES, cells[:13]):
+            for name, cell in zip(FEATURE_NAMES, cells):
                 if cell in MISSING_TOKENS:
                     parsed.append(np.nan)
                     continue
@@ -119,7 +119,7 @@ def load_csv(path: str | Path) -> RawDataset:
                 if math.isinf(value):
                     raise ParseError(f"{path}: line {lineno}: infinite value {cell!r} in column {name}")
                 parsed.append(value)
-            target_cell = cells[13]
+            target_cell = cells[-1]
             try:
                 target_f = float(target_cell)
             except ValueError:
@@ -130,7 +130,7 @@ def load_csv(path: str | Path) -> RawDataset:
             targets.append(int(target_f))
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    matrix = np.array(rows, dtype=float).reshape(len(rows), 13)
+    matrix = np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_NAMES))
     return RawDataset(matrix=matrix, targets=np.array(targets, dtype=int))
 
 

@@ -258,19 +258,8 @@ def save_rows(path: str | Path, rows: list[ReportRow]):
     """Write rows as the JSON list that `train-models` (ml_rows.json) and
     `run-grid` (grid_rows.json) hand to `report`. Metrics keep full float
     precision, so a table rendered from the loaded rows matches one rendered
-    from the rows in memory byte for byte."""
-    docs = [
-        {
-            "label": r.label,
-            "dk_type": r.dk_type,
-            "dk_source": r.dk_source,
-            "n_ex": r.n_ex,
-            "metrics": list(r.metrics.as_tuple()),
-            "unparseable": r.unparseable,
-        }
-        for r in rows
-    ]
-    write_atomic(path, json.dumps(docs))
+    from the rows in memory byte for byte. Each row's keys are ReportRow's fields, in order."""
+    write_atomic(path, json.dumps([{**vars(r), "metrics": list(r.metrics.as_tuple())} for r in rows]))
 
 
 def load_rows(path: str | Path) -> list[ReportRow]:
@@ -304,20 +293,8 @@ def emit_report(rows: list[ReportRow], fmt: str = "csv") -> str:
         raise ValidationError(f"unknown format {fmt!r}")
 
     def cells(r: ReportRow) -> list[str]:
-        m = r.metrics
-        return [
-            r.label,
-            r.dk_type,
-            r.dk_source,
-            "-" if r.n_ex is None else str(r.n_ex),
-            f"{m.precision:.4f}",
-            f"{m.recall:.4f}",
-            f"{m.f1:.4f}",
-            f"{m.accuracy:.4f}",
-            f"{m.fp_cost:.4f}",
-            f"{m.fn_cost:.4f}",
-            f"{m.cost_sensitive_accuracy:.4f}",
-        ]
+        n_ex = "-" if r.n_ex is None else str(r.n_ex)
+        return [r.label, r.dk_type, r.dk_source, n_ex, *(f"{value:.4f}" for value in r.metrics.as_tuple())]
 
     if fmt == "csv":
         buf = io.StringIO()

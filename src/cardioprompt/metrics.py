@@ -6,7 +6,7 @@ default weights (0.2, 0.8) this reproduces published reference rows to 1e-3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,15 +38,8 @@ class MetricsRow:
     cost_sensitive_accuracy: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.precision,
-            self.recall,
-            self.f1,
-            self.accuracy,
-            self.fp_cost,
-            self.fn_cost,
-            self.cost_sensitive_accuracy,
-        )
+        """The seven metrics in field order, which is the report's column order."""
+        return astuple(self)
 
 
 def confusion(preds: Sequence[int], truth: Sequence[int]) -> ConfusionMatrix:

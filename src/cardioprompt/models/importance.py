@@ -32,10 +32,6 @@ class ImportanceRanking:
         if any(a < b - 1e-15 for a, b in zip(weights, weights[1:])):
             raise ValidationError("entries must be sorted by weight descending")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
 
 def build_ranking(raw: np.ndarray, source: str) -> ImportanceRanking:
     raw = np.asarray(raw, dtype=float)

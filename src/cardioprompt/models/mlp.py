@@ -70,12 +70,11 @@ class MLPClassifier:
             self.biases.append(np.zeros(fan_out))
 
         act, act_grad = _ACTIVATIONS[self.activation]
-        vel_w = [np.zeros_like(w) for w in self.weights]
-        vel_b = [np.zeros_like(b) for b in self.biases]
-        m_w = [np.zeros_like(w) for w in self.weights]
-        v_w = [np.zeros_like(w) for w in self.weights]
-        m_b = [np.zeros_like(b) for b in self.biases]
-        v_b = [np.zeros_like(b) for b in self.biases]
+        n_layers = len(self.weights)
+        # the optimizer steps each weight array, then each bias array, alike
+        vel = [np.zeros_like(a) for a in self.weights + self.biases]
+        m = [np.zeros_like(a) for a in vel]
+        v = [np.zeros_like(a) for a in vel]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
 
         lr = self.learning_rate_init
@@ -115,37 +114,31 @@ class MLPClassifier:
                         self.converged = True
                         break
 
-            # backward
+            # backward: the gradient of weight array li, then of bias array li, at index li and n_layers + li
             delta = (p - y)[:, None] / n  # dL/dz at the output
-            grads_w = [None] * len(self.weights)
-            grads_b = [None] * len(self.biases)
-            for li in range(len(self.weights) - 1, -1, -1):
-                grads_w[li] = acts[li].T @ delta + self.alpha * self.weights[li] / n
-                grads_b[li] = delta.sum(axis=0)
+            grads = [None] * (2 * n_layers)
+            for li in range(n_layers - 1, -1, -1):
+                grads[li] = acts[li].T @ delta + self.alpha * self.weights[li] / n
+                grads[n_layers + li] = delta.sum(axis=0)
                 if li > 0:
                     delta = (delta @ self.weights[li].T) * act_grad(zs[li - 1], acts[li])
 
+            params = self.weights + self.biases
             if self.solver == "sgd":
                 step = lr
                 if self.learning_rate == "invscaling":
                     step = self.learning_rate_init / np.sqrt(t)
-                for li in range(len(self.weights)):
-                    vel_w[li] = 0.9 * vel_w[li] - step * grads_w[li]
-                    vel_b[li] = 0.9 * vel_b[li] - step * grads_b[li]
-                    self.weights[li] = self.weights[li] + vel_w[li]
-                    self.biases[li] = self.biases[li] + vel_b[li]
+                for i, grad in enumerate(grads):
+                    vel[i] = 0.9 * vel[i] - step * grad
+                    params[i] = params[i] + vel[i]
             else:
-                for li in range(len(self.weights)):
-                    m_w[li] = beta1 * m_w[li] + (1 - beta1) * grads_w[li]
-                    v_w[li] = beta2 * v_w[li] + (1 - beta2) * grads_w[li] ** 2
-                    m_b[li] = beta1 * m_b[li] + (1 - beta1) * grads_b[li]
-                    v_b[li] = beta2 * v_b[li] + (1 - beta2) * grads_b[li] ** 2
-                    mh_w = m_w[li] / (1 - beta1**t)
-                    vh_w = v_w[li] / (1 - beta2**t)
-                    mh_b = m_b[li] / (1 - beta1**t)
-                    vh_b = v_b[li] / (1 - beta2**t)
-                    self.weights[li] = self.weights[li] - lr * mh_w / (np.sqrt(vh_w) + eps)
-                    self.biases[li] = self.biases[li] - lr * mh_b / (np.sqrt(vh_b) + eps)
+                for i, grad in enumerate(grads):
+                    m[i] = beta1 * m[i] + (1 - beta1) * grad
+                    v[i] = beta2 * v[i] + (1 - beta2) * grad**2
+                    mh = m[i] / (1 - beta1**t)
+                    vh = v[i] / (1 - beta2**t)
+                    params[i] = params[i] - lr * mh / (np.sqrt(vh) + eps)
+            self.weights, self.biases = params[:n_layers], params[n_layers:]
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .dk import DkVariant, DomainKnowledge
 from .errors import SamplingError, ValidationError
-from .schema import DEFAULT_SCHEMA, FEATURE_NAMES
+from .schema import FEATURE_NAMES, FEATURES
 
 TASK_INSTRUCTION = """Given the provided input attributes, evaluate the risk of heart disease for the individual.
 The diagnosis of heart disease (angiographic disease status) is based on the degree of diameter narrowing in the blood vessels:
@@ -37,7 +37,7 @@ FAITHFUL_TASK = TASK_INSTRUCTION + "\n" + CREDIT_RISK_SENTENCE
 
 ATTRIBUTES_HEADER = "The explanation of each attribute is as follows:"
 
-ATTRIBUTES = "\n".join([ATTRIBUTES_HEADER] + [f"- {line}" for line in DEFAULT_SCHEMA.attribute_lines()])
+ATTRIBUTES = "\n".join([ATTRIBUTES_HEADER] + [f"- {name.capitalize()}: {text}" for name, text in FEATURES])
 
 QUESTION_LEAD = "Now, given the following inputs, please evaluate the risk of heart disease:"
 

@@ -138,7 +138,7 @@ class TestPrepareData:
         assert err.startswith("error:") and field in err
 
     @pytest.mark.parametrize("verb", ["train-models", "run-grid"])
-    @pytest.mark.parametrize("flag, value", [("--data-path", "nope.csv"), ("--impute-k", "3")])
+    @pytest.mark.parametrize("flag, value", [("--data-path", "nope.csv"), ("--impute-k", "3"), ("--impute-k", "0")])
     def test_data_flags_outside_prepare_data_exit_one(self, workdir, capsys, verb, flag, value):
         cfg = str(workdir["cfg"])
         assert main(["--config", cfg, "prepare-data"]) == 0

@@ -129,6 +129,14 @@ class TestUpToDate:
         assert calls == [] and len(stub.requests) == sent
         assert files(runs) == before
 
+    def test_an_up_to_date_report_hashes_each_file_once(self, finished, runs, capsys, monkeypatch):
+        # each walk up from ml_rows.json and grid_rows.json reaches imputed.csv, which is hashed once all the same
+        hashed = []
+        monkeypatch.setattr(cli, "_sha256", lambda path, _sha256=cli._sha256: hashed.append(path) or _sha256(path))
+        assert run(finished["cfg"], runs, capsys, "report") == (0, up_to_date(runs, "report"), "")
+        doc = entries(runs)
+        walked = {name for verb in ("report", "run-grid", "gen-dk", "train-models") for name in doc[verb]["inputs"]}
+        assert sorted(Path(path).relative_to(runs).as_posix() for path in hashed) == sorted({"report.csv", *walked})
 
     def test_an_up_to_date_verb_imports_no_numpy(self, finished, runs):
         # in a fresh interpreter: [exit code, numpy loaded] after each argv
@@ -324,6 +332,46 @@ def fixed_answer(doc: dict) -> tuple[int, dict]:
     """The stub's reply to a prompt: 1 or 0, fixed by the prompt alone."""
     digest = hashlib.sha256(json.dumps(doc["messages"]).encode()).digest()
     return 200, ok_body(str(digest[0] % 2))
+
+
+def edited_config(finished, tmp_path: Path, **edits) -> Path:
+    """The finished run's config with `edits` applied."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**json.loads(finished["cfg"].read_text()), **edits}))
+    return path
+
+
+class TestConfigEdits:
+    @pytest.mark.parametrize("key, reader", [("paper_faithful", "run-grid"), ("data_path", "prepare-data")])
+    def test_a_setting_one_verb_reads_reruns_that_verb_alone(self, finished, runs, capsys, tmp_path, key, reader):
+        value = True if key == "paper_faithful" else str(shutil.copy(finished["data"], tmp_path))  # the same bytes
+        config = edited_config(finished, tmp_path, **{key: value})
+        for argv in README:
+            code, out, _ = run(config, runs, capsys, *argv)
+            assert ran(code, out) if argv[0] == reader else (code, out) == (0, up_to_date(runs, argv[0])), argv
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"paper_faithful": True},  # read by run-grid alone
+            {"impute_k": 5},  # read by prepare-data alone
+            {"weights": {"w_fp": 0.5, "w_fn": 0.5}},
+            {"n_ex_grid": [2]},
+            {"search_iters": 2},
+        ],
+        ids=lambda edit: next(iter(edit)),
+    )
+    def test_every_output_after_an_edit_equals_a_fresh_run_of_the_edited_config(
+        self, finished, runs, capsys, tmp_path, edit
+    ):
+        config, fresh = edited_config(finished, tmp_path, **edit), tmp_path / "fresh"
+        for argv in README:
+            assert run(config, runs, capsys, *argv)[0] == 0, argv
+            assert run(config, fresh, capsys, *argv)[0] == 0, argv
+        for verb, entry in entries(fresh).items():
+            outputs = entries(runs)[verb]["outputs"]
+            assert outputs == entry["outputs"], verb
+            assert all((runs / name).read_bytes() == (fresh / name).read_bytes() for name in outputs), verb
 
 
 class TestMismatchedInputs:

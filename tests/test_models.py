@@ -25,7 +25,7 @@ from cardioprompt.models import (
 )
 from cardioprompt.models import FAMILIES, TrainedModel, feature_importance, gbt, train
 from cardioprompt.models.serialize import model_from_json, model_to_json
-from cardioprompt.schema import DEFAULT_SCHEMA
+from cardioprompt.schema import FEATURE_NAMES
 from conftest import separable_1d, small_dataset, xor_dataset
 
 
@@ -430,7 +430,7 @@ class TestImportance:
         assert names[:3] == ["age", "sex", "cp"]
         assert weights[:3] == pytest.approx([0.5, 0.25, 0.25])
         # zero-weight tail keeps canonical schema order
-        assert names[3:] == DEFAULT_SCHEMA.names[3:]
+        assert names[3:] == FEATURE_NAMES[3:]
         assert r.degenerate is False
 
     def test_negative_scores_clipped(self):
@@ -444,7 +444,7 @@ class TestImportance:
     def test_all_zero_degenerates_to_uniform(self):
         r = build_ranking(np.zeros(13), source="KNN")
         assert r.degenerate is True
-        assert [n for n, _ in r.entries] == DEFAULT_SCHEMA.names
+        assert [n for n, _ in r.entries] == FEATURE_NAMES
         assert all(w == pytest.approx(1 / 13) for _, w in r.entries)
 
     def test_weights_sum_to_one(self):

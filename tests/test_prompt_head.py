@@ -12,7 +12,7 @@ from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import ValidationError
 from cardioprompt.experiment import ExperimentConfig, derive_seed, prepare, run_prompt_grid
 from cardioprompt.prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
-from cardioprompt.schema import DEFAULT_SCHEMA
+from cardioprompt.schema import FEATURES
 from cardioprompt.synthetic import synthetic_raw
 from conftest import EXAMPLE_1, EXAMPLE_2, LR_ORDER, QUERY, RF_ORDER, XGB_ORDER, make_ranking
 
@@ -24,7 +24,7 @@ def reference_text(spec: PromptSpec, examples, query) -> str:
     part1 = prompts.TASK_INSTRUCTION
     if spec.paper_faithful:
         part1 += "\n" + prompts.CREDIT_RISK_SENTENCE
-    parts = [part1, "\n".join([prompts.ATTRIBUTES_HEADER] + [f"- {line}" for line in DEFAULT_SCHEMA.attribute_lines()])]
+    parts = [part1, "\n".join([prompts.ATTRIBUTES_HEADER] + [f"- {name.capitalize()}: {text}" for name, text in FEATURES])]
     for i, (x, label) in enumerate(examples, start=1):
         parts.append(f"Example {i}:\n<Inputs {i}>: {render_instance(x)}\n<Answer {i}>: {label}")
     if spec.dk.variant is not DkVariant.NONE:

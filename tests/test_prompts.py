@@ -19,7 +19,7 @@ from cardioprompt.prompts import (
     render_value,
     sample_examples,
 )
-from cardioprompt.schema import DEFAULT_SCHEMA
+from cardioprompt.schema import FEATURE_NAMES
 from conftest import (
     EXAMPLE_1,
     EXAMPLE_1_LINE,
@@ -68,7 +68,7 @@ class TestRenderInstance:
 
     def test_all_zero_vector(self):
         line = render_instance(np.zeros(13))
-        assert line == ", ".join(f"{n}: 0" for n in DEFAULT_SCHEMA.names)
+        assert line == ", ".join(f"{n}: 0" for n in FEATURE_NAMES)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValidationError):
@@ -83,7 +83,7 @@ class TestRenderInstance:
             row = np.full(13, fill)
             row[0] = zero
             lines[repr(zero)] = render_instance(row, float_style=True)
-        rest = ", ".join(f"{name}: {fill}" for name in DEFAULT_SCHEMA.names[1:])
+        rest = ", ".join(f"{name}: {fill}" for name in FEATURE_NAMES[1:])
         assert lines == {"-0.0": f"age: -0.0, {rest}", "0.0": f"age: 0.0, {rest}"}
 
 

@@ -16,7 +16,6 @@ from cardioprompt.models import (
     sample_assignment,
     stratified_folds,
 )
-from cardioprompt.schema import DEFAULT_SCHEMA
 from conftest import separable_1d, small_dataset
 
 
