@@ -71,7 +71,7 @@ class MLPClassifier:
 
         act, act_grad = _ACTIVATIONS[self.activation]
         n_layers = len(self.weights)
-        # the optimizer steps each weight array, then each bias array, alike
+        # optimizer state, like the gradients and params below: each weight array, then each bias array
         vel = [np.zeros_like(a) for a in self.weights + self.biases]
         m = [np.zeros_like(a) for a in vel]
         v = [np.zeros_like(a) for a in vel]
@@ -114,7 +114,7 @@ class MLPClassifier:
                         self.converged = True
                         break
 
-            # backward: the gradient of weight array li, then of bias array li, at index li and n_layers + li
+            # backward
             delta = (p - y)[:, None] / n  # dL/dz at the output
             grads = [None] * (2 * n_layers)
             for li in range(n_layers - 1, -1, -1):
