@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .atomic import remove_leftovers, write_atomic
 from .config import ExperimentConfig
-from .dk import DkVariant, DomainKnowledge
+from .dk import SOURCE_TAGS, DkVariant, DomainKnowledge
 from .errors import CardiopromptError, SamplingError, StratificationError, TransportError, ValidationError
 
 if TYPE_CHECKING:
@@ -365,8 +365,8 @@ def cmd_train_models(trace: Trace, args: argparse.Namespace) -> int:
 
 def cmd_gen_dk(trace: Trace, args: argparse.Namespace) -> int:
     cfg = trace.cfg
-    models = {family: trace.read(f"models/{family}.json", load_model) for family in cfg.dk_families}
-    dks = dk_grid_from_models(models, families=cfg.dk_families)
+    models = {family: trace.read(f"models/{family}.json", load_model) for family in SOURCE_TAGS}
+    dks = dk_grid_from_models(models)
     out = trace.output("dk.json")
     write_atomic(
         out,

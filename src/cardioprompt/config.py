@@ -16,7 +16,6 @@ import urllib.parse
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
-from .dk import DEFAULT_DK_FAMILIES, SOURCE_TAGS
 from .errors import ValidationError
 
 
@@ -70,7 +69,6 @@ class ExperimentConfig:
     impute_k: int = 5
     weights: CostWeights = field(default_factory=CostWeights)
     n_ex_grid: tuple[int, ...] = (0, 2, 4, 8, 16)
-    dk_families: tuple[str, ...] = DEFAULT_DK_FAMILIES
     search_iters: int = 20
     search_folds: int = 5
     cache_path: str = "runs/completions.jsonl"
@@ -80,9 +78,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """The checks that need no data; prepare-data checks the rest against the split."""
-        if not set(self.dk_families) <= SOURCE_TAGS.keys():  # only these families' rankings render a DK text
-            allowed = list(SOURCE_TAGS)
-            raise ValidationError(f"config key dk_families may list only {allowed}, not {list(self.dk_families)}")
+        if self.impute_k < 1:
+            raise ValidationError(f"config key impute_k must be >= 1, not {self.impute_k}")
         if self.search_iters < 1:
             raise ValidationError(f"config key search_iters must be >= 1, not {self.search_iters}")
         if self.search_folds < 2:
@@ -103,9 +100,8 @@ class ExperimentConfig:
             if key in kwargs:
                 _check_fields(kwargs[key], nested, prefix=f"{key}.")
                 kwargs[key] = nested(**kwargs[key])
-        for key in ("n_ex_grid", "dk_families"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        if "n_ex_grid" in kwargs:
+            kwargs["n_ex_grid"] = tuple(kwargs["n_ex_grid"])
         return cls(**kwargs)
 
 

@@ -66,20 +66,6 @@ class DatasetStats:
     male_fraction: float
 
 
-@dataclass(frozen=True)
-class Scaler:
-    """Per-feature mean/stddev fitted on the training split only."""
-
-    mean: np.ndarray
-    std: np.ndarray  # zero-variance columns stored as 1.0
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        return (matrix - self.mean) / self.std
-
-    def inverse_transform(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix * self.std + self.mean
-
-
 def load_csv(path: str | Path) -> RawDataset:
     """Parse a 14-column CSV (13 features + target), "?" or empty cell = missing.
 
@@ -242,18 +228,17 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     )
 
 
-def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler]:
-    """Z-score both splits with train-only population mean/stddev."""
+def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """Z-score both splits with train-only population mean/stddev; a
+    zero-variance column is centred and divided by 1."""
     if train.n_rows == 0:
         raise ValidationError("cannot standardize an empty training split")
     mean = train.matrix.mean(axis=0)
     std = train.matrix.std(axis=0)
     std = np.where(std == 0, 1.0, std)
-    scaler = Scaler(mean=mean, std=std)
     return (
-        Dataset(scaler.transform(train.matrix), train.targets.copy()),
-        Dataset(scaler.transform(test.matrix), test.targets.copy()),
-        scaler,
+        Dataset((train.matrix - mean) / std, train.targets.copy()),
+        Dataset((test.matrix - mean) / std, test.targets.copy()),
     )
 
 

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .schema import FEATURE_NAMES
 
-# Display tags for DK source models: lowercase class-style names.
+# The families whose rankings explain the prompts, in DK order, with the
+# display tag of each: a lowercase class-style name. The others (MLP, KNN,
+# ADA) get no importance ranking.
 SOURCE_TAGS = {
     "RF": "randomforestclassifier",
     "LR": "logisticregression",
     "GBT": "xgbclassifier",
 }
-
-# Families whose explanations feed prompts by default. Others (ADA, KNN, MLP)
-# produce rankings too but are not wired into the dk grid.
-DEFAULT_DK_FAMILIES = ("RF", "LR", "GBT")
 
 # The top-features text names this many most and least important features.
 N_TOP = 6

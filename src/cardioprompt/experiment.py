@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
-from .dk import DEFAULT_DK_FAMILIES, SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
+from .dk import SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError, WorkerError
 from .gateway import Backend, classify_batch
 from .metrics import MetricsRow, baseline_predict, confusion, metrics_row
@@ -72,7 +72,7 @@ def prepare(raw: RawDataset, cfg: ExperimentConfig) -> PreparedData:
     """Binarize, impute, split and standardize a loaded dataset."""
     full = knn_impute(binarize_target(raw), k=cfg.impute_k)
     train, test = split(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split"))
-    std_train, std_test, _ = standardize(train, test)
+    std_train, std_test = standardize(train, test)
     return PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
 
 
@@ -103,7 +103,7 @@ def _tune_family(cfg: ExperimentConfig, train: Dataset, family: str) -> TrainedM
         folds=cfg.search_folds,
         seed=derive_seed(cfg.seed, f"search:{family}"),
     )
-    if family in cfg.dk_families:
+    if family in SOURCE_TAGS:
         model = feature_importance(model, train, seed=derive_seed(cfg.seed, f"importance:{family}"))
     return model
 
@@ -172,7 +172,7 @@ def _tune_families(cfg: ExperimentConfig, train: Dataset) -> list[TrainedModel]:
 def run_ml_baselines(cfg: ExperimentConfig, prepared: PreparedData) -> tuple[list[ReportRow], dict[str, TrainedModel]]:
     """Tune the six families, evaluate on the held-out split, and append the
     three non-informed baselines. Returns rows plus the fitted models keyed by
-    family; only the families in cfg.dk_families, whose rankings the
+    family; only the families of SOURCE_TAGS, whose rankings the
     domain-knowledge texts read, carry an importance ranking."""
     rows: list[ReportRow] = []
     models = dict(zip(FAMILIES, _tune_families(cfg, prepared.std_train)))
@@ -200,10 +200,10 @@ def run_ml_baselines(cfg: ExperimentConfig, prepared: PreparedData) -> tuple[lis
     return rows, models
 
 
-def dk_grid_from_models(models: dict[str, TrainedModel], families=DEFAULT_DK_FAMILIES) -> list[DomainKnowledge]:
-    """dk0 plus (MLFI, MLFI-ord) per source family, in family order."""
+def dk_grid_from_models(models: dict[str, TrainedModel]) -> list[DomainKnowledge]:
+    """dk0 plus (MLFI, MLFI-ord) per family of SOURCE_TAGS, in that order."""
     grid = [render_dk(None, DkVariant.NONE)]
-    for family in families:
+    for family in SOURCE_TAGS:
         model = models.get(family)
         if model is None or model.importance is None:
             raise ValidationError(f"no importance ranking available for family {family}")

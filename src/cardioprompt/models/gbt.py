@@ -6,8 +6,7 @@ mean residuals (no Hessian reweighting), and the base score is the training
 log-odds, so learning_rate 0 leaves the constant base-rate predictor.
 colsample_bytree draws one feature subset per tree from the model's seed
 stream. use_label_encoder and eval_metric are accepted for interface parity
-but do not change the fitted model; eval_metric only selects which training
-metric gets recorded per round.
+but do not change the fitted model.
 """
 
 from __future__ import annotations
@@ -28,13 +27,12 @@ class GradientBoostedTrees:
     max_depth: int = 3
     colsample_bytree: float = 1.0
     use_label_encoder: bool = False  # inert, interface parity
-    eval_metric: str = "logloss"  # "logloss" or "error"; recorded history only
+    eval_metric: str = "logloss"  # "logloss" or "error"; inert, interface parity
     seed: int = 0
 
     base_score_: float = 0.0
     trees: list[DecisionTree] = field(default_factory=list, repr=False)
     tree_cols: list[np.ndarray] = field(default_factory=list, repr=False)
-    history_: list[float] = field(default_factory=list, repr=False)
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
@@ -56,10 +54,10 @@ class GradientBoostedTrees:
         rng = np.random.default_rng(self.seed)
         n_cols = max(1, int(round(self.colsample_bytree * self.n_features_)))
         F = np.full(n, self.base_score_)
-        p = _sigmoid(F)  # each round's update recomputes it for the history and the next residual
+        p = _sigmoid(F)  # each round's update recomputes it for the next residual
         XT = np.ascontiguousarray(X.T)
         ones = np.ones(n)
-        self.trees, self.tree_cols, self.history_ = [], [], []
+        self.trees, self.tree_cols = [], []
         for _ in range(self.n_estimators):
             cols = np.sort(rng.choice(self.n_features_, size=n_cols, replace=False))
             residual = y - p
@@ -69,11 +67,6 @@ class GradientBoostedTrees:
             self.tree_cols.append(cols)
             F = F + self.learning_rate * fitted
             p = _sigmoid(F)
-            if self.eval_metric == "logloss":
-                eps = 1e-12
-                self.history_.append(float(-(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)).mean()))
-            else:
-                self.history_.append(float(((p >= 0.5).astype(int) != y).mean()))
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ Knob counts per family are fixed at RF=5, LR=3, MLP=8, KNN=5, GBT=6, ADA=2
 (29 total) and the names mirror the common library spellings. Where the
 library knob has no effect on the fitted function, ours is inert the same way:
 KNN algorithm/leaf_size select a search backend we replace with brute force,
-GBT use_label_encoder is a no-op and eval_metric only picks the recorded
-training metric, LR solver picks between two gradient-descent flavors.
+GBT use_label_encoder and eval_metric are no-ops, LR solver picks between
+two gradient-descent flavors.
 A space is a name -> draw-rule mapping; draws use one generator in fixed key
 order so a seed pins the whole assignment.
 """

@@ -68,8 +68,8 @@ def prepared_small():
     """Split + standardized views of a 200-row synthetic dataset."""
     ds = small_dataset(200, seed=9)
     train, test = split(ds, 0.2, seed=4)
-    std_train, std_test, scaler = standardize(train, test)
-    return {"train": train, "test": test, "std_train": std_train, "std_test": std_test, "scaler": scaler}
+    std_train, std_test = standardize(train, test)
+    return {"train": train, "test": test, "std_train": std_train, "std_test": std_test}
 
 
 def separable_1d(n_per_class: int = 10) -> Dataset:

@@ -82,7 +82,7 @@ def _prepare_synthetic(n: int = 920, seed: int = 17) -> PreparedData:
     raw = synthetic_raw(n_rows=n, missing_fraction=0.05, seed=seed)
     full = knn_impute(binarize_target(raw), k=5)
     train, test = split(full, 0.2, seed=seed)
-    std_train, std_test, _ = standardize(train, test)
+    std_train, std_test = standardize(train, test)
     return PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
 
 
@@ -125,7 +125,7 @@ def test_criterion_3_classical_ml_reproduction():
         full = knn_impute(binarize_target(raw), k=cfg.impute_k)
         train, test = split(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split"))
         assert test.n_rows == 184, f"test split has {test.n_rows} rows, expected 184"
-        std_train, std_test, _ = standardize(train, test)
+        std_train, std_test = standardize(train, test)
         prepared = PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
         t0 = monotonic()
         rows, _models = run_ml_baselines(cfg, prepared)

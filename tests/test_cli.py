@@ -118,13 +118,19 @@ class TestPrepareData:
         assert capsys.readouterr().err == f"error: {workdir['data']}: no data rows\n"
         assert not workdir["runs"].exists()
 
-    @pytest.mark.parametrize("families", [["KNN"], ["RF", "XYZ"]])
-    def test_a_dk_family_without_a_source_tag_exits_one(self, workdir, capsys, families):
+    def test_a_config_with_dk_families_exits_one(self, workdir, capsys):
+        # the DK source families are dk.SOURCE_TAGS, not a setting
         bad = workdir["tmp"] / "bad.json"
-        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "dk_families": families}))
+        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "dk_families": ["RF", "LR", "GBT"]}))
         assert main(["--config", str(bad), "prepare-data"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: config key dk_families may list only ['RF', 'LR', 'GBT'], not {families}\n"
+        assert capsys.readouterr().err == "error: unknown config keys: ['dk_families']\n"
+        assert not workdir["runs"].exists()
+
+    def test_a_config_with_impute_k_zero_exits_one(self, workdir, capsys):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "impute_k": 0}))
+        assert main(["--config", str(bad), "prepare-data"]) == 1
+        assert capsys.readouterr().err == "error: config key impute_k must be >= 1, not 0\n"
         assert not workdir["runs"].exists()
 
     @pytest.mark.parametrize(
@@ -458,7 +464,7 @@ class TestPipeline:
         cfg = ExperimentConfig.from_json(cfg_path)
         prepared = prepare_data(cfg)
         ml_rows, models = run_ml_baselines(cfg, prepared)
-        dks = dk_grid_from_models(models, families=cfg.dk_families)
+        dks = dk_grid_from_models(models)
         grid_rows = run_prompt_grid(cfg, prepared, dks, backend=RuleMock("oldpeak", 1.0))
         assert (workdir["runs"] / "report.md").read_text() == emit_report(ml_rows + grid_rows, "markdown")
 

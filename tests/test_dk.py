@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cardioprompt.dk import DEFAULT_DK_FAMILIES, SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
+from cardioprompt.dk import SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import ValidationError
 from cardioprompt.models.importance import ImportanceRanking
 from conftest import LR_ORDER, RF_ORDER, XGB_ORDER, make_ranking
@@ -54,13 +54,13 @@ ORDERS = {"RF": RF_ORDER, "LR": LR_ORDER, "GBT": XGB_ORDER}
 
 
 class TestGoldenTexts:
-    @pytest.mark.parametrize("family", DEFAULT_DK_FAMILIES)
+    @pytest.mark.parametrize("family", SOURCE_TAGS)
     def test_top_features_text_byte_exact(self, family):
         dk = render_dk(make_ranking(ORDERS[family], family), DkVariant.MLFI)
         assert dk.text == GOLDEN_TOP[family]
         assert dk.source_name == SOURCE_TAGS[family]
 
-    @pytest.mark.parametrize("family", DEFAULT_DK_FAMILIES)
+    @pytest.mark.parametrize("family", SOURCE_TAGS)
     def test_feature_order_text_byte_exact(self, family):
         dk = render_dk(make_ranking(ORDERS[family], family), DkVariant.MLFI_ORD)
         assert dk.text == GOLDEN_ORD[family]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cardioprompt.data import binarize_target, knn_impute, split, standardize
-from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
+from cardioprompt.dk import SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import ValidationError
 from cardioprompt.experiment import (
     DISPLAY_NAMES,
@@ -45,7 +45,7 @@ def make_prepared(n: int = 60, seed: int = 3, test_fraction: float = 0.25) -> Pr
     raw = synthetic_raw(n_rows=n, missing_fraction=0.05, seed=seed)
     full = knn_impute(binarize_target(raw), k=3)
     train_ds, test_ds = split(full, test_fraction, seed=seed)
-    std_train, std_test, _ = standardize(train_ds, test_ds)
+    std_train, std_test = standardize(train_ds, test_ds)
     return PreparedData(raw=raw, full=full, train=train_ds, test=test_ds, std_train=std_train, std_test=std_test)
 
 
@@ -82,7 +82,6 @@ class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert cfg.n_ex_grid == (0, 2, 4, 8, 16)
-        assert cfg.dk_families == ("RF", "LR", "GBT")
         assert cfg.weights == CostWeights(0.2, 0.8)
 
     def test_from_dict_nested(self):
@@ -152,7 +151,6 @@ class TestExperimentConfig:
             ({"data_path": 5}, "data_path"),
             ({"n_ex_grid": [0, "2"]}, "n_ex_grid"),
             ({"n_ex_grid": 4}, "n_ex_grid"),
-            ({"dk_families": ["RF", 3]}, "dk_families"),
             ({"weights": {"w_fp": "0.2"}}, "weights.w_fp"),
             ({"llm": {"max_retries": 2.0}}, "llm.max_retries"),
             ({"llm": {"temperature": False}}, "llm.temperature"),
@@ -362,9 +360,8 @@ class TestMlBaselines:
         # only the families whose rankings the domain-knowledge texts read
         _, _, models = baseline_run
         assert set(models) == set(FAMILIES)
-        dk_families = ExperimentConfig().dk_families
         for family, model in models.items():
-            if family in dk_families:
+            if family in SOURCE_TAGS:
                 assert len(model.importance.entries) == 13
                 assert model.importance.source == family
             else:

@@ -269,11 +269,18 @@ class TestGradientBoostedTrees:
         b.fit(ds.matrix, ds.targets)
         assert np.array_equal(a.decision_function(ds.matrix), b.decision_function(ds.matrix))
 
-    def test_history_recorded(self):
+    def test_eval_metric_is_inert(self):
         ds = small_dataset(50, seed=1)
-        m = GradientBoostedTrees(n_estimators=8, eval_metric="error")
-        m.fit(ds.matrix, ds.targets)
-        assert len(m.history_) == 8
+        a = GradientBoostedTrees(n_estimators=8, colsample_bytree=0.6, seed=4, eval_metric="logloss")
+        b = GradientBoostedTrees(n_estimators=8, colsample_bytree=0.6, seed=4, eval_metric="error")
+        a.fit(ds.matrix, ds.targets)
+        b.fit(ds.matrix, ds.targets)
+        assert a.base_score_ == b.base_score_
+        assert len(a.trees) == len(b.trees) == 8
+        for ta, tb, ca, cb in zip(a.trees, b.trees, a.tree_cols, b.tree_cols):
+            assert np.array_equal(ca, cb)
+            for arrays in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(ta, arrays) == getattr(tb, arrays)
 
     def test_one_sigmoid_per_round_plus_the_base(self, monkeypatch):
         # each round's post-update probabilities are the next round's residual input
