@@ -126,6 +126,14 @@ class TestPrepareData:
         assert capsys.readouterr().err == "error: unknown config keys: ['dk_families']\n"
         assert not workdir["runs"].exists()
 
+    @pytest.mark.parametrize("families", [["KNN"], ["RF", "XYZ"]])
+    def test_a_dk_family_without_a_source_tag_exits_one(self, workdir, capsys, families):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "dk_families": families}))
+        assert main(["--config", str(bad), "prepare-data"]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['dk_families']\n"
+        assert not workdir["runs"].exists()
+
     def test_a_config_with_impute_k_zero_exits_one(self, workdir, capsys):
         bad = workdir["tmp"] / "bad.json"
         bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "impute_k": 0}))

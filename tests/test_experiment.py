@@ -151,6 +151,7 @@ class TestExperimentConfig:
             ({"data_path": 5}, "data_path"),
             ({"n_ex_grid": [0, "2"]}, "n_ex_grid"),
             ({"n_ex_grid": 4}, "n_ex_grid"),
+            ({"impute_k": 5.0}, "impute_k"),
             ({"weights": {"w_fp": "0.2"}}, "weights.w_fp"),
             ({"llm": {"max_retries": 2.0}}, "llm.max_retries"),
             ({"llm": {"temperature": False}}, "llm.temperature"),
