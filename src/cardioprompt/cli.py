@@ -290,14 +290,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if args.verb != verb and getattr(args, key) is not None:
             raise ValidationError(f"--{key.replace('_', '-')} is read only by {verb}, not by {args.verb}")
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for key in ("data_path", "seed", "test_fraction", "impute_k", "cache_path", "output_dir", "paper_faithful"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        cfg = ExperimentConfig.from_dict({**dataclasses.asdict(cfg), **overrides})
-    return cfg
+    keys = ExperimentConfig.__dataclass_fields__
+    return dataclasses.replace(cfg, **{k: v for k, v in vars(args).items() if k in keys and v is not None})
 
 
 def _verb_args(args: argparse.Namespace) -> dict:
@@ -308,7 +302,7 @@ def _verb_args(args: argparse.Namespace) -> dict:
             return {"backend": "live"}  # the model and URL are in cfg.llm, which the config digest covers
         if args.mock == "oracle":
             return {"backend": "oracle"}
-        return {"backend": "rule", "rule_feature": args.rule_feature, "rule_threshold": args.rule_threshold}
+        return {"backend": "rule"}
     if args.verb == "report":
         return {"format": args.format}
     return {}
@@ -402,7 +396,7 @@ def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
     elif args.mock == "oracle":
         backend = OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
     else:
-        backend = RuleMock(args.rule_feature, args.rule_threshold)
+        backend = RuleMock()
     try:
         rows = run_prompt_grid(cfg, prepared, dks, backend)
     except TransportError as exc:  # only the live backend sends anything
@@ -468,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen-dk", help="render domain-knowledge texts from saved model rankings")
     grid = sub.add_parser("run-grid", help="run the prompt grid against a mock or the live API")
     grid.add_argument("--mock", choices=("oracle", "rule"), default="oracle")
-    grid.add_argument("--rule-feature", default="oldpeak")
-    grid.add_argument("--rule-threshold", type=float, default=1.0)
     rep = sub.add_parser("report", help="assembles the classifier and grid tables from earlier stages")
     rep.add_argument("--format", choices=("csv", "markdown"), default="csv")
     return parser

@@ -582,7 +582,7 @@ class ScriptedMock(_InlineMock):
 class RuleMock(_InlineMock):
     """'1' iff the named feature in the final question is >= threshold."""
 
-    def __init__(self, feature: str, threshold: float):
+    def __init__(self, feature: str = "oldpeak", threshold: float = 1.0):
         self.feature = feature
         self.threshold = threshold
 

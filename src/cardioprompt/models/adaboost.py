@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree, as_rows, as_xy
+from .tree import Classifier, DecisionTree, as_labeled, as_rows
 
 
 @dataclass
-class AdaBoostStumps:
+class AdaBoostStumps(Classifier):
     n_estimators: int = 50
     learning_rate: float = 1.0
 
@@ -27,9 +27,7 @@ class AdaBoostStumps:
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X, y = as_xy(X, y)
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValidationError("labels must be 0/1")
+        X, y = as_labeled(X, y)
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
         n, self.n_features_ = X.shape
@@ -72,9 +70,6 @@ class AdaBoostStumps:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) + 1.0) / 2.0
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)  # margin 0 predicts 1
 
     def raw_importance(self) -> np.ndarray:
         """Alpha-weighted impurity decreases of the stumps."""

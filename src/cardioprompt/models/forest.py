@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import DecisionTree, as_rows, as_xy
+from .tree import DecisionTree, as_labeled, as_rows
 
 
 @dataclass
@@ -28,9 +28,7 @@ class RandomForest:
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X, y = as_xy(X, y)
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValidationError("labels must be 0/1")
+        X, y = as_labeled(X, y)
         if self.n_estimators < 1:
             raise ValidationError("need at least one tree")
         n, self.n_features_ = X.shape

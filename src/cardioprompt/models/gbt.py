@@ -17,11 +17,11 @@ import numpy as np
 
 from ..errors import ValidationError
 from .logistic import _sigmoid
-from .tree import DecisionTree, as_rows, as_xy
+from .tree import Classifier, DecisionTree, as_labeled, as_rows
 
 
 @dataclass
-class GradientBoostedTrees:
+class GradientBoostedTrees(Classifier):
     n_estimators: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
@@ -36,9 +36,7 @@ class GradientBoostedTrees:
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X, y = as_xy(X, y)
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValidationError("labels must be 0/1")
+        X, y = as_labeled(X, y)
         if not 0 < self.colsample_bytree <= 1:
             raise ValidationError("colsample_bytree must be in (0, 1]")
         if self.learning_rate < 0:
@@ -54,19 +52,17 @@ class GradientBoostedTrees:
         rng = np.random.default_rng(self.seed)
         n_cols = max(1, int(round(self.colsample_bytree * self.n_features_)))
         F = np.full(n, self.base_score_)
-        p = _sigmoid(F)  # each round's update recomputes it for the next residual
         XT = np.ascontiguousarray(X.T)
         ones = np.ones(n)
         self.trees, self.tree_cols = [], []
         for _ in range(self.n_estimators):
             cols = np.sort(rng.choice(self.n_features_, size=n_cols, replace=False))
-            residual = y - p
+            residual = y - _sigmoid(F)
             tree = DecisionTree(max_depth=self.max_depth, criterion="mse")
             fitted = tree.grow(XT[cols], residual, ones)
             self.trees.append(tree)
             self.tree_cols.append(cols)
             F = F + self.learning_rate * fitted
-            p = _sigmoid(F)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -78,9 +74,6 @@ class GradientBoostedTrees:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)  # tie at 0.5 predicts 1
 
     def raw_importance(self) -> np.ndarray:
         """Summed variance reduction per original feature across all rounds."""

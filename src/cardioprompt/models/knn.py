@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import as_rows
+from .tree import Classifier, as_labeled, as_rows
 
 
 @dataclass
-class KNNClassifier:
+class KNNClassifier(Classifier):
     n_neighbors: int = 5
     weights: str = "uniform"  # "uniform" or "distance"
     algorithm: str = "auto"  # inert, interface parity
@@ -30,8 +30,7 @@ class KNNClassifier:
     y_: np.ndarray | None = field(default=None, repr=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
+        X, y = as_labeled(X, y)
         if self.n_neighbors < 1:
             raise ValidationError("n_neighbors must be >= 1")
         if self.n_neighbors > len(y):
@@ -40,7 +39,7 @@ class KNNClassifier:
             raise ValidationError(f"unknown weights {self.weights!r}")
         if self.p < 1:
             raise ValidationError("p must be >= 1")
-        self.X_, self.y_ = X, y
+        self.X_, self.y_ = X, y.astype(int)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -67,8 +66,4 @@ class KNNClassifier:
             # coincident training points take the whole vote
             wts = np.where(any_zero, zero.astype(float), inv)
 
-        p1 = (wts * klabel).sum(axis=1) / wts.sum(axis=1)
-        return p1
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)  # tie at 0.5 predicts 1
+        return (wts * klabel).sum(axis=1) / wts.sum(axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import as_rows
+from .tree import Classifier, as_labeled, as_rows
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -35,7 +35,7 @@ def loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float) -
 
 
 @dataclass
-class LogisticRegressionGD:
+class LogisticRegressionGD(Classifier):
     C: float = 1.0
     penalty: str = "l2"  # "l2" or "none"
     solver: str = "gd"  # "gd" or "gd_momentum" (momentum 0.9)
@@ -48,8 +48,7 @@ class LogisticRegressionGD:
     n_iter_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = as_labeled(X, y)
         if self.penalty not in ("l2", "none"):
             raise ValidationError(f"unknown penalty {self.penalty!r}")
         if self.solver not in ("gd", "gd_momentum"):
@@ -81,9 +80,6 @@ class LogisticRegressionGD:
             raise ValidationError("model not fitted")
         X = as_rows(X, len(self.theta) - 1)
         return _sigmoid(X @ self.theta[:-1] + self.theta[-1])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)  # tie at 0.5 predicts 1
 
     def raw_importance(self) -> np.ndarray:
         """|coefficient| per feature; meaningful on standardized inputs."""

@@ -15,17 +15,18 @@ import numpy as np
 
 from ..errors import ValidationError
 from .logistic import _sigmoid
-from .tree import as_rows
+from .tree import Classifier, as_labeled, as_rows
 
+# each hidden activation and its derivative, written in the activation's output
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0), lambda z, a: (z > 0).astype(float)),
-    "tanh": (np.tanh, lambda z, a: 1 - a**2),
-    "logistic": (_sigmoid, lambda z, a: a * (1 - a)),
+    "relu": (lambda z: np.maximum(z, 0), lambda a: (a > 0).astype(float)),
+    "tanh": (np.tanh, lambda a: 1 - a**2),
+    "logistic": (_sigmoid, lambda a: a * (1 - a)),
 }
 
 
 @dataclass
-class MLPClassifier:
+class MLPClassifier(Classifier):
     hidden_layer_sizes: tuple[int, ...] = (100,)
     activation: str = "relu"
     solver: str = "adam"  # "sgd" or "adam"
@@ -55,10 +56,7 @@ class MLPClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         self._check()
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValidationError("labels must be 0/1")
+        X, y = as_labeled(X, y)
         n, d = X.shape
         sizes = [d, *self.hidden_layer_sizes, 1]
         rng = np.random.default_rng(self.seed)
@@ -69,7 +67,7 @@ class MLPClassifier:
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
-        act, act_grad = _ACTIVATIONS[self.activation]
+        act_grad = _ACTIVATIONS[self.activation][1]
         n_layers = len(self.weights)
         # optimizer state, like the gradients and params below: each weight array, then each bias array
         vel = [np.zeros_like(a) for a in self.weights + self.biases]
@@ -84,16 +82,7 @@ class MLPClassifier:
         self.loss_curve_ = []
 
         for t in range(1, self.max_iter + 1):
-            # forward
-            acts = [X]
-            zs = []
-            for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-                z = acts[-1] @ W + b
-                zs.append(z)
-                if li < len(self.weights) - 1:
-                    acts.append(act(z))
-                else:
-                    acts.append(_sigmoid(z))
+            acts = self._forward(X)
             p = acts[-1].ravel()
 
             epsl = 1e-10
@@ -121,7 +110,7 @@ class MLPClassifier:
                 grads[li] = acts[li].T @ delta + self.alpha * self.weights[li] / n
                 grads[n_layers + li] = delta.sum(axis=0)
                 if li > 0:
-                    delta = (delta @ self.weights[li].T) * act_grad(zs[li - 1], acts[li])
+                    delta = (delta @ self.weights[li].T) * act_grad(acts[li])
 
             params = self.weights + self.biases
             if self.solver == "sgd":
@@ -141,15 +130,16 @@ class MLPClassifier:
             self.weights, self.biases = params[:n_layers], params[n_layers:]
         return self
 
+    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
+        """The activations of every layer, X first and the output column last."""
+        act = _ACTIVATIONS[self.activation][0]
+        acts = [X]
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(act(acts[-1] @ W + b))
+        acts.append(_sigmoid(acts[-1] @ self.weights[-1] + self.biases[-1]))
+        return acts
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self.weights:
             raise ValidationError("model not fitted")
-        a = as_rows(X, self.weights[0].shape[0])
-        act, _ = _ACTIVATIONS[self.activation]
-        for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
-            a = act(z) if li < len(self.weights) - 1 else _sigmoid(z)
-        return a.ravel()
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)  # tie at 0.5 predicts 1
+        return self._forward(as_rows(X, self.weights[0].shape[0]))[-1].ravel()

@@ -7,6 +7,9 @@ respected in both impurities and leaf values; min_samples_* limits count rows,
 not weight, and a min_samples_leaf below 1 acts as 1. The ensembles validate
 once and call `grow`, which also returns each training row's leaf value.
 
+The module also holds what every estimator shares: the input checks
+(`as_xy`, `as_labeled`, `as_rows`) and the tie rule (`Classifier`).
+
 Exactness contract, to the bit: the fitted arrays depend on inputs and rng only.
 - Each node computes its weight sum, leaf value and impurity once, with
   np.average's arithmetic over its rows in row order: the leaf value is
@@ -44,6 +47,14 @@ def as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def as_labeled(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """as_xy, with y checked to hold 0/1 labels only."""
+    X, y = as_xy(X, y)
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValidationError("labels must be 0/1")
+    return X, y
+
+
 def as_rows(X, n_features: int) -> np.ndarray:
     """X as a 2-D float array (a 1-D X is one row), checked to have `n_features` columns."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -52,8 +63,16 @@ def as_rows(X, n_features: int) -> np.ndarray:
     return X
 
 
+class Classifier:
+    """The tie rule of every estimator that predicts from its class-1
+    probability: a probability of exactly 0.5 predicts 1."""
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return (self.predict_proba(X) >= 0.5).astype(int)
+
+
 @dataclass
-class DecisionTree:
+class DecisionTree(Classifier):
     max_depth: int | None = None
     min_samples_split: int = 2
     min_samples_leaf: int = 1
@@ -196,6 +215,3 @@ class DecisionTree:
         if self.criterion != "gini":
             raise ValidationError("probabilities only defined for the gini classifier")
         return self.predict_value(X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)  # tie at 0.5 predicts 1

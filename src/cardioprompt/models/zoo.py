@@ -42,10 +42,7 @@ class TrainedModel:
     importance: ImportanceRanking | None = None
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        out = self.estimator.predict(X)
-        return out[0] if single else out
+        return self.estimator.predict(X)
 
 
 def _build_estimator(family: str, hyper: dict, seed: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import json
@@ -453,8 +454,7 @@ class TestPipeline:
         assert main(["--config", cfg, "prepare-data"]) == 0
         assert main(["--config", cfg, "train-models"]) == 0
         assert main(["--config", cfg, "gen-dk"]) == 0
-        code = main(["--config", cfg, "run-grid", "--mock", "rule", "--rule-feature", "oldpeak", "--rule-threshold", "1.0"])
-        assert code == 0
+        assert main(["--config", cfg, "run-grid", "--mock", "rule"]) == 0
         grid = json.loads((workdir["runs"] / "grid_rows.json").read_text())
         accs = {row["metrics"][3] for row in grid}
         assert len(accs) == 1  # rule ignores dk and examples: same verdicts per cell
@@ -796,3 +796,11 @@ class TestReadme:
         root = Path(__file__).parents[1]
         named = set(re.findall(r"\b(?:scripts|bench)/[\w/]+\.py\b", (root / "README.md").read_text()))
         assert named and [name for name in sorted(named) if not (root / name).is_file()] == []
+
+    def test_it_names_every_flag(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        parser = cli.build_parser()
+        verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {f for p in (parser, *verbs.values()) for a in p._actions for f in a.option_strings} - {"-h", "--help"}
+        assert {"--config", "--cache-path", "--mock", "--format"} <= flags
+        assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", text)) == []

@@ -226,9 +226,8 @@ class TestRunsAgain:
         stub.script = [(200, ok_body("1"))]
         live = live_config(finished, tmp_path, stub.url)  # one config for every backend
         rule, oracle = ["run-grid", "--mock", "rule"], ["run-grid", "--mock", "oracle"]
-        threshold = [*rule, "--rule-threshold", "2.0"]
         assert run(live, runs, capsys, *rule)[:2] == (0, up_to_date(runs, "run-grid"))  # as the finished run left it
-        for argv in (oracle, ["--live", "run-grid"], rule, threshold):
+        for argv in (oracle, ["--live", "run-grid"], rule):
             assert ran(*run(live, runs, capsys, *argv)[:2]), argv
             assert run(live, runs, capsys, *argv)[:2] == (0, up_to_date(runs, "run-grid")), argv
 

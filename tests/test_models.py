@@ -25,6 +25,7 @@ from cardioprompt.models import (
 )
 from cardioprompt.models import FAMILIES, TrainedModel, feature_importance, gbt, train
 from cardioprompt.models.serialize import model_from_json, model_to_json
+from cardioprompt.models.zoo import ESTIMATORS
 from cardioprompt.schema import FEATURE_NAMES
 from conftest import separable_1d, small_dataset, xor_dataset
 
@@ -282,14 +283,14 @@ class TestGradientBoostedTrees:
             for arrays in ("feature", "threshold", "left", "right", "value"):
                 assert getattr(ta, arrays) == getattr(tb, arrays)
 
-    def test_one_sigmoid_per_round_plus_the_base(self, monkeypatch):
-        # each round's post-update probabilities are the next round's residual input
+    def test_one_sigmoid_per_round(self, monkeypatch):
+        # each round takes its residual from the probabilities of the score so far
         calls = []
         sigmoid = gbt._sigmoid
         monkeypatch.setattr(gbt, "_sigmoid", lambda z: calls.append(z) or sigmoid(z))
         ds = small_dataset(40, seed=2)
         GradientBoostedTrees(n_estimators=7, max_depth=2).fit(ds.matrix, ds.targets)
-        assert len(calls) == 7 + 1
+        assert len(calls) == 7
 
 
 class TestAdaBoost:
@@ -512,6 +513,15 @@ class TestZooAndSerialization:
             assert restored.family == family
             assert restored.hyper == m.hyper
             assert np.array_equal(restored.predict(probe.matrix), m.predict(probe.matrix))
+
+    def test_every_family_refuses_other_labels_and_misaligned_rows(self):
+        ds = small_dataset(30, seed=16)
+        for family in FAMILIES:
+            est = ESTIMATORS[family](**self.HYPERS[family])
+            with pytest.raises(ValidationError, match="labels must be 0/1"):
+                est.fit(ds.matrix, 2 * ds.targets)
+            with pytest.raises(ValidationError, match="aligned with y"):
+                est.fit(ds.matrix, ds.targets[:-1])
 
     def test_importance_survives_roundtrip(self):
         ds = small_dataset(70, seed=14)
