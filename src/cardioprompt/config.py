@@ -78,6 +78,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """The checks that need no data; prepare-data checks the rest against the split."""
+        if not 0 < self.test_fraction < 1:  # NaN fails every comparison
+            raise ValidationError(f"config key test_fraction must be in (0, 1), not {self.test_fraction}")
         if self.impute_k < 1:
             raise ValidationError(f"config key impute_k must be >= 1, not {self.impute_k}")
         if self.search_iters < 1:

@@ -204,6 +204,9 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
         raise StratificationError(f"class {small[0]} has fewer than 2 members")
 
     n_test = int(np.floor(ds.n_rows * test_fraction + 0.5))
+    if n_test in (0, ds.n_rows):
+        empty = "test" if n_test == 0 else "train"
+        raise ValidationError(f"test_fraction {test_fraction} of {ds.n_rows} rows leaves the {empty} split empty")
     exact = counts * test_fraction
     quotas = np.floor(exact).astype(int)
     remainder = n_test - quotas.sum()  # >= 0: sum of floors never exceeds the rounded total

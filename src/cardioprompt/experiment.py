@@ -17,12 +17,13 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import CostWeights, ExperimentConfig
 from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
 from .dk import SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError, WorkerError
@@ -90,6 +91,21 @@ def _mean_row(label: str, members: list[ReportRow], n_ex: int | None = None) -> 
     cols = np.array([m.metrics.as_tuple() for m in members])
     mean = cols.mean(axis=0)
     return ReportRow(label=label, dk_type="-", dk_source="-", n_ex=n_ex, metrics=MetricsRow(*map(float, mean)))
+
+
+def _scored_row(
+    label: str,
+    preds: Sequence[int],
+    truth: Sequence[int],
+    weights: CostWeights,
+    dk_type: str = "-",
+    dk_source: str = "-",
+    n_ex: int | None = None,
+    unparseable: int = 0,
+) -> ReportRow:
+    """The report row of one classifier, baseline or prompt cell: its
+    predictions scored against the held-out truth."""
+    return ReportRow(label, dk_type, dk_source, n_ex, metrics_row(confusion(preds, truth), weights), unparseable)
 
 
 def _tune_family(cfg: ExperimentConfig, train: Dataset, family: str) -> TrainedModel:
@@ -174,29 +190,17 @@ def run_ml_baselines(cfg: ExperimentConfig, prepared: PreparedData) -> tuple[lis
     three non-informed baselines. Returns rows plus the fitted models keyed by
     family; only the families of SOURCE_TAGS, whose rankings the
     domain-knowledge texts read, carry an importance ranking."""
-    rows: list[ReportRow] = []
     models = dict(zip(FAMILIES, _tune_families(cfg, prepared.std_train)))
-    truth = prepared.std_test.targets
-    for family, model in models.items():
-        preds = model.predict(prepared.std_test.matrix)
-        cm = confusion(preds, truth)
-        rows.append(
-            ReportRow(
-                label=DISPLAY_NAMES[family],
-                dk_type="-",
-                dk_source="-",
-                n_ex=None,
-                metrics=metrics_row(cm, cfg.weights),
-            )
-        )
+    test = prepared.std_test
+    rows = [
+        _scored_row(DISPLAY_NAMES[family], model.predict(test.matrix), test.targets, cfg.weights)
+        for family, model in models.items()
+    ]
+    rows.append(_mean_row("Average ML", rows))
 
-    rows.append(_mean_row("Average ML", rows[: len(FAMILIES)]))
-
-    n = prepared.std_test.n_rows
+    seed = derive_seed(cfg.seed, "baseline:random")
     for kind, label in (("random", "Random"), ("maj0", "Maj0"), ("maj1", "Maj1")):
-        preds = baseline_predict(kind, n, seed=derive_seed(cfg.seed, "baseline:random"))
-        cm = confusion(preds, truth)
-        rows.append(ReportRow(label=label, dk_type="-", dk_source="-", n_ex=None, metrics=metrics_row(cm, cfg.weights)))
+        rows.append(_scored_row(label, baseline_predict(kind, test.n_rows, seed=seed), test.targets, cfg.weights))
     return rows, models
 
 
@@ -237,16 +241,10 @@ def run_prompt_grid(
             spec = PromptSpec(n_ex=n_ex, dk=dk, paper_faithful=cfg.paper_faithful)
             labels = classify_batch(prepared.test, spec, backend, examples)
             preds = [1 if label is None else label for label in labels]
-            cm = confusion(preds, truth)
-            source = _TAG_DISPLAY.get(dk.source_name, dk.source_name)
+            source = _TAG_DISPLAY.get(dk.source_name, dk.source_name) if dk.variant is not DkVariant.NONE else "-"
             block.append(
-                ReportRow(
-                    label=f"prompt-{dk_index}",
-                    dk_type=dk.variant.value,
-                    dk_source=source if dk.variant is not DkVariant.NONE else "-",
-                    n_ex=n_ex,
-                    metrics=metrics_row(cm, cfg.weights),
-                    unparseable=labels.count(None),
+                _scored_row(
+                    f"prompt-{dk_index}", preds, truth, cfg.weights, dk.variant.value, source, n_ex, labels.count(None)
                 )
             )
         rows.extend(block)
@@ -266,14 +264,7 @@ def load_rows(path: str | Path) -> list[ReportRow]:
     """Inverse of save_rows."""
     try:
         return [
-            ReportRow(
-                label=doc["label"],
-                dk_type=doc["dk_type"],
-                dk_source=doc["dk_source"],
-                n_ex=doc["n_ex"],
-                metrics=MetricsRow(*doc["metrics"]),
-                unparseable=doc["unparseable"],
-            )
+            ReportRow(*(MetricsRow(*doc[f.name]) if f.name == "metrics" else doc[f.name] for f in fields(ReportRow)))
             for doc in json.loads(Path(path).read_text())
         ]
     except (ValueError, KeyError, TypeError) as exc:

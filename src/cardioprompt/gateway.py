@@ -67,7 +67,7 @@ from .prompts import sample_examples  # noqa: F401 -- unused here; bench/tracer.
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _LABEL_RE = re.compile(r"(?<![0-9])([01])(?![0-9])")
-_QUERY_LINE_RE = re.compile(r"^<Inputs>: (.+)$", re.MULTILINE)
+_QUERY_MARK = "<Inputs>: "  # opens the final question's line; an example's reads "<Inputs k>: "
 _MAX_LINE = 65536  # http.client's limits: bytes in one line, header lines in one reply
 _MAX_HEADERS = 100
 _CONTROL_IN_TARGET = re.compile(r"[\x00-\x20\x7f]")
@@ -524,10 +524,11 @@ class _Flight:
 
 def query_line(prompt_text: str) -> str:
     """The content of the final question's <Inputs> line."""
-    m = _QUERY_LINE_RE.search(prompt_text)
-    if m is None:
+    start = prompt_text.rfind("\n" + _QUERY_MARK) + 1  # 0 when absent: then only the first line can hold it
+    line = prompt_text[start:].partition("\n")[0]
+    if not line.startswith(_QUERY_MARK) or line == _QUERY_MARK:
         raise ValidationError("prompt has no final <Inputs> line")
-    return m.group(1)
+    return line[len(_QUERY_MARK) :]
 
 
 def _query_values(prompt_text: str) -> dict[str, float]:

@@ -87,9 +87,7 @@ def cost_metrics(cm: ConfusionMatrix, w: CostWeights = CostWeights()) -> tuple[f
 
 
 def metrics_row(cm: ConfusionMatrix, w: CostWeights = CostWeights()) -> MetricsRow:
-    precision, recall, f1, accuracy = classification_metrics(cm)
-    fp_cost, fn_cost, csa = cost_metrics(cm, w)
-    return MetricsRow(precision, recall, f1, accuracy, fp_cost, fn_cost, csa)
+    return MetricsRow(*classification_metrics(cm), *cost_metrics(cm, w))
 
 
 def baseline_predict(kind: str, n: int, seed: int = 0) -> list[int]:

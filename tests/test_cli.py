@@ -198,8 +198,19 @@ class TestPrepareData:
             ({"n_ex_grid": [0, 100]}, f"{N_EX_OF_TRAIN.format(100)} asked for 100 examples from 52 rows"),
             ({"n_ex_grid": [50]}, f"{N_EX_OF_TRAIN.format(50)} need 25 negative examples, have 24"),
             ({"search_folds": 40}, "config key search_folds: 40 folds of the train split: class 0 has fewer members than folds"),
+            ({"test_fraction": 0.001}, "test_fraction 0.001 of 70 rows leaves the test split empty"),
+            ({"test_fraction": 0.999}, "test_fraction 0.999 of 70 rows leaves the train split empty"),
         ],
-        ids=["iters", "folds", "negative-n_ex", "n_ex-over-rows", "n_ex-over-a-class", "folds-over-a-class"],
+        ids=[
+            "iters",
+            "folds",
+            "negative-n_ex",
+            "n_ex-over-rows",
+            "n_ex-over-a-class",
+            "folds-over-a-class",
+            "empty-test-split",
+            "empty-train-split",
+        ],
     )
     def test_a_config_value_the_split_refutes_exits_one_at_prepare_data(self, workdir, capsys, doc, message):
         bad = workdir["tmp"] / "bad.json"
@@ -321,7 +332,12 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize(
         "name, verb, key, writer, manifest",
         with_and_without_manifest(
-            [("models/RF.json", "gen-dk", "params", "train-models"), ("dk.json", "run-grid", "source", "gen-dk")]
+            [
+                ("models/RF.json", "gen-dk", "params", "train-models"),
+                ("dk.json", "run-grid", "source", "gen-dk"),
+                ("ml_rows.json", "report", "unparseable", "train-models"),
+                ("grid_rows.json", "report", "metrics", "run-grid"),
+            ]
         ),
     )
     def test_missing_key_names_the_file_and_its_writer(

@@ -140,6 +140,11 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match="finite"):
             ExperimentConfig.from_dict({"weights": {field: value}})
 
+    @pytest.mark.parametrize("value", [0, 1, 1.5, -0.2, math.nan])
+    def test_test_fraction_outside_zero_one_rejected(self, value):
+        with pytest.raises(ValidationError, match=rf"^config key test_fraction must be in \(0, 1\), not {value}$"):
+            ExperimentConfig.from_dict({"test_fraction": value})
+
     @pytest.mark.parametrize(
         "doc, key",
         [
@@ -162,8 +167,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(doc)
 
     def test_float_field_takes_an_integer(self):
-        cfg = ExperimentConfig.from_dict({"test_fraction": 1, "weights": {"w_fp": 0, "w_fn": 1}, "llm": {"timeout": 5}})
-        assert cfg.test_fraction == 1 and cfg.weights == CostWeights(0.0, 1.0) and cfg.llm.timeout == 5
+        cfg = ExperimentConfig.from_dict({"weights": {"w_fp": 0, "w_fn": 1}, "llm": {"timeout": 5}})
+        assert cfg.weights == CostWeights(0.0, 1.0) and cfg.llm.timeout == 5
 
 
 class TestMeanRow:

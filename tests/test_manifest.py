@@ -372,6 +372,14 @@ class TestConfigEdits:
             assert outputs == entry["outputs"], verb
             assert all((runs / name).read_bytes() == (fresh / name).read_bytes() for name in outputs), verb
 
+    @pytest.mark.parametrize("verb", list(ARGV))
+    def test_a_test_fraction_outside_zero_one_exits_one_and_writes_nothing(self, finished, runs, capsys, verb):
+        # gen-dk and report split no data: only the config check refuses the value there
+        before = {path: path.read_bytes() for path in runs.rglob("*") if path.is_file()}
+        code, out, err = run(finished["cfg"], runs, capsys, "--test-fraction", "1.5", *ARGV[verb])
+        assert (code, out, err) == (1, [], "error: config key test_fraction must be in (0, 1), not 1.5\n")
+        assert {path: path.read_bytes() for path in runs.rglob("*") if path.is_file()} == before
+
 
 class TestMismatchedInputs:
     def test_report_of_rows_from_two_seeds_exits_one_naming_the_verb_to_rerun(self, finished, runs, capsys):
