@@ -21,6 +21,7 @@ import importlib.util
 import json
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,28 +72,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# the verb that writes each stage artifact, by its name in the output directory
-WRITERS = {
-    "imputed.csv": "prepare-data",
-    "models": "train-models",  # models/<family>.json
-    "ml_rows.json": "train-models",
-    "dk.json": "gen-dk",
-    "grid_rows.json": "run-grid",
-}
-
 MANIFEST = "manifest.json"
 # the inputs outside the output directory, recorded under their config key
 EXTERNAL_INPUTS = ("data_path", "cache_path")
-
-# the settings that one verb alone reads, by config key or, for --live, by
-# flag: the flag --<key> is refused on any other verb, and the key counts in
-# that verb's config digest alone
-SINGLE_VERB_SETTINGS = {
-    "data_path": "prepare-data",
-    "impute_k": "prepare-data",
-    "paper_faithful": "run-grid",
-    "live": "run-grid",
-}
 
 
 def _sha256(path: Path) -> str | None:
@@ -123,13 +105,12 @@ def program_identity() -> str:
 def _config_digest(cfg: ExperimentConfig, verb: str, live: bool) -> str:
     """The sha256 of the config as `verb` reads it. output_dir and cache_path
     are locations, not content: a copied run directory still checks clean. A
-    key of SINGLE_VERB_SETTINGS counts for its verb alone, and the llm
+    setting of a verb's `alone` counts for that verb alone, and the llm
     settings count only for a live run-grid, the one verb that reads them."""
     doc = dataclasses.asdict(cfg)
     del doc["output_dir"], doc["cache_path"]
-    for key, reader in SINGLE_VERB_SETTINGS.items():
-        if reader != verb:
-            doc.pop(key, None)  # live is a flag, not a config key
+    for key in (key for other, row in VERBS.items() if other != verb for key in row.alone):
+        doc.pop(key, None)  # live is a flag, not a config key
     if not live:
         del doc["llm"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -217,10 +198,17 @@ class Trace:
     def _verified(self, name: str) -> str | None:
         """The sha256 of the file `name` now, None where there is none. The
         lineage of a stage artifact is walked first (`_lineage`), so the one
-        rule that decides a read decides a skip too."""
+        rule that decides a read decides a skip too. Every verb that split
+        the data on the way, this one included, must have split it alike."""
         digest = self._digest(name)
-        if digest is not None:
-            self._lineage(name, digest)
+        splits = {} if digest is None else self._lineage(name, digest)
+        now = f"seed {self.cfg.seed}, test fraction {self.cfg.test_fraction}"
+        if VERBS[self.verb].splits:
+            splits[self.verb] = now
+        if len(set(splits.values())) > 1:
+            stale = " and ".join(by for by, split in splits.items() if split != now)
+            made = " and ".join(f"{by} ({split})" for by, split in splits.items())
+            raise ValidationError(f"{name} comes from two test splits: {made}; rerun {stale}")
         return digest
 
     def record(self, name: str) -> str | None:
@@ -232,8 +220,8 @@ class Trace:
         """The split ("seed S, test fraction F") of each verb that split the
         data on the way to the file `name` with sha256 `digest`. Each writer
         up the chain must have written the file it is taken for, from stage
-        artifacts still on disk, and the splits must agree. A file no entry
-        wrote ends the walk: an external input, or one older than the manifest."""
+        artifacts still on disk. A file no entry wrote ends the walk: an
+        external input, or one older than the manifest."""
         verb = WRITERS.get(name.split("/")[0])
         if (entry := self.entries.get(verb)) is None:
             return {}
@@ -244,13 +232,8 @@ class Trace:
             if source.split("/")[0] in WRITERS and self._digest(source) != made_from:
                 raise ValidationError(f"{name} was made from a {source} that has changed since; rerun {verb}")
             splits.update(self._lineage(source, made_from))
-        if verb in ("train-models", "run-grid"):
+        if VERBS[verb].splits:
             splits[verb] = f"seed {entry['seed']}, test fraction {entry['test_fraction']}"
-        if len(set(splits.values())) > 1:
-            now = f"seed {self.cfg.seed}, test fraction {self.cfg.test_fraction}"
-            stale = [by for by, split in splits.items() if split != now] or list(splits)
-            made = " and ".join(f"{by} ({split})" for by, split in splits.items())
-            raise ValidationError(f"{name} comes from two test splits: {made}; rerun {' and '.join(stale)}")
         return splits
 
     def read(self, name: str, parse):
@@ -286,26 +269,13 @@ class Trace:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    for key, verb in SINGLE_VERB_SETTINGS.items():
-        if args.verb != verb and getattr(args, key) is not None:
-            raise ValidationError(f"--{key.replace('_', '-')} is read only by {verb}, not by {args.verb}")
+    for verb, row in VERBS.items():
+        for key in row.alone:
+            if args.verb != verb and getattr(args, key) is not None:
+                raise ValidationError(f"--{key.replace('_', '-')} is read only by {verb}, not by {args.verb}")
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     keys = ExperimentConfig.__dataclass_fields__
     return dataclasses.replace(cfg, **{k: v for k, v in vars(args).items() if k in keys and v is not None})
-
-
-def _verb_args(args: argparse.Namespace) -> dict:
-    """The arguments besides the config that decide what a verb writes:
-    run-grid's backend and report's format."""
-    if args.verb == "run-grid":
-        if args.live:
-            return {"backend": "live"}  # the model and URL are in cfg.llm, which the config digest covers
-        if args.mock == "oracle":
-            return {"backend": "oracle"}
-        return {"backend": "rule"}
-    if args.verb == "report":
-        return {"format": args.format}
-    return {}
 
 
 def _load_prepared(trace: Trace) -> PreparedData:
@@ -430,13 +400,46 @@ def cmd_report(trace: Trace, args: argparse.Namespace) -> int:
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class Verb:
+    """A verb: `writes` names its stage artifacts in the output directory
+    ("models" for models/<family>.json); `alone`, the settings no other verb
+    reads (config keys, and the --live flag), whose flags any other verb
+    refuses and which count in this verb's config digest alone; `args`, the
+    arguments besides the config that decide what it writes; `splits`,
+    whether it splits imputed.csv by seed and test fraction."""
+
+    run: Callable[[Trace, argparse.Namespace], int]
+    help: str
+    writes: tuple[str, ...] = ()
+    alone: tuple[str, ...] = ()
+    args: Callable[[argparse.Namespace], dict] = lambda a: {}
+    splits: bool = False
+
+
 VERBS = {
-    "prepare-data": cmd_prepare_data,
-    "train-models": cmd_train_models,
-    "gen-dk": cmd_gen_dk,
-    "run-grid": cmd_run_grid,
-    "report": cmd_report,
+    "prepare-data": Verb(
+        cmd_prepare_data, "load, binarize, impute, split; print dataset stats",
+        writes=("imputed.csv",), alone=("data_path", "impute_k"),
+    ),
+    "train-models": Verb(
+        cmd_train_models, "tune and fit the six classifiers; save artifacts",
+        writes=("models", "ml_rows.json"), splits=True,
+    ),
+    "gen-dk": Verb(cmd_gen_dk, "render domain-knowledge texts from saved model rankings", writes=("dk.json",)),
+    "run-grid": Verb(
+        cmd_run_grid, "run the prompt grid against a mock or the live API",
+        writes=("grid_rows.json",), alone=("paper_faithful", "live"), splits=True,
+        # a live run's model and URL are in cfg.llm, which the config digest covers
+        args=lambda a: {"backend": "live" if a.live else a.mock},
+    ),
+    "report": Verb(
+        cmd_report, "assembles the classifier and grid tables from earlier stages",
+        args=lambda a: {"format": a.format},
+    ),
 }
+# the verb that writes each stage artifact, by its name in the output directory
+WRITERS = {name: verb for verb, row in VERBS.items() for name in row.writes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,13 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--live", action="store_true", default=None, help="send real API requests (default: offline mocks/cache only)"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser("prepare-data", help="load, binarize, impute, split; print dataset stats")
-    sub.add_parser("train-models", help="tune and fit the six classifiers; save artifacts")
-    sub.add_parser("gen-dk", help="render domain-knowledge texts from saved model rankings")
-    grid = sub.add_parser("run-grid", help="run the prompt grid against a mock or the live API")
-    grid.add_argument("--mock", choices=("oracle", "rule"), default="oracle")
-    rep = sub.add_parser("report", help="assembles the classifier and grid tables from earlier stages")
-    rep.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    for name, row in VERBS.items():
+        sub.add_parser(name, help=row.help)
+    sub.choices["run-grid"].add_argument("--mock", choices=("oracle", "rule"), default="oracle")
+    sub.choices["report"].add_argument("--format", choices=("csv", "markdown"), default="csv")
     return parser
 
 
@@ -472,14 +472,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        trace = Trace(cfg, args.verb, _verb_args(args))
+        trace = Trace(cfg, args.verb, VERBS[args.verb].args(args))
         if trace.up_to_date():
             trace.remove_leftovers()
             print(f"{args.verb} is up to date: config, arguments, inputs and outputs match {trace.manifest}")
             return 0
         start = time.perf_counter()
         _import_pipeline()
-        code = VERBS[args.verb](trace, args)
+        code = VERBS[args.verb].run(trace, args)
         if code == 0:
             trace.commit(time.perf_counter() - start)
         return code

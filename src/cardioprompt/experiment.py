@@ -3,10 +3,10 @@ and the results table.
 
 Stage seeds derive from one master seed by hashing "{master}:{stage}", so
 stages are independently reproducible and adding a stage never shifts the
-draws of another. The report grid mirrors the reference layout: nine
-model/baseline rows plus their average, then for each example count the seven
-prompt rows plus their average; averages never include the three trivial
-baselines.
+draws of another. The report grid mirrors the reference layout: the six
+classifier rows, their average (`Average ML`) and the three trivial
+baselines, then for each example count the seven prompt rows and their
+average; no average includes a trivial baseline.
 """
 
 from __future__ import annotations

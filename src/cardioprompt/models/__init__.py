@@ -12,32 +12,3 @@ from .serialize import load_model, model_from_json, model_to_json, save_model
 from .spaces import EXPECTED_KNOB_COUNTS, FAMILIES, SPACES, sample_assignment
 from .tree import DecisionTree
 from .zoo import TrainedModel, feature_importance, train
-
-__all__ = [
-    "AdaBoostStumps",
-    "CvReport",
-    "CvTrial",
-    "DecisionTree",
-    "EXPECTED_KNOB_COUNTS",
-    "FAMILIES",
-    "GradientBoostedTrees",
-    "ImportanceRanking",
-    "KNNClassifier",
-    "LogisticRegressionGD",
-    "MLPClassifier",
-    "RandomForest",
-    "SPACES",
-    "TrainedModel",
-    "build_ranking",
-    "feature_importance",
-    "load_model",
-    "loss_and_grad",
-    "model_from_json",
-    "model_to_json",
-    "permutation_importance",
-    "randomized_search",
-    "sample_assignment",
-    "save_model",
-    "stratified_folds",
-    "train",
-]

@@ -819,4 +819,5 @@ class TestReadme:
         verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         flags = {f for p in (parser, *verbs.values()) for a in p._actions for f in a.option_strings} - {"-h", "--help"}
         assert {"--config", "--cache-path", "--mock", "--format"} <= flags
-        assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", text)) == []
+        names = flags | verbs.keys()  # and every verb
+        assert sorted(f for f in names if not re.search(re.escape(f) + r"(?![\w-])", text)) == []

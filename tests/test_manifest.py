@@ -6,6 +6,7 @@ recorded."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,6 +22,8 @@ import pytest
 import cardioprompt
 from cardioprompt import cli, experiment, gateway
 from cardioprompt.cli import main
+from cardioprompt.config import ExperimentConfig
+from cardioprompt.models import FAMILIES
 from conftest import ok_body
 from test_cli import make_workdir, use_cpus, write_raw_csv
 
@@ -82,6 +85,17 @@ def test_the_report_lists_every_row_in_order(finished):
     labels = [*ml, *grid, "Average (N_ex=0)", *grid, "Average (N_ex=2)"]
     report = (finished["runs"] / "report.csv").read_text().splitlines()
     assert [row[0] for row in csv.reader(report)] == ["Model", *labels]
+
+
+def test_each_verb_records_the_stage_artifacts_its_row_writes(finished):
+    doc = entries(finished["runs"])
+    # the stage artifacts, by their top-level name: what the verbs read from the output directory
+    read = {name.split("/")[0] for entry in doc.values() for name in entry["inputs"]} - set(cli.EXTERNAL_INPUTS)
+    assert read == cli.WRITERS.keys()
+    for verb, entry in doc.items():
+        assert {name.split("/")[0] for name in entry["outputs"]} & read == set(cli.VERBS[verb].writes), verb
+        assert all(cli.WRITERS.get(name.split("/")[0], verb) == verb for name in entry["outputs"]), verb
+    assert {f"models/{family}.json" for family in FAMILIES} <= doc["train-models"]["outputs"].keys()
 
 
 class TestUpToDate:
@@ -163,6 +177,9 @@ def live_config(finished, tmp_path: Path, url: str) -> Path:
 class TestRunsAgain:
     @pytest.mark.parametrize("argv", README, ids=lambda argv: argv[0])
     def test_a_changed_seed(self, finished, runs, capsys, argv):
+        # run-grid refuses dk.json texts from the models of another split
+        for upstream in ["train-models", "gen-dk"] if argv[0] == "run-grid" else []:
+            assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", upstream)[:2])
         assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2])
         assert entries(runs)[argv[0]]["seed"] == 4
 
@@ -381,9 +398,19 @@ class TestConfigEdits:
         assert {path: path.read_bytes() for path in runs.rglob("*") if path.is_file()} == before
 
 
+def rewrite_grid_split(finished, runs: Path, **split):
+    """Rewrite run-grid's entry as a run at another seed or test fraction
+    records it, with its inputs and outputs left as they are: the entry that
+    a run-grid which did not refuse dk.json texts of another split left."""
+    doc = entries(runs)
+    cfg = dataclasses.replace(ExperimentConfig.from_json(finished["cfg"]), **split)
+    doc["run-grid"].update(split, config=cli._config_digest(cfg, "run-grid", live=False))
+    (runs / "manifest.json").write_text(json.dumps(doc))
+
+
 class TestMismatchedInputs:
     def test_report_of_rows_from_two_seeds_exits_one_naming_the_verb_to_rerun(self, finished, runs, capsys):
-        assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *ARGV["run-grid"])[:2])
+        rewrite_grid_split(finished, runs, seed=4)
         code, _, err = run(finished["cfg"], runs, capsys, "report")
         assert code == 1
         assert err == (
@@ -396,13 +423,31 @@ class TestMismatchedInputs:
         assert run(finished["cfg"], runs, capsys, "report")[0] == 0
 
     def test_report_of_rows_from_two_test_fractions_exits_one_naming_the_verb_to_rerun(self, finished, runs, capsys):
-        assert ran(*run(finished["cfg"], runs, capsys, "--test-fraction", "0.3", *ARGV["run-grid"])[:2])
+        rewrite_grid_split(finished, runs, test_fraction=0.3)
         code, _, err = run(finished["cfg"], runs, capsys, "report")
         assert code == 1
         assert err == (
             "error: grid_rows.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
             "and run-grid (seed 3, test fraction 0.3); rerun run-grid\n"
         )
+
+    def test_a_grid_of_another_split_than_its_dk_texts_exits_one_and_sends_nothing(
+        self, finished, runs, capsys, stub, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        stub.script = [(200, ok_body("1"))]
+        live, before = live_config(finished, tmp_path, stub.url), files(runs)
+        code, out, err = run(live, runs, capsys, "--seed", "4", "--live", "run-grid")
+        assert (code, out, err) == (
+            1,
+            [],
+            "error: dk.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
+            "and run-grid (seed 4, test fraction 0.25); rerun train-models\n",
+        )
+        assert stub.requests == [] and not (tmp_path / "cache.jsonl").exists()
+        assert files(runs) == before
+        for argv in (ARGV["train-models"], ARGV["gen-dk"], ARGV["run-grid"]):
+            assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2]), argv
 
     def test_report_of_rows_from_two_imputed_files_names_the_stale_one(self, finished, runs, capsys, tmp_path):
         other = tmp_path / "other.csv"
