@@ -137,6 +137,11 @@ def _load_manifest(path: Path) -> dict:
     return entries
 
 
+def _rerun(*paths: tuple[str, ...]) -> str:
+    """The advice to rerun every verb of `paths`, once each, in pipeline order."""
+    return "rerun " + " and ".join(sorted(set().union(*paths), key=list(VERBS).index))
+
+
 class Trace:
     """What one verb reads and writes, checked against and recorded in the
     manifest of its output directory.
@@ -204,11 +209,11 @@ class Trace:
         splits = {} if digest is None else self._lineage(name, digest)
         now = f"seed {self.cfg.seed}, test fraction {self.cfg.test_fraction}"
         if VERBS[self.verb].splits:
-            splits[self.verb] = now
-        if len(set(splits.values())) > 1:
-            stale = " and ".join(by for by, split in splits.items() if split != now)
-            made = " and ".join(f"{by} ({split})" for by, split in splits.items())
-            raise ValidationError(f"{name} comes from two test splits: {made}; rerun {stale}")
+            splits[self.verb] = now, ()
+        if len({split for split, _ in splits.values()}) > 1:
+            stale = [(by, *path) for by, (split, path) in splits.items() if split != now]
+            made = " and ".join(f"{by} ({split})" for by, (split, _) in splits.items())
+            raise ValidationError(f"{name} comes from two test splits: {made}; {_rerun(*stale)}")
         return digest
 
     def record(self, name: str) -> str | None:
@@ -216,37 +221,42 @@ class Trace:
         self.reads[name] = self._verified(name)
         return self.reads[name]
 
-    def _lineage(self, name: str, digest: str) -> dict:
-        """The split ("seed S, test fraction F") of each verb that split the
-        data on the way to the file `name` with sha256 `digest`. Each writer
-        up the chain must have written the file it is taken for, from stage
-        artifacts still on disk. A file no entry wrote ends the walk: an
-        external input, or one older than the manifest."""
+    def _lineage(self, name: str, digest: str, below: tuple[str, ...] = ()) -> dict:
+        """Each verb that split the data on the way to the file `name` with
+        sha256 `digest`: its split ("seed S, test fraction F") and the writers
+        between it and the reading verb, `below` being those of the walk so far.
+        Each writer up the chain must have written the file it is taken for,
+        from stage artifacts still on disk, or it reruns with those below it. A
+        file no entry wrote ends the walk: an external input, or one older than
+        the manifest."""
         verb = WRITERS.get(name.split("/")[0])
         if (entry := self.entries.get(verb)) is None:
             return {}
+        chain = (verb, *below)
         if entry["outputs"].get(name, digest) != digest:
-            raise ValidationError(f"{self.path(name)} changed since {verb} wrote it; rerun {verb}")
+            raise ValidationError(f"{self.path(name)} changed since {verb} wrote it; {_rerun(chain)}")
         splits = {}
         for source, made_from in entry["inputs"].items():
             if source.split("/")[0] in WRITERS and self._digest(source) != made_from:
-                raise ValidationError(f"{name} was made from a {source} that has changed since; rerun {verb}")
-            splits.update(self._lineage(source, made_from))
+                raise ValidationError(f"{name} was made from a {source} that has changed since; {_rerun(chain)}")
+            splits.update(self._lineage(source, made_from, chain))
         if VERBS[verb].splits:
-            splits[verb] = f"seed {entry['seed']}, test fraction {entry['test_fraction']}"
+            splits[verb] = f"seed {entry['seed']}, test fraction {entry['test_fraction']}", below
         return splits
 
     def read(self, name: str, parse):
         """parse(path) of the artifact `name` that an upstream verb wrote,
         recorded through `record`. A missing file means that verb has not
-        run; a malformed one, or one whose lineage fails, that it should run again."""
+        run; one whose lineage fails, or whose bytes `parse` raises on, that
+        it should run again: the parsers leave naming the file to this one rule."""
         path, verb = self.path(name), WRITERS[name.split("/")[0]]
         if self.record(name) is None:
             raise ValidationError(f"missing {path}; run {verb} first")
         try:
             return parse(path)
-        except CardiopromptError as exc:
-            raise type(exc)(f"{exc}; rerun {verb}") from exc
+        except (CardiopromptError, ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON, not UTF-8
+            what = f"{type(exc).__name__}: {exc}"
+            raise ValidationError(f"{path} is not as {verb} writes it ({what}); rerun {verb}") from exc
 
     def output(self, name: str) -> Path:
         """The path of an artifact this verb writes, recorded for its entry."""
@@ -347,13 +357,10 @@ def cmd_gen_dk(trace: Trace, args: argparse.Namespace) -> int:
 
 def _load_dks(path: Path) -> list[DomainKnowledge]:
     """The texts that cmd_gen_dk wrote to dk.json."""
-    try:
-        return [
-            DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
-            for doc in json.loads(path.read_text())
-        ]
-    except (ValueError, KeyError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"{path} does not hold domain-knowledge texts ({exc!r})") from exc
+    return [
+        DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
+        for doc in json.loads(path.read_text())
+    ]
 
 
 def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:

@@ -91,7 +91,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+            raise ValidationError(f"config file {path} is not UTF-8 JSON: {exc}") from None
         return cls.from_dict(doc)
 
     @classmethod

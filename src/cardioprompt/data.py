@@ -72,48 +72,52 @@ def load_csv(path: str | Path) -> RawDataset:
     An optional header row is accepted when it matches the schema's feature
     names plus the target column; a UTF-8 byte-order mark before it is
     skipped. Raises ParseError naming the file and the offending line for
-    wrong arity, non-numeric or infinite cells, or out-of-range targets, and
-    naming the file when it holds no data row.
+    bytes that are not UTF-8, wrong arity, non-numeric or infinite cells, or
+    out-of-range targets, and naming the file when it holds no data row.
     """
     path = Path(path)
     expected = FEATURE_NAMES + [TARGET_NAME]
     rows: list[list[float]] = []
     targets: list[int] = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue  # blank line
-            cells = [c.strip() for c in record]
-            if lineno == 1 and _is_header(cells):
-                if [c.lower() for c in cells] != expected:
-                    raise ParseError(
-                        f"{path}: line 1: header {cells} does not match expected columns {expected}"
-                    )
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    for lineno, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue  # blank line
+        cells = [c.strip() for c in record]
+        if lineno == 1 and _is_header(cells):
+            if [c.lower() for c in cells] != expected:
+                raise ParseError(
+                    f"{path}: line 1: header {cells} does not match expected columns {expected}"
+                )
+            continue
+        if len(cells) != len(expected):
+            raise ParseError(f"{path}: line {lineno}: expected {len(expected)} columns, got {len(cells)}")
+        parsed: list[float] = []
+        for name, cell in zip(FEATURE_NAMES, cells):
+            if cell in MISSING_TOKENS:
+                parsed.append(np.nan)
                 continue
-            if len(cells) != len(expected):
-                raise ParseError(f"{path}: line {lineno}: expected {len(expected)} columns, got {len(cells)}")
-            parsed: list[float] = []
-            for name, cell in zip(FEATURE_NAMES, cells):
-                if cell in MISSING_TOKENS:
-                    parsed.append(np.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-numeric value {cell!r} in column {name}") from None
-                if math.isinf(value):
-                    raise ParseError(f"{path}: line {lineno}: infinite value {cell!r} in column {name}")
-                parsed.append(value)
-            target_cell = cells[-1]
             try:
-                target_f = float(target_cell)
+                value = float(cell)
             except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric target {target_cell!r}") from None
-            if not target_f.is_integer() or not 0 <= target_f <= 4:
-                raise ParseError(f"{path}: line {lineno}: target must be an integer in 0..4, got {target_cell!r}")
-            rows.append(parsed)
-            targets.append(int(target_f))
+                raise ParseError(f"{path}: line {lineno}: non-numeric value {cell!r} in column {name}") from None
+            if math.isinf(value):
+                raise ParseError(f"{path}: line {lineno}: infinite value {cell!r} in column {name}")
+            parsed.append(value)
+        target_cell = cells[-1]
+        try:
+            target_f = float(target_cell)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric target {target_cell!r}") from None
+        if not target_f.is_integer() or not 0 <= target_f <= 4:
+            raise ParseError(f"{path}: line {lineno}: target must be an integer in 0..4, got {target_cell!r}")
+        rows.append(parsed)
+        targets.append(int(target_f))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     matrix = np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_NAMES))

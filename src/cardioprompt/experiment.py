@@ -238,7 +238,7 @@ def run_prompt_grid(
         examples = sample_examples(prepared.train, n_ex, derive_seed(cfg.seed, f"examples:{n_ex}"))
         block: list[ReportRow] = []
         for dk_index, dk in enumerate(dks):
-            spec = PromptSpec(n_ex=n_ex, dk=dk, paper_faithful=cfg.paper_faithful)
+            spec = PromptSpec(dk=dk, paper_faithful=cfg.paper_faithful)
             labels = classify_batch(prepared.test, spec, backend, examples)
             preds = [1 if label is None else label for label in labels]
             source = _TAG_DISPLAY.get(dk.source_name, dk.source_name) if dk.variant is not DkVariant.NONE else "-"
@@ -262,13 +262,10 @@ def save_rows(path: str | Path, rows: list[ReportRow]):
 
 def load_rows(path: str | Path) -> list[ReportRow]:
     """Inverse of save_rows."""
-    try:
-        return [
-            ReportRow(*(MetricsRow(*doc[f.name]) if f.name == "metrics" else doc[f.name] for f in fields(ReportRow)))
-            for doc in json.loads(Path(path).read_text())
-        ]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{path} does not hold report rows: {exc!r}") from exc
+    return [
+        ReportRow(*(MetricsRow(*doc[f.name]) if f.name == "metrics" else doc[f.name] for f in fields(ReportRow)))
+        for doc in json.loads(Path(path).read_text())
+    ]
 
 
 def unparseable_counts(rows: list[ReportRow]) -> dict[str, int]:

@@ -62,12 +62,11 @@ from typing import Protocol
 from .config import LlmConfig
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
-from .prompts import Examples, PromptSpec, assemble_prompt, render_instance
+from .prompts import Examples, PromptSpec, assemble_prompt, query_line, query_values, render_instance
 from .prompts import sample_examples  # noqa: F401 -- unused here; bench/tracer.py wraps gateway.sample_examples
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _LABEL_RE = re.compile(r"(?<![0-9])([01])(?![0-9])")
-_QUERY_MARK = "<Inputs>: "  # opens the final question's line; an example's reads "<Inputs k>: "
 _MAX_LINE = 65536  # http.client's limits: bytes in one line, header lines in one reply
 _MAX_HEADERS = 100
 _CONTROL_IN_TARGET = re.compile(r"[\x00-\x20\x7f]")
@@ -522,23 +521,6 @@ class _Flight:
 # --- mocks ---------------------------------------------------------------
 
 
-def query_line(prompt_text: str) -> str:
-    """The content of the final question's <Inputs> line."""
-    start = prompt_text.rfind("\n" + _QUERY_MARK) + 1  # 0 when absent: then only the first line can hold it
-    line = prompt_text[start:].partition("\n")[0]
-    if not line.startswith(_QUERY_MARK) or line == _QUERY_MARK:
-        raise ValidationError("prompt has no final <Inputs> line")
-    return line[len(_QUERY_MARK) :]
-
-
-def _query_values(prompt_text: str) -> dict[str, float]:
-    pairs = {}
-    for chunk in query_line(prompt_text).split(", "):
-        name, _, value = chunk.partition(": ")
-        pairs[name] = float(value)
-    return pairs
-
-
 class _InlineMock:
     """A mock answers a batch one prompt after another, with `respond`."""
 
@@ -588,7 +570,7 @@ class RuleMock(_InlineMock):
         self.threshold = threshold
 
     def respond(self, prompt_text: str) -> str:
-        values = _query_values(prompt_text)
+        values = query_values(prompt_text)
         if self.feature not in values:
             raise ValidationError(f"feature {self.feature!r} not in the final question")
         return "1" if values[self.feature] >= self.threshold else "0"
@@ -612,8 +594,8 @@ def classify_batch(
     """One label per test row, in row order: 0, 1, or None where the answer
     is unparseable.
 
-    Prompts share the in-context `examples` (spec.n_ex of them, drawn by the
-    caller and checked and rendered once) and differ only in the final
+    Prompts share the in-context `examples` (drawn by the caller and checked
+    and rendered once) and differ only in the final
     question. The backend answers them all in one call; its first failure is
     the error raised.
     """

@@ -3,7 +3,8 @@
 The objective is mean cross-entropy plus 0.5*lambda*||w||^2 with the bias
 excluded from the penalty; lambda = 1/(C*n) mirrors the usual C semantics.
 loss_and_grad is a pure function of a flat parameter vector [w..., b] so the
-analytic gradient can be checked against finite differences directly.
+analytic gradient can be checked against finite differences directly; the
+fit steps on the same gradient without computing the loss.
 """
 
 from __future__ import annotations
@@ -20,18 +21,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _gradient(theta: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """The gradient of the regularized mean cross-entropy at theta = [w..., b]."""
+    w, b = theta[:-1], theta[-1]
+    residual = _sigmoid(X @ w + b) - y
+    return np.concatenate([X.T @ residual / len(y) + lam * w, [residual.mean()]])
+
+
 def loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
     """Regularized mean cross-entropy and its gradient at theta = [w..., b]."""
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
     # log(1+e^z) - y*z computed without overflow
     softplus = np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
-    n = len(y)
     loss = float((softplus - y * z).mean() + 0.5 * lam * (w @ w))
-    p = _sigmoid(z)
-    gw = X.T @ (p - y) / n + lam * w
-    gb = (p - y).mean()
-    return loss, np.concatenate([gw, [gb]])
+    return loss, _gradient(theta, X, y, lam)
 
 
 @dataclass
@@ -65,7 +69,7 @@ class LogisticRegressionGD(Classifier):
         momentum = 0.9 if self.solver == "gd_momentum" else 0.0
         self.converged = False
         for it in range(1, self.max_iter + 1):
-            _, grad = loss_and_grad(theta, X, y, lam)
+            grad = _gradient(theta, X, y, lam)
             if np.abs(grad).max() <= self.tol:
                 self.converged = True
                 break

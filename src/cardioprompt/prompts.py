@@ -41,16 +41,15 @@ ATTRIBUTES = "\n".join([ATTRIBUTES_HEADER] + [f"- {name.capitalize()}: {text}" f
 
 QUESTION_LEAD = "Now, given the following inputs, please evaluate the risk of heart disease:"
 
+_QUERY_MARK = "<Inputs>: "  # opens the final question's line; an example's reads "<Inputs k>: "
+
 
 @dataclass(frozen=True)
 class PromptSpec:
-    n_ex: int
+    """What one grid cell's prompts share besides their examples, whose count is theirs alone."""
+
     dk: DomainKnowledge
     paper_faithful: bool = False
-
-    def __post_init__(self):
-        if self.n_ex < 0:
-            raise ValidationError("example count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,24 @@ def render_instance(x, float_style: bool = False) -> str:
 def _render_row(bits: bytes, float_style: bool) -> str:
     render = (lambda v: str(float(v))) if float_style else render_value
     return ", ".join(f"{name}: {render(v)}" for name, v in zip(FEATURE_NAMES, np.frombuffer(bits)))
+
+
+def query_line(prompt_text: str) -> str:
+    """The content of the final question's <Inputs> line: what `render_instance` wrote there."""
+    start = prompt_text.rfind("\n" + _QUERY_MARK) + 1  # 0 when absent: then only the first line can hold it
+    line = prompt_text[start:].partition("\n")[0]
+    if not line.startswith(_QUERY_MARK) or line == _QUERY_MARK:
+        raise ValidationError("prompt has no final <Inputs> line")
+    return line[len(_QUERY_MARK) :]
+
+
+def query_values(prompt_text: str) -> dict[str, float]:
+    """The final question's feature values by name."""
+    pairs = {}
+    for chunk in query_line(prompt_text).split(", "):
+        name, _, value = chunk.partition(": ")
+        pairs[name] = float(value)
+    return pairs
 
 
 class Examples(tuple):
@@ -158,15 +175,13 @@ def sample_examples(train: Dataset, n_ex: int, seed: int) -> Examples:
 def assemble_prompt(spec: PromptSpec, examples, query) -> Prompt:
     """The prompt for one query row. `examples` is an `Examples` or a list of
     (row, label) pairs, which is checked as one."""
-    if len(examples) != spec.n_ex:
-        raise ValidationError(f"spec wants {spec.n_ex} examples, got {len(examples)}")
     if not isinstance(examples, Examples):
         examples = Examples(examples)
     task = FAITHFUL_TASK if spec.paper_faithful else TASK_INSTRUCTION
     dk = "" if spec.dk.variant is DkVariant.NONE else f"Domain Knowledge:\n{spec.dk.text}"
 
-    query_line = render_instance(query, float_style=spec.paper_faithful)
+    line = _QUERY_MARK + render_instance(query, float_style=spec.paper_faithful)
     tail = " ?" if spec.paper_faithful else ""
-    question = f"{QUESTION_LEAD}\n<Inputs>: {query_line}\n<Answer>:{tail}"
+    question = f"{QUESTION_LEAD}\n{line}\n<Answer>:{tail}"
 
     return Prompt(task, ATTRIBUTES, examples.blocks, dk, question)

@@ -149,7 +149,7 @@ def test_criterion_4_dk_golden_texts():
 def test_criterion_5_prompt_golden_file():
     with criterion(5):
         dk1 = render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI)
-        spec = PromptSpec(n_ex=3, dk=dk1, paper_faithful=True)
+        spec = PromptSpec(dk=dk1, paper_faithful=True)
         prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
         expected = (GOLDEN_DIR / "prompt_paper_faithful.txt").read_text()
         assert prompt.text == expected, "assembled prompt differs from the golden file"
@@ -230,7 +230,7 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         # (b) scripted responses against hand-computed confusion counts
         sub = prepared.test
         flip = [("0" if t == 1 else "1") if i < 10 else str(t) for i, t in enumerate(sub.targets)]
-        preds = classify_batch(sub, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(flip))
+        preds = classify_batch(sub, PromptSpec(dk=NO_DK), ScriptedMock(flip))
         cm = confusion(preds, sub.targets)
         first = sub.targets[:10]
         expected_cm = ConfusionMatrix(
@@ -259,10 +259,10 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         with _stub_server([(200, {"choices": [{"message": {"content": "1"}}]})]) as (url, state):
             llm = LlmConfig(base_url=url, max_retries=0, timeout=5.0)
             cache_path = tmp_path / "completions.jsonl"
-            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"))
+            classify_batch(small, PromptSpec(dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"))
             first_count = len(state["requests"])
             assert first_count == small.n_rows
-            classify_batch(small, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"))
+            classify_batch(small, PromptSpec(dk=NO_DK), HttpBackend(llm, JsonlCache(cache_path), "k"))
             assert len(state["requests"]) == first_count, "warm-cache rerun reached the network"
 
 

@@ -219,6 +219,15 @@ class TestPrepareData:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not workdir["runs"].exists()
 
+    @pytest.mark.parametrize("data", [b'{"seed": 3,', b"\xff"], ids=["not-json", "not-utf-8"])
+    def test_a_config_file_that_is_not_utf8_json_exits_one_naming_it(self, workdir, capsys, data):
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_bytes(data)
+        assert main(["--config", str(bad), "prepare-data"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {bad} is not UTF-8 JSON: ") and err.count("\n") == 1
+        assert not workdir["runs"].exists()
+
     def test_unknown_nested_config_key_exits_one(self, workdir, capsys):
         bad = workdir["tmp"] / "bad.json"
         bad.write_text(json.dumps({"data_path": str(workdir["data"]), "llm": {"model": "gpt-3.5-turbo"}}))
@@ -296,6 +305,16 @@ def with_and_without_manifest(cases: list[tuple]) -> list:
     ]
 
 
+# each stage artifact, with a verb that reads it
+READERS = [
+    ("imputed.csv", "train-models"),
+    ("models/RF.json", "gen-dk"),
+    ("ml_rows.json", "report"),
+    ("grid_rows.json", "report"),
+    ("dk.json", "run-grid"),
+]
+
+
 class TestMalformedArtifacts:
     """A malformed artifact exits 1 with an error line, never a traceback."""
 
@@ -307,18 +326,7 @@ class TestMalformedArtifacts:
         damage(runs / name)
         assert main(["--config", str(finished_run["cfg"]), "--output-dir", str(runs), verb]) == 1
 
-    @pytest.mark.parametrize(
-        "name, verb, manifest",
-        with_and_without_manifest(
-            [
-                ("imputed.csv", "train-models"),
-                ("models/RF.json", "gen-dk"),
-                ("ml_rows.json", "report"),
-                ("grid_rows.json", "report"),
-                ("dk.json", "run-grid"),
-            ]
-        ),
-    )
+    @pytest.mark.parametrize("name, verb, manifest", with_and_without_manifest(READERS))
     def test_torn_in_half_exits_one(self, finished_run, tmp_path, capsys, name, verb, manifest):
         def tear(path: Path):
             data = path.read_bytes()
@@ -352,6 +360,16 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and f"rerun {writer}" in err
         assert ("changed since" in err) == manifest
+
+    @pytest.mark.parametrize("name, verb", READERS)
+    def test_bytes_that_are_not_utf8_name_the_file_and_its_writer(self, finished_run, tmp_path, capsys, name, verb):
+        def garble(path: Path):
+            path.write_bytes(b"\xff" + path.read_bytes())
+
+        self._run(finished_run, tmp_path, name, verb, garble, manifest=False)
+        err, writer = capsys.readouterr().err, WRITERS[name]
+        assert err.startswith(f"error: {tmp_path / 'runs' / name} is not as {writer} writes it (")
+        assert err.endswith(f"); rerun {writer}\n") and err.count("\n") == 1
 
 
 def artifact_writers() -> list[tuple[str, object]]:
@@ -819,5 +837,5 @@ class TestReadme:
         verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         flags = {f for p in (parser, *verbs.values()) for a in p._actions for f in a.option_strings} - {"-h", "--help"}
         assert {"--config", "--cache-path", "--mock", "--format"} <= flags
-        names = flags | verbs.keys()  # and every verb
+        names = flags | verbs.keys() | cli.WRITERS.keys()  # and every verb and stage artifact
         assert sorted(f for f in names if not re.search(re.escape(f) + r"(?![\w-])", text)) == []

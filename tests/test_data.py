@@ -91,6 +91,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=rf"data\.csv: line 2: infinite value '{cell}' in column chol$"):
             load_csv(_write_csv(tmp_path, [_ROW_OK, row]))
 
+    def test_bytes_that_are_not_utf8_raise_naming_file_and_line(self, tmp_path):
+        path = _write_csv(tmp_path, [_ROW_OK, _ROW_OK])
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ParseError, match=r"data\.csv: line 3: not UTF-8 \(invalid start byte at byte \d+\)$"):
+            load_csv(path)
+
     def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
         path = _write_csv(tmp_path, [_ROW_OK], header=True)
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())

@@ -42,9 +42,8 @@ from cardioprompt.gateway import (
     classify_batch,
     parse_label,
     prompt_hash,
-    query_line,
 )
-from cardioprompt.prompts import PromptSpec, assemble_prompt, sample_examples
+from cardioprompt.prompts import PromptSpec, assemble_prompt, query_line, sample_examples
 from cardioprompt.schema import FEATURE_NAMES
 from conftest import EXAMPLE_1, HANG_UP, QUERY, ok_body, small_dataset
 
@@ -254,7 +253,7 @@ class TestJsonlCache:
 
 
 def _one_row_prompt(x) -> str:
-    return assemble_prompt(PromptSpec(n_ex=0, dk=NO_DK), [], x).text
+    return assemble_prompt(PromptSpec(dk=NO_DK), [], x).text
 
 
 class TestMocks:
@@ -269,7 +268,7 @@ class TestMocks:
     def test_oracle_answers_true_labels(self):
         ds = small_dataset(25, seed=3)
         oracle = OracleMock.for_dataset(ds)
-        preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), oracle)
+        preds = classify_batch(ds, PromptSpec(dk=NO_DK), oracle)
         assert preds == ds.targets.tolist()
 
     def test_oracle_duplicate_rows_must_agree(self):
@@ -304,7 +303,7 @@ class TestMocks:
     def test_rule_mock_reads_query_not_examples(self):
         # EXAMPLE_1 has exang=1; the query has exang=0. The rule must see 0.
         prompt = assemble_prompt(
-            PromptSpec(n_ex=1, dk=NO_DK), [EXAMPLE_1], QUERY
+            PromptSpec(dk=NO_DK), [EXAMPLE_1], QUERY
         ).text
         assert RuleMock("exang", 0.5).respond(prompt) == "0"
 
@@ -612,7 +611,7 @@ class TestComplete:
         backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=0.01, max_in_flight=2), api_key="k")
         start = time.monotonic()
         with pytest.raises(AuthError):
-            classify_batch(small_dataset(10, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend)
+            classify_batch(small_dataset(10, seed=5), PromptSpec(dk=NO_DK), backend)
         assert time.monotonic() - start < 10.0
         assert len(stub.requests) == 2
 
@@ -737,15 +736,10 @@ class TestClassifyBatch:
             cfg = _cfg(stub, max_in_flight=width)
             cache = JsonlCache(tmp_path / f"c{width}.jsonl")
             preds = classify_batch(
-                ds, PromptSpec(n_ex=0, dk=NO_DK), HttpBackend(cfg, cache, api_key="k")
+                ds, PromptSpec(dk=NO_DK), HttpBackend(cfg, cache, api_key="k")
             )
             results[width] = preds
         assert results[1] == results[8] == expected
-
-    def test_examples_fewer_than_the_spec_wants_rejected(self):
-        ds = small_dataset(10, seed=0)
-        with pytest.raises(ValidationError, match="spec wants 2 examples, got 0"):
-            classify_batch(ds, PromptSpec(n_ex=2, dk=NO_DK), OracleMock({}))
 
     def test_examples_shared_across_rows(self):
         train = small_dataset(40, seed=1)
@@ -757,7 +751,7 @@ class TestClassifyBatch:
                 seen.extend(prompts)
                 return ["1"] * len(prompts)
 
-        classify_batch(test, PromptSpec(n_ex=4, dk=NO_DK), Recorder(), examples=sample_examples(train, 4, seed=3))
+        classify_batch(test, PromptSpec(dk=NO_DK), Recorder(), examples=sample_examples(train, 4, seed=3))
         blocks = [t.split("Now, given")[0].split("Example 1:")[1] for t in seen]
         assert all(b == blocks[0] for b in blocks)  # same examples everywhere
 
@@ -767,14 +761,14 @@ class TestClassifyBatch:
         cache = JsonlCache(tmp_path / "c.jsonl")
         backend = HttpBackend(_cfg(stub, max_in_flight=3), cache, api_key="k")
         with pytest.raises(TransportError, match="HTTP 400"):
-            classify_batch(small_dataset(30, seed=4), PromptSpec(n_ex=0, dk=NO_DK), backend)
+            classify_batch(small_dataset(30, seed=4), PromptSpec(dk=NO_DK), backend)
         assert len(stub.requests) <= 3  # the failing row and the rows already in flight beside it
         assert len(cache) == len(stub.requests) - 1  # the replies awaited were still read and cached
 
     def _fill(self, stub, path, ds, rows) -> list[str]:
         """Caches the answers to `rows` of `ds`; every row's prompt, in row order."""
         stub.script = [self._answers_by_chol]
-        prompts = [assemble_prompt(PromptSpec(n_ex=0, dk=NO_DK), [], x).text for x in ds.matrix]
+        prompts = [assemble_prompt(PromptSpec(dk=NO_DK), [], x).text for x in ds.matrix]
         cache = JsonlCache(path)
         HttpBackend(_cfg(stub), cache, api_key="k").answer([prompts[i] for i in rows])
         cache.close()
@@ -789,7 +783,7 @@ class TestClassifyBatch:
         original_start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or original_start(t))
         backend = HttpBackend(_cfg(stub, max_in_flight=4), JsonlCache(tmp_path / "c.jsonl"), api_key="k")
-        preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), backend)
+        preds = classify_batch(ds, PromptSpec(dk=NO_DK), backend)
         assert preds == expected
         assert starts == [] and stub.requests == []
 
@@ -801,7 +795,7 @@ class TestClassifyBatch:
         original_hash = gateway.prompt_hash
         monkeypatch.setattr(gateway, "prompt_hash", lambda text, *a: hashed.append(text) or original_hash(text, *a))
         backend = HttpBackend(_cfg(stub, max_in_flight=4), JsonlCache(tmp_path / "c.jsonl"), api_key="k")
-        preds = classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), backend)
+        preds = classify_batch(ds, PromptSpec(dk=NO_DK), backend)
         assert preds == expected
         assert sorted(r["body"]["messages"][0]["content"] for r in stub.requests) == sorted(prompts[1::2])
         assert sorted(hashed) == sorted(prompts)
@@ -822,7 +816,7 @@ class TestClassifyBatch:
     def test_unparseable_recorded_not_raised(self):
         ds = small_dataset(3, seed=4)
         preds = classify_batch(
-            ds, PromptSpec(n_ex=0, dk=NO_DK), ScriptedMock(["1", "gibberish", "0"])
+            ds, PromptSpec(dk=NO_DK), ScriptedMock(["1", "gibberish", "0"])
         )
         assert preds == [1, None, 0]
 
@@ -834,13 +828,13 @@ class TestClassifyBatch:
             def answer(self, prompts: list[str]) -> list[str]:
                 return ["no idea" if p == odd else "0" for p in prompts]
 
-        assert classify_batch(ds, PromptSpec(n_ex=0, dk=NO_DK), AnswersByRow()) == [0] * 5 + [None] + [0] * 2
+        assert classify_batch(ds, PromptSpec(dk=NO_DK), AnswersByRow()) == [0] * 5 + [None] + [0] * 2
 
     def test_connections_reused_across_batches(self, stub):
         stub.script = [(200, ok_body("1"))]
         backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
         for seed in (6, 7):
-            classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend)
+            classify_batch(small_dataset(60, seed=seed), PromptSpec(dk=NO_DK), backend)
         assert len(stub.requests) == 120
         assert stub.connections <= 4
 
@@ -869,7 +863,7 @@ class TestClassifyBatch:
         cache = JsonlCache(tmp_path / "c.jsonl")
         backend = HttpBackend(_cfg(stub, max_in_flight=4), cache, api_key="k")
         for seed in (6, 7):
-            preds = classify_batch(small_dataset(60, seed=seed), PromptSpec(n_ex=0, dk=NO_DK), backend)
+            preds = classify_batch(small_dataset(60, seed=seed), PromptSpec(dk=NO_DK), backend)
             assert preds == [1] * 60
         assert len(stub.requests) == len(cache) == stub.connections == 120
         assert {json.loads(line)["attempt_count"] for line in cache.path.read_text().splitlines()} == {1}
@@ -880,7 +874,7 @@ class TestClassifyBatch:
         stub.script = [(503, {})]
         backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=0.01, max_in_flight=width), api_key="k")
         with pytest.raises(TransportError):
-            classify_batch(small_dataset(20, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend)
+            classify_batch(small_dataset(20, seed=5), PromptSpec(dk=NO_DK), backend)
         assert 3 <= len(stub.requests) <= most
 
     def test_a_live_batch_starts_no_thread(self, stub, monkeypatch):
@@ -895,13 +889,13 @@ class TestClassifyBatch:
 
         monkeypatch.setattr(threading.Thread, "start", start)
         backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
-        assert classify_batch(small_dataset(12, seed=8), PromptSpec(n_ex=0, dk=NO_DK), backend) == [1] * 12
+        assert classify_batch(small_dataset(12, seed=8), PromptSpec(dk=NO_DK), backend) == [1] * 12
         assert starts == [] and len(stub.requests) == 12
 
     def test_the_stub_holds_max_in_flight_requests_at_once(self, stub):
         stub.script = [lambda doc: time.sleep(0.05) or (200, ok_body("1"))]
         backend = HttpBackend(_cfg(stub, max_in_flight=4), api_key="k")
-        classify_batch(small_dataset(24, seed=8), PromptSpec(n_ex=0, dk=NO_DK), backend)
+        classify_batch(small_dataset(24, seed=8), PromptSpec(dk=NO_DK), backend)
         assert len(stub.requests) == 24
         assert stub.most_in_flight == 4
 
@@ -917,7 +911,7 @@ class TestClassifyBatch:
         stub.script = [held, (200, ok_body("1"))]
         backend = HttpBackend(_cfg(stub, max_in_flight=2), api_key="k")
         start = time.monotonic()
-        labels = classify_batch(small_dataset(20, seed=8), PromptSpec(n_ex=0, dk=NO_DK), backend)
+        labels = classify_batch(small_dataset(20, seed=8), PromptSpec(dk=NO_DK), backend)
         assert seen == [20]  # every other prompt was sent, and so answered, while the first reply was held
         assert sorted(labels) == [0] + [1] * 19
         assert time.monotonic() - start < 5.0
@@ -951,7 +945,7 @@ class TestClassifyBatch:
         backend = HttpBackend(_cfg(stub, max_retries=2, backoff_base=60.0, max_in_flight=2), api_key="k")
         start = time.monotonic()
         with pytest.raises(AuthError):
-            classify_batch(small_dataset(10, seed=5), PromptSpec(n_ex=0, dk=NO_DK), backend)
+            classify_batch(small_dataset(10, seed=5), PromptSpec(dk=NO_DK), backend)
         assert time.monotonic() - start < 10.0
         assert len(stub.requests) == 2
         with pytest.raises(AuthError):

@@ -210,7 +210,7 @@ class TestRunsAgain:
             (
                 ["--data-path", "{other}", "prepare-data"],
                 ARGV["run-grid"],
-                "models/GBT.json was made from a imputed.csv that has changed since; rerun train-models",
+                "models/GBT.json was made from a imputed.csv that has changed since; rerun train-models and gen-dk",
             ),
             (["run-grid", "--mock", "oracle"], ARGV["report"], None),
         ],
@@ -418,7 +418,7 @@ class TestMismatchedInputs:
             "and run-grid (seed 4, test fraction 0.25); rerun run-grid\n"
         )
         code, _, err = run(finished["cfg"], runs, capsys, "--seed", "5", "report")  # a split neither verb made
-        assert (code, err.rpartition("; ")[2]) == (1, "rerun train-models and run-grid\n")
+        assert (code, err.rpartition("; ")[2]) == (1, "rerun train-models and gen-dk and run-grid\n")
         assert ran(*run(finished["cfg"], runs, capsys, *ARGV["run-grid"])[:2])
         assert run(finished["cfg"], runs, capsys, "report")[0] == 0
 
@@ -442,7 +442,7 @@ class TestMismatchedInputs:
             1,
             [],
             "error: dk.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
-            "and run-grid (seed 4, test fraction 0.25); rerun train-models\n",
+            "and run-grid (seed 4, test fraction 0.25); rerun train-models and gen-dk\n",
         )
         assert stub.requests == [] and not (tmp_path / "cache.jsonl").exists()
         assert files(runs) == before
@@ -453,29 +453,30 @@ class TestMismatchedInputs:
         other = tmp_path / "other.csv"
         write_raw_csv(other, seed=5)
         assert ran(*run(finished["cfg"], runs, capsys, "--data-path", str(other), "prepare-data")[:2])
-        err = "error: models/GBT.json was made from a imputed.csv that has changed since; rerun train-models\n"
-        assert run(finished["cfg"], runs, capsys, *ARGV["run-grid"]) == (1, [], err)
+        err = "error: models/GBT.json was made from a imputed.csv that has changed since; rerun train-models and gen-dk"
+        assert run(finished["cfg"], runs, capsys, *ARGV["run-grid"]) == (1, [], err + "\n")
         # ml rows of the new imputed.csv beside grid rows graded with the texts of the old one's models
         assert ran(*run(finished["cfg"], runs, capsys, *ARGV["train-models"])[:2])
-        err = "error: dk.json was made from a models/GBT.json that has changed since; rerun gen-dk\n"
+        err = "error: dk.json was made from a models/GBT.json that has changed since; rerun gen-dk and run-grid\n"
         assert run(finished["cfg"], runs, capsys, "report") == (1, [], err)
 
     @pytest.mark.parametrize(
-        "verb, stale",
+        "verb, stale, rerun",
         [
-            ("gen-dk", "models/RF.json"),
-            ("run-grid", "models/GBT.json"),  # through dk.json
-            ("report", "ml_rows.json"),
+            ("gen-dk", "models/RF.json", "train-models"),
+            ("run-grid", "models/GBT.json", "train-models and gen-dk"),  # through dk.json
+            ("report", "ml_rows.json", "train-models"),
         ],
+        ids=["gen-dk-models/RF.json", "run-grid-models/GBT.json", "report-ml_rows.json"],
     )
     def test_a_verb_downstream_of_a_new_imputed_file_is_not_up_to_date(
-        self, finished, runs, capsys, tmp_path, verb, stale
+        self, finished, runs, capsys, tmp_path, verb, stale, rerun
     ):
         # the skip walks each input's lineage as the read does, so it reaches the same verdict
         other = tmp_path / "other.csv"
         write_raw_csv(other, seed=5)
         assert ran(*run(finished["cfg"], runs, capsys, "--data-path", str(other), "prepare-data")[:2])
-        err = f"error: {stale} was made from a imputed.csv that has changed since; rerun train-models\n"
+        err = f"error: {stale} was made from a imputed.csv that has changed since; rerun {rerun}\n"
         assert run(finished["cfg"], runs, capsys, *ARGV[verb]) == (1, [], err)
 
     def test_dk_texts_from_models_trained_since_exit_one_naming_gen_dk(self, finished, runs, capsys):
@@ -484,9 +485,35 @@ class TestMismatchedInputs:
         stale = "dk.json was made from a models/GBT.json that has changed since; rerun gen-dk"
         assert (code, err) == (1, f"error: {stale}\n")
         # grid rows of seed 3, graded with the texts of the replaced models
-        assert run(finished["cfg"], runs, capsys, "--seed", "4", "report") == (1, [], f"error: {stale}\n")
+        assert run(finished["cfg"], runs, capsys, "--seed", "4", "report") == (1, [], f"error: {stale} and run-grid\n")
         for argv in (ARGV["gen-dk"], ARGV["run-grid"], ARGV["report"]):
             assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2]), argv
+
+    @pytest.mark.parametrize(
+        "upstream, flags, verb, rounds",
+        [
+            (None, ["--seed", "4"], "run-grid", [["train-models", "gen-dk"]]),
+            (["--data-path", "{other}", "prepare-data"], [], "run-grid", [["train-models", "gen-dk"]]),
+            (["--data-path", "{other}", "prepare-data"], [], "report", [["train-models"], ["gen-dk", "run-grid"]]),
+            (["--seed", "4", "train-models"], ["--seed", "4"], "report", [["gen-dk", "run-grid"]]),
+        ],
+        ids=["split-run-grid", "imputed-run-grid", "imputed-report", "models-report"],
+    )
+    def test_running_the_verbs_an_error_names_once_lets_its_read_pass(
+        self, finished, runs, capsys, tmp_path, upstream, flags, verb, rounds
+    ):
+        # each refusal names verbs that no later one names again; report reads two files, so it may refuse twice
+        other = tmp_path / "other.csv"
+        write_raw_csv(other, seed=5)
+        if upstream:
+            assert ran(*run(finished["cfg"], runs, capsys, *[a.format(other=other) for a in upstream])[:2])
+        named = []
+        while (result := run(finished["cfg"], runs, capsys, *flags, *ARGV[verb]))[0] == 1:
+            named.append(result[2].rstrip("\n").rpartition("; rerun ")[2].split(" and "))
+            assert len(named) <= len(rounds), named
+            for redo in named[-1]:
+                assert ran(*run(finished["cfg"], runs, capsys, *flags, *ARGV[redo])[:2]), redo
+        assert ran(*result[:2]) and named == rounds
 
     def test_rows_without_an_entry_are_read_as_before(self, finished, runs, capsys):
         doc = entries(runs)

@@ -67,13 +67,13 @@ class TestSharedHead:
             seed = derive_seed(cfg.seed, f"examples:{n_ex}")
             examples = sample_examples(prepared.train, n_ex, seed)
             for dk in dks:
-                spec = PromptSpec(n_ex=n_ex, dk=dk, paper_faithful=paper_faithful)
+                spec = PromptSpec(dk=dk, paper_faithful=paper_faithful)
                 expected += [reference_text(spec, examples, q) for q in prepared.test.matrix]
         assert len(expected) == 35 * prepared.test.n_rows
         assert backend.texts == expected
 
     def test_negative_zero_is_not_a_hit_for_zero(self):
-        spec = PromptSpec(n_ex=1, dk=NO_DK, paper_faithful=True)
+        spec = PromptSpec(dk=NO_DK, paper_faithful=True)
         for zero in (0.0, -0.0):
             row = np.full(13, 9.75)
             row[5] = zero
@@ -82,7 +82,7 @@ class TestSharedHead:
             assert f"fbs: {zero!r}" in prompt.part5_question
 
     def test_label_true_is_not_a_hit_for_one(self):
-        spec = PromptSpec(n_ex=2, dk=NO_DK)
+        spec = PromptSpec(dk=NO_DK)
         texts = []
         for examples in ([(EXAMPLE_1[0], 1), EXAMPLE_2], [(EXAMPLE_1[0], True), EXAMPLE_2]):
             texts.append(assemble_prompt(spec, examples, QUERY).text)
@@ -90,7 +90,7 @@ class TestSharedHead:
         assert "<Answer 1>: 1\n" in texts[0] and "<Answer 1>: True\n" in texts[1]
 
     def test_bad_example_row_rejected(self):
-        spec = PromptSpec(n_ex=2, dk=NO_DK)
+        spec = PromptSpec(dk=NO_DK)
         for rows in ([np.zeros(13), np.zeros(12)], [np.zeros(12), np.zeros(12)]):
             with pytest.raises(ValidationError):
                 assemble_prompt(spec, [(rows[0], 1), (rows[1], 0)], QUERY)

@@ -138,28 +138,28 @@ class TestSampleExamples:
 
 class TestAssembly:
     def test_default_golden_byte_exact(self):
-        spec = PromptSpec(n_ex=2, dk=NO_DK)
+        spec = PromptSpec(dk=NO_DK)
         prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2], QUERY)
         expected = (GOLDEN_DIR / "prompt_default.txt").read_text()
         assert prompt.text == expected
 
     def test_paper_faithful_golden_byte_exact(self):
         dk1 = render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI)
-        spec = PromptSpec(n_ex=3, dk=dk1, paper_faithful=True)
+        spec = PromptSpec(dk=dk1, paper_faithful=True)
         prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
         expected = (GOLDEN_DIR / "prompt_paper_faithful.txt").read_text()
         assert prompt.text == expected
 
     def test_no_dk_leaves_no_residue(self):
-        spec = PromptSpec(n_ex=0, dk=NO_DK)
+        spec = PromptSpec(dk=NO_DK)
         prompt = assemble_prompt(spec, [], QUERY)
         assert "Domain Knowledge" not in prompt.text
         assert "Example" not in prompt.text
         assert "\n\n\n" not in prompt.text
 
     def test_only_dk_section_changes_across_variants(self):
-        base = PromptSpec(n_ex=2, dk=NO_DK)
-        with_dk = PromptSpec(n_ex=2, dk=render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI))
+        base = PromptSpec(dk=NO_DK)
+        with_dk = PromptSpec(dk=render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI))
         examples = [EXAMPLE_1, EXAMPLE_2]
         p0 = assemble_prompt(base, examples, QUERY)
         p1 = assemble_prompt(with_dk, examples, QUERY)
@@ -171,30 +171,21 @@ class TestAssembly:
 
     def test_query_label_never_present(self):
         # the final question must not leak an answer
-        spec = PromptSpec(n_ex=0, dk=NO_DK)
+        spec = PromptSpec(dk=NO_DK)
         prompt = assemble_prompt(spec, [], QUERY)
         tail = prompt.text.rsplit("<Answer>:", 1)[1]
         assert tail.strip() == ""
 
-    def test_example_count_enforced(self):
-        spec = PromptSpec(n_ex=2, dk=NO_DK)
-        with pytest.raises(ValidationError):
-            assemble_prompt(spec, [EXAMPLE_1], QUERY)
-
     def test_bad_example_label_rejected(self):
-        spec = PromptSpec(n_ex=1, dk=NO_DK)
+        spec = PromptSpec(dk=NO_DK)
         with pytest.raises(ValidationError):
             assemble_prompt(spec, [(EXAMPLE_1[0], 2)], QUERY)
 
     def test_assembly_is_pure(self):
-        spec = PromptSpec(n_ex=1, dk=NO_DK)
+        spec = PromptSpec(dk=NO_DK)
         a = assemble_prompt(spec, [EXAMPLE_1], QUERY)
         b = assemble_prompt(spec, [EXAMPLE_1], QUERY)
         assert a == b and a.text == b.text
-
-    def test_negative_example_count_rejected(self):
-        with pytest.raises(ValidationError):
-            PromptSpec(n_ex=-1, dk=NO_DK)
 
 
 @settings(max_examples=25, deadline=None)
@@ -202,7 +193,7 @@ class TestAssembly:
 def test_example_block_count_matches_spec(n_ex, seed):
     ds = small_dataset(80, seed=1)
     examples = sample_examples(ds, n_ex, seed=seed)
-    prompt = assemble_prompt(PromptSpec(n_ex=n_ex, dk=NO_DK), examples, QUERY)
+    prompt = assemble_prompt(PromptSpec(dk=NO_DK), examples, QUERY)
     assert prompt.text.count("Example ") == n_ex
     for i in range(1, n_ex + 1):
         assert f"<Inputs {i}>:" in prompt.text and f"<Answer {i}>:" in prompt.text
