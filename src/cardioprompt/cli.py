@@ -117,29 +117,22 @@ def _config_digest(cfg: ExperimentConfig, verb: str, live: bool) -> str:
 
 
 def _load_manifest(path: Path) -> dict:
-    """The manifest's entries by verb; none where there is no manifest. An
-    entry reads stage artifacts of earlier verbs only, so a walk up the writers ends."""
+    """The manifest's entries by verb; none where there is no manifest. An entry
+    reads its row's `reads` and the external inputs only, so a walk up the writers ends."""
     try:
         entries = json.loads(path.read_text())
     except FileNotFoundError:
         return {}
     except ValueError as exc:
         raise ValidationError(f"{path} is not a manifest ({exc}); delete it to run every verb again") from exc
-    order = list(VERBS)
     if not isinstance(entries, dict) or not all(
-        verb in order and isinstance(entry, dict) and {"seed", "test_fraction"} <= entry.keys()
+        verb in VERBS and isinstance(entry, dict) and {"seed", "test_fraction"} <= entry.keys()
         and all(isinstance(entry.get(key), dict) for key in ("inputs", "outputs"))
-        and all(order.index(WRITERS[top]) < order.index(verb)
-                for top in (source.split("/")[0] for source in entry["inputs"]) if top in WRITERS)
+        and set(VERBS[verb].reads) <= entry["inputs"].keys() <= {*VERBS[verb].reads, *EXTERNAL_INPUTS}
         for verb, entry in entries.items()
     ):
         raise ValidationError(f"{path} is not a manifest; delete it to run every verb again")
     return entries
-
-
-def _rerun(*paths: tuple[str, ...]) -> str:
-    """The advice to rerun every verb of `paths`, once each, in pipeline order."""
-    return "rerun " + " and ".join(sorted(set().union(*paths), key=list(VERBS).index))
 
 
 class Trace:
@@ -163,26 +156,23 @@ class Trace:
         live = args.get("backend") == "live"
         self.key = {"config": _config_digest(cfg, verb, live), "args": args, "program": program_identity()}
         self.entries = _load_manifest(self.manifest)
-        self.reads: dict[str, str | None] = {}
-        self.digests: dict[str, str | None] = {}  # by stage artifact, as `_digest` first took it
+        self.digests: dict[str, str | None] = {}  # by file name, as `_digest` first took it
         self.writes: list[str] = []
+        self._check_reads()
 
     def path(self, name: str) -> Path:
         return Path(getattr(self.cfg, name)) if name in EXTERNAL_INPUTS else Path(self.cfg.output_dir) / name
 
     def up_to_date(self) -> bool:
         """Whether this verb's entry still matches: its key, each recorded
-        input as `_verified` finds it, lineage included, and each output by
-        its sha256 alone."""
+        input by the sha256 `_check_reads` took (the live cache by its own),
+        and each output by its sha256."""
         entry = self.entries.get(self.verb)
         if entry is None or any(entry.get(key) != value for key, value in self.key.items()):
             return False
-        try:
-            return all(self._verified(name) == digest for name, digest in entry["inputs"].items()) and all(
-                _sha256(self.path(name)) == digest for name, digest in entry["outputs"].items()
-            )
-        except ValidationError:  # a lineage that fails: the verb runs, and its read names what to rerun
-            return False
+        return all(self._digest(name) == digest for name, digest in entry["inputs"].items()) and all(
+            _sha256(self.path(name)) == digest for name, digest in entry["outputs"].items()
+        )
 
     def remove_leftovers(self):
         """What killed writes of this verb's recorded outputs left behind."""
@@ -190,68 +180,75 @@ class Trace:
             remove_leftovers(self.path(name))
 
     def _digest(self, name: str) -> str | None:
-        """The sha256 of the file `name`, None where there is none. A stage
-        artifact is hashed once per run, since no verb writes one that it or
-        a lineage walk reads. The data file and the cache are hashed anew
-        each time: a live run-grid records the cache after appending to it."""
-        if name.split("/")[0] not in WRITERS:
-            return _sha256(self.path(name))
+        """The sha256 of the file `name`, None where there is none, hashed
+        once per run: no verb writes a file that it or a lineage walk reads.
+        `record` hashes the live cache anew, as run-grid leaves it."""
         if name not in self.digests:
             self.digests[name] = _sha256(self.path(name))
         return self.digests[name]
 
-    def _verified(self, name: str) -> str | None:
-        """The sha256 of the file `name` now, None where there is none. The
-        lineage of a stage artifact is walked first (`_lineage`), so the one
-        rule that decides a read decides a skip too. Every verb that split
-        the data on the way, this one included, must have split it alike."""
-        digest = self._digest(name)
-        splits = {} if digest is None else self._lineage(name, digest)
-        now = f"seed {self.cfg.seed}, test fraction {self.cfg.test_fraction}"
-        if VERBS[self.verb].splits:
-            splits[self.verb] = now, ()
-        if len({split for split, _ in splits.values()}) > 1:
-            stale = [(by, *path) for by, (split, path) in splits.items() if split != now]
-            made = " and ".join(f"{by} ({split})" for by, (split, _) in splits.items())
-            raise ValidationError(f"{name} comes from two test splits: {made}; {_rerun(*stale)}")
-        return digest
+    def _check_reads(self):
+        """Hash each file of this verb's row `reads` and walk its lineage, collecting
+        every finding: a missing stage artifact, one its writer did not write, one
+        made from a stage artifact changed since, one whose lineage, with this verb's
+        own split, split the data two ways. Any raises one error naming the first
+        finding and every verb to run or rerun, once each, in pipeline order."""
+        self.reads = {name: self._digest(name) for name in VERBS[self.verb].reads}
+        now, found = f"seed {self.cfg.seed}, test fraction {self.cfg.test_fraction}", []
+        for name in self.reads:
+            splits = self._lineage(name, found)
+            if VERBS[self.verb].splits:
+                splits[self.verb] = now, ()
+            if len({split for split, _ in splits.values()}) > 1:
+                stale = [(by, *path) for by, (split, path) in splits.items() if split != now]
+                made = " and ".join(f"{by} ({split})" for by, (split, _) in splits.items())
+                found.append((f"{name} comes from two test splits: {made}", set().union(*stale)))
+        missing = [name for name, digest in self.reads.items() if digest is None and name not in EXTERNAL_INPUTS]
+        rerun = {WRITERS[name.split("/")[0]] for name in missing}.union(*(named for _, named in found))
+        verbs = " and ".join(sorted(rerun, key=list(VERBS).index))
+        if missing:
+            raise ValidationError(f"missing {' and '.join(map(str, map(self.path, missing)))}; run {verbs} first")
+        if found:
+            raise ValidationError(f"{found[0][0]}; rerun {verbs}")
 
-    def record(self, name: str) -> str | None:
-        """Record a file this verb reads, with its sha256 now, as `_verified` finds it."""
-        self.reads[name] = self._verified(name)
-        return self.reads[name]
+    def record(self, name: str):
+        """Record a file this verb read with its sha256 now: the live cache, as run-grid leaves it."""
+        self.reads[name] = _sha256(self.path(name))
 
-    def _lineage(self, name: str, digest: str, below: tuple[str, ...] = ()) -> dict:
-        """Each verb that split the data on the way to the file `name` with
-        sha256 `digest`: its split ("seed S, test fraction F") and the writers
-        between it and the reading verb, `below` being those of the walk so far.
-        Each writer up the chain must have written the file it is taken for,
-        from stage artifacts still on disk, or it reruns with those below it. A
-        file no entry wrote ends the walk: an external input, or one older than
-        the manifest."""
+    def _written(self, name: str) -> str | None:
+        """The sha256 of the stage artifact `name` once its writer, if need
+        be, has run again: as the writer's entry records it, else as it is now."""
+        entry = self.entries.get(WRITERS[name.split("/")[0]], {"outputs": {}})
+        return entry["outputs"].get(name, self._digest(name))
+
+    def _lineage(self, name: str, found: list, below: tuple[str, ...] = ()) -> dict:
+        """Each verb that split the data on the way to the file `name`: its split
+        ("seed S, test fraction F") and the writers between it and the reading
+        verb, `below` being those of the walk so far. A file that is not what its
+        writer wrote goes into `found` with that writer, which writes it again; one
+        made from a stage artifact written anew since with that writer and those
+        below it. A file no entry wrote ends the walk: an external input, or one
+        older than the manifest."""
         verb = WRITERS.get(name.split("/")[0])
         if (entry := self.entries.get(verb)) is None:
             return {}
-        chain = (verb, *below)
-        if entry["outputs"].get(name, digest) != digest:
-            raise ValidationError(f"{self.path(name)} changed since {verb} wrote it; {_rerun(chain)}")
-        splits = {}
+        chain, splits = (verb, *below), {}
+        if (digest := self._digest(name)) != entry["outputs"].get(name, digest):
+            found.append((f"{self.path(name)} changed since {verb} wrote it", (verb,)))
         for source, made_from in entry["inputs"].items():
-            if source.split("/")[0] in WRITERS and self._digest(source) != made_from:
-                raise ValidationError(f"{name} was made from a {source} that has changed since; {_rerun(chain)}")
-            splits.update(self._lineage(source, made_from, chain))
+            if source.split("/")[0] in WRITERS and self._written(source) != made_from:
+                found.append((f"{name} was made from a {source} that has changed since", chain))
+            splits.update(self._lineage(source, found, chain))
         if VERBS[verb].splits:
             splits[verb] = f"seed {entry['seed']}, test fraction {entry['test_fraction']}", below
         return splits
 
     def read(self, name: str, parse):
-        """parse(path) of the artifact `name` that an upstream verb wrote,
-        recorded through `record`. A missing file means that verb has not
-        run; one whose lineage fails, or whose bytes `parse` raises on, that
-        it should run again: the parsers leave naming the file to this one rule."""
+        """parse(path) of the stage artifact `name` of this verb's row
+        `reads`, which `_check_reads` found as its writer wrote it. Bytes
+        `parse` raises on mean the writer should run again: the parsers leave
+        naming the file to this one rule."""
         path, verb = self.path(name), WRITERS[name.split("/")[0]]
-        if self.record(name) is None:
-            raise ValidationError(f"missing {path}; run {verb} first")
         try:
             return parse(path)
         except (CardiopromptError, ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON, not UTF-8
@@ -310,7 +307,6 @@ def _check_config_against_split(cfg: ExperimentConfig, prepared: PreparedData):
 
 def cmd_prepare_data(trace: Trace, args: argparse.Namespace) -> int:
     cfg = trace.cfg
-    trace.record("data_path")
     prepared = prepare_data(cfg)
     _check_config_against_split(cfg, prepared)
     st = stats(prepared.raw)
@@ -356,11 +352,15 @@ def cmd_gen_dk(trace: Trace, args: argparse.Namespace) -> int:
 
 
 def _load_dks(path: Path) -> list[DomainKnowledge]:
-    """The texts that cmd_gen_dk wrote to dk.json."""
-    return [
+    """The texts that cmd_gen_dk wrote to dk.json: dk0, then MLFI and MLFI-ord of each SOURCE_TAGS family."""
+    dks = [
         DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
         for doc in json.loads(path.read_text())
     ]
+    grid = [(variant, tag) for tag in SOURCE_TAGS.values() for variant in (DkVariant.MLFI, DkVariant.MLFI_ORD)]
+    if [(dk.variant, dk.source_name) for dk in dks] != [(DkVariant.NONE, ""), *grid]:
+        raise ValidationError(f"not dk0 then MLFI and MLFI-ord of each of {', '.join(SOURCE_TAGS)}")
+    return dks
 
 
 def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
@@ -409,15 +409,16 @@ def cmd_report(trace: Trace, args: argparse.Namespace) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class Verb:
-    """A verb: `writes` names its stage artifacts in the output directory
-    ("models" for models/<family>.json); `alone`, the settings no other verb
-    reads (config keys, and the --live flag), whose flags any other verb
-    refuses and which count in this verb's config digest alone; `args`, the
-    arguments besides the config that decide what it writes; `splits`,
-    whether it splits imputed.csv by seed and test fraction."""
+    """A verb: `reads` names the files it reads, checked before it runs; `writes`,
+    its stage artifacts in the output directory ("models" for models/<family>.json);
+    `alone`, the settings no other verb reads (config keys, and the --live flag),
+    whose flags any other verb refuses and which count in this verb's config
+    digest alone; `args`, the arguments besides the config that decide what it
+    writes; `splits`, whether it splits imputed.csv by seed and test fraction."""
 
     run: Callable[[Trace, argparse.Namespace], int]
     help: str
+    reads: tuple[str, ...] = ()
     writes: tuple[str, ...] = ()
     alone: tuple[str, ...] = ()
     args: Callable[[argparse.Namespace], dict] = lambda a: {}
@@ -427,22 +428,26 @@ class Verb:
 VERBS = {
     "prepare-data": Verb(
         cmd_prepare_data, "load, binarize, impute, split; print dataset stats",
-        writes=("imputed.csv",), alone=("data_path", "impute_k"),
+        reads=("data_path",), writes=("imputed.csv",), alone=("data_path", "impute_k"),
     ),
     "train-models": Verb(
         cmd_train_models, "tune and fit the six classifiers; save artifacts",
-        writes=("models", "ml_rows.json"), splits=True,
+        reads=("imputed.csv",), writes=("models", "ml_rows.json"), splits=True,
     ),
-    "gen-dk": Verb(cmd_gen_dk, "render domain-knowledge texts from saved model rankings", writes=("dk.json",)),
+    "gen-dk": Verb(
+        cmd_gen_dk, "render domain-knowledge texts from saved model rankings",
+        reads=tuple(f"models/{family}.json" for family in SOURCE_TAGS), writes=("dk.json",),
+    ),
     "run-grid": Verb(
         cmd_run_grid, "run the prompt grid against a mock or the live API",
-        writes=("grid_rows.json",), alone=("paper_faithful", "live"), splits=True,
+        reads=("imputed.csv", "dk.json"), writes=("grid_rows.json",), alone=("paper_faithful", "live", "cache_path"),
+        splits=True,
         # a live run's model and URL are in cfg.llm, which the config digest covers
         args=lambda a: {"backend": "live" if a.live else a.mock},
     ),
     "report": Verb(
         cmd_report, "assembles the classifier and grid tables from earlier stages",
-        args=lambda a: {"format": a.format},
+        reads=("ml_rows.json", "grid_rows.json"), args=lambda a: {"format": a.format},
     ),
 }
 # the verb that writes each stage artifact, by its name in the output directory

@@ -72,7 +72,7 @@ def load_csv(path: str | Path) -> RawDataset:
     An optional header row is accepted when it matches the schema's feature
     names plus the target column; a UTF-8 byte-order mark before it is
     skipped. Raises ParseError naming the file and the offending line for
-    bytes that are not UTF-8, wrong arity, non-numeric or infinite cells, or
+    bytes that are not UTF-8, wrong arity, non-numeric or non-finite cells, or
     out-of-range targets, and naming the file when it holds no data row.
     """
     path = Path(path)
@@ -106,8 +106,8 @@ def load_csv(path: str | Path) -> RawDataset:
                 value = float(cell)
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric value {cell!r} in column {name}") from None
-            if math.isinf(value):
-                raise ParseError(f"{path}: line {lineno}: infinite value {cell!r} in column {name}")
+            if not math.isfinite(value):  # "nan" too: only MISSING_TOKENS mean missing
+                raise ParseError(f"{path}: line {lineno}: non-finite value {cell!r} in column {name}")
             parsed.append(value)
         target_cell = cells[-1]
         try:

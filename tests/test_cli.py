@@ -163,11 +163,11 @@ class TestPrepareData:
         assert err.startswith("error:") and flag in err
 
     @pytest.mark.parametrize("verb", ["prepare-data", "train-models", "gen-dk", "report"])
-    @pytest.mark.parametrize("flag", ["--live", "--paper-faithful"])
+    @pytest.mark.parametrize("flag", [["--live"], ["--paper-faithful"], ["--cache-path", "x.jsonl"]], ids=" ".join)
     def test_run_grid_flags_on_another_verb_exit_one(self, workdir, capsys, verb, flag):
-        assert main(["--config", str(workdir["cfg"]), flag, verb]) == 1
+        assert main(["--config", str(workdir["cfg"]), *flag, verb]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{flag} is read only by run-grid, not by {verb}" in err
+        assert err.startswith("error:") and f"{flag[0]} is read only by run-grid, not by {verb}" in err
         assert not workdir["runs"].exists()  # refused before the verb ran
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -242,9 +242,13 @@ class TestStageOrdering:
         assert "train-models first" in capsys.readouterr().err
 
     def test_train_models_and_run_grid_require_imputed_data(self, workdir, capsys):
-        for verb in ("train-models", "run-grid"):
+        runs = workdir["runs"]
+        for verb, line in (
+            ("train-models", f"missing {runs / 'imputed.csv'}; run prepare-data first"),
+            ("run-grid", f"missing {runs / 'imputed.csv'} and {runs / 'dk.json'}; run prepare-data and gen-dk first"),
+        ):
             assert main(["--config", str(workdir["cfg"]), verb]) == 1
-            assert "imputed.csv; run prepare-data first" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_run_grid_requires_dk(self, workdir, capsys):
         assert main(["--config", str(workdir["cfg"]), "prepare-data"]) == 0
@@ -268,12 +272,13 @@ class TestStageOrdering:
         assert not (workdir["runs"] / "dk.json").exists()
 
     def test_report_requires_row_artifacts(self, workdir, capsys):
-        cfg = str(workdir["cfg"])
+        cfg, runs = str(workdir["cfg"]), workdir["runs"]
         assert main(["--config", cfg, "report"]) == 1
-        assert "ml_rows.json; run train-models first" in capsys.readouterr().err
-        save_rows(workdir["runs"] / "ml_rows.json", [])
+        both = f"{runs / 'ml_rows.json'} and {runs / 'grid_rows.json'}"
+        assert capsys.readouterr().err == f"error: missing {both}; run train-models and run-grid first\n"
+        save_rows(runs / "ml_rows.json", [])
         assert main(["--config", cfg, "report"]) == 1
-        assert "grid_rows.json; run run-grid first" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: missing {runs / 'grid_rows.json'}; run run-grid first\n"
 
 
 @pytest.fixture(scope="class")
@@ -370,6 +375,14 @@ class TestMalformedArtifacts:
         err, writer = capsys.readouterr().err, WRITERS[name]
         assert err.startswith(f"error: {tmp_path / 'runs' / name} is not as {writer} writes it (")
         assert err.endswith(f"); rerun {writer}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [[], [{"variant": "NO", "source": "", "text": ""}] * 7], ids=["empty", "seven-dk0"])
+    def test_a_dk_json_that_is_not_the_grid_of_gen_dk_exits_one(self, finished_run, tmp_path, capsys, doc):
+        self._run(finished_run, tmp_path, "dk.json", "run-grid", lambda path: path.write_text(json.dumps(doc)), False)
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'runs' / 'dk.json'} is not as gen-dk writes it (ValidationError: "
+            "not dk0 then MLFI and MLFI-ord of each of RF, LR, GBT); rerun gen-dk\n"
+        )
 
 
 def artifact_writers() -> list[tuple[str, object]]:

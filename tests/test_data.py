@@ -84,11 +84,11 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(_write_csv(tmp_path, [row]))
 
-    @pytest.mark.parametrize("cell", ["inf", "-Infinity"])
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "NaN"])
     def test_infinite_cell_raises_naming_file_and_line(self, tmp_path, cell):
         row = list(_ROW_OK)
         row[4] = cell
-        with pytest.raises(ParseError, match=rf"data\.csv: line 2: infinite value '{cell}' in column chol$"):
+        with pytest.raises(ParseError, match=rf"data\.csv: line 2: non-finite value '{cell}' in column chol$"):
             load_csv(_write_csv(tmp_path, [_ROW_OK, row]))
 
     def test_bytes_that_are_not_utf8_raise_naming_file_and_line(self, tmp_path):

@@ -87,7 +87,7 @@ def test_the_report_lists_every_row_in_order(finished):
     assert [row[0] for row in csv.reader(report)] == ["Model", *labels]
 
 
-def test_each_verb_records_the_stage_artifacts_its_row_writes(finished):
+def test_each_verb_records_the_stage_artifacts_its_row_writes(finished, runs, capsys, stub, tmp_path, monkeypatch):
     doc = entries(finished["runs"])
     # the stage artifacts, by their top-level name: what the verbs read from the output directory
     read = {name.split("/")[0] for entry in doc.values() for name in entry["inputs"]} - set(cli.EXTERNAL_INPUTS)
@@ -95,7 +95,17 @@ def test_each_verb_records_the_stage_artifacts_its_row_writes(finished):
     for verb, entry in doc.items():
         assert {name.split("/")[0] for name in entry["outputs"]} & read == set(cli.VERBS[verb].writes), verb
         assert all(cli.WRITERS.get(name.split("/")[0], verb) == verb for name in entry["outputs"]), verb
+        assert entry["inputs"].keys() == set(cli.VERBS[verb].reads), verb
     assert {f"models/{family}.json" for family in FAMILIES} <= doc["train-models"]["outputs"].keys()
+    # every stage artifact a row reads is written by an earlier verb, so a walk up the writers ends
+    order = list(cli.VERBS)
+    for verb, row in cli.VERBS.items():
+        stage = [name for name in row.reads if name not in cli.EXTERNAL_INPUTS]
+        assert all(order.index(cli.WRITERS[name.split("/")[0]]) < order.index(verb) for name in stage), verb
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    stub.script = [(200, ok_body("1"))]
+    assert ran(*run(live_config(finished, tmp_path, stub.url), runs, capsys, "--live", "run-grid")[:2])
+    assert entries(runs)["run-grid"]["inputs"].keys() == {*cli.VERBS["run-grid"].reads, "cache_path"}
 
 
 class TestUpToDate:
@@ -186,8 +196,17 @@ class TestRunsAgain:
     @pytest.mark.parametrize("argv", README, ids=lambda argv: argv[0])
     def test_another_program(self, finished, runs, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, "program_identity", lambda: "another program")
+        # the stage artifacts a verb reads are those of its row, which were checked before it ran
+        read, original = [], cli.Trace.read
+
+        def recorded(trace, name, parse):
+            read.append(name)
+            return original(trace, name, parse)
+
+        monkeypatch.setattr(cli.Trace, "read", recorded)
         assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2])
         assert entries(runs)[argv[0]]["program"] == "another program"
+        assert read == [name for name in cli.VERBS[argv[0]].reads if name not in cli.EXTERNAL_INPUTS]
 
     @pytest.mark.parametrize("verb, name", [(verb, name) for verb, names in OUTPUTS.items() for name in names])
     @pytest.mark.parametrize("damage", ["deleted", "edited"])
@@ -465,7 +484,7 @@ class TestMismatchedInputs:
         [
             ("gen-dk", "models/RF.json", "train-models"),
             ("run-grid", "models/GBT.json", "train-models and gen-dk"),  # through dk.json
-            ("report", "ml_rows.json", "train-models"),
+            ("report", "ml_rows.json", "train-models and gen-dk and run-grid"),  # grid_rows.json's lineage too
         ],
         ids=["gen-dk-models/RF.json", "run-grid-models/GBT.json", "report-ml_rows.json"],
     )
@@ -490,30 +509,35 @@ class TestMismatchedInputs:
             assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2]), argv
 
     @pytest.mark.parametrize(
-        "upstream, flags, verb, rounds",
+        "upstream, flags, verb, advice",
         [
-            (None, ["--seed", "4"], "run-grid", [["train-models", "gen-dk"]]),
-            (["--data-path", "{other}", "prepare-data"], [], "run-grid", [["train-models", "gen-dk"]]),
-            (["--data-path", "{other}", "prepare-data"], [], "report", [["train-models"], ["gen-dk", "run-grid"]]),
-            (["--seed", "4", "train-models"], ["--seed", "4"], "report", [["gen-dk", "run-grid"]]),
+            (None, ["--seed", "4"], "run-grid", "rerun train-models and gen-dk"),
+            (["--data-path", "{other}", "prepare-data"], [], "run-grid", "rerun train-models and gen-dk"),
+            (["--data-path", "{other}", "prepare-data"], [], "report", "rerun train-models and gen-dk and run-grid"),
+            (["--seed", "4", "train-models"], ["--seed", "4"], "report", "rerun gen-dk and run-grid"),
+            ("rows-deleted", [], "report", "run train-models and run-grid first"),
+            ("imputed-torn", [], "run-grid", "rerun prepare-data"),  # which writes the recorded bytes again
         ],
-        ids=["split-run-grid", "imputed-run-grid", "imputed-report", "models-report"],
+        ids=["split-run-grid", "imputed-run-grid", "imputed-report", "models-report", "rows-report", "torn-run-grid"],
     )
     def test_running_the_verbs_an_error_names_once_lets_its_read_pass(
-        self, finished, runs, capsys, tmp_path, upstream, flags, verb, rounds
+        self, finished, runs, capsys, tmp_path, upstream, flags, verb, advice
     ):
-        # each refusal names verbs that no later one names again; report reads two files, so it may refuse twice
         other = tmp_path / "other.csv"
         write_raw_csv(other, seed=5)
-        if upstream:
+        if upstream == "rows-deleted":
+            (runs / "ml_rows.json").unlink()
+            (runs / "grid_rows.json").unlink()
+        elif upstream == "imputed-torn":
+            lines = (runs / "imputed.csv").read_text().splitlines(keepends=True)
+            (runs / "imputed.csv").write_text("".join(lines[: len(lines) // 2]))
+        elif upstream:
             assert ran(*run(finished["cfg"], runs, capsys, *[a.format(other=other) for a in upstream])[:2])
-        named = []
-        while (result := run(finished["cfg"], runs, capsys, *flags, *ARGV[verb]))[0] == 1:
-            named.append(result[2].rstrip("\n").rpartition("; rerun ")[2].split(" and "))
-            assert len(named) <= len(rounds), named
-            for redo in named[-1]:
-                assert ran(*run(finished["cfg"], runs, capsys, *flags, *ARGV[redo])[:2]), redo
-        assert ran(*result[:2]) and named == rounds
+        code, _, err = run(finished["cfg"], runs, capsys, *flags, *ARGV[verb])
+        assert (code, err.rpartition("; ")[2]) == (1, f"{advice}\n")
+        for redo in advice.removeprefix("re").removeprefix("run ").removesuffix(" first").split(" and "):
+            assert ran(*run(finished["cfg"], runs, capsys, *flags, *ARGV[redo])[:2]), redo
+        assert run(finished["cfg"], runs, capsys, *flags, *ARGV[verb])[0] == 0  # in one round
 
     def test_rows_without_an_entry_are_read_as_before(self, finished, runs, capsys):
         doc = entries(runs)
@@ -537,7 +561,7 @@ class TestMismatchedInputs:
             "{",
             "[]",
             '{"gen-dk": {"inputs": []}}',
-            # a cycle: prepare-data made from the dk.json that its own imputed.csv leads to
+            # prepare-data made from dk.json, which its row does not read: a walk from it would go round in a circle
             "cycle",
             # an entry without the seed and test fraction of its split
             '{"train-models": {"inputs": {}, "outputs": {}}}',
