@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .atomic import remove_leftovers, write_atomic
 from .config import ExperimentConfig
-from .dk import SOURCE_TAGS, DkVariant, DomainKnowledge
+from .dk import DK_GRID, SOURCE_TAGS, DkVariant, DomainKnowledge
 from .errors import CardiopromptError, SamplingError, StratificationError, TransportError, ValidationError
 
 if TYPE_CHECKING:
@@ -225,16 +225,17 @@ class Trace:
         """Each verb that split the data on the way to the file `name`: its split
         ("seed S, test fraction F") and the writers between it and the reading
         verb, `below` being those of the walk so far. A file that is not what its
-        writer wrote goes into `found` with that writer, which writes it again; one
-        made from a stage artifact written anew since with that writer and those
-        below it. A file no entry wrote ends the walk: an external input, or one
-        older than the manifest."""
+        writer wrote, or is gone, goes into `found` with that writer, which writes
+        it again; one made from a stage artifact written anew since with that
+        writer and those below it. A file no entry wrote ends the walk: an
+        external input, or one older than the manifest."""
         verb = WRITERS.get(name.split("/")[0])
         if (entry := self.entries.get(verb)) is None:
             return {}
         chain, splits = (verb, *below), {}
         if (digest := self._digest(name)) != entry["outputs"].get(name, digest):
-            found.append((f"{self.path(name)} changed since {verb} wrote it", (verb,)))
+            what = f"{self.path(name)} changed since {verb} wrote it" if digest else f"missing {self.path(name)}"
+            found.append((what, (verb,)))
         for source, made_from in entry["inputs"].items():
             if source.split("/")[0] in WRITERS and self._written(source) != made_from:
                 found.append((f"{name} was made from a {source} that has changed since", chain))
@@ -352,13 +353,12 @@ def cmd_gen_dk(trace: Trace, args: argparse.Namespace) -> int:
 
 
 def _load_dks(path: Path) -> list[DomainKnowledge]:
-    """The texts that cmd_gen_dk wrote to dk.json: dk0, then MLFI and MLFI-ord of each SOURCE_TAGS family."""
+    """The texts that cmd_gen_dk wrote to dk.json, those of DK_GRID in its order."""
     dks = [
         DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
         for doc in json.loads(path.read_text())
     ]
-    grid = [(variant, tag) for tag in SOURCE_TAGS.values() for variant in (DkVariant.MLFI, DkVariant.MLFI_ORD)]
-    if [(dk.variant, dk.source_name) for dk in dks] != [(DkVariant.NONE, ""), *grid]:
+    if [(dk.variant, dk.source_name) for dk in dks] != [(v, SOURCE_TAGS.get(f, "")) for v, f in DK_GRID]:
         raise ValidationError(f"not dk0 then MLFI and MLFI-ord of each of {', '.join(SOURCE_TAGS)}")
     return dks
 

@@ -34,6 +34,11 @@ class DkVariant(enum.Enum):
     MLFI_ORD = "MLFI-ord"
 
 
+# The texts the prompt grid runs with, as (variant, family): dk0, then MLFI
+# and MLFI-ord of each SOURCE_TAGS family.
+DK_GRID = ((DkVariant.NONE, None), *((v, f) for f in SOURCE_TAGS for v in (DkVariant.MLFI, DkVariant.MLFI_ORD)))
+
+
 @dataclass(frozen=True)
 class DomainKnowledge:
     variant: DkVariant

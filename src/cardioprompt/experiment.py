@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import CostWeights, ExperimentConfig
 from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
-from .dk import SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
+from .dk import DK_GRID, SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError, WorkerError
 from .gateway import Backend, classify_batch
 from .metrics import MetricsRow, baseline_predict, confusion, metrics_row
@@ -205,15 +205,12 @@ def run_ml_baselines(cfg: ExperimentConfig, prepared: PreparedData) -> tuple[lis
 
 
 def dk_grid_from_models(models: dict[str, TrainedModel]) -> list[DomainKnowledge]:
-    """dk0 plus (MLFI, MLFI-ord) per family of SOURCE_TAGS, in that order."""
-    grid = [render_dk(None, DkVariant.NONE)]
+    """The texts of DK_GRID, each rendered from its family's importance ranking."""
     for family in SOURCE_TAGS:
         model = models.get(family)
         if model is None or model.importance is None:
             raise ValidationError(f"no importance ranking available for family {family}")
-        grid.append(render_dk(model.importance, DkVariant.MLFI))
-        grid.append(render_dk(model.importance, DkVariant.MLFI_ORD))
-    return grid
+    return [render_dk(models[family].importance if family else None, variant) for variant, family in DK_GRID]
 
 
 _TAG_DISPLAY = {SOURCE_TAGS[f]: DISPLAY_NAMES[f] for f in SOURCE_TAGS}

@@ -516,9 +516,13 @@ class TestMismatchedInputs:
             (["--data-path", "{other}", "prepare-data"], [], "report", "rerun train-models and gen-dk and run-grid"),
             (["--seed", "4", "train-models"], ["--seed", "4"], "report", "rerun gen-dk and run-grid"),
             ("rows-deleted", [], "report", "run train-models and run-grid first"),
-            ("imputed-torn", [], "run-grid", "rerun prepare-data"),  # which writes the recorded bytes again
+            ("imputed-torn", [], "run-grid", "rerun prepare-data"),
+            ("model-deleted", [], "run-grid", "rerun train-models"),
         ],
-        ids=["split-run-grid", "imputed-run-grid", "imputed-report", "models-report", "rows-report", "torn-run-grid"],
+        ids=[
+            "split-run-grid", "imputed-run-grid", "imputed-report", "models-report", "rows-report", "torn-run-grid",
+            "model-run-grid",
+        ],
     )
     def test_running_the_verbs_an_error_names_once_lets_its_read_pass(
         self, finished, runs, capsys, tmp_path, upstream, flags, verb, advice
@@ -531,13 +535,25 @@ class TestMismatchedInputs:
         elif upstream == "imputed-torn":
             lines = (runs / "imputed.csv").read_text().splitlines(keepends=True)
             (runs / "imputed.csv").write_text("".join(lines[: len(lines) // 2]))
+        elif upstream == "model-deleted":
+            (runs / "models" / "RF.json").unlink()
         elif upstream:
             assert ran(*run(finished["cfg"], runs, capsys, *[a.format(other=other) for a in upstream])[:2])
         code, _, err = run(finished["cfg"], runs, capsys, *flags, *ARGV[verb])
         assert (code, err.rpartition("; ")[2]) == (1, f"{advice}\n")
         for redo in advice.removeprefix("re").removeprefix("run ").removesuffix(" first").split(" and "):
             assert ran(*run(finished["cfg"], runs, capsys, *flags, *ARGV[redo])[:2]), redo
-        assert run(finished["cfg"], runs, capsys, *flags, *ARGV[verb])[0] == 0  # in one round
+        # in one round: the verb runs, or is up to date where its writer wrote the recorded bytes again
+        code, out, _ = run(finished["cfg"], runs, capsys, *flags, *ARGV[verb])
+        if upstream in ("imputed-torn", "model-deleted"):
+            assert (code, out) == (0, up_to_date(runs, verb))
+        else:
+            assert ran(code, out)
+
+    def test_a_model_deleted_since_gen_dk_read_it_is_named_missing(self, finished, runs, capsys):
+        (runs / "models" / "RF.json").unlink()
+        code, _, err = run(finished["cfg"], runs, capsys, *ARGV["run-grid"])
+        assert (code, err) == (1, f"error: missing {runs / 'models' / 'RF.json'}; rerun train-models\n")
 
     def test_rows_without_an_entry_are_read_as_before(self, finished, runs, capsys):
         doc = entries(runs)
