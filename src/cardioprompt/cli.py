@@ -37,15 +37,15 @@ if TYPE_CHECKING:
 # them, are imported only when a verb runs (see _import_pipeline), so an
 # up-to-date verb costs an interpreter start and a few file hashes.
 PIPELINE = {
-    "data": ("load_csv", "stats", "write_imputed_csv"),
+    "data": ("Dataset", "RawDataset", "load_csv", "stats", "write_imputed_csv"),
     "experiment": (
         "dk_grid_from_models",
         "load_rows",
-        "prepare",
         "prepare_data",
         "run_ml_baselines",
         "run_prompt_grid",
         "save_rows",
+        "split_prepared",
         "unparseable_counts",
         "write_report",
     ),
@@ -118,7 +118,7 @@ def _config_digest(cfg: ExperimentConfig, verb: str, live: bool) -> str:
 
 def _load_manifest(path: Path) -> dict:
     """The manifest's entries by verb; none where there is no manifest. An entry
-    reads its row's `reads` and the external inputs only, so a walk up the writers ends."""
+    reads no more than its row's `reads` and the external inputs, so a walk up the writers ends."""
     try:
         entries = json.loads(path.read_text())
     except FileNotFoundError:
@@ -126,9 +126,9 @@ def _load_manifest(path: Path) -> dict:
     except ValueError as exc:
         raise ValidationError(f"{path} is not a manifest ({exc}); delete it to run every verb again") from exc
     if not isinstance(entries, dict) or not all(
-        verb in VERBS and isinstance(entry, dict) and {"seed", "test_fraction"} <= entry.keys()
+        verb in VERBS and isinstance(entry, dict)
         and all(isinstance(entry.get(key), dict) for key in ("inputs", "outputs"))
-        and set(VERBS[verb].reads) <= entry["inputs"].keys() <= {*VERBS[verb].reads, *EXTERNAL_INPUTS}
+        and entry["inputs"].keys() <= {*VERBS[verb].reads, *EXTERNAL_INPUTS}
         for verb, entry in entries.items()
     ):
         raise ValidationError(f"{path} is not a manifest; delete it to run every verb again")
@@ -140,14 +140,14 @@ class Trace:
     manifest of its output directory.
 
     The manifest holds one entry per verb, from that verb's last successful
-    run: the config digest, seed and test fraction, the verb's arguments (run-grid's
-    backend, report's format), the program identity, the sha256 of every
-    file the verb read, as it read it, and of every artifact it wrote, and
-    its wall time. A verb whose entry still matches, every file included,
-    would write the same bytes again, so it is up to date and does not run:
-    the verifying traces of Mokhov, Mitchell and Peyton Jones, "Build
-    systems à la carte" (ICFP 2018). Files are named relative to the output
-    directory, the data file and the completion cache by their config key.
+    run: the config digest, the verb's arguments (run-grid's backend,
+    report's format), the program identity, the sha256 of every file the
+    verb read, as it read it, and of every artifact it wrote, and its wall
+    time. A verb whose entry still matches, every file included, would write
+    the same bytes again, so it is up to date and does not run: the verifying
+    traces of Mokhov, Mitchell and Peyton Jones, "Build systems à la carte"
+    (ICFP 2018). Files are named relative to the output directory, the data
+    file and the completion cache by their config key.
     """
 
     def __init__(self, cfg: ExperimentConfig, verb: str, args: dict):
@@ -190,19 +190,11 @@ class Trace:
     def _check_reads(self):
         """Hash each file of this verb's row `reads` and walk its lineage, collecting
         every finding: a missing stage artifact, one its writer did not write, one
-        made from a stage artifact changed since, one whose lineage, with this verb's
-        own split, split the data two ways. Any raises one error naming the first
-        finding and every verb to run or rerun, once each, in pipeline order."""
-        self.reads = {name: self._digest(name) for name in VERBS[self.verb].reads}
-        now, found = f"seed {self.cfg.seed}, test fraction {self.cfg.test_fraction}", []
+        made from a stage artifact changed since. Any raises one error naming the
+        first finding and every verb to run or rerun, once each, in pipeline order."""
+        self.reads, found = {name: self._digest(name) for name in VERBS[self.verb].reads}, []
         for name in self.reads:
-            splits = self._lineage(name, found)
-            if VERBS[self.verb].splits:
-                splits[self.verb] = now, ()
-            if len({split for split, _ in splits.values()}) > 1:
-                stale = [(by, *path) for by, (split, path) in splits.items() if split != now]
-                made = " and ".join(f"{by} ({split})" for by, (split, _) in splits.items())
-                found.append((f"{name} comes from two test splits: {made}", set().union(*stale)))
+            self._lineage(name, found)
         missing = [name for name, digest in self.reads.items() if digest is None and name not in EXTERNAL_INPUTS]
         rerun = {WRITERS[name.split("/")[0]] for name in missing}.union(*(named for _, named in found))
         verbs = " and ".join(sorted(rerun, key=list(VERBS).index))
@@ -221,28 +213,22 @@ class Trace:
         entry = self.entries.get(WRITERS[name.split("/")[0]], {"outputs": {}})
         return entry["outputs"].get(name, self._digest(name))
 
-    def _lineage(self, name: str, found: list, below: tuple[str, ...] = ()) -> dict:
-        """Each verb that split the data on the way to the file `name`: its split
-        ("seed S, test fraction F") and the writers between it and the reading
-        verb, `below` being those of the walk so far. A file that is not what its
-        writer wrote, or is gone, goes into `found` with that writer, which writes
-        it again; one made from a stage artifact written anew since with that
-        writer and those below it. A file no entry wrote ends the walk: an
-        external input, or one older than the manifest."""
+    def _lineage(self, name: str, found: list, below: tuple[str, ...] = ()):
+        """Walk up from the file `name` through its writers' entries, `below` being the
+        writers between it and the reading verb. A file that is not what its writer wrote,
+        or is gone, goes into `found` with that writer, which writes it again; one made from
+        a stage artifact written anew since with that writer and those below it. A file no
+        entry wrote ends the walk: an external input, or one older than the manifest."""
         verb = WRITERS.get(name.split("/")[0])
         if (entry := self.entries.get(verb)) is None:
-            return {}
-        chain, splits = (verb, *below), {}
+            return
         if (digest := self._digest(name)) != entry["outputs"].get(name, digest):
             what = f"{self.path(name)} changed since {verb} wrote it" if digest else f"missing {self.path(name)}"
             found.append((what, (verb,)))
         for source, made_from in entry["inputs"].items():
             if source.split("/")[0] in WRITERS and self._written(source) != made_from:
-                found.append((f"{name} was made from a {source} that has changed since", chain))
-            splits.update(self._lineage(source, found, chain))
-        if VERBS[verb].splits:
-            splits[verb] = f"seed {entry['seed']}, test fraction {entry['test_fraction']}", below
-        return splits
+                found.append((f"{name} was made from a {source} that has changed since", (verb, *below)))
+            self._lineage(source, found, (verb, *below))
 
     def read(self, name: str, parse):
         """parse(path) of the stage artifact `name` of this verb's row
@@ -267,8 +253,6 @@ class Trace:
         entries = _load_manifest(self.manifest)
         entries[self.verb] = {
             **self.key,
-            "seed": self.cfg.seed,
-            "test_fraction": self.cfg.test_fraction,
             "inputs": self.reads,
             "outputs": {name: _sha256(self.path(name)) for name in self.writes},
             "wall_s": round(wall_s, 3),
@@ -286,33 +270,46 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return dataclasses.replace(cfg, **{k: v for k, v in vars(args).items() if k in keys and v is not None})
 
 
-def _load_prepared(trace: Trace) -> PreparedData:
-    """The split of the imputed data that prepare-data wrote; imputing it again changes no cell."""
-    return prepare(trace.read("imputed.csv", load_csv), trace.cfg)
+def _load_test_rows(path: Path, n_rows: int) -> list[int]:
+    """The test rows that cmd_prepare_data wrote to split.json for data of `n_rows` rows."""
+    rows = json.loads(path.read_text())
+    if 0 < len(rows) < n_rows and all(type(r) is int for r in rows) and rows == sorted(set(rows) & set(range(n_rows))):
+        return rows
+    raise ValidationError(f"not row numbers below {n_rows} in order, each once, with a row left on each side")
 
 
-def _check_config_against_split(cfg: ExperimentConfig, prepared: PreparedData):
-    """The config values only the split can refute: every example count must
-    be drawable from the train rows, and every class must fill each search
-    fold. Checked here so that they fail before any training."""
-    for n_ex in cfg.n_ex_grid:
+def _load_prepared(trace: Trace, key: str) -> PreparedData:
+    """imputed.csv split at the rows of split.json, with the config key `key` checked against the split."""
+    full = trace.read("imputed.csv", lambda path: Dataset(**vars(load_csv(path))))  # no missing cell, 0/1 targets
+    test_rows = trace.read("split.json", lambda path: _load_test_rows(path, full.n_rows))
+    prepared = split_prepared(RawDataset(**vars(full)), full, test_rows)
+    _check_config_against_split(trace.cfg, prepared, key)
+    return prepared
+
+
+def _check_config_against_split(cfg: ExperimentConfig, prepared: PreparedData, *keys: str):
+    """The config values of `keys` only the split can refute: every example count of n_ex_grid drawable from
+    the train rows, every class filling each of search_folds folds. Checked before anything trains or is sent."""
+    for n_ex in cfg.n_ex_grid if "n_ex_grid" in keys else ():
         try:
             sample_examples(prepared.train, n_ex, seed=0)
         except SamplingError as exc:
             raise ValidationError(f"config key n_ex_grid: {n_ex} examples from the train split: {exc}") from None
-    try:
-        stratified_folds(prepared.train.targets, cfg.search_folds, seed=0)
-    except StratificationError as exc:
-        raise ValidationError(f"config key search_folds: {cfg.search_folds} folds of the train split: {exc}") from None
+    for folds in [cfg.search_folds] if "search_folds" in keys else []:
+        try:
+            stratified_folds(prepared.train.targets, folds, seed=0)
+        except StratificationError as exc:
+            raise ValidationError(f"config key search_folds: {folds} folds of the train split: {exc}") from None
 
 
 def cmd_prepare_data(trace: Trace, args: argparse.Namespace) -> int:
     cfg = trace.cfg
     prepared = prepare_data(cfg)
-    _check_config_against_split(cfg, prepared)
+    _check_config_against_split(cfg, prepared, "n_ex_grid", "search_folds")
     st = stats(prepared.raw)
     path = trace.output("imputed.csv")
     write_imputed_csv(prepared.full, path)
+    write_atomic(trace.output("split.json"), json.dumps(prepared.test_rows))
     print(f"rows: {st.n_total}")
     print(f"rows with missing cells: {st.n_with_missing}")
     print(f"male fraction: {st.male_fraction:.4f}")
@@ -323,7 +320,7 @@ def cmd_prepare_data(trace: Trace, args: argparse.Namespace) -> int:
 
 def cmd_train_models(trace: Trace, args: argparse.Namespace) -> int:
     cfg = trace.cfg
-    rows, models = run_ml_baselines(cfg, _load_prepared(trace))
+    rows, models = run_ml_baselines(cfg, _load_prepared(trace, "search_folds"))
     for family, model in models.items():
         save_model(model, trace.output(f"models/{family}.json"))
     save_rows(trace.output("ml_rows.json"), rows)
@@ -365,13 +362,13 @@ def _load_dks(path: Path) -> list[DomainKnowledge]:
 
 def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
     cfg = trace.cfg
-    prepared = _load_prepared(trace)
+    prepared = _load_prepared(trace, "n_ex_grid")
     dks = trace.read("dk.json", _load_dks)
     if args.live:
         backend = HttpBackend(cfg.llm, JsonlCache(cfg.cache_path))
         cached_at_open = len(backend.cache)
     elif args.mock == "oracle":
-        backend = OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
+        backend = OracleMock.for_dataset(prepared.test)
     else:
         backend = RuleMock()
     try:
@@ -409,12 +406,11 @@ def cmd_report(trace: Trace, args: argparse.Namespace) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class Verb:
-    """A verb: `reads` names the files it reads, checked before it runs; `writes`,
-    its stage artifacts in the output directory ("models" for models/<family>.json);
-    `alone`, the settings no other verb reads (config keys, and the --live flag),
-    whose flags any other verb refuses and which count in this verb's config
-    digest alone; `args`, the arguments besides the config that decide what it
-    writes; `splits`, whether it splits imputed.csv by seed and test fraction."""
+    """A verb: `reads` names the files it reads, checked before it runs; `writes`, its stage
+    artifacts in the output directory ("models" for models/<family>.json); `alone`, the
+    settings no other verb reads (config keys, and the --live flag), whose flags any other
+    verb refuses and which count in this verb's config digest alone; `args`, the arguments
+    besides the config that decide what it writes."""
 
     run: Callable[[Trace, argparse.Namespace], int]
     help: str
@@ -422,17 +418,16 @@ class Verb:
     writes: tuple[str, ...] = ()
     alone: tuple[str, ...] = ()
     args: Callable[[argparse.Namespace], dict] = lambda a: {}
-    splits: bool = False
 
 
 VERBS = {
     "prepare-data": Verb(
         cmd_prepare_data, "load, binarize, impute, split; print dataset stats",
-        reads=("data_path",), writes=("imputed.csv",), alone=("data_path", "impute_k"),
+        reads=("data_path",), writes=("imputed.csv", "split.json"), alone=("data_path", "impute_k", "test_fraction"),
     ),
     "train-models": Verb(
         cmd_train_models, "tune and fit the six classifiers; save artifacts",
-        reads=("imputed.csv",), writes=("models", "ml_rows.json"), splits=True,
+        reads=("imputed.csv", "split.json"), writes=("models", "ml_rows.json"),
     ),
     "gen-dk": Verb(
         cmd_gen_dk, "render domain-knowledge texts from saved model rankings",
@@ -440,8 +435,8 @@ VERBS = {
     ),
     "run-grid": Verb(
         cmd_run_grid, "run the prompt grid against a mock or the live API",
-        reads=("imputed.csv", "dk.json"), writes=("grid_rows.json",), alone=("paper_faithful", "live", "cache_path"),
-        splits=True,
+        reads=("imputed.csv", "split.json", "dk.json"), writes=("grid_rows.json",),
+        alone=("paper_faithful", "live", "cache_path"),
         # a live run's model and URL are in cfg.llm, which the config digest covers
         args=lambda a: {"backend": "live" if a.live else a.mock},
     ),

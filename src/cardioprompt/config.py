@@ -45,7 +45,9 @@ class LlmConfig:
         try:
             parts = urllib.parse.urlsplit(self.base_url)
             parts.port  # a port out of range or not a number raises here
-        except ValueError as exc:
+            self.base_url.encode("ascii")  # the request line and the Host header send it as it is
+            (parts.hostname or "").encode("idna")  # a label empty or of 64 characters or more raises here
+        except ValueError as exc:  # UnicodeError is one
             raise ValidationError(f"base_url {self.base_url!r} is not a URL: {exc}") from None
         if not parts.hostname:
             raise ValidationError(f"base_url {self.base_url!r} names no host")
@@ -77,7 +79,7 @@ class ExperimentConfig:
     llm: LlmConfig = field(default_factory=LlmConfig)
 
     def __post_init__(self):
-        """The checks that need no data; prepare-data checks the rest against the split."""
+        """The checks that need no data; the verbs check the rest against the split."""
         if not 0 < self.test_fraction < 1:  # NaN fails every comparison
             raise ValidationError(f"config key test_fraction must be in (0, 1), not {self.test_fraction}")
         if self.impute_k < 1:

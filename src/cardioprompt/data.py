@@ -199,40 +199,35 @@ def knn_impute(raw: RawDataset, k: int = 5) -> Dataset:
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded stratified holdout; per-class test quotas by largest remainder."""
-    if not 0 < test_fraction < 1:
-        raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    """Seeded stratified holdout: the train and test sides of `holdout`."""
+    return split_at(ds, holdout(ds, test_fraction, seed))
+
+
+def holdout(ds: Dataset, test_fraction: float, seed: int) -> np.ndarray:
+    """The sorted numbers of a seeded stratified holdout's test rows; per-class quotas by largest remainder."""
     classes, counts = np.unique(ds.targets, return_counts=True)
     if (counts < 2).any():
-        small = classes[counts < 2]
-        raise StratificationError(f"class {small[0]} has fewer than 2 members")
+        raise StratificationError(f"class {classes[counts < 2][0]} has fewer than 2 members")
 
     n_test = int(np.floor(ds.n_rows * test_fraction + 0.5))
-    if n_test in (0, ds.n_rows):
-        empty = "test" if n_test == 0 else "train"
+    if not 0 < n_test < ds.n_rows:  # a test_fraction outside (0, 1) among them
+        empty = "test" if n_test <= 0 else "train"
         raise ValidationError(f"test_fraction {test_fraction} of {ds.n_rows} rows leaves the {empty} split empty")
     exact = counts * test_fraction
     quotas = np.floor(exact).astype(int)
     remainder = n_test - quotas.sum()  # >= 0: sum of floors never exceeds the rounded total
-    if remainder > 0:
-        order = np.argsort(-(exact - quotas), kind="stable")  # largest fractional part, tie by class order
-        for c in order[:remainder]:
-            quotas[c] += 1
+    for c in np.argsort(-(exact - quotas), kind="stable")[:remainder]:  # largest fractional part, tie by class order
+        quotas[c] += 1
 
     rng = np.random.default_rng(seed)
-    test_idx: list[np.ndarray] = []
-    train_idx: list[np.ndarray] = []
-    for c, quota in zip(classes, quotas):
-        members = np.flatnonzero(ds.targets == c)
-        perm = rng.permutation(members)
-        test_idx.append(perm[:quota])
-        train_idx.append(perm[quota:])
-    test_rows = np.sort(np.concatenate(test_idx))
-    train_rows = np.sort(np.concatenate(train_idx))
-    return (
-        Dataset(ds.matrix[train_rows], ds.targets[train_rows]),
-        Dataset(ds.matrix[test_rows], ds.targets[test_rows]),
-    )
+    picked = [rng.permutation(np.flatnonzero(ds.targets == c))[:quota] for c, quota in zip(classes, quotas)]
+    return np.sort(np.concatenate(picked))
+
+
+def split_at(ds: Dataset, test_rows: np.ndarray | list[int]) -> tuple[Dataset, Dataset]:
+    """The train side (every other row, in order) and the test side (`test_rows`, in order) of `ds`."""
+    train_rows = np.setdiff1d(np.arange(ds.n_rows), test_rows)
+    return Dataset(ds.matrix[train_rows], ds.targets[train_rows]), Dataset(ds.matrix[test_rows], ds.targets[test_rows])
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import CostWeights, ExperimentConfig
-from .data import Dataset, RawDataset, binarize_target, knn_impute, load_csv, split, standardize, write_atomic
+from .atomic import write_atomic
+from .data import Dataset, RawDataset, binarize_target, holdout, knn_impute, load_csv, split_at, standardize
 from .dk import DK_GRID, SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from .errors import ValidationError, WorkerError
 from .gateway import Backend, classify_batch
@@ -63,6 +64,7 @@ class PreparedData:
     test: Dataset
     std_train: Dataset  # standardized, model-facing
     std_test: Dataset
+    test_rows: tuple[int, ...] = ()  # the numbers of full's rows in test, which split.json holds
 
 
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
@@ -70,11 +72,15 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
 
 
 def prepare(raw: RawDataset, cfg: ExperimentConfig) -> PreparedData:
-    """Binarize, impute, split and standardize a loaded dataset."""
+    """Binarize, impute, split and standardize a loaded dataset: the one draw of the test rows."""
     full = knn_impute(binarize_target(raw), k=cfg.impute_k)
-    train, test = split(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split"))
-    std_train, std_test = standardize(train, test)
-    return PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
+    return split_prepared(raw, full, holdout(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split")))
+
+
+def split_prepared(raw: RawDataset, full: Dataset, test_rows: Sequence[int]) -> PreparedData:
+    """`raw`, imputed as `full`, split at `test_rows` and standardized."""
+    train, test = split_at(full, test_rows)
+    return PreparedData(raw, full, train, test, *standardize(train, test), tuple(map(int, test_rows)))
 
 
 @dataclass(frozen=True)

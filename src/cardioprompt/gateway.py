@@ -62,7 +62,7 @@ from typing import Protocol
 from .config import LlmConfig
 from .data import Dataset
 from .errors import AuthError, CardiopromptError, ProtocolError, TransportError, ValidationError
-from .prompts import Examples, PromptSpec, assemble_prompt, query_line, query_values, render_instance
+from .prompts import FEATURE_NAMES, Examples, PromptSpec, assemble_prompt, query_values
 from .prompts import sample_examples  # noqa: F401 -- unused here; bench/tracer.py wraps gateway.sample_examples
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -180,8 +180,7 @@ class Connection:
         # the request line and the headers `http.client` would send, up to the value of the closing Content-Length
         absolute_form = bool(proxy) and not https
         target = url if absolute_form else parts._replace(scheme="", netloc="").geturl()
-        authority = host.encode("idna").decode("ascii")
-        authority = f"[{authority}]" if ":" in authority else authority
+        authority = f"[{host}]" if ":" in host else host  # LlmConfig holds it to ASCII, its own IDNA form
         if port != (443 if https else 80):
             authority = f"{authority}:{port}"
         fields = {"Host": authority, "Accept-Encoding": "identity", **headers}
@@ -189,7 +188,10 @@ class Connection:
         if _CONTROL_IN_TARGET.search(target) or any(map(_LINE_BREAK_IN_VALUE.search, fields.values())):
             raise ValidationError("the endpoint URL or a request header holds a control character")
         lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
-        self._head = "\r\n".join([*lines, "Content-Length: "]).encode("latin-1")
+        try:
+            self._head = "\r\n".join([*lines, "Content-Length: "]).encode("latin-1")
+        except UnicodeEncodeError:  # not the URL, which LlmConfig holds to ASCII: a header value, the API key
+            raise ValidationError("a request header holds a character outside latin-1") from None
         if https:
             import ssl
 
@@ -529,25 +531,25 @@ class _InlineMock:
 
 
 class OracleMock(_InlineMock):
-    """Answers every prompt with the true label of its query instance."""
+    """Answers every prompt with the true label of the row that holds its final question's values."""
 
-    def __init__(self, answers: dict[str, int]):
+    def __init__(self, answers: dict[tuple[float, ...], int]):
         self.answers = dict(answers)
 
     @classmethod
-    def for_dataset(cls, ds: Dataset, float_style: bool = False) -> "OracleMock":
-        answers: dict[str, int] = {}
-        for row, target in zip(ds.matrix, ds.targets):
-            line = render_instance(row, float_style=float_style)
-            if answers.setdefault(line, int(target)) != int(target):
-                raise ValidationError(f"oracle: two rows render the query line {line!r} with different labels")
+    def for_dataset(cls, ds: Dataset) -> "OracleMock":
+        answers: dict[tuple[float, ...], int] = {}
+        for row, target in zip(ds.matrix.tolist(), ds.targets.tolist()):
+            if answers.setdefault(tuple(row), target) != target:
+                values = ", ".join(f"{name}: {value:g}" for name, value in zip(FEATURE_NAMES, row))
+                raise ValidationError(f"oracle: two rows hold the values {values} with different labels")
         return cls(answers)
 
     def respond(self, prompt_text: str) -> str:
-        line = query_line(prompt_text)
-        if line not in self.answers:
+        values = tuple(query_values(prompt_text).values())
+        if values not in self.answers:
             raise ValidationError("oracle has no answer for this query line")
-        return str(self.answers[line])
+        return str(self.answers[values])
 
 
 class ScriptedMock(_InlineMock):

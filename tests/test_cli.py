@@ -20,7 +20,7 @@ import cardioprompt
 from cardioprompt import cli, experiment
 from cardioprompt.cli import main
 from cardioprompt.data import load_csv, write_atomic, write_imputed_csv
-from cardioprompt.errors import ValidationError
+from cardioprompt.errors import StratificationError, ValidationError
 from cardioprompt.experiment import (
     ExperimentConfig,
     ReportRow,
@@ -244,8 +244,12 @@ class TestStageOrdering:
     def test_train_models_and_run_grid_require_imputed_data(self, workdir, capsys):
         runs = workdir["runs"]
         for verb, line in (
-            ("train-models", f"missing {runs / 'imputed.csv'}; run prepare-data first"),
-            ("run-grid", f"missing {runs / 'imputed.csv'} and {runs / 'dk.json'}; run prepare-data and gen-dk first"),
+            ("train-models", f"missing {runs / 'imputed.csv'} and {runs / 'split.json'}; run prepare-data first"),
+            (
+                "run-grid",
+                f"missing {runs / 'imputed.csv'} and {runs / 'split.json'} and {runs / 'dk.json'}; "
+                "run prepare-data and gen-dk first",
+            ),
         ):
             assert main(["--config", str(workdir["cfg"]), verb]) == 1
             assert capsys.readouterr().err == f"error: {line}\n"
@@ -293,6 +297,7 @@ def finished_run(tmp_path_factory):
 # the verb that writes each stage artifact
 WRITERS = {
     "imputed.csv": "prepare-data",
+    "split.json": "prepare-data",
     "models/RF.json": "train-models",
     "ml_rows.json": "train-models",
     "grid_rows.json": "run-grid",
@@ -313,6 +318,7 @@ def with_and_without_manifest(cases: list[tuple]) -> list:
 # each stage artifact, with a verb that reads it
 READERS = [
     ("imputed.csv", "train-models"),
+    ("split.json", "run-grid"),
     ("models/RF.json", "gen-dk"),
     ("ml_rows.json", "report"),
     ("grid_rows.json", "report"),
@@ -382,6 +388,36 @@ class TestMalformedArtifacts:
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'runs' / 'dk.json'} is not as gen-dk writes it (ValidationError: "
             "not dk0 then MLFI and MLFI-ord of each of RF, LR, GBT); rerun gen-dk\n"
+        )
+
+    @pytest.mark.parametrize("line, why", [("?", "missing cells"), ("2", "targets must be binary, found [2]")])
+    def test_an_imputed_csv_prepare_data_could_not_have_written_exits_one(
+        self, finished_run, tmp_path, capsys, line, why
+    ):
+        def edit_first_row(path: Path):
+            lines = path.read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[0 if line == "?" else -1] = line
+            path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+
+        self._run(finished_run, tmp_path, "imputed.csv", "train-models", edit_first_row, False)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'runs' / 'imputed.csv'} is not as prepare-data writes it (")
+        assert why in err and err.endswith("; rerun prepare-data\n")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [3, 70], list(range(70)), [3, 3, 9], [9, 3], [3, 9.0], {"3": 9}],
+        ids=["empty", "past-the-end", "every-row", "repeated", "unsorted", "float", "object"],
+    )
+    @pytest.mark.parametrize("verb", ["train-models", "run-grid"])
+    def test_a_split_json_prepare_data_could_not_have_written_exits_one(
+        self, finished_run, tmp_path, capsys, verb, rows
+    ):
+        self._run(finished_run, tmp_path, "split.json", verb, lambda path: path.write_text(json.dumps(rows)), False)
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'runs' / 'split.json'} is not as prepare-data writes it (ValidationError: "
+            "not row numbers below 70 in order, each once, with a row left on each side); rerun prepare-data\n"
         )
 
 
@@ -614,7 +650,27 @@ class TestLiveFailures:
         assert capsys.readouterr().err == "error: the endpoint URL or a request header holds a control character\n"
         assert (stub.requests, stub.dropped) == ([], 0)
 
-    @pytest.mark.parametrize("base_url", ["http://", "http://h:99999", "http://h:abc"])
+    def test_an_api_key_outside_latin_1_exits_one_before_any_request(self, workdir, monkeypatch, capsys, stub):
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-\u2713")
+        self._prime(workdir)
+        stub.script = [(200, ok_body("1"))]
+        live = self._live_cfg(workdir, "cache.jsonl", base_url=stub.url)
+        capsys.readouterr()
+        assert main(["--config", str(live), "--live", "run-grid"]) == 1
+        assert capsys.readouterr().err == "error: a request header holds a character outside latin-1\n"
+        assert (stub.requests, stub.dropped) == ([], 0)
+
+    @pytest.mark.parametrize(
+        "base_url",
+        [
+            "http://",
+            "http://h:99999",
+            "http://h:abc",
+            "http://127.0.0.1:9/\u2713",  # the request line goes out in ASCII
+            "http://ex..ample/",  # the Host header in IDNA, which has no empty label
+            f"http://{'a' * 64}.example/",  # nor one of 64 characters or more
+        ],
+    )
     def test_a_base_url_without_a_host_or_port_exits_one_as_the_config_loads(self, workdir, capsys, base_url):
         live = self._live_cfg(workdir, "cache.jsonl", base_url=base_url)
         assert main(["--config", str(live), "--live", "run-grid"]) == 1
@@ -797,13 +853,18 @@ class TestFamilyPool:
         cfg = str(workdir["cfg"])
         assert main(["--config", cfg, "prepare-data"]) == 0
         capsys.readouterr()
-        doc = {**json.loads(workdir["cfg"].read_text()), "search_folds": 60}  # more folds than either class has rows
-        bad = workdir["tmp"] / "bad.json"
-        bad.write_text(json.dumps(doc))
+        search = experiment.randomized_search
+
+        def failing_knn(family, *args, **kwargs):  # a forked worker inherits it
+            if family == "KNN":
+                raise StratificationError("class 0 has fewer members than folds")
+            return search(family, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "randomized_search", failing_knn)
         errs = []
         for n in (1, 2):
             use_cpus(monkeypatch, n)
-            assert main(["--config", str(bad), "train-models"]) == 1
+            assert main(["--config", cfg, "train-models"]) == 1
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1] == "error: class 0 has fewer members than folds\n"
 

@@ -49,8 +49,8 @@ def make_prepared(n: int = 60, seed: int = 3, test_fraction: float = 0.25) -> Pr
     return PreparedData(raw=raw, full=full, train=train_ds, test=test_ds, std_train=std_train, std_test=std_test)
 
 
-def oracle(cfg: ExperimentConfig, prepared: PreparedData) -> OracleMock:
-    return OracleMock.for_dataset(prepared.test, float_style=cfg.paper_faithful)
+def oracle(prepared: PreparedData) -> OracleMock:
+    return OracleMock.for_dataset(prepared.test)
 
 
 def seven_dks() -> list[DomainKnowledge]:
@@ -229,7 +229,7 @@ class TestPromptGrid:
     def test_oracle_backend_scores_perfect(self):
         prepared = make_prepared(60, seed=3)
         cfg = ExperimentConfig(seed=5, n_ex_grid=(0, 2))
-        rows = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
+        rows = run_prompt_grid(cfg, prepared, seven_dks(), oracle(prepared))
         assert unparseable_counts(rows) == {}
         assert len(rows) == 2 * 8  # 7 prompts + average, per n_ex
         for r in rows:
@@ -242,7 +242,7 @@ class TestPromptGrid:
     def test_row_labels_and_dk_columns(self):
         prepared = make_prepared(40, seed=1)
         cfg = ExperimentConfig(seed=2, n_ex_grid=(0,))
-        rows = run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared))
+        rows = run_prompt_grid(cfg, prepared, seven_dks(), oracle(prepared))
         labels = [r.label for r in rows]
         assert labels == [f"prompt-{i}" for i in range(7)] + ["Average (N_ex=0)"]
         expected_cols = [
@@ -258,10 +258,10 @@ class TestPromptGrid:
         assert all(r.n_ex == 0 for r in rows)
 
     def test_paper_faithful_oracle_consistent(self):
-        # float-style query lines must match the oracle's float-style keys
+        # the oracle reads the values of a float-style query line as those of a plain one
         prepared = make_prepared(40, seed=6)
         cfg = ExperimentConfig(seed=3, n_ex_grid=(0,), paper_faithful=True)
-        rows = run_prompt_grid(cfg, prepared, [NO_DK], oracle(cfg, prepared))
+        rows = run_prompt_grid(cfg, prepared, [NO_DK], oracle(prepared))
         assert unparseable_counts(rows) == {}
         assert rows[0].metrics.accuracy == 1.0
 
@@ -337,7 +337,7 @@ class TestPromptGrid:
         cfg = ExperimentConfig(seed=8, n_ex_grid=(0, 2))
         out = []
         for _ in range(2):
-            out.append(emit_report(run_prompt_grid(cfg, prepared, seven_dks(), oracle(cfg, prepared)), "csv"))
+            out.append(emit_report(run_prompt_grid(cfg, prepared, seven_dks(), oracle(prepared)), "csv"))
         assert out[0] == out[1]
 
 

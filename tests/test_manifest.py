@@ -6,7 +6,6 @@ recorded."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -22,7 +21,7 @@ import pytest
 import cardioprompt
 from cardioprompt import cli, experiment, gateway
 from cardioprompt.cli import main
-from cardioprompt.config import ExperimentConfig
+from cardioprompt.data import load_csv
 from cardioprompt.models import FAMILIES
 from conftest import ok_body
 from test_cli import make_workdir, use_cpus, write_raw_csv
@@ -31,7 +30,7 @@ README = (["prepare-data"], ["train-models"], ["gen-dk"], ["run-grid", "--mock",
 ARGV = {argv[0]: argv for argv in README}
 # the artifacts each verb's entry records as written (train-models' report.csv is not among them)
 OUTPUTS = {
-    "prepare-data": ["imputed.csv"],
+    "prepare-data": ["imputed.csv", "split.json"],
     "train-models": ["models/RF.json", "models/KNN.json", "ml_rows.json"],
     "gen-dk": ["dk.json"],
     "run-grid": ["grid_rows.json"],
@@ -187,11 +186,11 @@ def live_config(finished, tmp_path: Path, url: str) -> Path:
 class TestRunsAgain:
     @pytest.mark.parametrize("argv", README, ids=lambda argv: argv[0])
     def test_a_changed_seed(self, finished, runs, capsys, argv):
-        # run-grid refuses dk.json texts from the models of another split
-        for upstream in ["train-models", "gen-dk"] if argv[0] == "run-grid" else []:
-            assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", upstream)[:2])
+        # every verb reads the seed; the split is prepare-data's split.json, which the others only read
+        config = entries(runs)[argv[0]]["config"]
         assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2])
-        assert entries(runs)[argv[0]]["seed"] == 4
+        assert entries(runs)[argv[0]]["config"] != config
+        assert all({"seed", "test_fraction"}.isdisjoint(entry) for entry in entries(runs).values())
 
     @pytest.mark.parametrize("argv", README, ids=lambda argv: argv[0])
     def test_another_program(self, finished, runs, capsys, monkeypatch, argv):
@@ -409,64 +408,90 @@ class TestConfigEdits:
             assert all((runs / name).read_bytes() == (fresh / name).read_bytes() for name in outputs), verb
 
     @pytest.mark.parametrize("verb", list(ARGV))
-    def test_a_test_fraction_outside_zero_one_exits_one_and_writes_nothing(self, finished, runs, capsys, verb):
-        # gen-dk and report split no data: only the config check refuses the value there
+    def test_a_test_fraction_outside_zero_one_exits_one_and_writes_nothing(
+        self, finished, runs, capsys, tmp_path, verb
+    ):
+        # in the config file, which every verb loads; as a flag, only prepare-data takes it
         before = {path: path.read_bytes() for path in runs.rglob("*") if path.is_file()}
-        code, out, err = run(finished["cfg"], runs, capsys, "--test-fraction", "1.5", *ARGV[verb])
+        config = edited_config(finished, tmp_path, test_fraction=1.5)
+        code, out, err = run(config, runs, capsys, *ARGV[verb])
         assert (code, out, err) == (1, [], "error: config key test_fraction must be in (0, 1), not 1.5\n")
+        assert run(finished["cfg"], runs, capsys, "--test-fraction", "1.5", "prepare-data") == (1, [], err)
         assert {path: path.read_bytes() for path in runs.rglob("*") if path.is_file()} == before
 
+    @pytest.mark.parametrize("verb", [verb for verb in ARGV if verb != "prepare-data"])
+    def test_a_test_fraction_flag_on_another_verb_than_prepare_data_exits_one(self, finished, runs, capsys, verb):
+        before = files(runs)
+        code, out, err = run(finished["cfg"], runs, capsys, "--test-fraction", "0.3", *ARGV[verb])
+        assert (code, out, err) == (1, [], f"error: --test-fraction is read only by prepare-data, not by {verb}\n")
+        assert files(runs) == before
 
-def rewrite_grid_split(finished, runs: Path, **split):
-    """Rewrite run-grid's entry as a run at another seed or test fraction
-    records it, with its inputs and outputs left as they are: the entry that
-    a run-grid which did not refuse dk.json texts of another split left."""
-    doc = entries(runs)
-    cfg = dataclasses.replace(ExperimentConfig.from_json(finished["cfg"]), **split)
-    doc["run-grid"].update(split, config=cli._config_digest(cfg, "run-grid", live=False))
-    (runs / "manifest.json").write_text(json.dumps(doc))
-
-
-class TestMismatchedInputs:
-    def test_report_of_rows_from_two_seeds_exits_one_naming_the_verb_to_rerun(self, finished, runs, capsys):
-        rewrite_grid_split(finished, runs, seed=4)
-        code, _, err = run(finished["cfg"], runs, capsys, "report")
-        assert code == 1
-        assert err == (
-            "error: grid_rows.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
-            "and run-grid (seed 4, test fraction 0.25); rerun run-grid\n"
-        )
-        code, _, err = run(finished["cfg"], runs, capsys, "--seed", "5", "report")  # a split neither verb made
-        assert (code, err.rpartition("; ")[2]) == (1, "rerun train-models and gen-dk and run-grid\n")
-        assert ran(*run(finished["cfg"], runs, capsys, *ARGV["run-grid"])[:2])
-        assert run(finished["cfg"], runs, capsys, "report")[0] == 0
-
-    def test_report_of_rows_from_two_test_fractions_exits_one_naming_the_verb_to_rerun(self, finished, runs, capsys):
-        rewrite_grid_split(finished, runs, test_fraction=0.3)
-        code, _, err = run(finished["cfg"], runs, capsys, "report")
-        assert code == 1
-        assert err == (
-            "error: grid_rows.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
-            "and run-grid (seed 3, test fraction 0.3); rerun run-grid\n"
-        )
-
-    def test_a_grid_of_another_split_than_its_dk_texts_exits_one_and_sends_nothing(
-        self, finished, runs, capsys, stub, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "verb, edit, line",
+        [
+            ("train-models", {"search_folds": 60}, "search_folds: 60 folds of the train split: class 0 has fewer"
+             " members than folds"),
+            ("run-grid", {"n_ex_grid": [0, 2, 500]}, "n_ex_grid: 500 examples from the train split: asked for 500"
+             " examples from 52 rows"),
+        ],
+        ids=["search_folds", "n_ex_grid"],
+    )
+    def test_a_value_the_split_refutes_exits_one_before_its_verb_trains_or_sends(
+        self, finished, runs, capsys, stub, tmp_path, monkeypatch, verb, edit, line
     ):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
         stub.script = [(200, ok_body("1"))]
+        searched = []
+        monkeypatch.setattr(experiment, "randomized_search", lambda *args, **kwargs: searched.append(args))
+        doc = {**json.loads(live_config(finished, tmp_path, stub.url).read_text()), **edit}
+        config = edited_config(finished, tmp_path, **doc)
+        argv = ["--live", "run-grid"] if verb == "run-grid" else [verb]
+        before = files(runs)
+        assert run(config, runs, capsys, *argv) == (1, [], f"error: config key {line}\n")
+        assert (searched, stub.requests) == ([], [])
+        assert files(runs) == before and not (tmp_path / "cache.jsonl").exists()
+
+
+class TestMismatchedInputs:
+    @pytest.mark.parametrize("split", [["--seed", "4"], ["--test-fraction", "0.3"]], ids=["seed", "test-fraction"])
+    def test_a_new_split_takes_prepare_data_and_reruns_every_verb_that_read_the_old(
+        self, finished, runs, capsys, stub, tmp_path, monkeypatch, split
+    ):
+        assert ran(*run(finished["cfg"], runs, capsys, *split, "prepare-data")[:2])
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        stub.script = [(200, ok_body("1"))]
         live, before = live_config(finished, tmp_path, stub.url), files(runs)
-        code, out, err = run(live, runs, capsys, "--seed", "4", "--live", "run-grid")
-        assert (code, out, err) == (
-            1,
-            [],
-            "error: dk.json comes from two test splits: train-models (seed 3, test fraction 0.25) "
-            "and run-grid (seed 4, test fraction 0.25); rerun train-models and gen-dk\n",
-        )
+        stale = "models/GBT.json was made from a split.json that has changed since; rerun train-models and gen-dk"
+        assert run(live, runs, capsys, "--live", "run-grid") == (1, [], f"error: {stale}\n")
         assert stub.requests == [] and not (tmp_path / "cache.jsonl").exists()
         assert files(runs) == before
-        for argv in (ARGV["train-models"], ARGV["gen-dk"], ARGV["run-grid"]):
-            assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2]), argv
+        stale = "ml_rows.json was made from a split.json that has changed since"
+        assert run(finished["cfg"], runs, capsys, "report") == (
+            1, [], f"error: {stale}; rerun train-models and gen-dk and run-grid\n"
+        )
+        for argv in (ARGV["train-models"], ARGV["gen-dk"], ARGV["run-grid"], ARGV["report"]):
+            assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2]), argv
+
+    def test_a_changed_seed_scores_the_rows_of_split_json(self, finished, runs, capsys, monkeypatch):
+        scored, grid = [], cli.run_prompt_grid
+
+        def recorded(cfg, prepared, *args):
+            scored.append(prepared.test.matrix)
+            return grid(cfg, prepared, *args)
+
+        monkeypatch.setattr(cli, "run_prompt_grid", recorded)
+        assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *ARGV["run-grid"])[:2])
+        test_rows = json.loads((runs / "split.json").read_text())
+        assert (scored[0] == load_csv(runs / "imputed.csv").matrix[test_rows]).all()
+        # the rule answers from the query alone: the same rows score the same
+        assert (runs / "grid_rows.json").read_bytes() == (finished["runs"] / "grid_rows.json").read_bytes()
+
+    @pytest.mark.parametrize("verb", ["train-models", "run-grid"])
+    def test_an_edited_split_json_exits_one_naming_prepare_data(self, finished, runs, capsys, verb):
+        path = runs / "split.json"
+        path.write_text(json.dumps(json.loads(path.read_text())[1:]))
+        code, _, err = run(finished["cfg"], runs, capsys, *ARGV[verb])
+        assert (code, err) == (1, f"error: {path} changed since prepare-data wrote it; rerun prepare-data\n")
 
     def test_report_of_rows_from_two_imputed_files_names_the_stale_one(self, finished, runs, capsys, tmp_path):
         other = tmp_path / "other.csv"
@@ -511,7 +536,7 @@ class TestMismatchedInputs:
     @pytest.mark.parametrize(
         "upstream, flags, verb, advice",
         [
-            (None, ["--seed", "4"], "run-grid", "rerun train-models and gen-dk"),
+            (["--seed", "4", "prepare-data"], [], "run-grid", "rerun train-models and gen-dk"),
             (["--data-path", "{other}", "prepare-data"], [], "run-grid", "rerun train-models and gen-dk"),
             (["--data-path", "{other}", "prepare-data"], [], "report", "rerun train-models and gen-dk and run-grid"),
             (["--seed", "4", "train-models"], ["--seed", "4"], "report", "rerun gen-dk and run-grid"),
@@ -559,7 +584,7 @@ class TestMismatchedInputs:
         doc = entries(runs)
         del doc["train-models"]
         (runs / "manifest.json").write_text(json.dumps(doc))
-        assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *ARGV["run-grid"])[:2])
+        assert ran(*run(finished["cfg"], runs, capsys, "run-grid", "--mock", "oracle")[:2])  # other grid rows
         assert ran(*run(finished["cfg"], runs, capsys, "report")[:2])
 
     @pytest.mark.parametrize("verb", ["train-models", "run-grid"])
@@ -579,8 +604,6 @@ class TestMismatchedInputs:
             '{"gen-dk": {"inputs": []}}',
             # prepare-data made from dk.json, which its row does not read: a walk from it would go round in a circle
             "cycle",
-            # an entry without the seed and test fraction of its split
-            '{"train-models": {"inputs": {}, "outputs": {}}}',
         ],
     )
     def test_a_malformed_manifest_exits_one(self, finished, runs, capsys, text):
@@ -593,3 +616,17 @@ class TestMismatchedInputs:
         assert code == 1
         assert err.startswith(f"error: {runs / 'manifest.json'} is not a manifest")
         assert err.endswith("; delete it to run every verb again\n")
+
+    def test_a_manifest_written_before_split_json_is_not_refused(self, finished, runs, capsys):
+        # its entries record each split's seed and test fraction, and no split.json
+        doc = entries(runs)
+        for entry in doc.values():
+            entry.update(seed=3, test_fraction=0.25, program="an earlier program")
+            for files_of in (entry["inputs"], entry["outputs"]):
+                files_of.pop("split.json", None)
+        (runs / "manifest.json").write_text(json.dumps(doc))
+        (runs / "split.json").unlink()
+        missing = f"error: missing {runs / 'split.json'}; run prepare-data first\n"
+        assert run(finished["cfg"], runs, capsys, *ARGV["train-models"]) == (1, [], missing)
+        for argv in README:
+            assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2]), argv
