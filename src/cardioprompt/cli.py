@@ -170,7 +170,7 @@ class Trace:
         entry = self.entries.get(self.verb)
         if entry is None or any(entry.get(key) != value for key, value in self.key.items()):
             return False
-        return all(self._digest(name) == digest for name, digest in entry["inputs"].items()) and all(
+        return all(self._digest(n) == entry["inputs"].get(n, "") for n in {*self.reads, *entry["inputs"]}) and all(
             _sha256(self.path(name)) == digest for name, digest in entry["outputs"].items()
         )
 
@@ -288,8 +288,7 @@ def _load_prepared(trace: Trace, key: str) -> PreparedData:
 
 
 def _check_config_against_split(cfg: ExperimentConfig, prepared: PreparedData, *keys: str):
-    """The config values of `keys` only the split can refute: every example count of n_ex_grid drawable from
-    the train rows, every class filling each of search_folds folds. Checked before anything trains or is sent."""
+    """Refuse the config `keys` (n_ex_grid, search_folds) the train split refutes, before training or sending."""
     for n_ex in cfg.n_ex_grid if "n_ex_grid" in keys else ():
         try:
             sample_examples(prepared.train, n_ex, seed=0)

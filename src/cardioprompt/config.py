@@ -46,11 +46,12 @@ class LlmConfig:
             parts = urllib.parse.urlsplit(self.base_url)
             parts.port  # a port out of range or not a number raises here
             self.base_url.encode("ascii")  # the request line and the Host header send it as it is
-            (parts.hostname or "").encode("idna")  # a label empty or of 64 characters or more raises here
-        except ValueError as exc:  # UnicodeError is one
+        except ValueError as exc:  # UnicodeEncodeError is one
             raise ValidationError(f"base_url {self.base_url!r} is not a URL: {exc}") from None
         if not parts.hostname:
             raise ValidationError(f"base_url {self.base_url!r} names no host")
+        if not all(0 < len(label) < 64 for label in parts.hostname.removesuffix(".").split(".")):  # as IDNA asks
+            raise ValidationError(f"base_url {self.base_url!r} has a host label empty or of 64 characters or more")
         if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
             raise ValidationError("temperature must be finite and >= 0")
         if not 0 <= self.backoff_base < math.inf:

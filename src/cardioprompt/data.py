@@ -226,7 +226,7 @@ def holdout(ds: Dataset, test_fraction: float, seed: int) -> np.ndarray:
 
 def split_at(ds: Dataset, test_rows: np.ndarray | list[int]) -> tuple[Dataset, Dataset]:
     """The train side (every other row, in order) and the test side (`test_rows`, in order) of `ds`."""
-    train_rows = np.setdiff1d(np.arange(ds.n_rows), test_rows)
+    train_rows = np.delete(np.arange(ds.n_rows), test_rows)  # not setdiff1d, which imports numpy.ma
     return Dataset(ds.matrix[train_rows], ds.targets[train_rows]), Dataset(ds.matrix[test_rows], ds.targets[test_rows])
 
 

@@ -38,12 +38,12 @@ def stratified_folds(targets: np.ndarray, n_folds: int, seed: int) -> list[np.nd
     targets = np.asarray(targets)
     if n_folds < 2:
         raise ValidationError("need at least 2 folds")
-    for cls in np.unique(targets):
-        if (targets == cls).sum() < n_folds:
-            raise StratificationError(f"class {cls} has fewer members than folds")
+    classes, counts = np.unique(targets, return_counts=True)  # with counts: no import of numpy.ma
+    if (counts < n_folds).any():
+        raise StratificationError(f"class {classes[counts < n_folds][0]} has fewer members than folds")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(n_folds)]
-    for cls in np.unique(targets):
+    for cls in classes:
         members = np.flatnonzero(targets == cls)
         members = members[rng.permutation(len(members))]
         for pos, row in enumerate(members):

@@ -248,6 +248,14 @@ class TestRunsAgain:
             assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2])
         assert run(finished["cfg"], runs, capsys, *argv)[:2] == (0, up_to_date(runs, argv[0]))
 
+    def test_an_entry_without_one_of_its_reads_runs_again(self, finished, runs, capsys):
+        # the manifest check reads such an entry, as it reads one from before split.json existed
+        doc = entries(runs)
+        del doc["train-models"]["inputs"]["split.json"]
+        (runs / "manifest.json").write_text(json.dumps(doc))
+        assert ran(*run(finished["cfg"], runs, capsys, *ARGV["train-models"])[:2])
+        assert run(finished["cfg"], runs, capsys, *ARGV["train-models"])[:2] == (0, up_to_date(runs, "train-models"))
+
     def test_prepare_data_after_its_csv_changed(self, tmp_path, capsys):
         workdir = make_workdir(tmp_path)
         argv = (workdir["cfg"], workdir["runs"], capsys, "prepare-data")
