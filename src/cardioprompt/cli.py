@@ -8,27 +8,24 @@ real API requires the explicit --live flag. Exit codes: 0 success,
 failure after this run cached some answers (rerun to resume). A verb whose
 last run, as recorded in <output_dir>/manifest.json, still matches its
 config, arguments, inputs and outputs prints that it is up to date and
-exits 0 without running (see `Trace`).
+exits 0 without running (see `manifest.py`, which this module hands `VERBS`).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
-import hashlib
-import importlib.util
-import json
+import importlib
 import sys
 import time
 from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .atomic import remove_leftovers, write_atomic
 from .config import ExperimentConfig
-from .dk import DK_GRID, SOURCE_TAGS, DkVariant, DomainKnowledge
+from .dk import SOURCE_TAGS, load_dks, save_dks
 from .errors import CardiopromptError, SamplingError, StratificationError, TransportError, ValidationError
+from .manifest import Trace
 
 if TYPE_CHECKING:
     from .experiment import PreparedData
@@ -37,7 +34,7 @@ if TYPE_CHECKING:
 # them, are imported only when a verb runs (see _import_pipeline), so an
 # up-to-date verb costs an interpreter start and a few file hashes.
 PIPELINE = {
-    "data": ("Dataset", "RawDataset", "load_csv", "stats", "write_imputed_csv"),
+    "data": ("Dataset", "RawDataset", "load_csv", "load_split", "save_split", "stats", "write_imputed_csv"),
     "experiment": (
         "dk_grid_from_models",
         "load_rows",
@@ -72,192 +69,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-MANIFEST = "manifest.json"
-# the inputs outside the output directory, recorded under their config key
+# the inputs outside the output directory, by their config key
 EXTERNAL_INPUTS = ("data_path", "cache_path")
-
-
-def _sha256(path: Path) -> str | None:
-    """The file's sha256, read in chunks; None where there is no file."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-    except FileNotFoundError:
-        return None
-    return digest.hexdigest()
-
-
-@functools.cache
-def program_identity() -> str:
-    """A digest of this package's own sources, the Python version and
-    numpy's version.py (found without importing numpy), so that what another
-    program wrote is never up to date."""
-    package = Path(__file__).parent
-    numpy_version = Path(importlib.util.find_spec("numpy").origin).with_name("version.py")
-    digest = hashlib.sha256(f"{sys.version}\nnumpy {_sha256(numpy_version)}\n".encode())
-    for path in sorted(package.rglob("*.py")):
-        digest.update(f"{path.relative_to(package).as_posix()} {_sha256(path)}\n".encode())
-    return digest.hexdigest()
-
-
-def _config_digest(cfg: ExperimentConfig, verb: str, live: bool) -> str:
-    """The sha256 of the config as `verb` reads it. output_dir and cache_path
-    are locations, not content: a copied run directory still checks clean. A
-    setting of a verb's `alone` counts for that verb alone, and the llm
-    settings count only for a live run-grid, the one verb that reads them."""
-    doc = dataclasses.asdict(cfg)
-    del doc["output_dir"], doc["cache_path"]
-    for key in (key for other, row in VERBS.items() if other != verb for key in row.alone):
-        doc.pop(key, None)  # live is a flag, not a config key
-    if not live:
-        del doc["llm"]
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-def _load_manifest(path: Path) -> dict:
-    """The manifest's entries by verb; none where there is no manifest. An entry
-    reads no more than its row's `reads` and the external inputs, so a walk up the writers ends."""
-    try:
-        entries = json.loads(path.read_text())
-    except FileNotFoundError:
-        return {}
-    except ValueError as exc:
-        raise ValidationError(f"{path} is not a manifest ({exc}); delete it to run every verb again") from exc
-    if not isinstance(entries, dict) or not all(
-        verb in VERBS and isinstance(entry, dict)
-        and all(isinstance(entry.get(key), dict) for key in ("inputs", "outputs"))
-        and entry["inputs"].keys() <= {*VERBS[verb].reads, *EXTERNAL_INPUTS}
-        for verb, entry in entries.items()
-    ):
-        raise ValidationError(f"{path} is not a manifest; delete it to run every verb again")
-    return entries
-
-
-class Trace:
-    """What one verb reads and writes, checked against and recorded in the
-    manifest of its output directory.
-
-    The manifest holds one entry per verb, from that verb's last successful
-    run: the config digest, the verb's arguments (run-grid's backend,
-    report's format), the program identity, the sha256 of every file the
-    verb read, as it read it, and of every artifact it wrote, and its wall
-    time. A verb whose entry still matches, every file included, would write
-    the same bytes again, so it is up to date and does not run: the verifying
-    traces of Mokhov, Mitchell and Peyton Jones, "Build systems à la carte"
-    (ICFP 2018). Files are named relative to the output directory, the data
-    file and the completion cache by their config key.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, verb: str, args: dict):
-        self.cfg, self.verb = cfg, verb
-        self.manifest = Path(cfg.output_dir) / MANIFEST
-        live = args.get("backend") == "live"
-        self.key = {"config": _config_digest(cfg, verb, live), "args": args, "program": program_identity()}
-        self.entries = _load_manifest(self.manifest)
-        self.digests: dict[str, str | None] = {}  # by file name, as `_digest` first took it
-        self.writes: list[str] = []
-        self._check_reads()
-
-    def path(self, name: str) -> Path:
-        return Path(getattr(self.cfg, name)) if name in EXTERNAL_INPUTS else Path(self.cfg.output_dir) / name
-
-    def up_to_date(self) -> bool:
-        """Whether this verb's entry still matches: its key, each recorded
-        input by the sha256 `_check_reads` took (the live cache by its own),
-        and each output by its sha256."""
-        entry = self.entries.get(self.verb)
-        if entry is None or any(entry.get(key) != value for key, value in self.key.items()):
-            return False
-        return all(self._digest(n) == entry["inputs"].get(n, "") for n in {*self.reads, *entry["inputs"]}) and all(
-            _sha256(self.path(name)) == digest for name, digest in entry["outputs"].items()
-        )
-
-    def remove_leftovers(self):
-        """What killed writes of this verb's recorded outputs left behind."""
-        for name in self.entries[self.verb]["outputs"]:
-            remove_leftovers(self.path(name))
-
-    def _digest(self, name: str) -> str | None:
-        """The sha256 of the file `name`, None where there is none, hashed
-        once per run: no verb writes a file that it or a lineage walk reads.
-        `record` hashes the live cache anew, as run-grid leaves it."""
-        if name not in self.digests:
-            self.digests[name] = _sha256(self.path(name))
-        return self.digests[name]
-
-    def _check_reads(self):
-        """Hash each file of this verb's row `reads` and walk its lineage, collecting
-        every finding: a missing stage artifact, one its writer did not write, one
-        made from a stage artifact changed since. Any raises one error naming the
-        first finding and every verb to run or rerun, once each, in pipeline order."""
-        self.reads, found = {name: self._digest(name) for name in VERBS[self.verb].reads}, []
-        for name in self.reads:
-            self._lineage(name, found)
-        missing = [name for name, digest in self.reads.items() if digest is None and name not in EXTERNAL_INPUTS]
-        rerun = {WRITERS[name.split("/")[0]] for name in missing}.union(*(named for _, named in found))
-        verbs = " and ".join(sorted(rerun, key=list(VERBS).index))
-        if missing:
-            raise ValidationError(f"missing {' and '.join(map(str, map(self.path, missing)))}; run {verbs} first")
-        if found:
-            raise ValidationError(f"{found[0][0]}; rerun {verbs}")
-
-    def record(self, name: str):
-        """Record a file this verb read with its sha256 now: the live cache, as run-grid leaves it."""
-        self.reads[name] = _sha256(self.path(name))
-
-    def _written(self, name: str) -> str | None:
-        """The sha256 of the stage artifact `name` once its writer, if need
-        be, has run again: as the writer's entry records it, else as it is now."""
-        entry = self.entries.get(WRITERS[name.split("/")[0]], {"outputs": {}})
-        return entry["outputs"].get(name, self._digest(name))
-
-    def _lineage(self, name: str, found: list, below: tuple[str, ...] = ()):
-        """Walk up from the file `name` through its writers' entries, `below` being the
-        writers between it and the reading verb. A file that is not what its writer wrote,
-        or is gone, goes into `found` with that writer, which writes it again; one made from
-        a stage artifact written anew since with that writer and those below it. A file no
-        entry wrote ends the walk: an external input, or one older than the manifest."""
-        verb = WRITERS.get(name.split("/")[0])
-        if (entry := self.entries.get(verb)) is None:
-            return
-        if (digest := self._digest(name)) != entry["outputs"].get(name, digest):
-            what = f"{self.path(name)} changed since {verb} wrote it" if digest else f"missing {self.path(name)}"
-            found.append((what, (verb,)))
-        for source, made_from in entry["inputs"].items():
-            if source.split("/")[0] in WRITERS and self._written(source) != made_from:
-                found.append((f"{name} was made from a {source} that has changed since", (verb, *below)))
-            self._lineage(source, found, (verb, *below))
-
-    def read(self, name: str, parse):
-        """parse(path) of the stage artifact `name` of this verb's row
-        `reads`, which `_check_reads` found as its writer wrote it. Bytes
-        `parse` raises on mean the writer should run again: the parsers leave
-        naming the file to this one rule."""
-        path, verb = self.path(name), WRITERS[name.split("/")[0]]
-        try:
-            return parse(path)
-        except (CardiopromptError, ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON, not UTF-8
-            what = f"{type(exc).__name__}: {exc}"
-            raise ValidationError(f"{path} is not as {verb} writes it ({what}); rerun {verb}") from exc
-
-    def output(self, name: str) -> Path:
-        """The path of an artifact this verb writes, recorded for its entry."""
-        self.writes.append(name)
-        return self.path(name)
-
-    def commit(self, wall_s: float):
-        """Record this run as the verb's entry. The other entries are taken
-        as the manifest holds them now."""
-        entries = _load_manifest(self.manifest)
-        entries[self.verb] = {
-            **self.key,
-            "inputs": self.reads,
-            "outputs": {name: _sha256(self.path(name)) for name in self.writes},
-            "wall_s": round(wall_s, 3),
-        }
-        write_atomic(self.manifest, json.dumps(entries, indent=2, sort_keys=True) + "\n")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -270,20 +83,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return dataclasses.replace(cfg, **{k: v for k, v in vars(args).items() if k in keys and v is not None})
 
 
-def _load_test_rows(path: Path, n_rows: int) -> list[int]:
-    """The test rows that cmd_prepare_data wrote to split.json for data of `n_rows` rows."""
-    rows = json.loads(path.read_text())
-    if 0 < len(rows) < n_rows and all(type(r) is int for r in rows) and rows == sorted(set(rows) & set(range(n_rows))):
-        return rows
-    raise ValidationError(f"not row numbers below {n_rows} in order, each once, with a row left on each side")
-
-
-def _load_prepared(trace: Trace, key: str) -> PreparedData:
+def _load_prepared(cfg: ExperimentConfig, trace: Trace, key: str) -> PreparedData:
     """imputed.csv split at the rows of split.json, with the config key `key` checked against the split."""
     full = trace.read("imputed.csv", lambda path: Dataset(**vars(load_csv(path))))  # no missing cell, 0/1 targets
-    test_rows = trace.read("split.json", lambda path: _load_test_rows(path, full.n_rows))
+    test_rows = trace.read("split.json", lambda path: load_split(path, full.n_rows))
     prepared = split_prepared(RawDataset(**vars(full)), full, test_rows)
-    _check_config_against_split(trace.cfg, prepared, key)
+    _check_config_against_split(cfg, prepared, key)
     return prepared
 
 
@@ -301,14 +106,13 @@ def _check_config_against_split(cfg: ExperimentConfig, prepared: PreparedData, *
             raise ValidationError(f"config key search_folds: {folds} folds of the train split: {exc}") from None
 
 
-def cmd_prepare_data(trace: Trace, args: argparse.Namespace) -> int:
-    cfg = trace.cfg
+def cmd_prepare_data(cfg: ExperimentConfig, trace: Trace, args: argparse.Namespace) -> int:
     prepared = prepare_data(cfg)
     _check_config_against_split(cfg, prepared, "n_ex_grid", "search_folds")
     st = stats(prepared.raw)
     path = trace.output("imputed.csv")
     write_imputed_csv(prepared.full, path)
-    write_atomic(trace.output("split.json"), json.dumps(prepared.test_rows))
+    save_split(trace.output("split.json"), prepared.test_rows)
     print(f"rows: {st.n_total}")
     print(f"rows with missing cells: {st.n_with_missing}")
     print(f"male fraction: {st.male_fraction:.4f}")
@@ -317,9 +121,8 @@ def cmd_prepare_data(trace: Trace, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train_models(trace: Trace, args: argparse.Namespace) -> int:
-    cfg = trace.cfg
-    rows, models = run_ml_baselines(cfg, _load_prepared(trace, "search_folds"))
+def cmd_train_models(cfg: ExperimentConfig, trace: Trace, args: argparse.Namespace) -> int:
+    rows, models = run_ml_baselines(cfg, _load_prepared(cfg, trace, "search_folds"))
     for family, model in models.items():
         save_model(model, trace.output(f"models/{family}.json"))
     save_rows(trace.output("ml_rows.json"), rows)
@@ -330,39 +133,20 @@ def cmd_train_models(trace: Trace, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_dk(trace: Trace, args: argparse.Namespace) -> int:
-    cfg = trace.cfg
+def cmd_gen_dk(cfg: ExperimentConfig, trace: Trace, args: argparse.Namespace) -> int:
     models = {family: trace.read(f"models/{family}.json", load_model) for family in SOURCE_TAGS}
     dks = dk_grid_from_models(models)
     out = trace.output("dk.json")
-    write_atomic(
-        out,
-        json.dumps(
-            [{"variant": dk.variant.value, "source": dk.source_name, "text": dk.text} for dk in dks],
-            indent=2,
-        ),
-    )
+    save_dks(out, dks)
     for i, dk in enumerate(dks):
         print(f"dk{i}: {dk.text if dk.text else 'None'}")
     print(f"domain knowledge written to {out}")
     return 0
 
 
-def _load_dks(path: Path) -> list[DomainKnowledge]:
-    """The texts that cmd_gen_dk wrote to dk.json, those of DK_GRID in its order."""
-    dks = [
-        DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
-        for doc in json.loads(path.read_text())
-    ]
-    if [(dk.variant, dk.source_name) for dk in dks] != [(v, SOURCE_TAGS.get(f, "")) for v, f in DK_GRID]:
-        raise ValidationError(f"not dk0 then MLFI and MLFI-ord of each of {', '.join(SOURCE_TAGS)}")
-    return dks
-
-
-def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
-    cfg = trace.cfg
-    prepared = _load_prepared(trace, "n_ex_grid")
-    dks = trace.read("dk.json", _load_dks)
+def cmd_run_grid(cfg: ExperimentConfig, trace: Trace, args: argparse.Namespace) -> int:
+    prepared = _load_prepared(cfg, trace, "n_ex_grid")
+    dks = trace.read("dk.json", load_dks)
     if args.live:
         backend = HttpBackend(cfg.llm, JsonlCache(cfg.cache_path))
         cached_at_open = len(backend.cache)
@@ -392,10 +176,10 @@ def cmd_run_grid(trace: Trace, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(trace: Trace, args: argparse.Namespace) -> int:
+def cmd_report(cfg: ExperimentConfig, trace: Trace, args: argparse.Namespace) -> int:
     ml_rows = trace.read("ml_rows.json", load_rows)
     grid_rows = trace.read("grid_rows.json", load_rows)
-    path = write_report(ml_rows + grid_rows, trace.cfg.output_dir, fmt=args.format)
+    path = write_report(ml_rows + grid_rows, cfg.output_dir, fmt=args.format)
     trace.output(path.name)
     if unparseable := unparseable_counts(grid_rows):
         print(f"warning: unparseable responses counted as positive: {unparseable}")
@@ -411,7 +195,7 @@ class Verb:
     verb refuses and which count in this verb's config digest alone; `args`, the arguments
     besides the config that decide what it writes."""
 
-    run: Callable[[Trace, argparse.Namespace], int]
+    run: Callable[[ExperimentConfig, Trace, argparse.Namespace], int]
     help: str
     reads: tuple[str, ...] = ()
     writes: tuple[str, ...] = ()
@@ -444,8 +228,6 @@ VERBS = {
         reads=("ml_rows.json", "grid_rows.json"), args=lambda a: {"format": a.format},
     ),
 }
-# the verb that writes each stage artifact, by its name in the output directory
-WRITERS = {name: verb for verb, row in VERBS.items() for name in row.writes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,14 +260,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        trace = Trace(cfg, args.verb, VERBS[args.verb].args(args))
+        # locations are not content, so a copied run directory still checks clean; llm is read by a live run-grid
+        skip = {"output_dir", "cache_path"} | (set() if args.live else {"llm"})
+        doc = {key: value for key, value in dataclasses.asdict(cfg).items() if key not in skip}
+        externals = {name: getattr(cfg, name) for name in EXTERNAL_INPUTS}
+        trace = Trace(VERBS, args.verb, doc, VERBS[args.verb].args(args), cfg.output_dir, externals)
         if trace.up_to_date():
             trace.remove_leftovers()
             print(f"{args.verb} is up to date: config, arguments, inputs and outputs match {trace.manifest}")
             return 0
         start = time.perf_counter()
         _import_pipeline()
-        code = VERBS[args.verb].run(trace, args)
+        code = VERBS[args.verb].run(cfg, trace, args)
         if code == 0:
             trace.commit(time.perf_counter() - start)
         return code

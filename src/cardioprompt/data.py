@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -222,6 +223,19 @@ def holdout(ds: Dataset, test_fraction: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     picked = [rng.permutation(np.flatnonzero(ds.targets == c))[:quota] for c, quota in zip(classes, quotas)]
     return np.sort(np.concatenate(picked))
+
+
+def save_split(path: Path, test_rows: tuple[int, ...]) -> None:
+    """Write the test rows of `holdout` to split.json."""
+    write_atomic(path, json.dumps(test_rows))
+
+
+def load_split(path: Path, n_rows: int) -> list[int]:
+    """The test rows that save_split wrote to split.json for data of `n_rows` rows."""
+    rows = json.loads(path.read_text())
+    if 0 < len(rows) < n_rows and all(type(r) is int for r in rows) and rows == sorted(set(rows) & set(range(n_rows))):
+        return rows
+    raise ValidationError(f"not row numbers below {n_rows} in order, each once, with a row left on each side")
 
 
 def split_at(ds: Dataset, test_rows: np.ndarray | list[int]) -> tuple[Dataset, Dataset]:

@@ -9,8 +9,11 @@ section entirely.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
+from .atomic import write_atomic
 from .errors import ValidationError
 from .schema import FEATURE_NAMES
 
@@ -48,6 +51,23 @@ class DomainKnowledge:
     def __post_init__(self):
         if self.variant is DkVariant.NONE and (self.text or self.source_name):
             raise ValidationError("no-knowledge variant carries no text or source")
+
+
+def save_dks(path: Path, dks: list[DomainKnowledge]) -> None:
+    """Write the texts of DK_GRID, in its order, to dk.json."""
+    docs = [{"variant": dk.variant.value, "source": dk.source_name, "text": dk.text} for dk in dks]
+    write_atomic(path, json.dumps(docs, indent=2))
+
+
+def load_dks(path: Path) -> list[DomainKnowledge]:
+    """The texts that save_dks wrote to dk.json, those of DK_GRID in its order."""
+    dks = [
+        DomainKnowledge(variant=DkVariant(doc["variant"]), source_name=doc["source"], text=doc["text"])
+        for doc in json.loads(path.read_text())
+    ]
+    if [(dk.variant, dk.source_name) for dk in dks] != [(v, SOURCE_TAGS.get(f, "")) for v, f in DK_GRID]:
+        raise ValidationError(f"not dk0 then MLFI and MLFI-ord of each of {', '.join(SOURCE_TAGS)}")
+    return dks
 
 
 def _ranked_names(ranking) -> list[str]:

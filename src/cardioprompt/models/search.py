@@ -73,10 +73,10 @@ def randomized_search(
     for trial_no, hyper in enumerate(assignments):
         scores = []
         for fold_no, val_idx in enumerate(fold_idx):
-            if len(np.unique(train_ds.targets[val_idx])) < 2:
+            if len(np.unique(train_ds.targets[val_idx], return_counts=True)[0]) < 2:  # with counts: no numpy.ma
                 warnings.append(f"trial {trial_no}: fold {fold_no} validation side is single-class, skipped")
                 continue
-            tr_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
+            tr_idx = np.delete(all_idx, val_idx)  # not setdiff1d, which imports numpy.ma
             sub = Dataset(matrix=train_ds.matrix[tr_idx], targets=train_ds.targets[tr_idx])
             model = train(family, sub, hyper, seed=fit_seed)
             preds = model.predict(train_ds.matrix[val_idx])

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import cardioprompt
-from cardioprompt import cli, experiment
+from cardioprompt import cli, experiment, manifest
 from cardioprompt.cli import main
 from cardioprompt.data import load_csv, write_atomic, write_imputed_csv
 from cardioprompt.errors import StratificationError, ValidationError
@@ -776,7 +776,7 @@ import json, os, sys
 os.sched_getaffinity = lambda pid: {0}
 import cardioprompt.cli
 def loaded():
-    return [name in sys.modules for name in ("multiprocessing", "concurrent.futures")]
+    return [name in sys.modules for name in ("multiprocessing", "concurrent.futures", "numpy.ma")]
 before = loaded()
 print(json.dumps([before, cardioprompt.cli.main(sys.argv[1:]), loaded()]))
 """
@@ -882,7 +882,7 @@ class TestFamilyPool:
         assert main(["--config", cfg, "prepare-data"]) == 0
         proc = self._child(_POOL_MODULES_AT_ONE_CPU, ["--config", cfg, "train-models"])
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False], 0, [False, False]]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False, False], 0, [False, False, False]]
 
 
 class TestConsoleScript:
@@ -911,5 +911,5 @@ class TestReadme:
         verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         flags = {f for p in (parser, *verbs.values()) for a in p._actions for f in a.option_strings} - {"-h", "--help"}
         assert {"--config", "--cache-path", "--mock", "--format"} <= flags
-        names = flags | verbs.keys() | cli.WRITERS.keys()  # and every verb and stage artifact
+        names = flags | verbs.keys() | manifest.writers(cli.VERBS).keys()  # and every verb and stage artifact
         assert sorted(f for f in names if not re.search(re.escape(f) + r"(?![\w-])", text)) == []

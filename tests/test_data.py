@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,11 @@ from cardioprompt.data import (
     Dataset,
     RawDataset,
     binarize_target,
+    holdout,
     knn_impute,
     load_csv,
+    load_split,
+    save_split,
     split,
     standardize,
     stats,
@@ -196,11 +201,18 @@ class TestKnnImpute:
 
 
 class TestSplit:
-    def test_sizes_920_to_184(self):
+    def test_sizes_920_to_184(self, tmp_path):
         ds = small_dataset(920, seed=3)
         train, test = split(ds, 0.2, seed=1)
         assert test.n_rows == 184
         assert train.n_rows == 736
+        # split.json holds the test rows as a JSON list, which load_split reads back for data of as many rows
+        rows, path = holdout(ds, 0.2, seed=1).tolist(), tmp_path / "split.json"
+        save_split(path, tuple(rows))
+        assert path.read_text() == json.dumps(rows)
+        assert load_split(path, ds.n_rows) == rows
+        with pytest.raises(ValidationError, match="^not row numbers below 184 in order, each once, with a row left"):
+            load_split(path, 184)
 
     def test_deterministic(self):
         ds = small_dataset(100, seed=5)

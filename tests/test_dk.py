@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cardioprompt.dk import SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
+from cardioprompt.dk import DK_GRID, SOURCE_TAGS, DkVariant, DomainKnowledge, load_dks, render_dk, save_dks
 from cardioprompt.errors import ValidationError
 from cardioprompt.models.importance import ImportanceRanking
 from conftest import LR_ORDER, RF_ORDER, XGB_ORDER, make_ranking
@@ -67,10 +69,20 @@ class TestGoldenTexts:
 
 
 class TestRenderRules:
-    def test_none_variant_empty(self):
+    def test_none_variant_empty(self, tmp_path):
         dk = render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.NONE)
         assert dk.variant is DkVariant.NONE
         assert dk.text == "" and dk.source_name == ""
+        # dk.json holds the texts of DK_GRID, this one first, as a JSON list that load_dks reads back
+        dks = [render_dk(make_ranking(ORDERS[family], family) if family else None, v) for v, family in DK_GRID]
+        path = tmp_path / "dk.json"
+        save_dks(path, dks)
+        docs = [{"variant": dk.variant.value, "source": dk.source_name, "text": dk.text} for dk in dks]
+        assert path.read_text() == json.dumps(docs, indent=2)
+        assert load_dks(path) == dks
+        save_dks(path, dks[1:])
+        with pytest.raises(ValidationError, match="^not dk0 then MLFI and MLFI-ord of each of RF, LR, GBT$"):
+            load_dks(path)
 
     def test_none_variant_rejects_payload(self):
         with pytest.raises(ValidationError):

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import cardioprompt
-from cardioprompt import cli, experiment, gateway
+from cardioprompt import cli, experiment, gateway, manifest
 from cardioprompt.cli import main
 from cardioprompt.data import load_csv
 from cardioprompt.models import FAMILIES
@@ -90,17 +90,17 @@ def test_each_verb_records_the_stage_artifacts_its_row_writes(finished, runs, ca
     doc = entries(finished["runs"])
     # the stage artifacts, by their top-level name: what the verbs read from the output directory
     read = {name.split("/")[0] for entry in doc.values() for name in entry["inputs"]} - set(cli.EXTERNAL_INPUTS)
-    assert read == cli.WRITERS.keys()
+    assert read == manifest.writers(cli.VERBS).keys()
     for verb, entry in doc.items():
         assert {name.split("/")[0] for name in entry["outputs"]} & read == set(cli.VERBS[verb].writes), verb
-        assert all(cli.WRITERS.get(name.split("/")[0], verb) == verb for name in entry["outputs"]), verb
+        assert all(manifest.writers(cli.VERBS).get(name.split("/")[0], verb) == verb for name in entry["outputs"]), verb
         assert entry["inputs"].keys() == set(cli.VERBS[verb].reads), verb
     assert {f"models/{family}.json" for family in FAMILIES} <= doc["train-models"]["outputs"].keys()
     # every stage artifact a row reads is written by an earlier verb, so a walk up the writers ends
     order = list(cli.VERBS)
     for verb, row in cli.VERBS.items():
         stage = [name for name in row.reads if name not in cli.EXTERNAL_INPUTS]
-        assert all(order.index(cli.WRITERS[name.split("/")[0]]) < order.index(verb) for name in stage), verb
+        assert all(order.index(manifest.writers(cli.VERBS)[name.split("/")[0]]) < order.index(verb) for name in stage), verb
     monkeypatch.setenv("OPENAI_API_KEY", "k")
     stub.script = [(200, ok_body("1"))]
     assert ran(*run(live_config(finished, tmp_path, stub.url), runs, capsys, "--live", "run-grid")[:2])
@@ -155,7 +155,7 @@ class TestUpToDate:
     def test_an_up_to_date_report_hashes_each_file_once(self, finished, runs, capsys, monkeypatch):
         # each walk up from ml_rows.json and grid_rows.json reaches imputed.csv, which is hashed once all the same
         hashed = []
-        monkeypatch.setattr(cli, "_sha256", lambda path, _sha256=cli._sha256: hashed.append(path) or _sha256(path))
+        monkeypatch.setattr(manifest, "_sha256", lambda path, _sha256=manifest._sha256: hashed.append(path) or _sha256(path))
         assert run(finished["cfg"], runs, capsys, "report") == (0, up_to_date(runs, "report"), "")
         doc = entries(runs)
         walked = {name for verb in ("report", "run-grid", "gen-dk", "train-models") for name in doc[verb]["inputs"]}
@@ -194,15 +194,15 @@ class TestRunsAgain:
 
     @pytest.mark.parametrize("argv", README, ids=lambda argv: argv[0])
     def test_another_program(self, finished, runs, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "program_identity", lambda: "another program")
+        monkeypatch.setattr(manifest, "program_identity", lambda: "another program")
         # the stage artifacts a verb reads are those of its row, which were checked before it ran
-        read, original = [], cli.Trace.read
+        read, original = [], manifest.Trace.read
 
         def recorded(trace, name, parse):
             read.append(name)
             return original(trace, name, parse)
 
-        monkeypatch.setattr(cli.Trace, "read", recorded)
+        monkeypatch.setattr(manifest.Trace, "read", recorded)
         assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2])
         assert entries(runs)[argv[0]]["program"] == "another program"
         assert read == [name for name in cli.VERBS[argv[0]].reads if name not in cli.EXTERNAL_INPUTS]
