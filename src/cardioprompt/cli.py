@@ -190,15 +190,16 @@ def cmd_report(cfg: ExperimentConfig, trace: Trace, args: argparse.Namespace) ->
 @dataclasses.dataclass(frozen=True)
 class Verb:
     """A verb: `reads` names the files it reads, checked before it runs; `writes`, its stage
-    artifacts in the output directory ("models" for models/<family>.json); `alone`, the
-    settings no other verb reads (config keys, and the --live flag), whose flags any other
-    verb refuses and which count in this verb's config digest alone; `args`, the arguments
-    besides the config that decide what it writes."""
+    artifacts in the output directory ("models" for models/<family>.json); `keys`, the config
+    keys whose values decide what it writes, the only ones its config digest holds; `alone`,
+    the settings no other verb reads (config keys, and the --live flag), whose flags any other
+    verb refuses; `args`, the arguments besides the config that decide what it writes."""
 
     run: Callable[[ExperimentConfig, Trace, argparse.Namespace], int]
     help: str
     reads: tuple[str, ...] = ()
     writes: tuple[str, ...] = ()
+    keys: tuple[str, ...] = ()
     alone: tuple[str, ...] = ()
     args: Callable[[argparse.Namespace], dict] = lambda a: {}
 
@@ -206,11 +207,14 @@ class Verb:
 VERBS = {
     "prepare-data": Verb(
         cmd_prepare_data, "load, binarize, impute, split; print dataset stats",
-        reads=("data_path",), writes=("imputed.csv", "split.json"), alone=("data_path", "impute_k", "test_fraction"),
+        reads=("data_path",), writes=("imputed.csv", "split.json"),
+        keys=("data_path", "seed", "test_fraction", "impute_k", "n_ex_grid", "search_folds"),
+        alone=("data_path", "impute_k", "test_fraction"),
     ),
     "train-models": Verb(
         cmd_train_models, "tune and fit the six classifiers; save artifacts",
         reads=("imputed.csv", "split.json"), writes=("models", "ml_rows.json"),
+        keys=("seed", "search_iters", "search_folds", "weights"),
     ),
     "gen-dk": Verb(
         cmd_gen_dk, "render domain-knowledge texts from saved model rankings",
@@ -219,8 +223,8 @@ VERBS = {
     "run-grid": Verb(
         cmd_run_grid, "run the prompt grid against a mock or the live API",
         reads=("imputed.csv", "split.json", "dk.json"), writes=("grid_rows.json",),
+        keys=("seed", "n_ex_grid", "weights", "paper_faithful", "llm"),
         alone=("paper_faithful", "live", "cache_path"),
-        # a live run's model and URL are in cfg.llm, which the config digest covers
         args=lambda a: {"backend": "live" if a.live else a.mock},
     ),
     "report": Verb(
@@ -260,9 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        # locations are not content, so a copied run directory still checks clean; llm is read by a live run-grid
-        skip = {"output_dir", "cache_path"} | (set() if args.live else {"llm"})
-        doc = {key: value for key, value in dataclasses.asdict(cfg).items() if key not in skip}
+        doc = dataclasses.asdict(cfg) | ({} if args.live else {"llm": None})  # only a live run-grid reads llm
         externals = {name: getattr(cfg, name) for name in EXTERNAL_INPUTS}
         trace = Trace(VERBS, args.verb, doc, VERBS[args.verb].args(args), cfg.output_dir, externals)
         if trace.up_to_date():

@@ -199,11 +199,6 @@ def knn_impute(raw: RawDataset, k: int = 5) -> Dataset:
     return Dataset(matrix=out, targets=raw.targets.copy())
 
 
-def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded stratified holdout: the train and test sides of `holdout`."""
-    return split_at(ds, holdout(ds, test_fraction, seed))
-
-
 def holdout(ds: Dataset, test_fraction: float, seed: int) -> np.ndarray:
     """The sorted numbers of a seeded stratified holdout's test rows; per-class quotas by largest remainder."""
     classes, counts = np.unique(ds.targets, return_counts=True)

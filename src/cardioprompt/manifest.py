@@ -11,8 +11,9 @@ Mitchell and Peyton Jones, "Build systems à la carte" (ICFP 2018). Files are
 named relative to the output directory, the external inputs by their key.
 
 The engine knows tasks, not verbs: it is handed a table (`cli.VERBS`) whose
-rows, in pipeline order, name what each task `reads`, `writes` and reads
-`alone`. It imports neither numpy nor a pipeline stage.
+rows, in pipeline order, name the files each task `reads`, the artifacts it
+`writes` and the config `keys` whose values decide them. It imports neither
+numpy nor a pipeline stage.
 """
 
 from __future__ import annotations
@@ -60,12 +61,9 @@ def writers(table: dict) -> dict[str, str]:
     return {name: task for task, row in table.items() for name in row.writes}
 
 
-def _config_digest(table: dict, task: str, doc: dict) -> str:
-    """The sha256 of the config document as `task` reads it: a setting of a
-    task's `alone` counts for that task alone."""
-    others = {key for other, row in table.items() if other != task for key in row.alone}
-    doc = {key: value for key, value in doc.items() if key not in others}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+def _config_digest(row, doc: dict) -> str:
+    """The sha256 of the config document's values of the row's `keys`, the keys its task reads."""
+    return hashlib.sha256(json.dumps({key: doc[key] for key in row.keys}, sort_keys=True).encode()).hexdigest()
 
 
 def _load_manifest(path: Path, table: dict, externals: dict) -> dict:
@@ -97,7 +95,7 @@ class Trace:
         self.writers = writers(table)
         self.output_dir = Path(output_dir)
         self.manifest = self.output_dir / MANIFEST
-        self.key = {"config": _config_digest(table, task, doc), "args": args, "program": program_identity()}
+        self.key = {"config": _config_digest(table[task], doc), "args": args, "program": program_identity()}
         self.entries = _load_manifest(self.manifest, table, externals)
         self.digests: dict[str, str | None] = {}  # by file name, as `_digest` first took it
         self.writes: list[str] = []
@@ -189,10 +187,10 @@ class Trace:
             self._lineage(source, task, found, sources)
 
     def _rewrites(self, task: str, entry: dict) -> bool:
-        """Whether `task`, run again, writes the bytes its entry records: under the same
-        config and program, from the same external inputs, and with no arguments, since
-        those come from its own command line."""
-        key = {"config": _config_digest(self.table, task, self.doc), "args": {}, "program": self.key["program"]}
+        """Whether `task`, run again, writes the bytes its entry records: under the same values
+        of its config keys and program, from the same external inputs, and with no arguments,
+        since those come from its own command line."""
+        key = {"config": _config_digest(self.table[task], self.doc), "args": {}, "program": self.key["program"]}
         return all(entry.get(k) == v for k, v in key.items()) and all(
             self._digest(name) == digest for name, digest in entry["inputs"].items() if name in self.externals
         )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cardioprompt import gateway
-from cardioprompt.data import Dataset, binarize_target, knn_impute, split, standardize
+from cardioprompt.data import Dataset, binarize_target, holdout, knn_impute, split_at, standardize
 from cardioprompt.models.importance import ImportanceRanking
 from cardioprompt.synthetic import synthetic_raw
 
@@ -67,7 +67,7 @@ def small_dataset(n: int = 60, seed: int = 0) -> Dataset:
 def prepared_small():
     """Split + standardized views of a 200-row synthetic dataset."""
     ds = small_dataset(200, seed=9)
-    train, test = split(ds, 0.2, seed=4)
+    train, test = split_at(ds, holdout(ds, 0.2, seed=4))
     std_train, std_test = standardize(train, test)
     return {"train": train, "test": test, "std_train": std_train, "std_test": std_test}
 

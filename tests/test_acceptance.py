@@ -21,7 +21,7 @@ from time import monotonic
 import numpy as np
 import pytest
 
-from cardioprompt.data import binarize_target, knn_impute, load_csv, split, standardize, stats
+from cardioprompt.data import binarize_target, holdout, knn_impute, load_csv, split_at, standardize, stats
 from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
 from cardioprompt.experiment import (
     ExperimentConfig,
@@ -81,7 +81,7 @@ def _require_data():
 def _prepare_synthetic(n: int = 920, seed: int = 17) -> PreparedData:
     raw = synthetic_raw(n_rows=n, missing_fraction=0.05, seed=seed)
     full = knn_impute(binarize_target(raw), k=5)
-    train, test = split(full, 0.2, seed=seed)
+    train, test = split_at(full, holdout(full, 0.2, seed=seed))
     std_train, std_test = standardize(train, test)
     return PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
 
@@ -123,7 +123,7 @@ def test_criterion_3_classical_ml_reproduction():
         cfg = ExperimentConfig(data_path=str(DATA_PATH), seed=7)
         raw = load_csv(DATA_PATH)
         full = knn_impute(binarize_target(raw), k=cfg.impute_k)
-        train, test = split(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split"))
+        train, test = split_at(full, holdout(full, cfg.test_fraction, seed=derive_seed(cfg.seed, "split")))
         assert test.n_rows == 184, f"test split has {test.n_rows} rows, expected 184"
         std_train, std_test = standardize(train, test)
         prepared = PreparedData(raw=raw, full=full, train=train, test=test, std_train=std_train, std_test=std_test)
@@ -255,7 +255,7 @@ def test_criterion_7_llm_substituted_properties(tmp_path):
         assert outputs[0] == outputs[1], "grid report not byte-identical across runs"
 
         # (d) warm cache answers without touching the network
-        small = split(prepared.full, 25 / prepared.full.n_rows, seed=1)[1]
+        small = split_at(prepared.full, holdout(prepared.full, 25 / prepared.full.n_rows, seed=1))[1]
         with _stub_server([(200, {"choices": [{"message": {"content": "1"}}]})]) as (url, state):
             llm = LlmConfig(base_url=url, max_retries=0, timeout=5.0)
             cache_path = tmp_path / "completions.jsonl"

@@ -18,7 +18,7 @@ from cardioprompt.data import (
     load_csv,
     load_split,
     save_split,
-    split,
+    split_at,
     standardize,
     stats,
     write_imputed_csv,
@@ -203,7 +203,7 @@ class TestKnnImpute:
 class TestSplit:
     def test_sizes_920_to_184(self, tmp_path):
         ds = small_dataset(920, seed=3)
-        train, test = split(ds, 0.2, seed=1)
+        train, test = split_at(ds, holdout(ds, 0.2, seed=1))
         assert test.n_rows == 184
         assert train.n_rows == 736
         # split.json holds the test rows as a JSON list, which load_split reads back for data of as many rows
@@ -216,14 +216,14 @@ class TestSplit:
 
     def test_deterministic(self):
         ds = small_dataset(100, seed=5)
-        a = split(ds, 0.25, seed=9)
-        b = split(ds, 0.25, seed=9)
+        a = split_at(ds, holdout(ds, 0.25, seed=9))
+        b = split_at(ds, holdout(ds, 0.25, seed=9))
         assert (a[0].matrix == b[0].matrix).all()
         assert (a[1].matrix == b[1].matrix).all()
 
     def test_partition_property(self):
         ds = small_dataset(97, seed=6)
-        train, test = split(ds, 0.3, seed=2)
+        train, test = split_at(ds, holdout(ds, 0.3, seed=2))
         assert train.n_rows + test.n_rows == ds.n_rows
         # every original row appears exactly once across the two sides
         combined = np.vstack([train.matrix, test.matrix])
@@ -234,7 +234,7 @@ class TestSplit:
 
     def test_stratified_within_one(self):
         ds = small_dataset(150, seed=8)
-        train, test = split(ds, 0.2, seed=3)
+        train, test = split_at(ds, holdout(ds, 0.2, seed=3))
         global_ratio = ds.targets.mean()
         for side in (train, test):
             assert abs(side.targets.sum() - global_ratio * side.n_rows) <= 1.0
@@ -243,7 +243,7 @@ class TestSplit:
         X = np.arange(10 * 13, dtype=float).reshape(10, 13)
         y = np.array([0, 1] * 5)
         ds = Dataset(X, y)
-        train, test = split(ds, 0.2, seed=0)
+        train, test = split_at(ds, holdout(ds, 0.2, seed=0))
         assert test.n_rows == 2
         assert sorted(test.targets.tolist()) == [0, 1]
 
@@ -251,13 +251,13 @@ class TestSplit:
         X = np.zeros((5, 13))
         y = np.array([0, 0, 0, 0, 1])
         with pytest.raises(StratificationError):
-            split(Dataset(X, y), 0.2, seed=0)
+            holdout(Dataset(X, y), 0.2, seed=0)
 
     @given(st.integers(20, 120), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_split_partition_hypothesis(self, n, seed):
         ds = small_dataset(n, seed=1)
-        train, test = split(ds, 0.2, seed=seed)
+        train, test = split_at(ds, holdout(ds, 0.2, seed=seed))
         assert train.n_rows + test.n_rows == n
         assert test.n_rows == int(np.floor(n * 0.2 + 0.5))
 
@@ -281,7 +281,7 @@ class TestStandardize:
 
     def test_train_only_statistics(self):
         ds = small_dataset(50, seed=12)
-        train, test = split(ds, 0.2, seed=1)
+        train, test = split_at(ds, holdout(ds, 0.2, seed=1))
         mean, std = train.matrix.mean(axis=0), train.matrix.std(axis=0)
         _, te = standardize(train, test)
         assert te.matrix == pytest.approx((test.matrix - mean) / np.where(std == 0, 1.0, std))
@@ -291,7 +291,7 @@ class TestStandardize:
 
     def test_roundtrip(self):
         ds = small_dataset(40, seed=13)
-        train, test = split(ds, 0.25, seed=2)
+        train, test = split_at(ds, holdout(ds, 0.25, seed=2))
         tr, te = standardize(train, test)
         mean, std = train.matrix.mean(axis=0), train.matrix.std(axis=0)
         std = np.where(std == 0, 1.0, std)
@@ -300,7 +300,7 @@ class TestStandardize:
 
     def test_train_columns_centered_unit(self):
         ds = small_dataset(64, seed=14)
-        train, test = split(ds, 0.25, seed=3)
+        train, test = split_at(ds, holdout(ds, 0.25, seed=3))
         tr, _ = standardize(train, test)
         assert tr.matrix.mean(axis=0) == pytest.approx(np.zeros(13), abs=1e-9)
         stds = tr.matrix.std(axis=0)

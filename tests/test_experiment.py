@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from cardioprompt.data import binarize_target, knn_impute, split, standardize
+from cardioprompt.data import binarize_target, holdout, knn_impute, split_at, standardize
 from cardioprompt.dk import SOURCE_TAGS, DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import ValidationError
 from cardioprompt.experiment import (
@@ -44,7 +44,7 @@ NO_DK = DomainKnowledge(DkVariant.NONE, "", "")
 def make_prepared(n: int = 60, seed: int = 3, test_fraction: float = 0.25) -> PreparedData:
     raw = synthetic_raw(n_rows=n, missing_fraction=0.05, seed=seed)
     full = knn_impute(binarize_target(raw), k=3)
-    train_ds, test_ds = split(full, test_fraction, seed=seed)
+    train_ds, test_ds = split_at(full, holdout(full, test_fraction, seed=seed))
     std_train, std_test = standardize(train_ds, test_ds)
     return PreparedData(raw=raw, full=full, train=train_ds, test=test_ds, std_train=std_train, std_test=std_test)
 

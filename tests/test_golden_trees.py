@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cardioprompt.data import binarize_target, knn_impute, split, standardize
+from cardioprompt.data import binarize_target, holdout, knn_impute, split_at, standardize
 from cardioprompt.models import DecisionTree, train
 from cardioprompt.models.serialize import fitted_doc, model_to_json
 from cardioprompt.synthetic import synthetic_raw
@@ -51,7 +51,7 @@ TREES = {  # criterion, weighted, min_samples_leaf, max_depth
 def _train_set():
     # imputed, standardized and split the way experiment.prepare does it
     full = knn_impute(binarize_target(synthetic_raw(300, missing_fraction=0.15, seed=5)), k=5)
-    train_ds, test_ds = split(full, 0.2, seed=6)
+    train_ds, test_ds = split_at(full, holdout(full, 0.2, seed=6))
     return standardize(train_ds, test_ds)[0]
 
 

@@ -21,6 +21,7 @@ import pytest
 import cardioprompt
 from cardioprompt import cli, experiment, gateway, manifest
 from cardioprompt.cli import main
+from cardioprompt.config import ExperimentConfig
 from cardioprompt.data import load_csv
 from cardioprompt.models import FAMILIES
 from conftest import ok_body
@@ -186,10 +187,14 @@ def live_config(finished, tmp_path: Path, url: str) -> Path:
 class TestRunsAgain:
     @pytest.mark.parametrize("argv", README, ids=lambda argv: argv[0])
     def test_a_changed_seed(self, finished, runs, capsys, argv):
-        # every verb reads the seed; the split is prepare-data's split.json, which the others only read
+        # the split is prepare-data's split.json, which the others only read; gen-dk and report read no seed
         config = entries(runs)[argv[0]]["config"]
-        assert ran(*run(finished["cfg"], runs, capsys, "--seed", "4", *argv)[:2])
-        assert entries(runs)[argv[0]]["config"] != config
+        code, out, _ = run(finished["cfg"], runs, capsys, "--seed", "4", *argv)
+        if argv[0] in ("gen-dk", "report"):
+            assert (code, out) == (0, up_to_date(runs, argv[0]))
+        else:
+            assert ran(code, out)
+            assert entries(runs)[argv[0]]["config"] != config
         assert all({"seed", "test_fraction"}.isdisjoint(entry) for entry in entries(runs).values())
 
     @pytest.mark.parametrize("argv", README, ids=lambda argv: argv[0])
@@ -357,6 +362,7 @@ _KILLED_HALFWAY_THROUGH_AN_APPEND = """
 import json, os, signal, sys
 from cardioprompt import gateway
 from cardioprompt.cli import main
+from cardioprompt.config import ExperimentConfig
 put = gateway.JsonlCache.put
 def torn(self, rec):
     if len(self) == 3:
@@ -400,12 +406,19 @@ class TestConfigEdits:
             {"weights": {"w_fp": 0.5, "w_fn": 0.5}},
             {"n_ex_grid": [2]},
             {"search_iters": 2},
+            {"seed": 4},
+            {"test_fraction": 0.3},
+            {"search_folds": 3},
+            {"data_path": "{other}"},  # another CSV
         ],
         ids=lambda edit: next(iter(edit)),
     )
     def test_every_output_after_an_edit_equals_a_fresh_run_of_the_edited_config(
         self, finished, runs, capsys, tmp_path, edit
     ):
+        other = tmp_path / "other.csv"
+        write_raw_csv(other, seed=5)
+        edit = {key: str(other) if value == "{other}" else value for key, value in edit.items()}
         config, fresh = edited_config(finished, tmp_path, **edit), tmp_path / "fresh"
         for argv in README:
             assert run(config, runs, capsys, *argv)[0] == 0, argv
@@ -414,6 +427,19 @@ class TestConfigEdits:
             outputs = entries(runs)[verb]["outputs"]
             assert outputs == entry["outputs"], verb
             assert all((runs / name).read_bytes() == (fresh / name).read_bytes() for name in outputs), verb
+
+    def test_an_n_ex_grid_edit_leaves_train_models_and_gen_dk_up_to_date(self, finished, runs, capsys, tmp_path):
+        config = edited_config(finished, tmp_path, n_ex_grid=[2])
+        for argv in README:
+            code, out, _ = run(config, runs, capsys, *argv)
+            skipped = argv[0] in ("train-models", "gen-dk")
+            assert (code, out) == (0, up_to_date(runs, argv[0])) if skipped else ran(code, out), argv
+
+    def test_every_config_key_is_read_by_a_verb_or_is_a_location(self):
+        fields = set(ExperimentConfig.__dataclass_fields__)
+        keys = [key for row in cli.VERBS.values() for key in row.keys]
+        assert set(keys) <= fields
+        assert fields - set(keys) == {"output_dir", "cache_path"}
 
     @pytest.mark.parametrize("verb", list(ARGV))
     def test_a_test_fraction_outside_zero_one_exits_one_and_writes_nothing(
@@ -479,6 +505,18 @@ class TestMismatchedInputs:
         )
         for argv in (ARGV["train-models"], ARGV["gen-dk"], ARGV["run-grid"], ARGV["report"]):
             assert ran(*run(finished["cfg"], runs, capsys, *argv)[:2]), argv
+
+    def test_an_edited_imputed_csv_asks_each_backend_to_rerun_prepare_data_alone(
+        self, finished, runs, capsys, stub, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        stub.script = [(200, ok_body("1"))]
+        live, path = live_config(finished, tmp_path, stub.url), runs / "imputed.csv"
+        path.write_bytes(path.read_bytes() + b"\n")
+        err = f"error: {path} changed since prepare-data wrote it; rerun prepare-data\n"
+        for argv in (ARGV["run-grid"], ["--live", "run-grid"]):
+            assert run(live, runs, capsys, *argv) == (1, [], err), argv
+        assert stub.requests == [] and not (tmp_path / "cache.jsonl").exists()
 
     def test_a_changed_seed_scores_the_rows_of_split_json(self, finished, runs, capsys, monkeypatch):
         scored, grid = [], cli.run_prompt_grid

@@ -29,6 +29,7 @@ from cardioprompt.atomic import write_atomic
 from cardioprompt.errors import ValidationError
 
 EXTERNAL = "data_path"  # the one input outside the output directory
+KEYS = ("shared", "k0", "k1", "k2", "k3")  # the config keys; a task reads some of them, perhaps none
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class FakeTask:
 
     reads: tuple[str, ...]
     writes: tuple[str, ...]
-    alone: tuple[str, ...]
+    keys: tuple[str, ...]
     files: tuple[str, ...]
     takes_args: bool  # as run-grid takes its backend; a task that takes none runs with {}
 
@@ -46,7 +47,8 @@ class FakeTask:
 def tables(draw) -> dict[str, FakeTask]:
     """2-6 tasks in pipeline order. Task i writes s<i>.txt, or s<i>/a and s<i>/b as train-models
     writes models/<family>.json. It reads a file of the task before it, so that the walks go
-    deep, perhaps one other file of an earlier task, and perhaps the external input."""
+    deep, perhaps one other file of an earlier task, and perhaps the external input. It reads
+    some of the config keys, perhaps none."""
     table, written, files = {}, [], []
     for i in range(draw(st.integers(2, 6))):
         reads = [draw(st.sampled_from(files))] if files else []
@@ -55,7 +57,8 @@ def tables(draw) -> dict[str, FakeTask]:
         reads += [EXTERNAL] * draw(st.booleans())
         files = [f"s{i}.txt"] if draw(st.booleans()) else [f"s{i}/a", f"s{i}/b"]
         writes = (files[0].split("/")[0],)
-        table[f"t{i}"] = FakeTask(tuple(reads), writes, (f"k{i}",), tuple(files), draw(st.booleans()))
+        keys = tuple(draw(st.lists(st.sampled_from(KEYS), unique=True)))
+        table[f"t{i}"] = FakeTask(tuple(reads), writes, keys, tuple(files), draw(st.booleans()))
         written += files
     return table
 
@@ -74,7 +77,7 @@ class FakeBuild(RuleBasedStateMachine):
         self.tmp = Path(tempfile.mkdtemp())
         self.out, self.external = self.tmp / "runs", self.tmp / "data.csv"
         self.external.write_bytes(b"0\n")
-        self.doc = {"shared": 0, **{key: 0 for row in table.values() for key in row.alone}}
+        self.doc = dict.fromkeys(KEYS, 0)
         self.args = {task: {"arg": 0} if row.takes_args else {} for task, row in table.items()}
         self.last = {}  # by task: its key and external input at its last exit 0
 
@@ -83,9 +86,8 @@ class FakeBuild(RuleBasedStateMachine):
             shutil.rmtree(self.tmp)
 
     def key(self, task: str) -> dict:
-        """The settings `task` reads: the shared key, its own `alone` and its arguments."""
-        mine = {key: value for key, value in self.doc.items() if key == "shared" or key in self.table[task].alone}
-        return {"config": mine, "args": self.args[task]}
+        """The settings `task` reads: the config keys of its row and its arguments."""
+        return {"config": {key: self.doc[key] for key in self.table[task].keys}, "args": self.args[task]}
 
     def entries(self) -> dict:
         path = self.out / manifest.MANIFEST
@@ -151,15 +153,16 @@ class FakeBuild(RuleBasedStateMachine):
     def run_task(self, i):
         self.build(self.tasks[i % len(self.tasks)])
 
-    @rule(i=st.integers(0, 59), part=st.sampled_from(["config", "args", "shared"]))
-    def edit_key(self, i, part):
-        """Edit the `alone` setting of a task, its arguments, or the setting every task reads."""
+    @rule(key=st.sampled_from(KEYS))
+    def edit_key(self, key):
+        """Edit a config key, perhaps one that no task reads."""
+        self.doc[key] += 1
+
+    @rule(i=st.integers(0, 59))
+    def edit_args(self, i):
+        """Edit the arguments of a task that takes any."""
         task = self.tasks[i % len(self.tasks)]
-        if part == "config":
-            self.doc[self.table[task].alone[0]] += 1
-        elif part == "shared":
-            self.doc["shared"] += 1
-        elif self.table[task].takes_args:
+        if self.table[task].takes_args:
             self.args[task] = {"arg": self.args[task]["arg"] + 1}
 
     @rule(i=st.integers(0, 59), damage=st.sampled_from(["rewrite", "cut", "delete", "external", "manifest"]))
@@ -182,12 +185,12 @@ TestFakeBuild.settings = settings(max_examples=100, stateful_step_count=40, dead
 
 
 def chain(*reads: tuple[str, ...], split: int | None = None) -> dict[str, FakeTask]:
-    """Tasks t0, t1, ... reading `reads` in turn, taking no arguments; task i writes s<i>.txt,
-    but task `split` writes s<i>/a and s<i>/b."""
+    """Tasks t0, t1, ... reading `reads` in turn, taking no arguments; task i reads the config
+    keys shared and k<i> and writes s<i>.txt, but task `split` writes s<i>/a and s<i>/b."""
     table = {}
     for i, names in enumerate(reads):
         files = (f"s{i}/a", f"s{i}/b") if i == split else (f"s{i}.txt",)
-        table[f"t{i}"] = FakeTask(names, (f"s{i}" if i == split else files[0],), (f"k{i}",), files, False)
+        table[f"t{i}"] = FakeTask(names, (f"s{i}" if i == split else files[0],), ("shared", f"k{i}"), files, False)
     return table
 
 
@@ -195,11 +198,11 @@ def chain(*reads: tuple[str, ...], split: int | None = None) -> dict[str, FakeTa
 @given(table=tables(), steps=st.just([]))
 @example(  # s0/a rewritten, then a new key: t0 writes s0/b anew too, so t1, which read it, runs again
     table=chain((), ("s0/b",), ("s1.txt", "s0/a"), split=0),
-    steps=[("build", "t1"), ("damage_a_file", 0, "rewrite"), ("edit_key", 0, "shared"), ("build", "t2")],
+    steps=[("build", "t1"), ("damage_a_file", 0, "rewrite"), ("edit_key", "shared"), ("build", "t2")],
 )
 @example(  # s0.txt rewritten under a new key of t0: t0 writes it anew, so t1 runs again
     table=chain((), ("s0.txt",), ("s1.txt",)),
-    steps=[("build", "t2"), ("edit_key", 0, "config"), ("damage_a_file", 0, "rewrite"), ("build", "t2")],
+    steps=[("build", "t2"), ("edit_key", "k0"), ("damage_a_file", 0, "rewrite"), ("build", "t2")],
 )
 @example(  # s0.txt, which t1 read after the manifest was deleted, is gone: t0 runs again before t1
     table=chain((), ("s0.txt",), ("s1.txt",)),
