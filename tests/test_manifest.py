@@ -362,7 +362,6 @@ _KILLED_HALFWAY_THROUGH_AN_APPEND = """
 import json, os, signal, sys
 from cardioprompt import gateway
 from cardioprompt.cli import main
-from cardioprompt.config import ExperimentConfig
 put = gateway.JsonlCache.put
 def torn(self, rec):
     if len(self) == 3:
