@@ -126,7 +126,7 @@ def _tune_family(cfg: ExperimentConfig, train: Dataset, family: str) -> TrainedM
         seed=derive_seed(cfg.seed, f"search:{family}"),
     )
     if family in SOURCE_TAGS:
-        model = feature_importance(model, train, seed=derive_seed(cfg.seed, f"importance:{family}"))
+        model = feature_importance(model)
     return model
 
 

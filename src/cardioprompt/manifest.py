@@ -165,15 +165,15 @@ class Trace:
         writer, which writes it again, anew unless `_rewrites` holds; one made from a stage
         artifact changed since with the task that made it, which writes it anew. A file no
         entry wrote ends the walk: an external input, or one older than the manifest. One
-        that is gone goes into `found` with its writer, which writes it anew, and, where a
-        writer read it, the walk goes on through what that writer's row reads."""
+        that is gone goes into `found` with its writer, which writes it anew, and the walk
+        goes on through what that writer's row reads, so one round of advice builds it."""
         if (task := self._writer(name)) is None:
             return
         sources.setdefault(reader, set()).add(task)
         if (entry := self.entries.get(task)) is None:
             if self._digest(name) is None:
                 found.append((f"missing {self.path(name)}", task, True))
-                for source in self.table[task].reads if reader != self.task else ():
+                for source in self.table[task].reads:
                     self._lineage(source, task, found, sources)
             return
         if (digest := self._digest(name)) != entry["outputs"].get(name, digest):

@@ -3,7 +3,7 @@
 from .adaboost import AdaBoostStumps
 from .forest import RandomForest
 from .gbt import GradientBoostedTrees
-from .importance import ImportanceRanking, build_ranking, permutation_importance
+from .importance import ImportanceRanking, build_ranking
 from .knn import KNNClassifier
 from .logistic import LogisticRegressionGD, loss_and_grad
 from .mlp import MLPClassifier

@@ -1,9 +1,8 @@
 """Normalized feature-importance rankings.
 
-Raw scores come from the estimator (impurity decrease, |coefficient|) or from
-permutation importance for estimators with no intrinsic score. Negative raw
-scores clip to zero; an all-zero vector degrades to a flagged uniform ranking
-instead of dividing by zero. Entries sort by weight descending with ties
+Raw scores come from the estimator's own `raw_importance()` (impurity
+decrease, |coefficient|). Negative raw scores clip to zero; an all-zero
+vector degrades to a flagged uniform ranking instead of dividing by zero. Entries sort by weight descending with ties
 resolved in canonical schema order, which makes rankings deterministic.
 """
 
@@ -50,31 +49,3 @@ def build_ranking(raw: np.ndarray, source: str) -> ImportanceRanking:
         entries = ((first[0], first[1] + drift),) + entries[1:]
     return ImportanceRanking(entries=entries, source=source, degenerate=degenerate)
 
-
-def permutation_importance(
-    estimator,
-    X: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    n_repeats: int = 10,
-) -> np.ndarray:
-    """Mean accuracy drop when one column is shuffled, per column.
-
-    The estimator is only read (predict), never refit. Shuffles draw from one
-    seeded generator in a fixed column-major order, so results are repeatable.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if n_repeats < 1:
-        raise ValidationError("n_repeats must be >= 1")
-    rng = np.random.default_rng(seed)
-    base_acc = float((estimator.predict(X) == y).mean())
-    drops = np.zeros(X.shape[1])
-    for j in range(X.shape[1]):
-        acc_j = 0.0
-        for _ in range(n_repeats):
-            Xp = X.copy()
-            Xp[:, j] = Xp[rng.permutation(len(X)), j]
-            acc_j += float((estimator.predict(Xp) == y).mean())
-        drops[j] = base_acc - acc_j / n_repeats
-    return drops

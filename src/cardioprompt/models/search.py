@@ -1,9 +1,8 @@
 """Randomized hyperparameter search with stratified k-fold cross-validation.
 
 All trials share one fold layout drawn up front from the seed, so trial
-scores are comparable. The score is mean fold accuracy; a fold whose
-validation side collapses to a single class is dropped from the mean with a
-recorded warning. The best assignment is refit on the full training set.
+scores are comparable. Every fold holds every class, so the score is the mean
+accuracy over all folds. The best assignment is refit on the full training set.
 """
 
 from __future__ import annotations
@@ -29,16 +28,18 @@ class CvTrial:
 class CvReport:
     trials: tuple[CvTrial, ...]
     best_index: int
-    warnings: tuple[str, ...] = ()
 
 
 def stratified_folds(targets: np.ndarray, n_folds: int, seed: int) -> list[np.ndarray]:
     """Disjoint validation index sets covering all rows, each class spread
-    round-robin over folds after a seeded shuffle."""
+    round-robin over folds after a seeded shuffle. Each of two or more
+    classes has at least `n_folds` members, so every fold holds every class."""
     targets = np.asarray(targets)
     if n_folds < 2:
         raise ValidationError("need at least 2 folds")
     classes, counts = np.unique(targets, return_counts=True)  # with counts: no import of numpy.ma
+    if len(classes) < 2:
+        raise StratificationError(f"need two classes to stratify, got {len(classes)}")
     if (counts < n_folds).any():
         raise StratificationError(f"class {classes[counts < n_folds][0]} has fewer members than folds")
     rng = np.random.default_rng(seed)
@@ -68,24 +69,17 @@ def randomized_search(
     fold_idx = stratified_folds(train_ds.targets, folds, fold_seed)
     all_idx = np.arange(train_ds.n_rows)
 
-    warnings: list[str] = []
     trials: list[CvTrial] = []
-    for trial_no, hyper in enumerate(assignments):
+    for hyper in assignments:
         scores = []
-        for fold_no, val_idx in enumerate(fold_idx):
-            if len(np.unique(train_ds.targets[val_idx], return_counts=True)[0]) < 2:  # with counts: no numpy.ma
-                warnings.append(f"trial {trial_no}: fold {fold_no} validation side is single-class, skipped")
-                continue
+        for val_idx in fold_idx:
             tr_idx = np.delete(all_idx, val_idx)  # not setdiff1d, which imports numpy.ma
             sub = Dataset(matrix=train_ds.matrix[tr_idx], targets=train_ds.targets[tr_idx])
             model = train(family, sub, hyper, seed=fit_seed)
             preds = model.predict(train_ds.matrix[val_idx])
             scores.append(float((preds == train_ds.targets[val_idx]).mean()))
-        if not scores:
-            raise StratificationError(f"trial {trial_no}: every fold was degenerate")
         trials.append(CvTrial(hyper=hyper, fold_scores=tuple(scores), mean_score=float(np.mean(scores))))
 
     best_index = max(range(n_iter), key=lambda i: (trials[i].mean_score, -i))  # first best wins ties
     best = train(family, train_ds, trials[best_index].hyper, seed=fit_seed)
-    report = CvReport(trials=tuple(trials), best_index=best_index, warnings=tuple(warnings))
-    return best, report
+    return best, CvReport(trials=tuple(trials), best_index=best_index)

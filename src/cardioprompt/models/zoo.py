@@ -2,8 +2,8 @@
 
 train() builds and fits the family's estimator from a hyperparameter
 assignment; the returned TrainedModel owns the estimator, the assignment, and
-(once requested) a normalized importance ranking. Estimators whose internals
-carry no importance score (KNN, MLP) get permutation importance on demand.
+(once requested) a normalized ranking of the estimator's own importance
+scores. KNN and MLP carry none, so they are never ranked.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ..errors import ValidationError
 from .adaboost import AdaBoostStumps
 from .forest import RandomForest
 from .gbt import GradientBoostedTrees
-from .importance import ImportanceRanking, build_ranking, permutation_importance
+from .importance import ImportanceRanking, build_ranking
 from .knn import KNNClassifier
 from .logistic import LogisticRegressionGD
 from .mlp import MLPClassifier
@@ -60,16 +60,10 @@ def train(family: str, train_ds: Dataset, hyper: dict | None = None, seed: int =
     return TrainedModel(family=family, hyper=dict(hyper or {}), estimator=est, converged=converged)
 
 
-def feature_importance(
-    model: TrainedModel,
-    train_ds: Dataset,
-    seed: int = 0,
-    n_repeats: int = 10,
-) -> TrainedModel:
-    """Attach a normalized ranking; returns a new TrainedModel carrying it."""
-    if hasattr(model.estimator, "raw_importance"):
-        raw = model.estimator.raw_importance()
-    else:
-        raw = permutation_importance(model.estimator, train_ds.matrix, train_ds.targets, seed=seed, n_repeats=n_repeats)
-    ranking = build_ranking(raw, source=model.family)
-    return replace(model, importance=ranking)
+def feature_importance(model: TrainedModel, train_ds: Dataset | None = None, seed: int = 0) -> TrainedModel:
+    """Attach the normalized ranking of the estimator's `raw_importance()`;
+    returns a new TrainedModel carrying it. `train_ds` and `seed` are unread;
+    `bench/inputs.py` still passes them."""
+    if not hasattr(model.estimator, "raw_importance"):
+        raise ValidationError(f"family {model.family} has no intrinsic feature importance")
+    return replace(model, importance=build_ranking(model.estimator.raw_importance(), source=model.family))

@@ -172,11 +172,8 @@ def sample_examples(train: Dataset, n_ex: int, seed: int) -> Examples:
     return Examples((train.matrix[src], int(train.targets[src])) for src in picks)
 
 
-def assemble_prompt(spec: PromptSpec, examples, query) -> Prompt:
-    """The prompt for one query row. `examples` is an `Examples` or a list of
-    (row, label) pairs, which is checked as one."""
-    if not isinstance(examples, Examples):
-        examples = Examples(examples)
+def assemble_prompt(spec: PromptSpec, examples: Examples, query) -> Prompt:
+    """The prompt for one query row, after the checked and rendered `examples`."""
     task = FAITHFUL_TASK if spec.paper_faithful else TASK_INSTRUCTION
     dk = "" if spec.dk.variant is DkVariant.NONE else f"Domain Knowledge:\n{spec.dk.text}"
 

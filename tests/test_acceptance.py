@@ -41,7 +41,7 @@ from cardioprompt.metrics import (
     metrics_row,
 )
 from cardioprompt.models import loss_and_grad
-from cardioprompt.prompts import PromptSpec, assemble_prompt
+from cardioprompt.prompts import Examples, PromptSpec, assemble_prompt
 from cardioprompt.synthetic import synthetic_raw
 from conftest import EXAMPLE_1, EXAMPLE_2, EXAMPLE_3, LR_ORDER, QUERY, RF_ORDER, XGB_ORDER, make_ranking
 from test_dk import GOLDEN_ORD, GOLDEN_TOP
@@ -150,7 +150,7 @@ def test_criterion_5_prompt_golden_file():
     with criterion(5):
         dk1 = render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI)
         spec = PromptSpec(dk=dk1, paper_faithful=True)
-        prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
+        prompt = assemble_prompt(spec, Examples([EXAMPLE_1, EXAMPLE_2, EXAMPLE_3]), QUERY)
         expected = (GOLDEN_DIR / "prompt_paper_faithful.txt").read_text()
         assert prompt.text == expected, "assembled prompt differs from the golden file"
 

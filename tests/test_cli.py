@@ -219,6 +219,17 @@ class TestPrepareData:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not workdir["runs"].exists()
 
+    def test_a_train_split_of_one_class_exits_one_at_prepare_data(self, workdir, capsys):
+        # a search fold of one class cannot occur: stratified_folds refuses a single class outright
+        lines = workdir["data"].read_text().splitlines()
+        workdir["data"].write_text("".join(line.rpartition(",")[0] + ",0\n" for line in lines))
+        bad = workdir["tmp"] / "bad.json"
+        bad.write_text(json.dumps({**json.loads(workdir["cfg"].read_text()), "n_ex_grid": [0]}))
+        assert main(["--config", str(bad), "prepare-data"]) == 1
+        message = "config key search_folds: 2 folds of the train split: need two classes to stratify, got 1"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not workdir["runs"].exists()
+
     @pytest.mark.parametrize("data", [b'{"seed": 3,', b"\xff"], ids=["not-json", "not-utf-8"])
     def test_a_config_file_that_is_not_utf8_json_exits_one_naming_it(self, workdir, capsys, data):
         bad = workdir["tmp"] / "bad.json"
@@ -248,7 +259,7 @@ class TestStageOrdering:
             (
                 "run-grid",
                 f"missing {runs / 'imputed.csv'} and {runs / 'split.json'} and {runs / 'dk.json'}; "
-                "run prepare-data and gen-dk first",
+                "run prepare-data and train-models and gen-dk first",
             ),
         ):
             assert main(["--config", str(workdir["cfg"]), verb]) == 1
@@ -279,10 +290,11 @@ class TestStageOrdering:
         cfg, runs = str(workdir["cfg"]), workdir["runs"]
         assert main(["--config", cfg, "report"]) == 1
         both = f"{runs / 'ml_rows.json'} and {runs / 'grid_rows.json'}"
-        assert capsys.readouterr().err == f"error: missing {both}; run train-models and run-grid first\n"
+        every = "prepare-data and train-models and gen-dk and run-grid"
+        assert capsys.readouterr().err == f"error: missing {both}; run {every} first\n"
         save_rows(runs / "ml_rows.json", [])
         assert main(["--config", cfg, "report"]) == 1
-        assert capsys.readouterr().err == f"error: missing {runs / 'grid_rows.json'}; run run-grid first\n"
+        assert capsys.readouterr().err == f"error: missing {runs / 'grid_rows.json'}; run {every} first\n"
 
 
 @pytest.fixture(scope="class")

@@ -21,6 +21,7 @@ from cardioprompt.experiment import (
     PreparedData,
     ReportRow,
     _mean_row,
+    _tune_family,
     derive_seed,
     dk_grid_from_models,
     emit_report,
@@ -34,6 +35,7 @@ from cardioprompt.experiment import (
 from cardioprompt.gateway import OracleMock, RuleMock, ScriptedMock
 from cardioprompt.metrics import ConfusionMatrix, CostWeights, confusion, metrics_row
 from cardioprompt.models import FAMILIES, feature_importance, train
+from cardioprompt.models.zoo import ESTIMATORS
 from cardioprompt.schema import FEATURE_NAMES
 from cardioprompt.synthetic import synthetic_raw
 from conftest import LR_ORDER, RF_ORDER, XGB_ORDER, make_ranking
@@ -372,6 +374,19 @@ class TestMlBaselines:
                 assert model.importance.source == family
             else:
                 assert model.importance is None
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_family_fits_iters_times_folds_plus_one(self, monkeypatch, family):
+        # one fit per fold of every trial, none dropped, and one refit of the winner; ranking fits nothing
+        fits = []
+        fit = ESTIMATORS[family].fit
+        monkeypatch.setattr(ESTIMATORS[family], "fit", lambda est, X, y: fits.append(len(y)) or fit(est, X, y))
+        cfg = ExperimentConfig(search_iters=3, search_folds=2)
+        train_ds = make_prepared(60, seed=5).std_train
+        model = _tune_family(cfg, train_ds, family)
+        assert len(fits) == cfg.search_iters * cfg.search_folds + 1
+        assert fits[-1] == train_ds.n_rows
+        assert (model.importance is not None) == (family in SOURCE_TAGS)
 
     def test_majority_one_has_unit_recall(self, baseline_run):
         _, rows, _ = baseline_run

@@ -43,7 +43,7 @@ from cardioprompt.gateway import (
     parse_label,
     prompt_hash,
 )
-from cardioprompt.prompts import PromptSpec, assemble_prompt, query_line, sample_examples
+from cardioprompt.prompts import Examples, PromptSpec, assemble_prompt, query_line, sample_examples
 from cardioprompt.schema import FEATURE_NAMES
 from conftest import EXAMPLE_1, HANG_UP, QUERY, ok_body, small_dataset
 
@@ -253,7 +253,7 @@ class TestJsonlCache:
 
 
 def _one_row_prompt(x) -> str:
-    return assemble_prompt(PromptSpec(dk=NO_DK), [], x).text
+    return assemble_prompt(PromptSpec(dk=NO_DK), Examples(), x).text
 
 
 class TestMocks:
@@ -302,9 +302,7 @@ class TestMocks:
 
     def test_rule_mock_reads_query_not_examples(self):
         # EXAMPLE_1 has exang=1; the query has exang=0. The rule must see 0.
-        prompt = assemble_prompt(
-            PromptSpec(dk=NO_DK), [EXAMPLE_1], QUERY
-        ).text
+        prompt = assemble_prompt(PromptSpec(dk=NO_DK), Examples([EXAMPLE_1]), QUERY).text
         assert RuleMock("exang", 0.5).respond(prompt) == "0"
 
 
@@ -768,7 +766,7 @@ class TestClassifyBatch:
     def _fill(self, stub, path, ds, rows) -> list[str]:
         """Caches the answers to `rows` of `ds`; every row's prompt, in row order."""
         stub.script = [self._answers_by_chol]
-        prompts = [assemble_prompt(PromptSpec(dk=NO_DK), [], x).text for x in ds.matrix]
+        prompts = [assemble_prompt(PromptSpec(dk=NO_DK), Examples(), x).text for x in ds.matrix]
         cache = JsonlCache(path)
         HttpBackend(_cfg(stub), cache, api_key="k").answer([prompts[i] for i in rows])
         cache.close()

@@ -3,9 +3,8 @@ build from scratch (Mokhov, Mitchell and Peyton Jones, "Build systems à la
 carte", ICFP 2018): after every step, a task exits 0 or exits 1 with a
 ValidationError; after an exit 0, every output its entry records is what a
 build from scratch writes; after an exit 1, running the tasks the error
-names, once each and in order, lets the task exit 0. A `rerun` line is held
-to that in one round; a `run ... first` line names the writers of the
-missing files alone, so each of those is built in turn with its own advice."""
+names, once each and in order, lets the task exit 0: one round, whether the
+line says `rerun` or `run ... first`."""
 
 from __future__ import annotations
 
@@ -134,19 +133,14 @@ class FakeBuild(RuleBasedStateMachine):
         return {name: content(key, name, inputs) for name in self.table[task].files}
 
     def build(self, task: str):
-        """Run `task` and follow its error's advice: each task a `rerun` names exits 0 at once, in
-        one round; those a `run ... first` names, the writers of its missing inputs, are built in
-        turn, each perhaps naming its own. `task` then exits 0."""
+        """Run `task` and follow its error's advice in one round: each task a `rerun` or a
+        `run ... first` names exits 0 at once, in order, and `task` then exits 0."""
         if (error := self.run(task)) is None:
             return
         advice = error.rpartition("; ")[2]
-        first = advice.startswith("run ") and advice.endswith(" first")
-        assert first or advice.startswith("rerun "), error
+        assert advice.startswith("rerun ") or advice.startswith("run ") and advice.endswith(" first"), error
         for named in advice.removeprefix("re").removeprefix("run ").removesuffix(" first").split(" and "):
-            if first:
-                self.build(named)
-            else:
-                assert (again := self.run(named)) is None, (error, named, again)
+            assert (again := self.run(named)) is None, (error, named, again)
         assert (again := self.run(task)) is None, (error, again)
 
     @rule(i=st.integers(0, 59))  # 60 is a multiple of each table size, so that each task is as likely

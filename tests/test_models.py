@@ -21,7 +21,6 @@ from cardioprompt.models import (
     RandomForest,
     build_ranking,
     loss_and_grad,
-    permutation_importance,
 )
 from cardioprompt.models import FAMILIES, TrainedModel, feature_importance, gbt, train
 from cardioprompt.models.serialize import model_from_json, model_to_json
@@ -416,16 +415,11 @@ class TestMLP:
             MLPClassifier(hidden_layer_sizes=(0,)).fit(np.zeros((4, 2)), np.zeros(4))
 
 
-class _ColumnZeroRule:
-    """Deterministic stub reading only the first column."""
-
-    def predict(self, X):
-        return (np.asarray(X)[:, 0] > 0).astype(int)
-
-
 class _Constant:
-    def predict(self, X):
-        return np.ones(len(X), dtype=int)
+    """A model that learned nothing: its importance is all zero."""
+
+    def raw_importance(self):
+        return np.zeros(13)
 
 
 class TestImportance:
@@ -466,29 +460,10 @@ class TestImportance:
         with pytest.raises(ValidationError):
             build_ranking(np.ones(5), source="RF")
 
-    def test_permutation_ignored_feature_scores_zero(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(0, 1, size=(60, 13))
-        y = (X[:, 0] > 0).astype(int)
-        raw = permutation_importance(_ColumnZeroRule(), X, y, seed=3)
-        assert raw[0] > 0
-        assert np.all(raw[1:] == 0.0)
-
-    def test_permutation_deterministic_per_seed(self):
-        ds = small_dataset(60, seed=5)
-        m = KNNClassifier(n_neighbors=5)
-        m.fit(ds.matrix, ds.targets)
-        a = permutation_importance(m, ds.matrix, ds.targets, seed=11)
-        b = permutation_importance(m, ds.matrix, ds.targets, seed=11)
-        assert np.array_equal(a, b)
-
     def test_constant_model_yields_degenerate_ranking(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(0, 1, size=(40, 13))
-        y = rng.integers(0, 2, size=40)
-        raw = permutation_importance(_Constant(), X, y, seed=0)
-        r = build_ranking(raw, source="MLP")
-        assert r.degenerate is True
+        m = feature_importance(TrainedModel(family="LR", hyper={}, estimator=_Constant()))
+        assert m.importance == build_ranking(np.zeros(13), source="LR")
+        assert m.importance.degenerate is True
 
 
 class TestZooAndSerialization:
@@ -530,13 +505,19 @@ class TestZooAndSerialization:
         assert restored.importance == m.importance
         assert restored.importance.source == "LR"
 
-    def test_intrinsic_vs_permutation_paths(self):
+    def test_intrinsic_importance_paths(self):
         ds = small_dataset(60, seed=15)
-        for family in FAMILIES:
-            m = feature_importance(train(family, ds, self.HYPERS[family]), ds, seed=2, n_repeats=3)
-            assert m.importance is not None
+        for family in ("RF", "LR", "GBT", "ADA"):
+            m = feature_importance(train(family, ds, self.HYPERS[family]))
+            assert m.importance == build_ranking(m.estimator.raw_importance(), source=family)
             assert len(m.importance.entries) == 13
             assert sum(w for _, w in m.importance.entries) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["KNN", "MLP"])
+    def test_a_family_without_intrinsic_importance_is_refused(self, family):
+        m = train(family, small_dataset(40, seed=16), self.HYPERS[family])
+        with pytest.raises(ValidationError, match=f"family {family} has no intrinsic feature importance"):
+            feature_importance(m)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,7 @@ from cardioprompt import prompts
 from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import ValidationError
 from cardioprompt.experiment import ExperimentConfig, derive_seed, prepare, run_prompt_grid
-from cardioprompt.prompts import PromptSpec, assemble_prompt, render_instance, sample_examples
+from cardioprompt.prompts import Examples, PromptSpec, assemble_prompt, render_instance, sample_examples
 from cardioprompt.schema import FEATURES
 from cardioprompt.synthetic import synthetic_raw
 from conftest import EXAMPLE_1, EXAMPLE_2, LR_ORDER, QUERY, RF_ORDER, XGB_ORDER, make_ranking
@@ -77,7 +77,7 @@ class TestSharedHead:
         for zero in (0.0, -0.0):
             row = np.full(13, 9.75)
             row[5] = zero
-            prompt = assemble_prompt(spec, [(row, 1)], row)
+            prompt = assemble_prompt(spec, Examples([(row, 1)]), row)
             assert prompt.text == reference_text(spec, [(row, 1)], row)
             assert f"fbs: {zero!r}" in prompt.part5_question
 
@@ -85,7 +85,7 @@ class TestSharedHead:
         spec = PromptSpec(dk=NO_DK)
         texts = []
         for examples in ([(EXAMPLE_1[0], 1), EXAMPLE_2], [(EXAMPLE_1[0], True), EXAMPLE_2]):
-            texts.append(assemble_prompt(spec, examples, QUERY).text)
+            texts.append(assemble_prompt(spec, Examples(examples), QUERY).text)
             assert texts[-1] == reference_text(spec, examples, QUERY)
         assert "<Answer 1>: 1\n" in texts[0] and "<Answer 1>: True\n" in texts[1]
 
@@ -93,7 +93,7 @@ class TestSharedHead:
         spec = PromptSpec(dk=NO_DK)
         for rows in ([np.zeros(13), np.zeros(12)], [np.zeros(12), np.zeros(12)]):
             with pytest.raises(ValidationError):
-                assemble_prompt(spec, [(rows[0], 1), (rows[1], 0)], QUERY)
+                Examples([(rows[0], 1), (rows[1], 0)])
 
     def test_example_rows_are_read_only_copies(self):
         row = EXAMPLE_1[0].copy()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cardioprompt.dk import DkVariant, DomainKnowledge, render_dk
 from cardioprompt.errors import SamplingError, ValidationError
 from cardioprompt.prompts import (
+    Examples,
     PromptSpec,
     assemble_prompt,
     render_instance,
@@ -139,20 +140,20 @@ class TestSampleExamples:
 class TestAssembly:
     def test_default_golden_byte_exact(self):
         spec = PromptSpec(dk=NO_DK)
-        prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2], QUERY)
+        prompt = assemble_prompt(spec, Examples([EXAMPLE_1, EXAMPLE_2]), QUERY)
         expected = (GOLDEN_DIR / "prompt_default.txt").read_text()
         assert prompt.text == expected
 
     def test_paper_faithful_golden_byte_exact(self):
         dk1 = render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI)
         spec = PromptSpec(dk=dk1, paper_faithful=True)
-        prompt = assemble_prompt(spec, [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], QUERY)
+        prompt = assemble_prompt(spec, Examples([EXAMPLE_1, EXAMPLE_2, EXAMPLE_3]), QUERY)
         expected = (GOLDEN_DIR / "prompt_paper_faithful.txt").read_text()
         assert prompt.text == expected
 
     def test_no_dk_leaves_no_residue(self):
         spec = PromptSpec(dk=NO_DK)
-        prompt = assemble_prompt(spec, [], QUERY)
+        prompt = assemble_prompt(spec, Examples(), QUERY)
         assert "Domain Knowledge" not in prompt.text
         assert "Example" not in prompt.text
         assert "\n\n\n" not in prompt.text
@@ -160,7 +161,7 @@ class TestAssembly:
     def test_only_dk_section_changes_across_variants(self):
         base = PromptSpec(dk=NO_DK)
         with_dk = PromptSpec(dk=render_dk(make_ranking(RF_ORDER, "RF"), DkVariant.MLFI))
-        examples = [EXAMPLE_1, EXAMPLE_2]
+        examples = Examples([EXAMPLE_1, EXAMPLE_2])
         p0 = assemble_prompt(base, examples, QUERY)
         p1 = assemble_prompt(with_dk, examples, QUERY)
         assert p0.part1_task == p1.part1_task
@@ -172,19 +173,19 @@ class TestAssembly:
     def test_query_label_never_present(self):
         # the final question must not leak an answer
         spec = PromptSpec(dk=NO_DK)
-        prompt = assemble_prompt(spec, [], QUERY)
+        prompt = assemble_prompt(spec, Examples(), QUERY)
         tail = prompt.text.rsplit("<Answer>:", 1)[1]
         assert tail.strip() == ""
 
     def test_bad_example_label_rejected(self):
         spec = PromptSpec(dk=NO_DK)
         with pytest.raises(ValidationError):
-            assemble_prompt(spec, [(EXAMPLE_1[0], 2)], QUERY)
+            Examples([(EXAMPLE_1[0], 2)])
 
     def test_assembly_is_pure(self):
         spec = PromptSpec(dk=NO_DK)
-        a = assemble_prompt(spec, [EXAMPLE_1], QUERY)
-        b = assemble_prompt(spec, [EXAMPLE_1], QUERY)
+        a = assemble_prompt(spec, Examples([EXAMPLE_1]), QUERY)
+        b = assemble_prompt(spec, Examples([EXAMPLE_1]), QUERY)
         assert a == b and a.text == b.text
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardioprompt.data import Dataset
 from cardioprompt.errors import StratificationError, ValidationError
@@ -59,6 +61,24 @@ class TestStratifiedFolds:
         y = np.array([0] * 46 + [1] * 4)
         with pytest.raises(StratificationError):
             stratified_folds(y, 5, seed=0)
+
+    def test_one_class_rejected(self):
+        with pytest.raises(StratificationError, match="need two classes to stratify, got 1"):
+            stratified_folds(np.zeros(20, dtype=int), 5, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_folds=st.integers(2, 10),
+        extra=st.lists(st.integers(0, 40), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_fold_holds_every_class(self, n_folds, extra, seed):
+        # two or more classes, each of at least n_folds members, in a seeded row order
+        y = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(extra)), [n_folds + e for e in extra]))
+        folds = stratified_folds(y, n_folds, seed=seed)
+        assert len(folds) == n_folds
+        for f in folds:
+            assert set(y[f].tolist()) == set(range(len(extra)))
 
     def test_min_folds(self):
         with pytest.raises(ValidationError):
@@ -137,25 +157,3 @@ class TestRandomizedSearch:
     def test_n_iter_validation(self):
         with pytest.raises(ValidationError):
             randomized_search("RF", small_dataset(30), n_iter=0)
-
-    def test_degenerate_fold_warns_and_drops(self, monkeypatch):
-        # force a fold layout whose last fold holds only class 0
-        import cardioprompt.models.search as search_mod
-
-        ds = small_dataset(40, seed=3)
-
-        def rigged(targets, n_folds, seed):
-            idx = np.arange(len(targets))
-            zeros = idx[targets == 0]
-            ones = idx[targets == 1]
-            assert len(zeros) >= 4 and len(ones) >= 1
-            bad = zeros[:4]
-            rest = np.setdiff1d(idx, bad)
-            half = len(rest) // 2
-            return [np.sort(rest[:half]), np.sort(rest[half:]), np.sort(bad)]
-
-        monkeypatch.setattr(search_mod, "stratified_folds", rigged)
-        _, report = randomized_search("KNN", ds, n_iter=2, folds=3, seed=0)
-        assert any("single-class" in w for w in report.warnings)
-        for t in report.trials:
-            assert len(t.fold_scores) == 2  # degenerate fold dropped from the mean
