@@ -1,11 +1,14 @@
 """Golden model artifacts: seeded fits of every model family and of the
 plain tree must serialize to the same bytes as the recorded sha256 in
-tests/golden/tree_artifacts.json.
+tests/golden/tree_artifacts.json, and each family's predictions on the
+held-out split (`predict_proba` where the family has one, `predict`
+otherwise) must keep their bytes too.
 
 The split kernel is an exact algorithm, so any change to its arithmetic,
 its tie-breaking, its node numbering or its RNG draws shows up here; so
-does any change to the fitted arithmetic of the LR, KNN and MLP families. A
-deliberate contract change regenerates the file with
+does any change to the fitted arithmetic of the LR, KNN and MLP families,
+and any change to a family's prediction arithmetic, such as KNN's, whose
+artifact is only its stored training rows. A deliberate contract change regenerates the file with
 `PYTHONPATH=src python tests/test_golden_trees.py` and says so in CHANGES.md.
 """
 
@@ -49,25 +52,35 @@ TREES = {  # criterion, weighted, min_samples_leaf, max_depth
 
 
 def _train_set():
-    # imputed, standardized and split the way experiment.prepare does it
+    # imputed, standardized and split the way experiment.prepare does it:
+    # (train, held-out)
     full = knn_impute(binarize_target(synthetic_raw(300, missing_fraction=0.15, seed=5)), k=5)
     train_ds, test_ds = split_at(full, holdout(full, 0.2, seed=6))
-    return standardize(train_ds, test_ds)[0]
+    return standardize(train_ds, test_ds)
+
+
+def _predictions(estimator, X: np.ndarray) -> bytes:
+    predict = getattr(estimator, "predict_proba", estimator.predict)
+    return predict(X).tobytes()
 
 
 def artifact_digests() -> dict[str, str]:
-    ds = _train_set()
+    ds, held_out = _train_set()
     X, y = ds.matrix, ds.targets.astype(float)
     rng = np.random.default_rng(8)
     weights = rng.uniform(0.1, 2.0, size=len(y))
     target = X @ rng.normal(size=X.shape[1]) + rng.normal(0, 0.5, size=len(y))  # regression target for mse
 
-    docs = {name: model_to_json(train(family, ds, hyper, seed=3)) for name, (family, hyper) in MODELS.items()}
+    blobs = {}
+    for name, (family, hyper) in MODELS.items():
+        model = train(family, ds, hyper, seed=3)
+        blobs[name] = model_to_json(model).encode()
+        blobs[f"predict-{name}"] = _predictions(model.estimator, held_out.matrix)
     for name, (criterion, weighted, leaf, depth) in TREES.items():
         tree = DecisionTree(max_depth=depth, min_samples_leaf=leaf, criterion=criterion)
         tree.fit(X, y if criterion == "gini" else target, sample_weight=weights if weighted else None)
-        docs[f"tree-{name}"] = json.dumps(fitted_doc(tree))
-    return {name: hashlib.sha256(doc.encode()).hexdigest() for name, doc in docs.items()}
+        blobs[f"tree-{name}"] = json.dumps(fitted_doc(tree)).encode()
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
 
 
 def test_tree_artifacts_match_golden_bytes():
