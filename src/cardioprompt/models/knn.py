@@ -1,11 +1,17 @@
 """Brute-force k-nearest-neighbor classifier with Minkowski distance.
 
-Neighbor order is (distance, training row index), so equidistant neighbors
-resolve to the lower index and results are stable. With distance weighting, a
-query that coincides with at least one training point is decided entirely by
-the zero-distance points. algorithm and leaf_size are accepted for interface
-parity; brute force is always used, matching the semantics (not the speed) of
-any tree-backed search.
+Neighbor order is (distance, training row index): one stable argsort of each
+query's distances keeps equidistant neighbors in row order, so the lower index
+wins and results are stable. With distance weighting, a query that coincides
+with at least one training point is decided entirely by the zero-distance
+points. algorithm and leaf_size are accepted for interface parity; brute force
+is always used, matching the semantics (not the speed) of any tree-backed
+search.
+
+Queries are scored in fixed blocks of rows, so the scratch arrays hold
+O(block x train rows x features) elements, about _BLOCK_ELEMENTS each,
+whatever the number of queries. Each query's arithmetic is the same in any
+block, so the probabilities do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from .tree import Classifier, as_labeled, as_rows
+
+_BLOCK_ELEMENTS = 1 << 16  # per scratch array of a query block: 0.5 MB of float64
 
 
 @dataclass
@@ -46,13 +54,17 @@ class KNNClassifier(Classifier):
         if self.X_ is None:
             raise ValidationError("model not fitted")
         X = as_rows(X, self.X_.shape[1])
+        out = np.empty(len(X))
+        block = max(1, _BLOCK_ELEMENTS // max(1, self.X_.size))
+        for start in range(0, len(X), block):
+            out[start : start + block] = self._vote(X[start : start + block])
+        return out
 
+    def _vote(self, X: np.ndarray) -> np.ndarray:
         diff = np.abs(X[:, None, :] - self.X_[None, :, :])
         dist = diff.sum(-1) if self.p == 1 else (diff**self.p).sum(-1) ** (1.0 / self.p)
 
-        n_train = len(self.y_)
-        order = np.lexsort((np.broadcast_to(np.arange(n_train), dist.shape), dist), axis=1)
-        kth = order[:, : self.n_neighbors]
+        kth = np.argsort(dist, axis=1, kind="stable")[:, : self.n_neighbors]
         kdist = np.take_along_axis(dist, kth, axis=1)
         klabel = self.y_[kth]
 

@@ -7,8 +7,12 @@ tie rules, determinism under a fixed seed).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardioprompt.errors import ValidationError
 from cardioprompt.models import (
@@ -22,7 +26,7 @@ from cardioprompt.models import (
     build_ranking,
     loss_and_grad,
 )
-from cardioprompt.models import FAMILIES, TrainedModel, feature_importance, gbt, train
+from cardioprompt.models import FAMILIES, TrainedModel, feature_importance, gbt, knn, train
 from cardioprompt.models.serialize import model_from_json, model_to_json
 from cardioprompt.models.zoo import ESTIMATORS
 from cardioprompt.schema import FEATURE_NAMES
@@ -378,6 +382,66 @@ class TestKNN:
         q = _pad13(np.array([[1.0]]))
         assert m.predict_proba(q)[0] == pytest.approx(0.5)
         assert m.predict(q)[0] == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_blocked_kernel_matches_the_broadcast_formula(self, data):
+        n_train = data.draw(st.integers(1, 300), label="n_train")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # a pool smaller than n_train duplicates rows; small integers tie distances
+        pool = rng.integers(-2, 3, size=(data.draw(st.integers(1, n_train)), 13)).astype(float)
+        if data.draw(st.booleans(), label="continuous"):
+            pool = pool + rng.normal(size=pool.shape)
+        X = pool[rng.integers(0, len(pool), size=n_train)]
+        y = rng.integers(0, 2, size=n_train)
+        m = KNNClassifier(
+            n_neighbors=data.draw(st.integers(1, n_train), label="n_neighbors"),
+            weights=data.draw(st.sampled_from(["uniform", "distance"]), label="weights"),
+            p=data.draw(st.sampled_from([1, 2, 3]), label="p"),
+        ).fit(X, y)
+
+        block = max(1, knn._BLOCK_ELEMENTS // X.size)
+        n_query = data.draw(st.sampled_from([0, 1, max(0, block - 1), block, block + 1, 3 * block + 1]), label="n_query")
+        Q = np.where(  # about half the queries are training rows: zero distances
+            rng.random((n_query, 1)) < 0.5,
+            X[rng.integers(0, n_train, size=n_query)],
+            rng.integers(-2, 3, size=(n_query, 13)) + rng.normal(size=(n_query, 13)) * rng.integers(0, 2, size=(n_query, 1)),
+        )
+
+        got = m.predict_proba(Q)
+        assert got.shape == (n_query,)
+        assert got.tobytes() == _broadcast_proba(m, Q).tobytes()
+
+    def test_one_call_stays_under_four_mb_of_scratch(self):
+        # the paper-scale test split: 184 queries against 736 training rows
+        rng = np.random.default_rng(0)
+        m = KNNClassifier(n_neighbors=7, weights="distance").fit(rng.normal(size=(736, 13)), rng.integers(0, 2, 736))
+        Q = rng.normal(size=(184, 13))
+        tracemalloc.start()
+        try:
+            m.predict_proba(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _broadcast_proba(m: KNNClassifier, X: np.ndarray) -> np.ndarray:
+    """The unblocked reference: every query against every training row at
+    once, neighbors ordered by a lexsort on (distance, row index)."""
+    diff = np.abs(X[:, None, :] - m.X_[None, :, :])
+    dist = diff.sum(-1) if m.p == 1 else (diff**m.p).sum(-1) ** (1.0 / m.p)
+    order = np.lexsort((np.broadcast_to(np.arange(len(m.y_)), dist.shape), dist), axis=1)
+    kth = order[:, : m.n_neighbors]
+    kdist = np.take_along_axis(dist, kth, axis=1)
+    if m.weights == "uniform":
+        wts = np.ones_like(kdist)
+    else:
+        zero = kdist == 0
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / np.where(zero, 1.0, kdist)
+        wts = np.where(zero.any(axis=1, keepdims=True), zero.astype(float), inv)
+    return (wts * m.y_[kth]).sum(axis=1) / wts.sum(axis=1)
 
 
 class TestMLP:
