@@ -8,8 +8,9 @@ The split kernel is an exact algorithm, so any change to its arithmetic,
 its tie-breaking, its node numbering or its RNG draws shows up here; so
 does any change to the fitted arithmetic of the LR, KNN and MLP families,
 and any change to a family's prediction arithmetic, such as KNN's, whose
-artifact is only its stored training rows. A deliberate contract change regenerates the file with
-`PYTHONPATH=src python tests/test_golden_trees.py` and says so in CHANGES.md.
+artifact is only its stored training rows. A deliberate contract change
+regenerates the file with `PYTHONPATH=src python tests/test_golden_trees.py`
+and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -51,21 +52,15 @@ TREES = {  # criterion, weighted, min_samples_leaf, max_depth
 }
 
 
-def _train_set():
-    # imputed, standardized and split the way experiment.prepare does it:
-    # (train, held-out)
+def _splits():
+    # (train, held-out), imputed, standardized and split the way experiment.prepare does it
     full = knn_impute(binarize_target(synthetic_raw(300, missing_fraction=0.15, seed=5)), k=5)
     train_ds, test_ds = split_at(full, holdout(full, 0.2, seed=6))
     return standardize(train_ds, test_ds)
 
 
-def _predictions(estimator, X: np.ndarray) -> bytes:
-    predict = getattr(estimator, "predict_proba", estimator.predict)
-    return predict(X).tobytes()
-
-
 def artifact_digests() -> dict[str, str]:
-    ds, held_out = _train_set()
+    ds, held_out = _splits()
     X, y = ds.matrix, ds.targets.astype(float)
     rng = np.random.default_rng(8)
     weights = rng.uniform(0.1, 2.0, size=len(y))
@@ -75,7 +70,8 @@ def artifact_digests() -> dict[str, str]:
     for name, (family, hyper) in MODELS.items():
         model = train(family, ds, hyper, seed=3)
         blobs[name] = model_to_json(model).encode()
-        blobs[f"predict-{name}"] = _predictions(model.estimator, held_out.matrix)
+        predict = getattr(model.estimator, "predict_proba", model.estimator.predict)  # RF has predict only
+        blobs[f"predict-{name}"] = predict(held_out.matrix).tobytes()
     for name, (criterion, weighted, leaf, depth) in TREES.items():
         tree = DecisionTree(max_depth=depth, min_samples_leaf=leaf, criterion=criterion)
         tree.fit(X, y if criterion == "gini" else target, sample_weight=weights if weighted else None)

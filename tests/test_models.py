@@ -401,11 +401,14 @@ class TestKNN:
         ).fit(X, y)
 
         block = max(1, knn._BLOCK_ELEMENTS // X.size)
-        n_query = data.draw(st.sampled_from([0, 1, max(0, block - 1), block, block + 1, 3 * block + 1]), label="n_query")
-        Q = np.where(  # about half the queries are training rows: zero distances
+        n_query = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 1]), label="n_query")
+        # about half the queries are training rows (zero distances), the rest
+        # grid points, some of them jittered
+        jitter = rng.normal(size=(n_query, 13)) * rng.integers(0, 2, size=(n_query, 1))
+        Q = np.where(
             rng.random((n_query, 1)) < 0.5,
             X[rng.integers(0, n_train, size=n_query)],
-            rng.integers(-2, 3, size=(n_query, 13)) + rng.normal(size=(n_query, 13)) * rng.integers(0, 2, size=(n_query, 1)),
+            rng.integers(-2, 3, size=(n_query, 13)) + jitter,
         )
 
         got = m.predict_proba(Q)
